@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .field import MultilevelField, prolongate_uniform, restrict_uniform, shift
+from .field import (
+    MultilevelField,
+    offset_views,
+    prolongate_uniform,
+    restrict_uniform,
+    zero_frame,
+)
 from .mesh import (
     NODE_TRIANGLES,
     TRI_CHILD_OFFSETS,
@@ -85,15 +91,6 @@ def _stencil_couplings() -> np.ndarray:
 STENCIL_COUPLINGS = _stencil_couplings()
 
 
-def _zero_boundary(image: np.ndarray) -> np.ndarray:
-    out = image.copy()
-    out[0, :] = 0.0
-    out[-1, :] = 0.0
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
-    return out
-
-
 @dataclass
 class DiffusionField:
     """Per-level coefficient data derived from the finest nodal image.
@@ -154,15 +151,14 @@ def compute_upsilon(hierarchy: GridHierarchy, kappa: np.ndarray) -> DiffusionFie
                 acc[q - 1] += tri[k + 1][qc - 1, d1::2, d2::2]
         tri[k] = acc
 
+    owners = [owner for _, owner in NODE_TRIANGLES]
     ups = []
     for k in range(hierarchy.levels):
         n = hierarchy.n(k)
         embedded = np.zeros((2, n, n))
         embedded[:, : n - 1, : n - 1] = tri[k]
-        chan = np.empty((6, n, n))
-        for c, (q, (d1, d2)) in enumerate(NODE_TRIANGLES):
-            chan[c] = shift(embedded[q - 1], d1, d2)
-        ups.append(chan)
+        views = offset_views(embedded, owners)
+        ups.append(np.stack([view[q - 1] for (q, _), view in zip(NODE_TRIANGLES, views)]))
     return DiffusionField(hierarchy, kap, tri, ups)
 
 
@@ -175,12 +171,12 @@ def apply_A_level(image: np.ndarray, upsilon: np.ndarray, h: float) -> np.ndarra
     """
     if upsilon.shape != (6,) + image.shape:
         raise ValueError(f"upsilon {upsilon.shape} does not match image {image.shape}")
-    v = _zero_boundary(np.asarray(image, dtype=float))
+    v = zero_frame(np.asarray(image, dtype=float))
     weights = np.einsum("lt,lij->tij", STENCIL_COUPLINGS, upsilon)
     out = np.zeros_like(v)
-    for t, (d1, d2) in enumerate(hat_overlap_offsets()):
-        out += weights[t] * shift(v, d1, d2)
-    return _zero_boundary(out * (2.0 / (h * h)))
+    for w, view in zip(weights, offset_views(v, hat_overlap_offsets())):
+        out += w * view
+    return zero_frame(out * (2.0 / (h * h)))
 
 
 def apply_A_level_transpose(image: np.ndarray, upsilon: np.ndarray, h: float) -> np.ndarray:
@@ -194,12 +190,13 @@ def apply_A_level_transpose(image: np.ndarray, upsilon: np.ndarray, h: float) ->
     """
     if upsilon.shape != (6,) + image.shape:
         raise ValueError(f"upsilon {upsilon.shape} does not match image {image.shape}")
-    v = _zero_boundary(np.asarray(image, dtype=float))
+    v = zero_frame(np.asarray(image, dtype=float))
     weights = np.einsum("lt,lij->tij", STENCIL_COUPLINGS, upsilon)
+    mirrored = [(-d1, -d2) for d1, d2 in hat_overlap_offsets()]
     out = np.zeros_like(v)
-    for t, (d1, d2) in enumerate(hat_overlap_offsets()):
-        out += shift(weights[t] * v, -d1, -d2)
-    return _zero_boundary(out * (2.0 / (h * h)))
+    for t, view in enumerate(offset_views(weights * v, mirrored)):
+        out += view[t]
+    return zero_frame(out * (2.0 / (h * h)))
 
 
 def compute_utilde(u: MultilevelField) -> list[np.ndarray]:
@@ -230,7 +227,7 @@ def compute_ubar(u: MultilevelField, diffusion: DiffusionField) -> list[np.ndarr
         lifted = bar[k + 1] + apply_A_level_transpose(
             ak, diffusion.upsilon[k + 1], u.hierarchy.h(k + 1)
         )
-        bar[k] = _zero_boundary(restrict_uniform(lifted))
+        bar[k] = zero_frame(restrict_uniform(lifted))
     return bar
 
 
@@ -355,12 +352,12 @@ def assemble_rhs(hierarchy: GridHierarchy, f_values: np.ndarray) -> RhsField:
         )
     hf = hierarchy.h(last)
     load = (hf * hf / 2.0) * f_values
-    for d1, d2 in hat_overlap_offsets()[1:]:
-        load += (hf * hf / 12.0) * shift(f_values, d1, d2)
+    for view in offset_views(f_values, hat_overlap_offsets()[1:]):
+        load += (hf * hf / 12.0) * view
     images: list[np.ndarray] = [np.empty(0)] * hierarchy.levels
-    images[last] = _zero_boundary(load)
+    images[last] = zero_frame(load)
     for k in range(last - 1, -1, -1):
-        images[k] = _zero_boundary(restrict_uniform(images[k + 1]))
+        images[k] = zero_frame(restrict_uniform(images[k + 1]))
     return RhsField(hierarchy, images)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -109,10 +110,13 @@ def _coerce(value, kind, where: str):
             if isinstance(value, bool) or int(value) != value:
                 raise ValueError
             return int(value)
-        return float(value)
+        out = float(value)
+        if not math.isfinite(out):
+            raise ValueError
+        return out
     except (TypeError, ValueError):
         raise ConfigurationError(
-            f"{where} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+            f"{where} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}"
         ) from None
 
 
@@ -139,6 +143,8 @@ def parse_config(raw: dict) -> RunConfig:
             centers = tuple((float(c[0]), float(c[1])) for c in prob["centers"])
         except (TypeError, ValueError, IndexError):
             raise ConfigurationError("problem.centers must be a list of [x, y] pairs") from None
+        if not all(math.isfinite(v) for c in centers for v in c):
+            raise ConfigurationError("problem.centers must be finite")
     problem = CookieProblem(
         base=_coerce(prob.get("base", base_problem.base), float, "problem.base"),
         centers=centers,
@@ -177,6 +183,10 @@ def parse_config(raw: dict) -> RunConfig:
 
 def validate_config(cfg: RunConfig) -> None:
     build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
+    if not cfg.problem.base > 0.0:
+        raise ConfigurationError("problem.base must be positive")
+    if not cfg.problem.radius >= 0.0:
+        raise ConfigurationError("problem.radius must be non-negative")
     if cfg.marking not in MARKING_STRATEGIES:
         raise ConfigurationError(
             f"afem.marking must be one of {MARKING_STRATEGIES}, got {cfg.marking!r}"
@@ -346,26 +356,17 @@ AFEM_CSV_COLUMNS = [
 ]
 
 
-def cmd_afem(cfg: RunConfig, out_dir) -> int:
-    """One adaptive run on the first sample: CSV report plus MLFD snapshots."""
+def _adaptive_sample(cfg: RunConfig, index: int, observer=None):
+    """Draw the parameters of sample `index` and run the adaptive loop on them.
+
+    One parameter per disc of the problem.  Saturated-depth warnings are
+    silenced.  Returns (hierarchy, y, final field, report).
+    """
     hier = build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
-    y = SampleRng(cfg.seed).sample_generator(0).random(2)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    writer = MlfdWriter(out / "snapshots", config_hash(cfg), cfg.seed)
-    writer.add("kappa", discretize_kappa(cfg.problem, y, hier), channels="kappa")
-    writer.add("f", load_image(cfg.problem, hier), channels="f")
-
-    def observer(it, u, est, marks):
-        for k in range(hier.levels):
-            tag = f"iter{it:03d}_level{k}"
-            writer.add(f"{tag}_u", u.values[k], channels="u", level=k)
-            writer.add(f"{tag}_eta2", est.eta2[k], channels="eta2", level=k)
-            writer.add(f"{tag}_mask", u.masks[k].active, channels="mask", level=k)
-
+    y = SampleRng(cfg.seed).sample_generator(index).random(len(cfg.problem.centers))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        _, _, report = afem(
+        u, _, report = afem(
             cfg.problem,
             y,
             hier,
@@ -377,6 +378,28 @@ def cmd_afem(cfg: RunConfig, out_dir) -> int:
             max_sweeps=cfg.max_sweeps,
             observer=observer,
         )
+    return hier, y, u, report
+
+
+def cmd_afem(cfg: RunConfig, out_dir) -> int:
+    """One adaptive run on the first sample: CSV report plus MLFD snapshots."""
+    snapshots = []
+
+    def observer(it, u, est, marks):
+        for k in range(cfg.levels):
+            tag = f"iter{it:03d}_level{k}"
+            snapshots.append((f"{tag}_u", np.array(u.values[k]), "u", k))
+            snapshots.append((f"{tag}_eta2", np.array(est.eta2[k]), "eta2", k))
+            snapshots.append((f"{tag}_mask", np.array(u.masks[k].active), "mask", k))
+
+    hier, y, _, report = _adaptive_sample(cfg, 0, observer)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    writer = MlfdWriter(out / "snapshots", config_hash(cfg), cfg.seed)
+    writer.add("kappa", discretize_kappa(cfg.problem, y, hier), channels="kappa")
+    writer.add("f", load_image(cfg.problem, hier), channels="f")
+    for name, array, channels, k in snapshots:
+        writer.add(name, array, channels=channels, level=k)
     writer.close()
     rows = [
         (
@@ -398,39 +421,35 @@ def cmd_afem(cfg: RunConfig, out_dir) -> int:
 
 
 def _study_sample(args):
-    """Adaptive and uniform error trajectories of one sample (worker body)."""
+    """Adaptive and uniform trajectories of one sample (worker body).
+
+    Each is a (4, steps) table: dofs, relative H1 and L2 errors, and 1 where
+    the step's solve stopped at max_sweeps.
+    """
     cfg, index = args
-    hier = build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
-    y = SampleRng(cfg.seed).sample_generator(index).random(2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _, _, report = afem(
-            cfg.problem,
-            y,
-            hier,
-            cfg.iterations,
-            marking=cfg.marking,
-            theta=cfg.theta,
-            omega_rule=cfg.omega_rule,
-            tol=cfg.tol,
-            max_sweeps=cfg.max_sweeps,
-        )
+    hier, y, _, report = _adaptive_sample(cfg, index)
     adaptive = np.array(
-        [report.dofs, report.h1_rel_err, report.l2_rel_err], dtype=float
+        [
+            report.dofs,
+            report.h1_rel_err,
+            report.l2_rel_err,
+            [status == "max_sweeps" for status in report.solver_statuses],
+        ],
+        dtype=float,
     )
 
     ref_image, ref_hier = overkill_reference(cfg.problem, y, hier)
     ref_h = ref_hier.h(0)
     ref_h1 = h1_seminorm(ref_image, ref_h)
     ref_l2 = l2_norm(ref_image, ref_h)
-    uniform = np.empty((3, cfg.levels))
+    uniform = np.empty((4, cfg.levels))
     for depth in range(1, cfg.levels + 1):
         sub = build_hierarchy(cfg.coarse_nodes_per_side, depth)
         masks = uniform_masks(sub)
         diffusion = compute_upsilon(sub, discretize_kappa(cfg.problem, y, sub))
         rhs = problem_rhs(cfg.problem, sub)
         smoother = choose_omega(diffusion, masks, cfg.omega_rule)
-        u, _ = llmg_solve(
+        u, solve_report = llmg_solve(
             zero_field(sub, masks),
             rhs,
             diffusion,
@@ -446,6 +465,7 @@ def _study_sample(args):
             sum(int(m.active.sum()) for m in masks),
             h1_seminorm(err, ref_h) / ref_h1 if ref_h1 > 0.0 else 0.0,
             l2_norm(err, ref_h) / ref_l2 if ref_l2 > 0.0 else 0.0,
+            solve_report.status == "max_sweeps",
         )
     return adaptive, uniform
 
@@ -460,11 +480,16 @@ CONVSTUDY_CSV_COLUMNS = [
     "l2_rel_mean",
     "l2_rel_min",
     "l2_rel_max",
+    "capped",
 ]
 
 
 def cmd_convstudy(cfg: RunConfig, out_dir, workers: int) -> int:
-    """Adaptive vs uniform refinement over the sample set, one CSV row per step."""
+    """Adaptive vs uniform refinement over the sample set, one CSV row per step.
+
+    `capped` counts the samples whose solve at that step stopped at
+    max_sweeps; it is reported, not treated as a failure.
+    """
     results = _map_samples(_study_sample, cfg, workers)
     adaptive = np.stack([r[0] for r in results])
     uniform = np.stack([r[1] for r in results])
@@ -474,7 +499,7 @@ def cmd_convstudy(cfg: RunConfig, out_dir, workers: int) -> int:
         ("uniform", uniform, cfg.levels),
     ):
         for step in range(steps):
-            dofs, h1, l2 = table[:, 0, step], table[:, 1, step], table[:, 2, step]
+            dofs, h1, l2, capped = table[:, :, step].T
             rows.append(
                 (
                     family,
@@ -486,6 +511,7 @@ def cmd_convstudy(cfg: RunConfig, out_dir, workers: int) -> int:
                     float(l2.mean()),
                     float(l2.min()),
                     float(l2.max()),
+                    int(capped.sum()),
                 )
             )
     out = Path(out_dir)
@@ -515,10 +541,11 @@ def verify_rows(cfg: RunConfig) -> list[tuple[str, float]]:
     transfer pair, and the estimator plus marking/refinement cascade (the
     last contributes 1.0 when the refined masks differ anywhere).
     """
-    hier = build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
+    hier, y, u_a, _ = _adaptive_sample(
+        replace(cfg, iterations=2, marking="doerfler", theta=0.3), 0
+    )
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(cfg.seed)
-    y = SampleRng(cfg.seed).sample_generator(0).random(2)
     diffusion = compute_upsilon(hier, discretize_kappa(cfg.problem, y, hier))
 
     worst_op = 0.0
@@ -556,22 +583,7 @@ def verify_rows(cfg: RunConfig) -> list[tuple[str, float]]:
     worst_est = 0.0
     f_values = load_image(cfg.problem, hier)
     zero_u = zero_field(hier, initial_masks(hier))
-    fields = [zero_u]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        u_a, _, _ = afem(
-            cfg.problem,
-            y,
-            hier,
-            2,
-            marking="doerfler",
-            theta=0.3,
-            omega_rule=cfg.omega_rule,
-            tol=cfg.tol,
-            max_sweeps=cfg.max_sweeps,
-        )
-    fields.append(u_a)
-    for u in fields:
+    for u in (zero_u, u_a):
         direct = estimate(u, f_values, diffusion, u.masks)
         conv = conv_estimator(bank, flatten_to_finest(u), f_values, diffusion, u.masks)
         for k in range(hier.levels):
@@ -620,8 +632,6 @@ def cmd_verify(cfg: RunConfig, tolerance: float = 1e-10) -> int:
 def _dataset_sample(args):
     """Final-iteration snapshot of one adaptive run (worker body)."""
     cfg, index = args
-    hier = build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
-    y = SampleRng(cfg.seed).sample_generator(index).random(2)
     final = {}
 
     def observer(it, u, est, marks):
@@ -630,20 +640,7 @@ def _dataset_sample(args):
             final["eta2"] = [np.array(e) for e in est.eta2]
             final["mask"] = [np.array(m.active) for m in u.masks]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        afem(
-            cfg.problem,
-            y,
-            hier,
-            cfg.iterations,
-            marking=cfg.marking,
-            theta=cfg.theta,
-            omega_rule=cfg.omega_rule,
-            tol=cfg.tol,
-            max_sweeps=cfg.max_sweeps,
-            observer=observer,
-        )
+    hier, y, _, _ = _adaptive_sample(cfg, index, observer)
     kappa = discretize_kappa(cfg.problem, y, hier)
     f_img = load_image(cfg.problem, hier)
     return kappa, f_img, final["u"], final["eta2"], final["mask"]

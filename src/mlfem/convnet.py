@@ -25,7 +25,7 @@ import numpy as np
 
 from .assembly import DiffusionField, RhsField
 from .estimator import EstimatorField, leaf_triangle_masks
-from .field import LevelMask, MultilevelField, make_mask
+from .field import LevelMask, MultilevelField, make_mask, zero_frame
 from .mesh import (
     NODE_TRIANGLES,
     TRI_CHILD_OFFSETS,
@@ -89,9 +89,35 @@ class ConvKernel:
             raise ConfigurationError(f"unknown conv mode {self.mode!r}")
 
 
-def _tap_matmul(w_tap: np.ndarray, block: np.ndarray) -> np.ndarray:
-    # (O, I) x (I, a, b) -> (O, a, b)
-    return np.einsum("oc,cab->oab", w_tap, block)
+def _tap_windows(
+    kernel: ConvKernel, coarse: tuple, fine: tuple, stride: int, cell_anchored: bool
+):
+    """Nonzero taps with the index windows they pair.
+
+    Yields (tap, coarse_index, fine_index): coarse position i meets fine
+    position stride*i + o for the tap's window offset o, and both index
+    tuples cover exactly the positions where each partner lies on its
+    lattice.  Taps with no such position, or with all-zero weights, are
+    skipped.  Stride 1 (coarse and fine the same lattice) is the plain conv.
+    """
+
+    def axis(size: int, center: int, m: int, n: int) -> list:
+        windows = []
+        for o in range(-center, size - center):
+            a = max(0, -(o // stride))
+            b = min(m - 1, (n - 1 - o) // stride)
+            windows.append((slice(a, b + 1), slice(stride * a + o, stride * b + o + 1, stride)))
+        return windows
+
+    c1 = 0 if cell_anchored else (kernel.height - 1) // 2
+    c2 = 0 if cell_anchored else (kernel.width - 1) // 2
+    rows = axis(kernel.height, c1, coarse[0], fine[0])
+    cols = axis(kernel.width, c2, coarse[1], fine[1])
+    for d1, (lo1, hi1) in enumerate(rows):
+        for d2, (lo2, hi2) in enumerate(cols):
+            tap = kernel.weights[:, :, d1, d2]
+            if lo1.start < lo1.stop and lo2.start < lo2.stop and tap.any():
+                yield tap, (slice(None), lo1, lo2), (slice(None), hi1, hi2)
 
 
 def conv_apply(
@@ -117,86 +143,29 @@ def conv_apply(
         )
     if kernel.mode == "submanifold" and mask is None:
         raise ConfigurationError("submanifold mode requires a mask")
-    n1, n2 = image.shape[1], image.shape[2]
-    if cell_anchored:
-        c1 = c2 = 0
-    else:
-        c1 = (kernel.height - 1) // 2
-        c2 = (kernel.width - 1) // 2
-    w = kernel.weights
-
-    if kernel.mode in ("plain", "submanifold"):
-        out = np.zeros((kernel.out_channels, n1, n2))
-        for d1 in range(kernel.height):
-            for d2 in range(kernel.width):
-                tap = w[:, :, d1, d2]
-                if not tap.any():
-                    continue
-                o1, o2 = d1 - c1, d2 - c2
-                src1 = slice(max(0, o1), n1 + min(0, o1))
-                src2 = slice(max(0, o2), n2 + min(0, o2))
-                dst1 = slice(max(0, -o1), n1 + min(0, -o1))
-                dst2 = slice(max(0, -o2), n2 + min(0, -o2))
-                out[:, dst1, dst2] += _tap_matmul(tap, image[:, src1, src2])
-        if kernel.bias is not None:
-            out += kernel.bias[:, None, None]
-        if kernel.mode == "submanifold":
-            out = out * np.asarray(mask)
-        return out
-
-    if n1 % 2 == 0 or n2 % 2 == 0:
+    shape = image.shape[1:]
+    if kernel.mode not in ("plain", "submanifold") and (shape[0] % 2 == 0 or shape[1] % 2 == 0):
         raise ConfigurationError(
             f"strided modes need an odd lattice (2n-1 layout), got {image.shape}"
         )
 
-    if kernel.mode == "strided2":
-        m1, m2 = (n1 + 1) // 2, (n2 + 1) // 2
-        out = np.zeros((kernel.out_channels, m1, m2))
-        for d1 in range(kernel.height):
-            for d2 in range(kernel.width):
-                tap = w[:, :, d1, d2]
-                if not tap.any():
-                    continue
-                o1, o2 = d1 - c1, d2 - c2
-                i1a = max(0, (-o1 + 1) // 2)
-                i1b = min(m1 - 1, (n1 - 1 - o1) // 2)
-                i2a = max(0, (-o2 + 1) // 2)
-                i2b = min(m2 - 1, (n2 - 1 - o2) // 2)
-                if i1a > i1b or i2a > i2b:
-                    continue
-                block = image[
-                    :,
-                    2 * i1a + o1 : 2 * i1b + o1 + 1 : 2,
-                    2 * i2a + o2 : 2 * i2b + o2 + 1 : 2,
-                ]
-                out[:, i1a : i1b + 1, i2a : i2b + 1] += _tap_matmul(tap, block)
-        if kernel.bias is not None:
-            out += kernel.bias[:, None, None]
-        return out
-
-    # transpose-strided2: out[c, 2i + offset] += w[o, c, tap] * in[o, i]
-    f1, f2 = 2 * n1 - 1, 2 * n2 - 1
-    out = np.zeros((kernel.in_channels, f1, f2))
-    for d1 in range(kernel.height):
-        for d2 in range(kernel.width):
-            tap = w[:, :, d1, d2]
-            if not tap.any():
-                continue
-            o1, o2 = d1 - c1, d2 - c2
-            i1a = max(0, (-o1 + 1) // 2)
-            i1b = min(n1 - 1, (f1 - 1 - o1) // 2)
-            i2a = max(0, (-o2 + 1) // 2)
-            i2b = min(n2 - 1, (f2 - 1 - o2) // 2)
-            if i1a > i1b or i2a > i2b:
-                continue
-            block = image[:, i1a : i1b + 1, i2a : i2b + 1]
-            out[
-                :,
-                2 * i1a + o1 : 2 * i1b + o1 + 1 : 2,
-                2 * i2a + o2 : 2 * i2b + o2 + 1 : 2,
-            ] += np.einsum("oc,oab->cab", tap, block)
+    if kernel.mode == "transpose-strided2":
+        # out[c, 2i + offset] += w[o, c, tap] * in[o, i]
+        fine = (2 * shape[0] - 1, 2 * shape[1] - 1)
+        out = np.zeros((kernel.in_channels,) + fine)
+        for tap, lo, hi in _tap_windows(kernel, shape, fine, 2, cell_anchored):
+            out[hi] += np.einsum("oc,oab->cab", tap, image[lo])
+    else:
+        stride = 2 if kernel.mode == "strided2" else 1
+        coarse = ((shape[0] + 1) // 2, (shape[1] + 1) // 2) if stride == 2 else shape
+        out = np.zeros((kernel.out_channels,) + coarse)
+        for tap, lo, hi in _tap_windows(kernel, coarse, shape, stride, cell_anchored):
+            # (O, I) x (I, a, b) -> (O, a, b)
+            out[lo] += np.einsum("oc,cab->oab", tap, image[hi])
     if kernel.bias is not None:
         out += kernel.bias[:, None, None]
+    if kernel.mode == "submanifold":
+        out = out * np.asarray(mask)
     return out
 
 
@@ -369,15 +338,6 @@ def build_stencil_bank(hierarchy: GridHierarchy) -> StencilBank:
 # operator, transfer and sweep twins
 
 
-def _zero_frame(image: np.ndarray) -> np.ndarray:
-    out = image.copy()
-    out[0, :] = 0.0
-    out[-1, :] = 0.0
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
-    return out
-
-
 def conv_translate(bank: StencilBank, image: np.ndarray, mask01: np.ndarray) -> np.ndarray:
     """7-offset translation stack gated by a 0/1 mask (channel 0 = image)."""
     return conv_apply(bank.translate, image[None, :, :], mask=mask01)
@@ -420,7 +380,7 @@ def conv_apply_A(
     acc = np.zeros(stack.shape[1:])
     for chan in range(6):
         acc += upsilon[chan] * conv_apply(bank.operator[chan], stack)[0]
-    out = _zero_frame(acc * (2.0 / (h * h)))
+    out = zero_frame(acc * (2.0 / (h * h)))
     if mask is not None:
         out = out * mask
     return out
@@ -438,9 +398,9 @@ def conv_apply_A_transpose(
         raise ConfigurationError(
             f"upsilon {upsilon.shape} does not match image {image.shape}"
         )
-    v = _zero_frame(np.asarray(image, dtype=float))
+    v = zero_frame(np.asarray(image, dtype=float))
     out = conv_apply(bank.operator_transpose, upsilon * v[None, :, :])[0]
-    out = _zero_frame(out * (2.0 / (h * h)))
+    out = zero_frame(out * (2.0 / (h * h)))
     if mask is not None:
         out = out * mask
     return out

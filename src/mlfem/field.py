@@ -17,7 +17,9 @@ from .mesh import GridHierarchy, hat_overlap_offsets
 __all__ = [
     "LevelMask",
     "MultilevelField",
+    "offset_views",
     "shift",
+    "zero_frame",
     "make_mask",
     "full_mask",
     "empty_mask",
@@ -33,15 +35,34 @@ __all__ = [
 ]
 
 
+def offset_views(image: np.ndarray, offsets) -> list[np.ndarray]:
+    """Lattice-neighbour views: views[t][..., i] = image[..., i + offsets[t]].
+
+    All views read one zero-padded copy of `image`, so entries whose source
+    index leaves the lattice are zero.  Leading axes are carried along; the
+    offsets act on the last two.  Every stencil of the direct route (stiffness
+    action, its transpose, load and Gershgorin sums, mask closure, channel
+    gathers) is built from such views.
+    """
+    r = max((max(abs(d1), abs(d2)) for d1, d2 in offsets), default=0)
+    n1, n2 = image.shape[-2], image.shape[-1]
+    padded = np.zeros(image.shape[:-2] + (n1 + 2 * r, n2 + 2 * r), dtype=image.dtype)
+    padded[..., r : r + n1, r : r + n2] = image
+    return [padded[..., r + d1 : r + d1 + n1, r + d2 : r + d2 + n2] for d1, d2 in offsets]
+
+
 def shift(a: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """out[i1, i2] = a[i1+d1, i2+d2], zero where the source index leaves the lattice."""
-    n1, n2 = a.shape[-2], a.shape[-1]
-    out = np.zeros_like(a)
-    dst1 = slice(max(0, -d1), n1 - max(0, d1))
-    dst2 = slice(max(0, -d2), n2 - max(0, d2))
-    src1 = slice(max(0, d1), n1 + min(0, d1))
-    src2 = slice(max(0, d2), n2 + min(0, d2))
-    out[..., dst1, dst2] = a[..., src1, src2]
+    """out[..., i1, i2] = a[..., i1+d1, i2+d2], zero where the source index leaves the lattice."""
+    return offset_views(a, [(d1, d2)])[0]
+
+
+def zero_frame(image: np.ndarray) -> np.ndarray:
+    """Copy of an image with its boundary frame (first/last row and column) zeroed."""
+    out = image.copy()
+    out[..., 0, :] = 0
+    out[..., -1, :] = 0
+    out[..., :, 0] = 0
+    out[..., :, -1] = 0
     return out
 
 
@@ -64,12 +85,7 @@ class LevelMask:
 
     def write(self) -> np.ndarray:
         """closure with the boundary frame zeroed: where operators may write."""
-        w = self.closure.copy()
-        w[0, :] = 0
-        w[-1, :] = 0
-        w[:, 0] = 0
-        w[:, -1] = 0
-        return w
+        return zero_frame(self.closure)
 
     def copy(self) -> "LevelMask":
         return LevelMask(self.active.copy(), self.closure.copy())
@@ -79,8 +95,8 @@ def make_mask(active: np.ndarray) -> LevelMask:
     """Build a LevelMask from an active 0/1 image, computing the closure."""
     active = np.ascontiguousarray(active, dtype=np.uint8)
     closure = np.zeros_like(active)
-    for d1, d2 in hat_overlap_offsets():
-        closure |= shift(active, d1, d2)
+    for view in offset_views(active, hat_overlap_offsets()):
+        closure |= view
     return LevelMask(active=active, closure=closure)
 
 
@@ -138,12 +154,8 @@ def translate(image: np.ndarray, mask: LevelMask) -> np.ndarray:
     """
     if image.shape != mask.active.shape:
         raise ValueError(f"image {image.shape} vs mask {mask.active.shape}")
-    offsets = hat_overlap_offsets()
     act = mask.active.astype(image.dtype)
-    out = np.empty((len(offsets),) + image.shape, dtype=image.dtype)
-    for t, (d1, d2) in enumerate(offsets):
-        out[t] = shift(image, d1, d2) * act
-    return out
+    return np.stack(offset_views(image, hat_overlap_offsets())) * act
 
 
 def _interp(coarse: np.ndarray) -> np.ndarray:

@@ -74,10 +74,15 @@ def load_image(problem: CookieProblem, hierarchy: GridHierarchy) -> np.ndarray:
 
 
 def sample_parameters(rng: SampleRng, count: int) -> np.ndarray:
-    """(count, 2) array of i.i.d. uniform parameter pairs, one stream each."""
-    out = np.empty((count, 2))
+    """(count, d) i.i.d. uniform parameters, one stream per sample.
+
+    d is the disc count of the default cookie problem.  Philox draws are
+    prefix-stable, so the first j columns do not depend on d.
+    """
+    dim = len(CookieProblem().centers)
+    out = np.empty((count, dim))
     for i in range(count):
-        out[i] = rng.sample_generator(i).random(2)
+        out[i] = rng.sample_generator(i).random(dim)
     return out
 
 

@@ -31,12 +31,12 @@ from .assembly import (
 from .field import (
     LevelMask,
     MultilevelField,
+    offset_views,
     prolongate,
     restrict_weighted,
     zero_field,
 )
 from .mesh import ConfigurationError, hat_overlap_offsets
-from .field import shift
 
 __all__ = [
     "SmootherConfig",
@@ -44,8 +44,6 @@ __all__ = [
     "choose_omega",
     "llmg_sweep",
     "llmg_solve",
-    "ssc_sweep",
-    "lmg_sweep",
     "reference_solve",
     "active_indices",
     "stack_vector",
@@ -91,38 +89,31 @@ def stack_vector(images: list[np.ndarray], masks: list[LevelMask]) -> np.ndarray
     ) if masks else np.empty(0)
 
 
-def _interior_column_mask(n: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[1:-1, 1:-1] = 1.0
-    return m
-
-
-def _gershgorin_omega(upsilon: np.ndarray, h: float) -> float:
+def _gershgorin_omega(diffusion: DiffusionField, k: int) -> float:
     """1 / max interior row sum of |entries|, columns restricted to the lattice interior."""
-    n = upsilon.shape[1]
-    weights = np.einsum("lt,lij->tij", STENCIL_COUPLINGS, upsilon) * (2.0 / (h * h))
-    interior = _interior_column_mask(n)
-    row_sums = np.zeros((n, n))
-    for t, (d1, d2) in enumerate(hat_overlap_offsets()):
-        row_sums += np.abs(weights[t]) * shift(interior, d1, d2)
+    h = diffusion.hierarchy.h(k)
+    interior = diffusion.hierarchy.interior_mask(k)
+    weights = np.einsum("lt,lij->tij", STENCIL_COUPLINGS, diffusion.upsilon[k]) * (2.0 / (h * h))
+    row_sums = np.zeros(interior.shape)
+    for w, view in zip(weights, offset_views(interior, hat_overlap_offsets())):
+        row_sums += np.abs(w) * view
     bound = float((row_sums * interior).max())
     if bound <= 0.0:
         raise ConfigurationError("level operator has empty interior")
     return 1.0 / bound
 
 
-def _power_lambda_max(upsilon: np.ndarray, h: float, iterations: int = 50) -> float:
-    """Largest-eigenvalue estimate of one uniform level operator.
+def _power_lambda_max(diffusion: DiffusionField, k: int, iterations: int = 50) -> float:
+    """Largest-eigenvalue estimate of the level-k uniform operator.
 
     Deterministic start (all-ones on the interior) so repeated runs agree
     exactly; the symmetric operator makes the Rayleigh quotient monotone.
     """
-    n = upsilon.shape[1]
-    v = _interior_column_mask(n)
+    v = diffusion.hierarchy.interior_mask(k).astype(float)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iterations):
-        w = apply_A_level(v, upsilon, h)
+        w = apply_A_level(v, diffusion.upsilon[k], diffusion.hierarchy.h(k))
         lam = float(np.vdot(v, w))
         norm = np.linalg.norm(w)
         if norm == 0.0:
@@ -151,7 +142,7 @@ def choose_omega(
         if omega is None or not omega > 0.0:
             raise ConfigurationError("fixed rule requires omega > 0")
         for k in range(hier.levels):
-            lam = _power_lambda_max(diffusion.upsilon[k], hier.h(k))
+            lam = _power_lambda_max(diffusion, k)
             if omega * lam > 1.0 + 1e-12:
                 warnings.warn(
                     f"fixed omega={omega} exceeds 1/lambda_max ~ {1.0 / lam:.3e} "
@@ -166,9 +157,9 @@ def choose_omega(
     omegas = []
     for k in range(hier.levels):
         if rule == "gershgorin":
-            omegas.append(_gershgorin_omega(diffusion.upsilon[k], hier.h(k)))
+            omegas.append(_gershgorin_omega(diffusion, k))
         else:
-            lam = _power_lambda_max(diffusion.upsilon[k], hier.h(k))
+            lam = _power_lambda_max(diffusion, k)
             if lam <= 0.0:
                 raise ConfigurationError(f"level {k} operator appears to vanish")
             omegas.append(1.0 / (lam * 1.01))
@@ -233,42 +224,6 @@ def llmg_sweep(
         if not np.all(np.isfinite(u.values[k])):
             raise ArithmeticError(f"llmg diverged: non-finite iterate on level {k}")
     return u
-
-
-def ssc_sweep(
-    u: MultilevelField,
-    f: RhsField,
-    diffusion: DiffusionField,
-    smoother: SmootherConfig,
-    order: list[int],
-) -> MultilevelField:
-    """Successive subspace correction in an arbitrary level order.
-
-    Each visit recomputes the stacked operator action on the current iterate
-    through the levelwise identity, so a visit smooths against the exact
-    current residual regardless of the order.
-    """
-    nlev = u.hierarchy.levels
-    for k in order:
-        if not 0 <= k < nlev:
-            raise ConfigurationError(f"level {k} out of range for {nlev} levels")
-    for k in order:
-        section = apply_stacked(u, diffusion)[k]
-        act = u.masks[k].active
-        u.values[k] += smoother.omegas[k] * (f.images[k] - section) * act
-    return u
-
-
-def lmg_sweep(
-    u: MultilevelField,
-    f: RhsField,
-    diffusion: DiffusionField,
-    smoother: SmootherConfig,
-) -> MultilevelField:
-    """Local multigrid order: fine-to-coarse then coarse-to-fine, fresh actions."""
-    nlev = u.hierarchy.levels
-    order = list(range(nlev - 1, -1, -1)) + list(range(nlev))
-    return ssc_sweep(u, f, diffusion, smoother, order)
 
 
 def _stacked_residual_norm(

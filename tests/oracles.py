@@ -10,9 +10,17 @@ Conventions match the package: nodes at (i1*h, i2*h) with axis 0 the x index,
 each grid square split by its lower-left-to-upper-right diagonal into an
 upper-left triangle (q=1) and a lower-right one (q=2), both owned by the
 square's lower-left node.
+
+The reference sweeps at the end (`ssc_sweep`, `lmg_sweep`) are the one
+exception: they reuse the package's stacked action, recomputed fresh on every
+level visit, to define the level-order iteration that the fused
+`solver.llmg_sweep` must reproduce.
 """
 
 import numpy as np
+
+from mlfem.assembly import apply_stacked
+from mlfem.mesh import ConfigurationError
 
 # vertex index offsets of the two triangles owned by node i
 TRI_VERTEX_OFFSETS = {
@@ -318,3 +326,28 @@ def refine_support_oracle(marks, level_h, fine_n, fine_h):
                 if polygon_area(clip_polygon(hexa, tri)) > 1e-12:
                     lit[j1, j2] = 1
     return lit
+
+
+def ssc_sweep(u, f, diffusion, smoother, order):
+    """Successive subspace correction in an arbitrary level order.
+
+    Each visit recomputes the stacked operator action on the current iterate
+    through the levelwise identity, so a visit smooths against the exact
+    current residual regardless of the order.
+    """
+    nlev = u.hierarchy.levels
+    for k in order:
+        if not 0 <= k < nlev:
+            raise ConfigurationError(f"level {k} out of range for {nlev} levels")
+    for k in order:
+        section = apply_stacked(u, diffusion)[k]
+        act = u.masks[k].active
+        u.values[k] += smoother.omegas[k] * (f.images[k] - section) * act
+    return u
+
+
+def lmg_sweep(u, f, diffusion, smoother):
+    """Local multigrid order: fine-to-coarse then coarse-to-fine, fresh actions."""
+    nlev = u.hierarchy.levels
+    order = list(range(nlev - 1, -1, -1)) + list(range(nlev))
+    return ssc_sweep(u, f, diffusion, smoother, order)

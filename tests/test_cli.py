@@ -92,10 +92,34 @@ def test_value_validation():
         {"afem": {"marking": "random"}},
         {"sampling": {"count": 0}},
         {"problem": {"centers": [[0.5]]}},
+        {"problem": {"centers": [[float("nan"), 0.5]]}},
+        {"problem": {"base": -1.0}},
+        {"problem": {"base": 0.0}},
+        {"problem": {"base": float("nan")}},
+        {"problem": {"radius": -0.1}},
+        {"problem": {"load": float("inf")}},
+        {"solver": {"tol": float("inf")}},
         {"output": 7},
     ):
         with pytest.raises(ConfigurationError):
             parse_config(bad)
+
+
+def test_three_disc_config_draws_three_parameters(tmp_path):
+    centers = [[0.25, 0.25], [0.25, 0.75], [0.75, 0.5]]
+    cfg_path = write_config(tmp_path / "cfg.json", problem={"centers": centers})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    kappa = MlfdDataset(out / "snapshots").load("kappa")
+    y = SampleRng(0).sample_generator(0).random(3)
+    assert np.all(y > 0.0)
+    hier = build_hierarchy(5, 2)
+    problem = CookieProblem(centers=tuple(map(tuple, centers)))
+    assert np.array_equal(kappa, discretize_kappa(problem, y, hier))
+    # each disc centre carries its own parameter on top of the base value
+    h = hier.h(1)
+    for (cx, cy), weight in zip(centers, y):
+        assert kappa[round(cx / h), round(cy / h)] == pytest.approx(0.1 + weight)
 
 
 def test_config_hash_ignores_output_only():
@@ -224,6 +248,9 @@ def test_convstudy_uniform_errors_decrease(tmp_path, monkeypatch):
     l2 = header.index("l2_rel_mean")
     assert float(uniform[1][h1]) < float(uniform[0][h1])
     assert float(uniform[1][l2]) < float(uniform[0][l2])
+    capped = header.index("capped")
+    assert header[-1] == "capped"
+    assert [int(r[capped]) for r in rows] == [0, 0, 0, 0]
 
     # the worker pool and the env-var default must not change a single byte
     out2 = tmp_path / "pool"
@@ -233,6 +260,19 @@ def test_convstudy_uniform_errors_decrease(tmp_path, monkeypatch):
     monkeypatch.setenv("AFEM_WORKERS", "2")
     assert main(["convstudy", "--config", cfg_path, "--out", str(out3)]) == 0
     assert (out1 / "convstudy.csv").read_bytes() == (out3 / "convstudy.csv").read_bytes()
+
+    # one sweep cannot reach tol, so every adaptive and uniform solve of both
+    # samples stops at the cap; the study still completes with exit status 0
+    capped_path = write_config(
+        tmp_path / "capped.json",
+        solver={"max_sweeps": 1},
+        afem={"iterations": 2},
+        sampling={"count": 2},
+    )
+    out4 = tmp_path / "capped"
+    assert main(["convstudy", "--config", capped_path, "--out", str(out4)]) == 0
+    header, rows = read_csv(out4 / "convstudy.csv")
+    assert [int(r[capped]) for r in rows] == [2, 2, 2, 2]
 
 
 # ---------------------------------------------------------------- verify

@@ -8,6 +8,7 @@ from mlfem.field import (
     flatten_to_finest,
     full_mask,
     make_mask,
+    offset_views,
     prolongate,
     prolongate_uniform,
     restrict_uniform,
@@ -34,6 +35,23 @@ def random_field(hier, masks, rng):
         img = rng.normal(size=(hier.n(k), hier.n(k))) * masks[k].active
         values.append(img)
     return MultilevelField(hier, values, masks)
+
+
+def test_offset_views_match_index_loop():
+    rng = np.random.default_rng(5)
+    offsets = [(d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)]
+    n = 6
+    for image in (rng.normal(size=(n, n)), rng.normal(size=(7, n, n))):
+        views = offset_views(image, offsets)
+        assert len(views) == len(offsets)
+        for (d1, d2), view in zip(offsets, views):
+            assert view.shape == image.shape
+            expect = np.zeros_like(image)
+            for i1 in range(n):
+                for i2 in range(n):
+                    if 0 <= i1 + d1 < n and 0 <= i2 + d2 < n:
+                        expect[..., i1, i2] = image[..., i1 + d1, i2 + d2]
+            assert np.array_equal(view, expect)
 
 
 def test_translate_zero_image():

@@ -15,11 +15,11 @@ from mlfem.solver import (
     choose_omega,
     llmg_solve,
     llmg_sweep,
-    lmg_sweep,
     reference_solve,
-    ssc_sweep,
     stack_vector,
 )
+
+from oracles import lmg_sweep, ssc_sweep
 
 
 def random_field(hier, masks, rng):
