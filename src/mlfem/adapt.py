@@ -7,20 +7,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import apply_stacked, compute_upsilon, h1_seminorm, l2_norm
+from .assembly import apply_stacked, compute_upsilon
 from .estimator import EstimatorField, estimate
 from .field import (
     LevelMask,
     MultilevelField,
     empty_mask,
-    flatten_to_finest,
     full_mask,
     make_mask,
-    prolongate_uniform,
     zero_field,
 )
 from .mesh import TRI_FOOTPRINT_OFFSETS, ConfigurationError, GridHierarchy
-from .problems import discretize_kappa, load_image, overkill_reference, problem_rhs
+from .problems import discretize_kappa, load_image, problem_rhs
 from .solver import RhsField, choose_omega, llmg_solve
 
 MARKING_STRATEGIES = ("doerfler", "threshold")
@@ -51,8 +49,6 @@ class AfemReport:
 
     dofs: list[int] = field(default_factory=list)
     eta2_total: list[float] = field(default_factory=list)
-    h1_rel_err: list[float] = field(default_factory=list)
-    l2_rel_err: list[float] = field(default_factory=list)
     marked: list[int] = field(default_factory=list)
     sweeps: list[int] = field(default_factory=list)
     solver_statuses: list[str] = field(default_factory=list)
@@ -169,8 +165,8 @@ def afem(
 
     Spaces are nested, so the carried-over iterate needs no interpolation;
     newly activated nodes start at coefficient zero.  Each solve targets the
-    defect equation A v = f - A u from a zero initial guess.  Errors are
-    reported against a twice-refined overkill solve of the same sample.
+    defect equation A v = f - A u from a zero initial guess.  Errors against a
+    reference solve (`problems.relative_errors`) are the caller's, via `observer`.
 
     `observer(it, u, est, marks)`, when given, runs once per iteration after
     the report row is appended and before the masks are refined.  Callers
@@ -186,10 +182,6 @@ def afem(
     diffusion = compute_upsilon(hierarchy, kappa)
     f_values = load_image(problem, hierarchy)
     rhs = problem_rhs(problem, hierarchy)
-    ref_image, ref_hier = overkill_reference(problem, y, hierarchy)
-    ref_h = ref_hier.h(0)
-    ref_h1 = h1_seminorm(ref_image, ref_h)
-    ref_l2 = l2_norm(ref_image, ref_h)
 
     u = zero_field(hierarchy, initial_masks(hierarchy))
     smoother = choose_omega(diffusion, u.masks, omega_rule)
@@ -216,13 +208,6 @@ def afem(
             u.values[k] = u.values[k] + v.values[k]
         est = estimate(u, f_values, diffusion, u.masks)
 
-        lifted = flatten_to_finest(u)
-        while lifted.shape[0] < ref_image.shape[0]:
-            lifted = prolongate_uniform(lifted)
-        err = ref_image - lifted
-        h1_rel = h1_seminorm(err, ref_h) / ref_h1 if ref_h1 > 0.0 else 0.0
-        l2_rel = l2_norm(err, ref_h) / ref_l2 if ref_l2 > 0.0 else 0.0
-
         if marking == "doerfler":
             marks = mark_doerfler(est, theta)
         else:
@@ -231,8 +216,6 @@ def afem(
 
         report.dofs.append(u.dof_count())
         report.eta2_total.append(est.total())
-        report.h1_rel_err.append(h1_rel)
-        report.l2_rel_err.append(l2_rel)
         report.marked.append(marks.count())
         report.sweeps.append(solve_report.iterations)
         report.solver_statuses.append(solve_report.status)

@@ -26,13 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import MARKING_STRATEGIES, afem, initial_masks, mark_threshold, refine
-from .assembly import (
-    apply_A_level,
-    apply_A_level_transpose,
-    compute_upsilon,
-    h1_seminorm,
-    l2_norm,
-)
+from .assembly import apply_A_level, apply_A_level_transpose, compute_upsilon
 from .convnet import (
     build_stencil_bank,
     conv_apply_A,
@@ -51,7 +45,6 @@ from .field import (
     full_mask,
     make_mask,
     prolongate,
-    prolongate_uniform,
     restrict_weighted,
     uniform_masks,
     zero_field,
@@ -64,6 +57,7 @@ from .problems import (
     load_image,
     overkill_reference,
     problem_rhs,
+    relative_errors,
 )
 from .solver import choose_omega, llmg_solve
 
@@ -383,9 +377,10 @@ def _adaptive_sample(cfg: RunConfig, index: int, observer=None):
 
 def cmd_afem(cfg: RunConfig, out_dir) -> int:
     """One adaptive run on the first sample: CSV report plus MLFD snapshots."""
-    snapshots = []
+    snapshots, iterates = [], []
 
     def observer(it, u, est, marks):
+        iterates.append(u.copy())
         for k in range(cfg.levels):
             tag = f"iter{it:03d}_level{k}"
             snapshots.append((f"{tag}_u", np.array(u.values[k]), "u", k))
@@ -393,6 +388,7 @@ def cmd_afem(cfg: RunConfig, out_dir) -> int:
             snapshots.append((f"{tag}_mask", np.array(u.masks[k].active), "mask", k))
 
     hier, y, _, report = _adaptive_sample(cfg, 0, observer)
+    ref_image, ref_hier = overkill_reference(cfg.problem, y, hier)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     writer = MlfdWriter(out / "snapshots", config_hash(cfg), cfg.seed)
@@ -406,8 +402,7 @@ def cmd_afem(cfg: RunConfig, out_dir) -> int:
             it,
             report.dofs[it],
             report.eta2_total[it],
-            report.h1_rel_err[it],
-            report.l2_rel_err[it],
+            *relative_errors(iterates[it], ref_image, ref_hier),
             report.marked[it],
             report.sweeps[it],
         )
@@ -424,24 +419,24 @@ def _study_sample(args):
     """Adaptive and uniform trajectories of one sample (worker body).
 
     Each is a (4, steps) table: dofs, relative H1 and L2 errors, and 1 where
-    the step's solve stopped at max_sweeps.
+    the step's solve stopped at max_sweeps.  Both families are measured
+    against one overkill reference of the sample.
     """
     cfg, index = args
-    hier, y, _, report = _adaptive_sample(cfg, index)
+    iterates = []
+    hier, y, _, report = _adaptive_sample(
+        cfg, index, lambda it, u, est, marks: iterates.append(u.copy())
+    )
+    ref_image, ref_hier = overkill_reference(cfg.problem, y, hier)
     adaptive = np.array(
         [
             report.dofs,
-            report.h1_rel_err,
-            report.l2_rel_err,
+            *zip(*(relative_errors(u, ref_image, ref_hier) for u in iterates)),
             [status == "max_sweeps" for status in report.solver_statuses],
         ],
         dtype=float,
     )
 
-    ref_image, ref_hier = overkill_reference(cfg.problem, y, hier)
-    ref_h = ref_hier.h(0)
-    ref_h1 = h1_seminorm(ref_image, ref_h)
-    ref_l2 = l2_norm(ref_image, ref_h)
     uniform = np.empty((4, cfg.levels))
     for depth in range(1, cfg.levels + 1):
         sub = build_hierarchy(cfg.coarse_nodes_per_side, depth)
@@ -457,14 +452,9 @@ def _study_sample(args):
             tol=cfg.tol,
             max_sweeps=cfg.max_sweeps,
         )
-        lifted = flatten_to_finest(u)
-        while lifted.shape[0] < ref_image.shape[0]:
-            lifted = prolongate_uniform(lifted)
-        err = ref_image - lifted
         uniform[:, depth - 1] = (
             sum(int(m.active.sum()) for m in masks),
-            h1_seminorm(err, ref_h) / ref_h1 if ref_h1 > 0.0 else 0.0,
-            l2_norm(err, ref_h) / ref_l2 if ref_l2 > 0.0 else 0.0,
+            *relative_errors(u, ref_image, ref_hier),
             solve_report.status == "max_sweeps",
         )
     return adaptive, uniform

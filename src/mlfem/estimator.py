@@ -22,8 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .assembly import DiffusionField, weighted_h1_seminorm
-from .field import LevelMask, MultilevelField, flatten_to_finest, prolongate_uniform
+from .field import LevelMask, MultilevelField, flatten_to_finest
 from .mesh import TRI_CHILD_OFFSETS, TRI_FOOTPRINT_OFFSETS, GridHierarchy
+from .problems import reference_error
 
 __all__ = [
     "EstimatorField",
@@ -252,12 +253,7 @@ def reliability_efficiency(
     """
     est = estimate(u, f_values, diffusion, masks)
     ref_hier = reference_diffusion.hierarchy
-    lifted = flatten_to_finest(u)
-    while lifted.shape[0] < reference_image.shape[0]:
-        lifted = prolongate_uniform(lifted)
-    if lifted.shape != reference_image.shape:
-        raise ValueError("reference image is not a uniform refinement of the solution lattice")
-    err = reference_image - lifted
+    err = reference_error(u, reference_image)
     last = ref_hier.levels - 1
     err_a = weighted_h1_seminorm(err, reference_diffusion.tri_integrals[last], ref_hier.h(last))
     total = est.total()

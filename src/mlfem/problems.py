@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import RhsField, assemble_rhs, compute_upsilon
-from .field import full_mask
-from .mesh import GridHierarchy, build_hierarchy
+from .assembly import RhsField, assemble_rhs, compute_upsilon, h1_seminorm, l2_norm
+from .field import MultilevelField, flatten_to_finest, full_mask, prolongate_uniform
+from .mesh import ConfigurationError, GridHierarchy, build_hierarchy
 from .solver import reference_solve
 
 
@@ -41,11 +41,13 @@ class SampleRng:
 
 
 def kappa_at(problem: CookieProblem, y, x) -> np.ndarray:
-    """Coefficient value at point(s) x for parameter pair y.
+    """Coefficient value at point(s) x for parameters y, one per disc.
 
     x has shape (..., 2); disks are closed, so points exactly on a circle
     count as inside.
     """
+    if len(y) != len(problem.centers):
+        raise ConfigurationError(f"{len(y)} parameters for {len(problem.centers)} discs")
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     pts = np.atleast_2d(pts)
@@ -105,6 +107,27 @@ def overkill_reference(
     rhs_ref = assemble_rhs(ref_hier, load_image(problem, ref_hier))
     u_ref = reference_solve([full_mask(ref_hier, 0)], diffusion_ref, rhs_ref)
     return u_ref.values[0], ref_hier
+
+
+def reference_error(u: MultilevelField, ref_image: np.ndarray) -> np.ndarray:
+    """ref_image minus u interpolated onto its lattice, a uniform refinement of u's finest."""
+    lifted = flatten_to_finest(u)
+    while lifted.shape[0] < ref_image.shape[0]:
+        lifted = prolongate_uniform(lifted)
+    if lifted.shape != ref_image.shape:
+        raise ValueError("reference image is not a uniform refinement of the solution lattice")
+    return ref_image - lifted
+
+
+def relative_errors(u: MultilevelField, ref_image: np.ndarray, ref_hier: GridHierarchy):
+    """Relative (H1 seminorm, L2 norm) errors of u against a reference solve (0 if it is 0)."""
+    err = reference_error(u, ref_image)
+    h = ref_hier.h(0)
+    ref_h1, ref_l2 = h1_seminorm(ref_image, h), l2_norm(ref_image, h)
+    return (
+        h1_seminorm(err, h) / ref_h1 if ref_h1 > 0.0 else 0.0,
+        l2_norm(err, h) / ref_l2 if ref_l2 > 0.0 else 0.0,
+    )
 
 
 def problem_rhs(problem: CookieProblem, hierarchy: GridHierarchy) -> RhsField:

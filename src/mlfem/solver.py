@@ -4,9 +4,11 @@ One sweep visits the levels fine-to-coarse and back, applying damped
 Richardson smoothing on each level's active set.  The cross-level coupling is
 never assembled: the carried-down content (coarser components interpolated
 up) and carried-up content (finer residual actions restricted down) are
-maintained incrementally along the sweep, which by linearity of the masked
-transfer operators is exactly the successive-subspace-correction iteration
-with fresh operator applications.
+maintained incrementally along the sweep.  By linearity of the transfers this
+is the successive-subspace-correction iteration for the stacked operator of
+`apply_stacked` only when every fine-closure node's interpolation parents lie
+in the coarse closure: `prolongate` and `restrict_weighted` drop values off
+the closures, the unmasked transfers of `apply_stacked` do not.
 """
 
 from __future__ import annotations
@@ -191,9 +193,10 @@ def llmg_sweep(
 
     Mutates u in place and returns it.  The carried-down content is computed
     fresh at sweep start; the carried-up content is built during the downward
-    half-sweep, so every smoothing step sees exactly the current residual of
-    the full multilevel iterate.  The coarsest and finest levels are each
-    smoothed twice per sweep (once per half-sweep).
+    half-sweep, so every smoothing step sees the current residual of the full
+    multilevel iterate when the closure condition of the module docstring
+    holds.  The coarsest and finest levels are each smoothed twice per sweep
+    (once per half-sweep).
     """
     hier = u.hierarchy
     nlev = hier.levels

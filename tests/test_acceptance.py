@@ -43,10 +43,8 @@ from mlfem.convnet import (
 from mlfem.estimator import aggregate_to_level, estimate, reliability_efficiency
 from mlfem.field import (
     MultilevelField,
-    flatten_to_finest,
     make_mask,
     prolongate,
-    prolongate_uniform,
     restrict_weighted,
     uniform_masks,
     zero_field,
@@ -59,6 +57,8 @@ from mlfem.problems import (
     load_image,
     overkill_reference,
     problem_rhs,
+    reference_error,
+    relative_errors,
     sample_parameters,
 )
 from mlfem.solver import (
@@ -363,10 +363,7 @@ def test_06_reliability_efficiency(capsys):
             rep = reliability_efficiency(u, f_vals, diff, masks, ref_img, ref_diff)
             crels.append(rep.c_rel)
             eta2s.append(est.total())
-            lifted = flatten_to_finest(u)
-            while lifted.shape[0] < ref_img.shape[0]:
-                lifted = prolongate_uniform(lifted)
-            errs.append(h1_seminorm(ref_img - lifted, ref_h))
+            errs.append(h1_seminorm(reference_error(u, ref_img), ref_h))
         worst_spread = max(worst_spread, max(crels) / min(crels))
         for d in range(2):
             mis = (eta2s[d] / eta2s[d + 1]) / (errs[d] ** 2 / errs[d + 1] ** 2)
@@ -398,16 +395,18 @@ def test_07_adaptive_advantage(capsys):
     ad_dofs, ad_err, un_dofs, un_err = [], [], [], []
     mono_ok = 0
     for y in samples:
+        iterates = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            _, _, rep = afem(prob, y, hier, 3, marking="doerfler", theta=0.1)
+            _, _, rep = afem(
+                prob, y, hier, 3, marking="doerfler", theta=0.1,
+                observer=lambda it, u, est, marks: iterates.append(u.copy()),
+            )
+        ref_img, ref_hier = overkill_reference(prob, y, hier)
         ad_dofs.append(rep.dofs)
-        ad_err.append(rep.h1_rel_err)
+        ad_err.append([relative_errors(u, ref_img, ref_hier)[0] for u in iterates])
         if np.all(np.diff(rep.dofs) >= 0) and np.all(np.diff(rep.eta2_total) < 0):
             mono_ok += 1
-        ref_img, ref_hier = overkill_reference(prob, y, hier)
-        ref_h = ref_hier.h(0)
-        ref_h1 = h1_seminorm(ref_img, ref_h)
         diff = compute_upsilon(hier, discretize_kappa(prob, y, hier))
         rhs = problem_rhs(prob, hier)
         dd, ee = [], []
@@ -417,11 +416,8 @@ def test_07_adaptive_advantage(capsys):
             u, _ = llmg_solve(
                 zero_field(hier, masks), rhs, diff, sm, tol=1e-10, max_sweeps=200
             )
-            lifted = flatten_to_finest(u)
-            while lifted.shape[0] < ref_img.shape[0]:
-                lifted = prolongate_uniform(lifted)
             dd.append(sum(int(m.active.sum()) for m in masks))
-            ee.append(h1_seminorm(ref_img - lifted, ref_h) / ref_h1)
+            ee.append(relative_errors(u, ref_img, ref_hier)[0])
         un_dofs.append(dd)
         un_err.append(ee)
     elapsed = time.perf_counter() - t0

@@ -1,15 +1,20 @@
 """Config parsing, dataset format, and the four command-line entry points."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from mlfem import problems
 from mlfem.cli import (
     AFEM_CSV_COLUMNS,
     MlfdDataset,
     MlfdWriter,
     RunConfig,
+    cmd_afem,
+    cmd_convstudy,
+    cmd_gen_dataset,
     config_hash,
     main,
     parse_config,
@@ -273,6 +278,36 @@ def test_convstudy_uniform_errors_decrease(tmp_path, monkeypatch):
     assert main(["convstudy", "--config", capped_path, "--out", str(out4)]) == 0
     header, rows = read_csv(out4 / "convstudy.csv")
     assert [int(r[capped]) for r in rows] == [2, 2, 2, 2]
+
+
+def test_overkill_reference_built_only_where_errors_are_written(tmp_path, monkeypatch):
+    calls = []
+    original = problems.overkill_reference
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # every module-level binding in the package, wherever it is imported
+    for name, mod in list(sys.modules.items()):
+        if name == "mlfem" or name.startswith("mlfem."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    cfg = parse_config(
+        {
+            "hierarchy": {"coarse_nodes_per_side": 5, "levels": 2},
+            "solver": {"max_sweeps": 3000},
+            "afem": {"iterations": 2, "theta": 0.3},
+            "sampling": {"count": 2},
+        }
+    )
+    assert cmd_gen_dataset(cfg, tmp_path / "data", workers=1) == 0
+    assert len(calls) == 0
+    assert cmd_convstudy(cfg, tmp_path / "study", workers=1) == 0
+    assert len(calls) == 2
+    assert cmd_afem(cfg, tmp_path / "run") == 0
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------- verify

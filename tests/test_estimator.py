@@ -15,7 +15,12 @@ from mlfem.estimator import (
 )
 from mlfem.field import MultilevelField, full_mask, uniform_masks, zero_field
 from mlfem.mesh import TRI_CHILD_OFFSETS, build_hierarchy
-from mlfem.problems import CookieProblem, discretize_kappa, overkill_reference
+from mlfem.problems import (
+    CookieProblem,
+    discretize_kappa,
+    overkill_reference,
+    relative_errors,
+)
 from mlfem.solver import reference_solve
 
 from oracles import triangle_estimator
@@ -225,3 +230,13 @@ def test_reliability_report_on_model_problem():
     assert not report.degenerate
     assert report.c_rel > 0.0 and np.isfinite(report.c_rel)
     assert report.c_eff > 0.0 and np.isfinite(report.c_eff)
+    h1_rel, l2_rel = relative_errors(u, ref_img, ref_hier)
+    assert 0.0 < l2_rel < h1_rel < 1.0
+    # the zero field's error is the whole reference
+    assert relative_errors(zero_field(hier, masks), ref_img, ref_hier) == (1.0, 1.0)
+    # a reference lattice that is not a uniform refinement of the solution's
+    bad_img = ref_img[:-2, :-2]
+    with pytest.raises(ValueError):
+        relative_errors(u, bad_img, ref_hier)
+    with pytest.raises(ValueError):
+        reliability_efficiency(u, f_img, diff, masks, bad_img, ref_diff)

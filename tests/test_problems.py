@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from mlfem.mesh import build_hierarchy
+from mlfem.mesh import ConfigurationError, build_hierarchy
 from mlfem.problems import (
     CookieProblem,
     SampleRng,
     discretize_kappa,
     kappa_at,
     load_image,
+    overkill_reference,
     sample_parameters,
 )
 
@@ -26,6 +27,19 @@ def test_unit_parameters_at_disk_centers():
     for cx, cy in problem.centers:
         val = kappa_at(problem, (1.0, 1.0), np.array([[cx, cy]]))
         assert val[0] == pytest.approx(1.1, rel=1e-15)
+
+
+def test_parameter_count_must_match_disc_count():
+    three = CookieProblem(centers=((0.25, 0.25), (0.25, 0.75), (0.75, 0.5)))
+    hier = build_hierarchy(3, 2)
+    for problem, y in ((three, (0.5, 0.5)), (CookieProblem(), (0.1, 0.2, 0.3, 0.4))):
+        with pytest.raises(ConfigurationError):
+            kappa_at(problem, y, np.array([0.5, 0.5]))
+        with pytest.raises(ConfigurationError):
+            discretize_kappa(problem, y, hier)
+        with pytest.raises(ConfigurationError):
+            overkill_reference(problem, y, hier)
+    assert discretize_kappa(three, (0.5, 0.5, 0.5), hier).shape == (5, 5)
 
 
 def test_disk_boundary_is_inside():
