@@ -195,6 +195,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError("afem.theta must be positive")
     if cfg.marking == "doerfler" and not cfg.theta < 1.0:
         raise ConfigurationError("afem.theta must lie in (0, 1) for doerfler marking")
+    if cfg.seed < 0:
+        raise ConfigurationError("sampling.seed must be >= 0")
     if cfg.count < 1:
         raise ConfigurationError("sampling.count must be >= 1")
 
@@ -688,11 +690,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, text in helps.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", help="JSON config path; defaults apply when omitted")
-        sp.add_argument(
-            "--workers",
-            type=int,
-            help="parallel sample workers (default: AFEM_WORKERS or 1)",
-        )
+        if name in ("convstudy", "gen-dataset"):
+            sp.add_argument(
+                "--workers",
+                type=int,
+                help="parallel sample workers (default: AFEM_WORKERS or 1)",
+            )
         sp.add_argument("--seed", type=int, help="override sampling.seed")
         sp.add_argument("--out", help="override the output directory")
     return parser
@@ -707,9 +710,9 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
         validate_config(cfg)
-        if args.workers is not None:
-            workers = args.workers
-        else:
+        # only the commands that map over samples take --workers
+        workers = getattr(args, "workers", 1)
+        if workers is None:
             workers = int(os.environ.get("AFEM_WORKERS", "1"))
     except (ConfigurationError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

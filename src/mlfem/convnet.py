@@ -362,16 +362,11 @@ def conv_upsilon_channels(bank: StencilBank, kappa: np.ndarray, h: float) -> np.
 
 
 def conv_apply_A(
-    bank: StencilBank,
-    stack: np.ndarray,
-    upsilon: np.ndarray,
-    h: float,
-    mask: np.ndarray | None = None,
+    bank: StencilBank, stack: np.ndarray, upsilon: np.ndarray, h: float
 ) -> np.ndarray:
     """Stiffness action from a translation stack and the six Upsilon channels.
 
-    out = (2/h^2) sum_l upsilon[l] * (stack conv K[l]), frame zeroed; an
-    optional 0/1 mask gates the output rows.
+    out = (2/h^2) sum_l upsilon[l] * (stack conv K[l]), frame zeroed.
     """
     if stack.shape != (7,) + upsilon.shape[1:] or upsilon.shape[0] != 6:
         raise ConfigurationError(
@@ -380,18 +375,11 @@ def conv_apply_A(
     acc = np.zeros(stack.shape[1:])
     for chan in range(6):
         acc += upsilon[chan] * conv_apply(bank.operator[chan], stack)[0]
-    out = zero_frame(acc * (2.0 / (h * h)))
-    if mask is not None:
-        out = out * mask
-    return out
+    return zero_frame(acc * (2.0 / (h * h)))
 
 
 def conv_apply_A_transpose(
-    bank: StencilBank,
-    image: np.ndarray,
-    upsilon: np.ndarray,
-    h: float,
-    mask: np.ndarray | None = None,
+    bank: StencilBank, image: np.ndarray, upsilon: np.ndarray, h: float
 ) -> np.ndarray:
     """Transposed stiffness action: mirrored taps on the Upsilon-weighted image."""
     if upsilon.shape != (6,) + image.shape:
@@ -400,10 +388,7 @@ def conv_apply_A_transpose(
         )
     v = zero_frame(np.asarray(image, dtype=float))
     out = conv_apply(bank.operator_transpose, upsilon * v[None, :, :])[0]
-    out = zero_frame(out * (2.0 / (h * h)))
-    if mask is not None:
-        out = out * mask
-    return out
+    return zero_frame(out * (2.0 / (h * h)))
 
 
 def conv_prolongate(
@@ -434,13 +419,12 @@ def conv_restrict(
 
 @dataclass
 class ConvLlmgState:
-    """Per-level channel groups of the sweep: v, carried-down (utld),
-    carried-up (ubar) and scratch stacks of 7 channels each, plus 6 Upsilon
-    channels and the 1-channel right-hand side (the 4*7+7 layout).
+    """Per-level images of the sweep: the iterate v, the carried-down
+    content utld, the carried-up content ubar and the right-hand side f,
+    each (n, n), plus the 6 Upsilon channels.
 
-    v is translated with the active mask, utld/ubar with the closure (write)
-    mask; channel 0 of each stack is the represented image itself, which is
-    how the solution is read out.
+    Only the smoothing step builds a translation stack (of v + utld, gated
+    by the active mask); utld[0] and ubar[-1] stay zero.
     """
 
     hierarchy: GridHierarchy
@@ -449,7 +433,6 @@ class ConvLlmgState:
     v: list[np.ndarray]
     utld: list[np.ndarray]
     ubar: list[np.ndarray]
-    scratch: list[np.ndarray]
     upsilon: list[np.ndarray]
     f: list[np.ndarray]
 
@@ -458,8 +441,8 @@ class ConvLlmgState:
         return self.hierarchy.levels
 
     def solution_images(self) -> list[np.ndarray]:
-        """Channel 0 of each level's v stack: the current iterate."""
-        return [self.v[k][0].copy() for k in range(self.levels)]
+        """Copies of each level's v image: the current iterate."""
+        return [self.v[k].copy() for k in range(self.levels)]
 
 
 def init_llmg_state(
@@ -469,82 +452,73 @@ def init_llmg_state(
     diffusion: DiffusionField,
     smoother: SmootherConfig,
 ) -> ConvLlmgState:
-    """Stage the channel groups for conv_llmg_sweep from field-side objects."""
+    """Stage the sweep images from field-side objects.
+
+    v is u on the active sets and +0.0 elsewhere; the carried-down chain
+    utld[k+1] = prolongate(utld[k] + v[k]) is built here once, and each
+    sweep's upward half keeps it current afterwards.
+    """
     hier = u.hierarchy
     if len(smoother.omegas) != hier.levels:
         raise ConfigurationError("smoother has wrong number of levels")
-    v, utld, ubar, scratch, ups, rhs = [], [], [], [], [], []
-    for k in range(hier.levels):
-        n = hier.n(k)
-        v.append(conv_translate(bank, u.values[k], u.masks[k].active))
-        utld.append(np.zeros((7, n, n)))
-        ubar.append(np.zeros((7, n, n)))
-        scratch.append(np.zeros((7, n, n)))
-        ups.append(np.array(diffusion.upsilon[k]))
-        rhs.append(f.images[k][None, :, :].copy())
+    masks = [m.copy() for m in u.masks]
+    levels = range(hier.levels)
+    v = [np.where(masks[k].active, u.values[k], 0.0) for k in levels]
+    utld = [np.zeros((hier.n(0), hier.n(0)))]
+    for k in range(hier.levels - 1):
+        utld.append(conv_prolongate(bank, utld[k] + v[k], masks[k], masks[k + 1]))
     return ConvLlmgState(
         hierarchy=hier,
-        masks=[m.copy() for m in u.masks],
+        masks=masks,
         omegas=tuple(smoother.omegas),
         v=v,
         utld=utld,
-        ubar=ubar,
-        scratch=scratch,
-        upsilon=ups,
-        f=rhs,
+        ubar=[np.zeros((hier.n(k), hier.n(k))) for k in levels],
+        upsilon=[np.array(diffusion.upsilon[k]) for k in levels],
+        f=[f.images[k].copy() for k in levels],
     )
 
 
 def _conv_smooth(state: ConvLlmgState, bank: StencilBank, k: int) -> None:
     act = state.masks[k].active
-    h = state.hierarchy.h(k)
-    iterate = state.v[k][0]
-    state.scratch[k] = conv_translate(bank, iterate + state.utld[k][0], act)
-    section = conv_apply_A(bank, state.scratch[k], state.upsilon[k], h)
-    section = section + state.ubar[k][0]
-    new = iterate + state.omegas[k] * (state.f[k][0] - section) * act
-    state.v[k] = conv_translate(bank, new, act)
+    stack = conv_translate(bank, state.v[k] + state.utld[k], act)
+    section = conv_apply_A(bank, stack, state.upsilon[k], state.hierarchy.h(k))
+    section = section + state.ubar[k]
+    state.v[k] = state.v[k] + state.omegas[k] * (state.f[k] - section) * act
 
 
 def conv_llmg_sweep(state: ConvLlmgState, bank: StencilBank) -> ConvLlmgState:
-    """One multigrid sweep on the channel-group state, in place.
+    """One multigrid sweep on the image state, in place.
 
-    Mirrors solver.llmg_sweep step for step: rebuild the carried-down chain,
-    smooth fine-to-coarse while accumulating the carried-up content, then
-    smooth coarse-to-fine re-extending the carried-down content.
+    Computes what solver.llmg_sweep computes: smooth fine-to-coarse while
+    accumulating the carried-up content, then smooth coarse-to-fine
+    re-extending the carried-down content.  Per level that is two
+    translation stacks, and one restriction and one prolongation per link.
     """
     hier = state.hierarchy
     nlev = hier.levels
-    for name in ("v", "utld", "ubar", "scratch"):
+    for name in ("v", "utld", "ubar", "f"):
         group = getattr(state, name)
         if len(group) != nlev or any(
-            group[k].shape != (7, hier.n(k), hier.n(k)) for k in range(nlev)
+            group[k].shape != (hier.n(k), hier.n(k)) for k in range(nlev)
         ):
             raise ConfigurationError(f"state group {name} does not match the hierarchy")
 
     masks = state.masks
-    state.utld[0] = np.zeros_like(state.utld[0])
-    for k in range(nlev - 1):
-        img = state.utld[k][0] + state.v[k][0]
-        nxt = conv_prolongate(bank, img, masks[k], masks[k + 1])
-        state.utld[k + 1] = conv_translate(bank, nxt, masks[k + 1].write())
-    state.ubar[nlev - 1] = np.zeros_like(state.ubar[nlev - 1])
-
     for k in range(nlev - 1, -1, -1):
         _conv_smooth(state, bank, k)
         if k > 0:
-            lifted = state.ubar[k][0] + conv_apply_A_transpose(
-                bank, state.v[k][0], state.upsilon[k], hier.h(k)
+            lifted = state.ubar[k] + conv_apply_A_transpose(
+                bank, state.v[k], state.upsilon[k], hier.h(k)
             )
-            coarse = conv_restrict(bank, lifted, masks[k - 1], masks[k])
-            state.ubar[k - 1] = conv_translate(bank, coarse, masks[k - 1].write())
+            state.ubar[k - 1] = conv_restrict(bank, lifted, masks[k - 1], masks[k])
 
     for k in range(nlev):
         _conv_smooth(state, bank, k)
         if k < nlev - 1:
-            img = state.utld[k][0] + state.v[k][0]
-            nxt = conv_prolongate(bank, img, masks[k], masks[k + 1])
-            state.utld[k + 1] = conv_translate(bank, nxt, masks[k + 1].write())
+            state.utld[k + 1] = conv_prolongate(
+                bank, state.utld[k] + state.v[k], masks[k], masks[k + 1]
+            )
     return state
 
 
@@ -681,10 +655,6 @@ def conv_mark_refine(
 # bookkeeping
 
 
-def _kernel_params(kernel: ConvKernel) -> int:
-    return kernel.weights.size + (0 if kernel.bias is None else kernel.bias.size)
-
-
 def parameter_count(levels: int, sweeps: int) -> dict:
     """Weight-and-bias counts of the full pipeline, layers replicated.
 
@@ -711,10 +681,10 @@ def parameter_count(levels: int, sweeps: int) -> dict:
     marking = 2 * 2 + 2  # per-level 1x1 pair with threshold biases
 
     smoothing = trans + op + 1  # stack, stiffness kernels, damping factor
-    down_link = op_t + transfer + trans
-    up_link = transfer + trans
+    down_link = op_t + transfer  # transposed stiffness, restriction
+    up_link = transfer  # prolongation
     per_sweep = levels * 2 * smoothing + (levels - 1) * (down_link + up_link)
-    chain_setup = (levels - 1) * (transfer + trans)
+    chain_setup = (levels - 1) * transfer  # carried-down chain, built once
     estimator_block = corner + jump + (levels - 1) * agg
     mark_block = levels * marking + (levels - 1) * refine
     fixed = ups + chain_setup + estimator_block + mark_block

@@ -13,7 +13,6 @@ the closures, the unmasked transfers of `apply_stacked` do not.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 

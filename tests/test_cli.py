@@ -96,6 +96,7 @@ def test_value_validation():
         {"afem": {"theta": -0.5, "marking": "threshold"}},
         {"afem": {"marking": "random"}},
         {"sampling": {"count": 0}},
+        {"sampling": {"seed": -1}},
         {"problem": {"centers": [[0.5]]}},
         {"problem": {"centers": [[float("nan"), 0.5]]}},
         {"problem": {"base": -1.0}},
@@ -394,3 +395,22 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
     typo.write_text(json.dumps({"afem": {"markign": "doerfler"}}), encoding="utf-8")
     assert main(["verify", "--config", str(typo)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+    cfg_path = write_config(tmp_path / "cfg.json")
+    assert main(["run", "--config", cfg_path, "--seed", "-1", "--out", str(tmp_path / "r")]) == 2
+    assert "sampling.seed" in capsys.readouterr().err
+
+
+def test_workers_only_for_sample_commands(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path / "cfg.json")
+    monkeypatch.setenv("AFEM_WORKERS", "x")
+    # verify maps over no samples: it neither reads AFEM_WORKERS nor
+    # accepts --workers
+    assert main(["verify", "--config", cfg_path]) == 0
+    with pytest.raises(SystemExit):
+        main(["verify", "--config", cfg_path, "--workers", "7"])
+    capsys.readouterr()
+    # the sample commands still read it
+    out = str(tmp_path / "data")
+    assert main(["gen-dataset", "--config", cfg_path, "--out", out]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mlfem import convnet
 from mlfem.adapt import mark_threshold, refine
 from mlfem.assembly import (
     apply_A_level,
@@ -266,8 +267,8 @@ def test_apply_A_equivalence():
         want = mask.active * apply_A_level(v, diff.upsilon[k], h)
         scale = max(1.0, float(np.abs(want).max()))
         assert np.abs(got - want).max() <= 1e-12 * scale
-        gated = conv_apply_A(bank, stack, diff.upsilon[k], h, mask=mask.active)
-        assert np.array_equal(gated, got * mask.active)
+        # the gated stack already leaves every row off the active set at zero
+        assert np.array_equal(got * mask.active, got)
     # zero stack stays zero, mismatched shapes are rejected
     assert not conv_apply_A(bank, np.zeros((7, 5, 5)), diff.upsilon[0], hier.h(0)).any()
     with pytest.raises(ConfigurationError):
@@ -369,7 +370,7 @@ def test_conv_sweep_matches_solver_sweep():
                 assert dev <= 1e-11
 
 
-def test_solution_images_are_channel_zero():
+def test_solution_images_copy_the_iterate():
     hier = build_hierarchy(5, 2)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(47)
@@ -380,13 +381,12 @@ def test_solution_images_are_channel_zero():
     state = init_llmg_state(bank, random_field(hier, masks, rng), rhs, diff, sm)
     conv_llmg_sweep(state, bank)
     for k in range(hier.levels):
-        img = state.v[k][0]
-        # the stack stays a consistent translation family of its own channel 0
-        assert np.array_equal(state.v[k], translate(img, masks[k]))
         out = state.solution_images()[k]
-        assert np.array_equal(out, img)
+        assert out.shape == (hier.n(k), hier.n(k))
+        assert np.array_equal(out, state.v[k])
+        assert out.any() and not out[masks[k].active == 0].any()
         out[:] = 99.0
-        assert not np.array_equal(state.v[k][0], out)
+        assert not np.array_equal(state.v[k], out)
 
 
 def test_sweep_state_validation():
@@ -401,10 +401,53 @@ def test_sweep_state_validation():
             SmootherConfig(omega_rule="fixed", omegas=(0.1,)),
         )
     sm = choose_omega(diff, masks, "gershgorin")
+    for name in ("v", "utld", "ubar"):
+        for wrong in (np.zeros((7, 9, 9)), np.zeros((5, 5))):
+            state = init_llmg_state(bank, zero_field(hier, masks), rhs, diff, sm)
+            getattr(state, name)[1] = wrong
+            with pytest.raises(ConfigurationError):
+                conv_llmg_sweep(state, bank)
     state = init_llmg_state(bank, zero_field(hier, masks), rhs, diff, sm)
-    state.scratch[1] = np.zeros((7, 5, 5))
+    state.v.pop()
     with pytest.raises(ConfigurationError):
         conv_llmg_sweep(state, bank)
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels):
+    """The layers one sweep and the state setup apply are the ones
+    parameter_count books: no stack or chain is built and left unread."""
+    hier = build_hierarchy(5, levels)
+    bank = build_stencil_bank(hier)
+    rng = np.random.default_rng(59)
+    nf = hier.n(levels - 1)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 3.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    masks = random_masks(hier, rng)
+    sm = choose_omega(diff, masks, "gershgorin")
+    u = random_field(hier, masks, rng)
+
+    applied = []
+    real_apply = convnet.conv_apply
+
+    def counted_apply(kernel, *args, **kwargs):
+        applied.append(kernel)
+        return real_apply(kernel, *args, **kwargs)
+
+    def weights():
+        return sum(k.weights.size + (0 if k.bias is None else k.bias.size) for k in applied)
+
+    monkeypatch.setattr(convnet, "conv_apply", counted_apply)
+    state = init_llmg_state(bank, u, rhs, diff, sm)
+    assert weights() == (levels - 1) * 9
+    applied.clear()
+    conv_llmg_sweep(state, bank)
+    # every smoothing step also multiplies by its damping factor, which no
+    # kernel applies: one weight per step, two steps per level
+    assert weights() == parameter_count(levels, 1)["per_sweep"] - 2 * levels
+    layers = (bank.translate, bank.prolong, bank.restrict)
+    uses = [sum(k is layer for k in applied) for layer in layers]
+    assert uses == [2 * levels, levels - 1, levels - 1]
 
 
 # ---------------------------------------------------------------- estimator
