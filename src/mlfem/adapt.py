@@ -156,7 +156,6 @@ def afem(
     iterations: int,
     marking: str = "doerfler",
     theta: float = 0.1,
-    omega_rule: str = "gershgorin",
     tol: float = 1e-10,
     max_sweeps: int = 200,
     observer=None,
@@ -184,7 +183,7 @@ def afem(
     rhs = problem_rhs(problem, hierarchy)
 
     u = zero_field(hierarchy, initial_masks(hierarchy))
-    smoother = choose_omega(diffusion, u.masks, omega_rule)
+    smoother = choose_omega(diffusion, u.masks)
     report = AfemReport()
     est = estimate(u, f_values, diffusion, u.masks)
     for it in range(iterations):

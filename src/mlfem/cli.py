@@ -68,7 +68,7 @@ _DTYPES = {"float64": np.dtype("<f8"), "uint8": np.dtype("uint8")}
 _SECTION_KEYS = {
     "problem": ("name", "base", "radius", "centers", "load"),
     "hierarchy": ("coarse_nodes_per_side", "levels"),
-    "solver": ("tol", "max_sweeps", "omega_rule"),
+    "solver": ("tol", "max_sweeps"),
     "afem": ("iterations", "marking", "theta"),
     "sampling": ("seed", "count"),
 }
@@ -83,7 +83,6 @@ class RunConfig:
     levels: int = 4
     tol: float = 1e-10
     max_sweeps: int = 200
-    omega_rule: str = "gershgorin"
     iterations: int = 3
     marking: str = "doerfler"
     theta: float = 0.1
@@ -163,7 +162,6 @@ def parse_config(raw: dict) -> RunConfig:
         levels=_coerce(grid.get("levels", RunConfig.levels), int, "hierarchy.levels"),
         tol=_coerce(solver.get("tol", RunConfig.tol), float, "solver.tol"),
         max_sweeps=_coerce(solver.get("max_sweeps", RunConfig.max_sweeps), int, "solver.max_sweeps"),
-        omega_rule=str(solver.get("omega_rule", RunConfig.omega_rule)),
         iterations=_coerce(loop.get("iterations", RunConfig.iterations), int, "afem.iterations"),
         marking=str(loop.get("marking", RunConfig.marking)),
         theta=_coerce(loop.get("theta", RunConfig.theta), float, "afem.theta"),
@@ -224,11 +222,7 @@ def resolved_dict(cfg: RunConfig) -> dict:
             "coarse_nodes_per_side": cfg.coarse_nodes_per_side,
             "levels": cfg.levels,
         },
-        "solver": {
-            "tol": cfg.tol,
-            "max_sweeps": cfg.max_sweeps,
-            "omega_rule": cfg.omega_rule,
-        },
+        "solver": {"tol": cfg.tol, "max_sweeps": cfg.max_sweeps},
         "afem": {
             "iterations": cfg.iterations,
             "marking": cfg.marking,
@@ -369,7 +363,6 @@ def _adaptive_sample(cfg: RunConfig, index: int, observer=None):
             cfg.iterations,
             marking=cfg.marking,
             theta=cfg.theta,
-            omega_rule=cfg.omega_rule,
             tol=cfg.tol,
             max_sweeps=cfg.max_sweeps,
             observer=observer,
@@ -445,7 +438,7 @@ def _study_sample(args):
         masks = uniform_masks(sub)
         diffusion = compute_upsilon(sub, discretize_kappa(cfg.problem, y, sub))
         rhs = problem_rhs(cfg.problem, sub)
-        smoother = choose_omega(diffusion, masks, cfg.omega_rule)
+        smoother = choose_omega(diffusion, masks)
         u, solve_report = llmg_solve(
             zero_field(sub, masks),
             rhs,
@@ -694,10 +687,11 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--workers",
                 type=int,
-                help="parallel sample workers (default: AFEM_WORKERS or 1)",
+                help="parallel sample workers, at least 1 (default: AFEM_WORKERS or 1)",
             )
         sp.add_argument("--seed", type=int, help="override sampling.seed")
-        sp.add_argument("--out", help="override the output directory")
+        if name != "verify":
+            sp.add_argument("--out", help="override the output directory")
     return parser
 
 
@@ -707,13 +701,15 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.out is not None:
+        # verify writes nothing and runs one sample: it takes neither --out nor --workers
+        if getattr(args, "out", None) is not None:
             cfg = replace(cfg, out_dir=args.out)
         validate_config(cfg)
-        # only the commands that map over samples take --workers
         workers = getattr(args, "workers", 1)
         if workers is None:
             workers = int(os.environ.get("AFEM_WORKERS", "1"))
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
     except (ConfigurationError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ the closures, the unmasked transfers of `apply_stacked` do not.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -27,7 +26,6 @@ from .assembly import (
     apply_A_level_transpose,
     apply_stacked,
     assemble_global,
-    energy_seminorm,
 )
 from .field import (
     LevelMask,
@@ -50,14 +48,11 @@ __all__ = [
     "stack_vector",
 ]
 
-OMEGA_RULES = ("gershgorin", "power-iteration", "fixed")
-
 
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Damping rule and the resolved per-level step sizes 0 < omega_k."""
+    """Per-level Richardson step sizes 0 < omega_k."""
 
-    omega_rule: str
     omegas: tuple[float, ...]
 
 
@@ -65,16 +60,13 @@ class SmootherConfig:
 class SolveReport:
     """Measured per-sweep quantities of one llmg_solve run.
 
-    residual_history has length iterations + 1 (the initial residual first);
-    the energy histories are filled only when an oracle solution is supplied.
+    residual_history has length iterations + 1 (the initial residual first).
     """
 
     iterations: int
     converged: bool
     status: str
     residual_history: list[float] = dc_field(default_factory=list)
-    energy_error_history: list[float] = dc_field(default_factory=list)
-    contraction_estimates: list[float] = dc_field(default_factory=list)
 
 
 def active_indices(masks: list[LevelMask]) -> list[np.ndarray]:
@@ -104,67 +96,15 @@ def _gershgorin_omega(diffusion: DiffusionField, k: int) -> float:
     return 1.0 / bound
 
 
-def _power_lambda_max(diffusion: DiffusionField, k: int, iterations: int = 50) -> float:
-    """Largest-eigenvalue estimate of the level-k uniform operator.
+def choose_omega(diffusion: DiffusionField, masks: list[LevelMask]) -> SmootherConfig:
+    """Per-level damping factors omega_k = 1/max_j sum_i |A^k_{ji}| (Gershgorin).
 
-    Deterministic start (all-ones on the interior) so repeated runs agree
-    exactly; the symmetric operator makes the Rayleigh quotient monotone.
+    The steps bound the level operators on the full lattice interior, so they
+    depend only on the diffusion data; `masks` is not read.
     """
-    v = diffusion.hierarchy.interior_mask(k).astype(float)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iterations):
-        w = apply_A_level(v, diffusion.upsilon[k], diffusion.hierarchy.h(k))
-        lam = float(np.vdot(v, w))
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return lam
-
-
-def choose_omega(
-    diffusion: DiffusionField,
-    masks: list[LevelMask],
-    rule: str = "gershgorin",
-    omega: float | None = None,
-) -> SmootherConfig:
-    """Per-level damping factors for the level smoothers.
-
-    gershgorin: omega_k = 1/max_j sum_i |A^k_{ji}| (a guaranteed bound);
-    power-iteration: omega_k = 1/(lambda_max_hat * 1.01) with 50 iterations;
-    fixed: the given omega on every level, with an admissibility check that
-    warns when omega * lambda_max_hat > 1.
-    """
-    if rule not in OMEGA_RULES:
-        raise ConfigurationError(f"unknown omega rule {rule!r}; expected one of {OMEGA_RULES}")
-    hier = diffusion.hierarchy
-    if rule == "fixed":
-        if omega is None or not omega > 0.0:
-            raise ConfigurationError("fixed rule requires omega > 0")
-        for k in range(hier.levels):
-            lam = _power_lambda_max(diffusion, k)
-            if omega * lam > 1.0 + 1e-12:
-                warnings.warn(
-                    f"fixed omega={omega} exceeds 1/lambda_max ~ {1.0 / lam:.3e} "
-                    f"on level {k}; smoothing may not contract",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-        return SmootherConfig("fixed", (float(omega),) * hier.levels)
-    if omega is not None:
-        raise ConfigurationError(f"omega is only meaningful with the fixed rule, not {rule!r}")
-    omegas = []
-    for k in range(hier.levels):
-        if rule == "gershgorin":
-            omegas.append(_gershgorin_omega(diffusion, k))
-        else:
-            lam = _power_lambda_max(diffusion, k)
-            if lam <= 0.0:
-                raise ConfigurationError(f"level {k} operator appears to vanish")
-            omegas.append(1.0 / (lam * 1.01))
-    return SmootherConfig(rule, tuple(omegas))
+    return SmootherConfig(
+        tuple(_gershgorin_omega(diffusion, k) for k in range(diffusion.hierarchy.levels))
+    )
 
 
 def _smooth_level(
@@ -245,13 +185,10 @@ def llmg_solve(
     smoother: SmootherConfig,
     tol: float = 1e-10,
     max_sweeps: int = 200,
-    exact: MultilevelField | None = None,
 ) -> tuple[MultilevelField, SolveReport]:
     """Iterate llmg_sweep until the relative stacked residual drops below tol.
 
-    Stops on ||f - A u||_2 <= tol * ||f||_2 (absolute when f = 0).  When an
-    oracle solution is supplied, the report also tracks A-norm errors and
-    their per-sweep contraction ratios.
+    Stops on ||f - A u||_2 <= tol * ||f||_2 (absolute when f = 0).
     """
     if not tol > 0.0:
         raise ConfigurationError("tol must be positive")
@@ -259,26 +196,12 @@ def llmg_solve(
     fnorm = float(np.linalg.norm(stack_vector(f.images, u.masks))) if u.masks else 0.0
     threshold = tol * fnorm if fnorm > 0.0 else tol
 
-    def energy_error() -> float:
-        assert exact is not None
-        delta = u.copy()
-        for k in range(u.levels):
-            delta.values[k] = u.values[k] - exact.values[k]
-        return energy_seminorm(delta, diffusion)
-
     report = SolveReport(iterations=0, converged=False, status="max_sweeps")
     report.residual_history.append(_stacked_residual_norm(u, f, diffusion))
-    if exact is not None:
-        report.energy_error_history.append(energy_error())
     for sweep in range(1, max_sweeps + 1):
         llmg_sweep(u, f, diffusion, smoother)
         report.iterations = sweep
         report.residual_history.append(_stacked_residual_norm(u, f, diffusion))
-        if exact is not None:
-            report.energy_error_history.append(energy_error())
-            prev, cur = report.energy_error_history[-2:]
-            if prev > 0.0:
-                report.contraction_estimates.append(cur / prev)
         if report.residual_history[-1] <= threshold:
             report.converged = True
             report.status = "converged"

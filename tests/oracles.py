@@ -11,16 +11,20 @@ each grid square split by its lower-left-to-upper-right diagonal into an
 upper-left triangle (q=1) and a lower-right one (q=2), both owned by the
 square's lower-left node.
 
-The reference sweeps at the end (`ssc_sweep`, `lmg_sweep`) are the one
-exception: they reuse the package's stacked action, recomputed fresh on every
-level visit, to define the level-order iteration that the fused
-`solver.llmg_sweep` must reproduce.
+The solver oracles at the end are the exception: they reuse the package's
+operators.  The reference sweeps (`ssc_sweep`, `lmg_sweep`) recompute the
+stacked action fresh on every level visit, to define the level-order
+iteration that the fused `solver.llmg_sweep` must reproduce.
+`power_lambda_max` estimates a level operator's largest eigenvalue, and
+`solve_energy_history` records the A-norm errors of `solver.llmg_solve`'s
+iteration against a known solution.
 """
 
 import numpy as np
 
-from mlfem.assembly import apply_stacked
+from mlfem.assembly import apply_A_level, apply_stacked, energy_seminorm
 from mlfem.mesh import ConfigurationError
+from mlfem.solver import SolveReport, _stacked_residual_norm, llmg_sweep, stack_vector
 
 # vertex index offsets of the two triangles owned by node i
 TRI_VERTEX_OFFSETS = {
@@ -351,3 +355,59 @@ def lmg_sweep(u, f, diffusion, smoother):
     nlev = u.hierarchy.levels
     order = list(range(nlev - 1, -1, -1)) + list(range(nlev))
     return ssc_sweep(u, f, diffusion, smoother, order)
+
+
+def power_lambda_max(diffusion, k, iterations=50):
+    """Largest-eigenvalue estimate of the level-k uniform operator.
+
+    Deterministic start (all-ones on the interior) so repeated runs agree
+    exactly; the symmetric operator makes the Rayleigh quotient monotone.
+    """
+    v = diffusion.hierarchy.interior_mask(k).astype(float)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(iterations):
+        w = apply_A_level(v, diffusion.upsilon[k], diffusion.hierarchy.h(k))
+        lam = float(np.vdot(v, w))
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+    return lam
+
+
+def solve_energy_history(u0, f, diffusion, smoother, exact, tol=1e-10, max_sweeps=200):
+    """`llmg_solve` with the A-norm error against `exact` recorded per sweep.
+
+    Same sweeps and stopping rule, so the returned (u, report) equal
+    `llmg_solve`'s.  The errors start with the initial one, so there are
+    report.iterations + 1 of them.
+    """
+    u = u0.copy()
+    fnorm = float(np.linalg.norm(stack_vector(f.images, u.masks))) if u.masks else 0.0
+    threshold = tol * fnorm if fnorm > 0.0 else tol
+
+    def energy_error():
+        delta = u.copy()
+        for k in range(u.levels):
+            delta.values[k] = u.values[k] - exact.values[k]
+        return energy_seminorm(delta, diffusion)
+
+    report = SolveReport(iterations=0, converged=False, status="max_sweeps")
+    report.residual_history.append(_stacked_residual_norm(u, f, diffusion))
+    energies = [energy_error()]
+    for sweep in range(1, max_sweeps + 1):
+        llmg_sweep(u, f, diffusion, smoother)
+        report.iterations = sweep
+        report.residual_history.append(_stacked_residual_norm(u, f, diffusion))
+        energies.append(energy_error())
+        if report.residual_history[-1] <= threshold:
+            report.converged = True
+            report.status = "converged"
+            break
+    return u, report, energies
+
+
+def contraction_ratios(energies):
+    """Per-sweep error ratios e_{i+1} / e_i, skipping sweeps that start at zero error."""
+    return [b / a for a, b in zip(energies, energies[1:]) if a > 0.0]

@@ -1,7 +1,9 @@
 """Config parsing, dataset format, and the four command-line entry points."""
 
 import json
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +76,9 @@ def test_unknown_keys_rejected():
         parse_config({"solverr": {}})
     with pytest.raises(ConfigurationError, match="unknown key 'tolerance'"):
         parse_config({"solver": {"tolerance": 1e-8}})
+    # the damping is always Gershgorin; there is no rule to select
+    with pytest.raises(ConfigurationError, match="unknown key 'omega_rule'"):
+        parse_config({"solver": {"omega_rule": "gershgorin"}})
     with pytest.raises(ConfigurationError, match="unknown problem"):
         parse_config({"problem": {"name": "pancake"}})
     with pytest.raises(ConfigurationError, match="must be a JSON object"):
@@ -381,7 +386,7 @@ def test_gen_dataset_layout_and_reload(tmp_path):
 # ---------------------------------------------------------------- main errors
 
 
-def test_main_config_errors_exit_2(tmp_path, capsys):
+def test_main_config_errors_exit_2(tmp_path, monkeypatch, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--config", str(missing)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -400,17 +405,45 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--seed", "-1", "--out", str(tmp_path / "r")]) == 2
     assert "sampling.seed" in capsys.readouterr().err
 
+    rule = write_config(tmp_path / "rule.json", solver={"omega_rule": "gershgorin"})
+    assert main(["run", "--config", rule, "--out", str(tmp_path / "rule")]) == 2
+    assert "unknown key 'omega_rule'" in capsys.readouterr().err
+    assert not (tmp_path / "rule").exists()
+
+    # a worker count below 1, from the flag or the variable, fails before any work
+    for command, argv, env in (
+        ("gen-dataset", ["--workers", "0"], "1"),
+        ("gen-dataset", ["--workers", "-4"], "1"),
+        ("gen-dataset", [], "-2"),
+        ("convstudy", [], "0"),
+    ):
+        monkeypatch.setenv("AFEM_WORKERS", env)
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--out", str(out), *argv]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_workers_only_for_sample_commands(tmp_path, monkeypatch, capsys):
     cfg_path = write_config(tmp_path / "cfg.json")
     monkeypatch.setenv("AFEM_WORKERS", "x")
-    # verify maps over no samples: it neither reads AFEM_WORKERS nor
-    # accepts --workers
+    # verify maps over no samples and writes nothing: it neither reads
+    # AFEM_WORKERS nor accepts --workers or --out
     assert main(["verify", "--config", cfg_path]) == 0
     with pytest.raises(SystemExit):
         main(["verify", "--config", cfg_path, "--workers", "7"])
+    with pytest.raises(SystemExit):
+        main(["verify", "--config", cfg_path, "--out", str(tmp_path / "d")])
+    assert not (tmp_path / "d").exists()
     capsys.readouterr()
     # the sample commands still read it
     out = str(tmp_path / "data")
     assert main(["gen-dataset", "--config", cfg_path, "--out", out]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    assert parse_config(json.loads(blocks[0])) == RunConfig()

@@ -331,7 +331,7 @@ def test_single_dof_conv_trajectory():
     diff = compute_upsilon(hier, np.ones((3, 3)))
     rhs = assemble_rhs(hier, np.ones((3, 3)))
     masks = uniform_masks(hier)
-    sm = choose_omega(diff, masks, "fixed", omega=0.125)
+    sm = SmootherConfig((0.125,))
     # one smoothing step written out of public kernels: omega * b at the node
     act = masks[0].active
     stack = conv_translate(bank, np.zeros((3, 3)), act)
@@ -358,7 +358,7 @@ def test_conv_sweep_matches_solver_sweep():
             for k in range(hier.levels)
         ]
         u = MultilevelField(hier, [v.copy() for v in values], masks)
-        sm = choose_omega(diff, masks, "gershgorin")
+        sm = choose_omega(diff, masks)
         state = init_llmg_state(
             bank, MultilevelField(hier, [v.copy() for v in values], masks), rhs, diff, sm
         )
@@ -377,7 +377,7 @@ def test_solution_images_copy_the_iterate():
     diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(9, 9)))
     rhs = assemble_rhs(hier, rng.normal(size=(9, 9)))
     masks = random_masks(hier, rng)
-    sm = choose_omega(diff, masks, "gershgorin")
+    sm = choose_omega(diff, masks)
     state = init_llmg_state(bank, random_field(hier, masks, rng), rhs, diff, sm)
     conv_llmg_sweep(state, bank)
     for k in range(hier.levels):
@@ -398,9 +398,9 @@ def test_sweep_state_validation():
     with pytest.raises(ConfigurationError):
         init_llmg_state(
             bank, zero_field(hier, masks), rhs, diff,
-            SmootherConfig(omega_rule="fixed", omegas=(0.1,)),
+            SmootherConfig(omegas=(0.1,)),
         )
-    sm = choose_omega(diff, masks, "gershgorin")
+    sm = choose_omega(diff, masks)
     for name in ("v", "utld", "ubar"):
         for wrong in (np.zeros((7, 9, 9)), np.zeros((5, 5))):
             state = init_llmg_state(bank, zero_field(hier, masks), rhs, diff, sm)
@@ -424,7 +424,7 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels):
     diff = compute_upsilon(hier, rng.uniform(0.5, 3.0, size=(nf, nf)))
     rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
     masks = random_masks(hier, rng)
-    sm = choose_omega(diff, masks, "gershgorin")
+    sm = choose_omega(diff, masks)
     u = random_field(hier, masks, rng)
 
     applied = []

@@ -1,4 +1,4 @@
-"""Levelwise multigrid sweeps, damping rules, and solver convergence."""
+"""Levelwise multigrid sweeps, Gershgorin damping, and solver convergence."""
 
 import math
 
@@ -19,7 +19,13 @@ from mlfem.solver import (
     stack_vector,
 )
 
-from oracles import lmg_sweep, ssc_sweep
+from oracles import (
+    contraction_ratios,
+    lmg_sweep,
+    power_lambda_max,
+    solve_energy_history,
+    ssc_sweep,
+)
 
 
 def random_field(hier, masks, rng):
@@ -80,7 +86,7 @@ def single_dof_setup():
 
 def test_gershgorin_single_dof_quarter():
     hier, diff, _ = single_dof_setup()
-    sm = choose_omega(diff, uniform_masks(hier), "gershgorin")
+    sm = choose_omega(diff, uniform_masks(hier))
     assert sm.omegas == (0.25,)
 
 
@@ -89,20 +95,20 @@ def test_gershgorin_below_inverse_lambda_max():
     rng = np.random.default_rng(5)
     diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(9, 9)))
     masks = uniform_masks(hier)
-    gersh = choose_omega(diff, masks, "gershgorin")
-    power = choose_omega(diff, masks, "power-iteration")
+    gersh = choose_omega(diff, masks)
     for k in range(2):
         lam = np.linalg.eigvalsh(level_matrix(hier, diff, k)).max()
         assert gersh.omegas[k] <= 1.0 / lam + 1e-12
-        assert power.omegas[k] <= 1.0 / lam + 1e-12
-        assert power.omegas[k] >= 1.0 / (1.05 * lam)
+        # the power-iteration oracle of check 03: a Rayleigh quotient within 1%
+        lam_hat = power_lambda_max(diff, k)
+        assert lam <= 1.01 * lam_hat and lam_hat <= lam * (1.0 + 1e-12)
 
 
 def test_smoothing_step_contracts_energy():
     hier = build_hierarchy(5, 1)
     rng = np.random.default_rng(13)
     diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(5, 5)))
-    omega = choose_omega(diff, uniform_masks(hier), "gershgorin").omegas[0]
+    omega = choose_omega(diff, uniform_masks(hier)).omegas[0]
     mat = level_matrix(hier, diff, 0)
     step = np.eye(mat.shape[0]) - omega * mat
     for _ in range(100):
@@ -112,26 +118,13 @@ def test_smoothing_step_contracts_energy():
         assert after <= before * (1.0 + 1e-12)
 
 
-def test_omega_rule_validation():
-    hier, diff, _ = single_dof_setup()
-    masks = uniform_masks(hier)
-    with pytest.raises(ConfigurationError):
-        choose_omega(diff, masks, "newton")
-    with pytest.raises(ConfigurationError):
-        choose_omega(diff, masks, "gershgorin", omega=0.1)
-    with pytest.raises(ConfigurationError):
-        choose_omega(diff, masks, "fixed")
-    with pytest.warns(RuntimeWarning):
-        choose_omega(diff, masks, "fixed", omega=10.0)
-
-
 # ---------------------------------------------------------------- sweeps
 
 
 def test_single_dof_sweep_trajectory():
     hier, diff, rhs = single_dof_setup()
     masks = uniform_masks(hier)
-    sm = choose_omega(diff, masks, "fixed", omega=0.125)
+    sm = SmootherConfig((0.125,))
     # one Richardson visit: omega * b
     u = zero_field(hier, masks)
     ssc_sweep(u, rhs, diff, sm, [0])
@@ -148,7 +141,7 @@ def test_single_level_sweep_is_richardson():
     diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(9, 9)))
     rhs = assemble_rhs(hier, rng.normal(size=(9, 9)))
     masks = uniform_masks(hier)
-    sm = choose_omega(diff, masks, "gershgorin")
+    sm = choose_omega(diff, masks)
     u = random_field(hier, masks, rng)
     manual = u.values[0] + sm.omegas[0] * (
         rhs.images[0] - apply_A_level(u.values[0], diff.upsilon[0], hier.h(0))
@@ -168,7 +161,7 @@ def test_exact_solution_is_fixed_point():
             masks = uniform_masks(hier)
         else:
             masks = random_refined_masks(hier, rng)
-        sm = choose_omega(diff, masks, "gershgorin")
+        sm = choose_omega(diff, masks)
         star = reference_solve(masks, diff, rhs)
         before = [v.copy() for v in star.values]
         scale = max(max(abs(v).max() for v in before), 1.0)
@@ -182,7 +175,7 @@ def test_zero_load_stays_zero():
     diff = compute_upsilon(hier, np.ones((5, 5)))
     rhs = assemble_rhs(hier, np.zeros((5, 5)))
     masks = uniform_masks(hier)
-    sm = choose_omega(diff, masks, "gershgorin")
+    sm = choose_omega(diff, masks)
     u, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm)
     assert report.converged and report.iterations <= 1
     assert all(not v.any() for v in u.values)
@@ -197,7 +190,7 @@ def test_llmg_sweep_equals_lmg_sweep():
         diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(9, 9)))
         rhs = assemble_rhs(hier, rng.normal(size=(9, 9)))
         masks = random_refined_masks(hier, rng)
-        sm = choose_omega(diff, masks, "gershgorin")
+        sm = choose_omega(diff, masks)
         ua = random_field(hier, masks, rng)
         ub = ua.copy()
         for _ in range(3):
@@ -214,9 +207,9 @@ def test_sweep_input_validation():
     masks = uniform_masks(hier)
     u = zero_field(hier, masks)
     with pytest.raises(ConfigurationError):
-        llmg_sweep(u, rhs, diff, SmootherConfig("fixed", (0.1,)))
+        llmg_sweep(u, rhs, diff, SmootherConfig((0.1,)))
     with pytest.raises(ConfigurationError):
-        ssc_sweep(u, rhs, diff, SmootherConfig("fixed", (0.1, 0.1)), [2])
+        ssc_sweep(u, rhs, diff, SmootherConfig((0.1, 0.1)), [2])
 
 
 # ---------------------------------------------------------------- solves
@@ -225,7 +218,7 @@ def test_sweep_input_validation():
 def test_single_dof_solve():
     hier, diff, rhs = single_dof_setup()
     masks = uniform_masks(hier)
-    sm = choose_omega(diff, masks, "fixed", omega=0.125)
+    sm = SmootherConfig((0.125,))
     u, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm, tol=1e-12)
     assert report.converged and report.iterations <= 60
     assert u.values[0][1, 1] == pytest.approx(0.0625, rel=1e-10)
@@ -238,7 +231,7 @@ def test_solve_matches_direct_three_levels():
     diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
     rhs = assemble_rhs(hier, np.ones((nf, nf)))
     masks = uniform_masks(hier)
-    sm = choose_omega(diff, masks, "gershgorin")
+    sm = choose_omega(diff, masks)
     star = reference_solve(masks, diff, rhs)
     u, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm, tol=1e-12)
     assert report.converged
@@ -255,7 +248,7 @@ def test_iteration_count_obeys_contraction_bound():
     diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(9, 9)))
     rhs = assemble_rhs(hier, np.ones((9, 9)))
     masks = uniform_masks(hier)
-    sm = choose_omega(diff, masks, "gershgorin")
+    sm = choose_omega(diff, masks)
     tol = 1e-8
     u, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm, tol=tol)
     assert report.converged
@@ -274,13 +267,13 @@ def test_contraction_below_one_and_degrades_with_depth():
         diff = compute_upsilon(hier, np.ones((nf, nf)))
         rhs = assemble_rhs(hier, np.ones((nf, nf)))
         masks = uniform_masks(hier)
-        sm = choose_omega(diff, masks, "gershgorin")
+        sm = choose_omega(diff, masks)
         star = reference_solve(masks, diff, rhs)
-        u, report = llmg_solve(
-            zero_field(hier, masks), rhs, diff, sm, tol=1e-10, exact=star
+        _, report, energies = solve_energy_history(
+            zero_field(hier, masks), rhs, diff, sm, star, tol=1e-10
         )
         assert report.converged
-        tail = report.contraction_estimates[-5:]
+        tail = contraction_ratios(energies)[-5:]
         rate = float(np.median(tail))
         assert rate < 1.0
         rates.append(rate)
@@ -291,7 +284,7 @@ def test_contraction_below_one_and_degrades_with_depth():
 def test_solve_rejects_bad_tolerance():
     hier, diff, rhs = single_dof_setup()
     masks = uniform_masks(hier)
-    sm = choose_omega(diff, masks, "gershgorin")
+    sm = choose_omega(diff, masks)
     with pytest.raises(ConfigurationError):
         llmg_solve(zero_field(hier, masks), rhs, diff, sm, tol=0.0)
 
@@ -302,12 +295,15 @@ def test_report_histories_are_consistent():
     diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(5, 5)))
     rhs = assemble_rhs(hier, np.ones((5, 5)))
     masks = uniform_masks(hier)
-    sm = choose_omega(diff, masks, "gershgorin")
+    sm = choose_omega(diff, masks)
     star = reference_solve(masks, diff, rhs)
-    u, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm, exact=star)
+    u, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm)
     assert len(report.residual_history) == report.iterations + 1
-    assert len(report.energy_error_history) == report.iterations + 1
-    assert all(e >= 0.0 for e in report.energy_error_history)
+    # the energy-history oracle runs exactly llmg_solve's iteration
+    u_o, report_o, hist = solve_energy_history(zero_field(hier, masks), rhs, diff, sm, star)
+    assert report_o == report
+    assert all(np.array_equal(a, b) for a, b in zip(u_o.values, u.values))
+    assert len(hist) == report.iterations + 1
+    assert all(e >= 0.0 for e in hist)
     # monotone decrease in energy for a symmetric positive smoother
-    hist = report.energy_error_history
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(hist, hist[1:]))
