@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from .field import (
     MultilevelField,
+    flatten_to_finest,
     offset_views,
     prolongate_uniform,
     restrict_uniform,
@@ -395,8 +396,6 @@ def l2_norm(image: np.ndarray, h: float) -> float:
 
 def energy_seminorm(u: MultilevelField, diffusion: DiffusionField) -> float:
     """A-seminorm of a multilevel field, via its summed finest-level image."""
-    from .field import flatten_to_finest
-
     last = u.hierarchy.levels - 1
     flat = flatten_to_finest(u)
     return weighted_h1_seminorm(flat, diffusion.tri_integrals[last], u.hierarchy.h(last))

@@ -1,7 +1,7 @@
 """Convolutional realizations of the lattice operators.
 
 Every operator the engine uses (stiffness action, its transpose, the
-masked transfer pair, one multigrid sweep, the error estimator, and
+full-lattice transfer pair, one multigrid sweep, the error estimator, and
 threshold marking with refinement) is also expressible as a small stack of
 convolutions with fixed rational kernels and exact elementwise products.
 This module builds those kernels (`build_stencil_bank`) and provides the
@@ -391,30 +391,14 @@ def conv_apply_A_transpose(
     return zero_frame(out * (2.0 / (h * h)))
 
 
-def conv_prolongate(
-    bank: StencilBank,
-    coarse: np.ndarray,
-    coarse_mask: LevelMask,
-    fine_mask: LevelMask,
-) -> np.ndarray:
-    """Transpose-strided interpolation with both closure masks applied."""
-    if 2 * coarse.shape[0] - 1 != fine_mask.n:
-        raise ConfigurationError("fine mask is not one level below the coarse image")
-    v = coarse * coarse_mask.write()
-    return conv_apply(bank.prolong, v[None, :, :])[0] * fine_mask.write()
+def conv_prolongate(bank: StencilBank, coarse: np.ndarray) -> np.ndarray:
+    """Transpose-strided interpolation onto the next finer lattice (`prolongate_uniform`)."""
+    return conv_apply(bank.prolong, coarse[None, :, :])[0]
 
 
-def conv_restrict(
-    bank: StencilBank,
-    fine: np.ndarray,
-    coarse_mask: LevelMask,
-    fine_mask: LevelMask,
-) -> np.ndarray:
-    """Strided adjoint of conv_prolongate, closure masks included."""
-    if 2 * coarse_mask.n - 1 != fine.shape[0]:
-        raise ConfigurationError("coarse mask is not one level above the fine image")
-    v = fine * fine_mask.write()
-    return conv_apply(bank.restrict, v[None, :, :])[0] * coarse_mask.write()
+def conv_restrict(bank: StencilBank, fine: np.ndarray) -> np.ndarray:
+    """Strided adjoint of conv_prolongate, boundary frame zeroed."""
+    return zero_frame(conv_apply(bank.restrict, fine[None, :, :])[0])
 
 
 @dataclass
@@ -424,7 +408,8 @@ class ConvLlmgState:
     each (n, n), plus the 6 Upsilon channels.
 
     Only the smoothing step builds a translation stack (of v + utld, gated
-    by the active mask); utld[0] and ubar[-1] stay zero.
+    by the active mask); the carried contents live on the full lattice, and
+    utld[0] and ubar[-1] stay zero.
     """
 
     hierarchy: GridHierarchy
@@ -455,8 +440,9 @@ def init_llmg_state(
     """Stage the sweep images from field-side objects.
 
     v is u on the active sets and +0.0 elsewhere; the carried-down chain
-    utld[k+1] = prolongate(utld[k] + v[k]) is built here once, and each
-    sweep's upward half keeps it current afterwards.
+    utld[k+1] = conv_prolongate(utld[k] + v[k]), on the full lattice as in
+    `compute_utilde`, is built here once, and each sweep's upward half keeps
+    it current afterwards.
     """
     hier = u.hierarchy
     if len(smoother.omegas) != hier.levels:
@@ -466,7 +452,7 @@ def init_llmg_state(
     v = [np.where(masks[k].active, u.values[k], 0.0) for k in levels]
     utld = [np.zeros((hier.n(0), hier.n(0)))]
     for k in range(hier.levels - 1):
-        utld.append(conv_prolongate(bank, utld[k] + v[k], masks[k], masks[k + 1]))
+        utld.append(conv_prolongate(bank, utld[k] + v[k]))
     return ConvLlmgState(
         hierarchy=hier,
         masks=masks,
@@ -504,21 +490,18 @@ def conv_llmg_sweep(state: ConvLlmgState, bank: StencilBank) -> ConvLlmgState:
         ):
             raise ConfigurationError(f"state group {name} does not match the hierarchy")
 
-    masks = state.masks
     for k in range(nlev - 1, -1, -1):
         _conv_smooth(state, bank, k)
         if k > 0:
             lifted = state.ubar[k] + conv_apply_A_transpose(
                 bank, state.v[k], state.upsilon[k], hier.h(k)
             )
-            state.ubar[k - 1] = conv_restrict(bank, lifted, masks[k - 1], masks[k])
+            state.ubar[k - 1] = conv_restrict(bank, lifted)
 
     for k in range(nlev):
         _conv_smooth(state, bank, k)
         if k < nlev - 1:
-            state.utld[k + 1] = conv_prolongate(
-                bank, state.utld[k] + state.v[k], masks[k], masks[k + 1]
-            )
+            state.utld[k + 1] = conv_prolongate(bank, state.utld[k] + state.v[k])
     return state
 
 

@@ -4,11 +4,10 @@ One sweep visits the levels fine-to-coarse and back, applying damped
 Richardson smoothing on each level's active set.  The cross-level coupling is
 never assembled: the carried-down content (coarser components interpolated
 up) and carried-up content (finer residual actions restricted down) are
-maintained incrementally along the sweep.  By linearity of the transfers this
-is the successive-subspace-correction iteration for the stacked operator of
-`apply_stacked` only when every fine-closure node's interpolation parents lie
-in the coarse closure: `prolongate` and `restrict_weighted` drop values off
-the closures, the unmasked transfers of `apply_stacked` do not.
+maintained incrementally along the sweep with the full-lattice transfers that
+`apply_stacked` uses.  By linearity of the transfers this is the
+successive-subspace-correction iteration for that stacked operator, on any
+masks.
 """
 
 from __future__ import annotations
@@ -31,9 +30,10 @@ from .field import (
     LevelMask,
     MultilevelField,
     offset_views,
-    prolongate,
-    restrict_weighted,
+    prolongate_uniform,
+    restrict_uniform,
     zero_field,
+    zero_frame,
 )
 from .mesh import ConfigurationError, hat_overlap_offsets
 
@@ -133,19 +133,18 @@ def llmg_sweep(
     Mutates u in place and returns it.  The carried-down content is computed
     fresh at sweep start; the carried-up content is built during the downward
     half-sweep, so every smoothing step sees the current residual of the full
-    multilevel iterate when the closure condition of the module docstring
-    holds.  The coarsest and finest levels are each smoothed twice per sweep
-    (once per half-sweep).
+    multilevel iterate: this is the successive-subspace-correction iteration
+    for `apply_stacked`, on any masks.  The coarsest and finest levels are
+    each smoothed twice per sweep (once per half-sweep).
     """
     hier = u.hierarchy
     nlev = hier.levels
     if len(smoother.omegas) != nlev:
         raise ConfigurationError("smoother has wrong number of levels")
-    masks = u.masks
 
     utld: list[np.ndarray] = [np.zeros_like(u.values[0])]
     for k in range(nlev - 1):
-        utld.append(prolongate(utld[k] + u.values[k], masks[k], masks[k + 1]))
+        utld.append(prolongate_uniform(utld[k] + u.values[k]))
     ubar: list[np.ndarray] = [np.empty(0)] * nlev
     ubar[nlev - 1] = np.zeros_like(u.values[nlev - 1])
 
@@ -155,12 +154,12 @@ def llmg_sweep(
             lifted = ubar[k] + apply_A_level_transpose(
                 u.values[k], diffusion.upsilon[k], hier.h(k)
             )
-            ubar[k - 1] = restrict_weighted(lifted, masks[k - 1], masks[k])
+            ubar[k - 1] = zero_frame(restrict_uniform(lifted))
 
     for k in range(nlev):
         _smooth_level(u, f, diffusion, k, smoother.omegas[k], utld[k], ubar[k])
         if k < nlev - 1:
-            utld[k + 1] = prolongate(utld[k] + u.values[k], masks[k], masks[k + 1])
+            utld[k + 1] = prolongate_uniform(utld[k] + u.values[k])
 
     for k in range(nlev):
         if not np.all(np.isfinite(u.values[k])):

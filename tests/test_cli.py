@@ -111,6 +111,8 @@ def test_value_validation():
         {"problem": {"load": float("inf")}},
         {"solver": {"tol": float("inf")}},
         {"output": 7},
+        json.loads('{"hierarchy": {"levels": Infinity}}'),
+        json.loads('{"sampling": {"count": 1e400}}'),
     ):
         with pytest.raises(ConfigurationError):
             parse_config(bad)
@@ -183,6 +185,29 @@ def test_mlfd_rejects_corrupt_dataset(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ConfigurationError, match="not an mlfd dataset"):
         MlfdDataset(tmp_path)
+
+
+def test_mlfd_rejects_unsafe_or_incomplete_manifest(tmp_path):
+    data = tmp_path / "data"
+    writer = MlfdWriter(data, "00", seed=0)
+    writer.add("x", np.ones((2, 2)), channels="u")
+    writer.close()
+    (tmp_path / "secret.bin").write_bytes(b"\x00" * 32)
+    good = json.loads((data / "manifest.json").read_text())
+
+    def reopen(manifest):
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        return MlfdDataset(data)
+
+    for fname in ("../secret.bin", str(tmp_path / "secret.bin"), "sub/x.bin", "..", ""):
+        entry = dict(good["arrays"][0], file=fname)
+        with pytest.raises(ConfigurationError, match="bare file name"):
+            reopen(dict(good, arrays=[entry]))
+    for key in ("config_hash", "seed", "arrays"):
+        broken = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(ConfigurationError, match=key):
+            reopen(broken)
+    assert np.array_equal(reopen(good).load("x"), np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------- afem run
@@ -404,6 +429,16 @@ def test_main_config_errors_exit_2(tmp_path, monkeypatch, capsys):
     cfg_path = write_config(tmp_path / "cfg.json")
     assert main(["run", "--config", cfg_path, "--seed", "-1", "--out", str(tmp_path / "r")]) == 2
     assert "sampling.seed" in capsys.readouterr().err
+
+    # integer fields that overflow int(): JSON Infinity and out-of-range literals
+    for name, text in (
+        ("inf.json", '{"hierarchy": {"levels": Infinity}}'),
+        ("huge.json", '{"sampling": {"count": 1e400}}'),
+    ):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(tmp_path / name), "--out", str(tmp_path / "o")]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
     rule = write_config(tmp_path / "rule.json", solver={"omega_rule": "gershgorin"})
     assert main(["run", "--config", rule, "--out", str(tmp_path / "rule")]) == 2

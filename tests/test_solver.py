@@ -8,8 +8,9 @@ import pytest
 from mlfem.adapt import empty_marks, initial_masks, refine
 from mlfem.assembly import apply_A_level, assemble_rhs, compute_upsilon, energy_seminorm
 from mlfem.estimator import leaf_triangle_masks
-from mlfem.field import MultilevelField, uniform_masks, zero_field
+from mlfem.field import MultilevelField, full_mask, make_mask, uniform_masks, zero_field
 from mlfem.mesh import ConfigurationError, build_hierarchy
+from mlfem.problems import CookieProblem, discretize_kappa, problem_rhs
 from mlfem.solver import (
     SmootherConfig,
     choose_omega,
@@ -39,9 +40,8 @@ def random_field(hier, masks, rng):
 def random_refined_masks(hier, rng, frac=0.35):
     """Admissible hierarchy: grow active sets by marking random leaf triangles.
 
-    The masked sweep routes assume masks produced by refinement, where finer
-    closures stay inside the coarser ones; independent per-level masks break
-    that containment.
+    These are the masks the adaptive loop produces; independent per-level
+    masks are covered by `test_solve_converges_on_random_sparse_masks`.
     """
     masks = initial_masks(hier)
     for _ in range(hier.levels - 1):
@@ -240,6 +240,34 @@ def test_solve_matches_direct_three_levels():
         delta.values[k] = u.values[k] - star.values[k]
     rel = energy_seminorm(delta, diff) / energy_seminorm(star, diff)
     assert rel <= 1e-8
+
+
+def test_solve_converges_on_random_sparse_masks():
+    # independent per-level masks: fine closures reach past the coarse
+    # closures, which the sweep's full-lattice transfers must carry
+    problem = CookieProblem()
+    hier = build_hierarchy(5, 3)
+    diff = compute_upsilon(hier, discretize_kappa(problem, (0.5, 0.5), hier))
+    rhs = problem_rhs(problem, hier)
+    sm = choose_omega(diff, uniform_masks(hier))
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        masks = [full_mask(hier, 0)]
+        for k in (1, 2):
+            n = hier.n(k)
+            act = np.zeros((n, n), dtype=np.uint8)
+            act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < 0.3
+            masks.append(make_mask(act))
+        u, report = llmg_solve(
+            zero_field(hier, masks), rhs, diff, sm, tol=1e-10, max_sweeps=2000
+        )
+        assert report.converged
+        # compared as functions: the stacked system can be singular, so the
+        # minimum-norm reference need not share the iterate's coefficients
+        star = reference_solve(masks, diff, rhs)
+        delta = u.copy()
+        delta.values = [a - b for a, b in zip(u.values, star.values)]
+        assert energy_seminorm(delta, diff) <= 1e-8 * energy_seminorm(star, diff)
 
 
 def test_iteration_count_obeys_contraction_bound():
