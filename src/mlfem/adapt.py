@@ -185,7 +185,6 @@ def afem(
     u = zero_field(hierarchy, initial_masks(hierarchy))
     smoother = choose_omega(diffusion, u.masks)
     report = AfemReport()
-    est = estimate(u, f_values, diffusion, u.masks)
     for it in range(iterations):
         stacked = apply_stacked(u, diffusion)
         defect = RhsField(

@@ -29,6 +29,7 @@ from .field import (
 from .mesh import (
     NODE_TRIANGLES,
     TRI_CHILD_OFFSETS,
+    TRI_VERTEX_OFFSETS,
     ConfigurationError,
     GridHierarchy,
     hat_overlap_offsets,
@@ -56,18 +57,12 @@ __all__ = [
 def _reference_gradients(q: int) -> np.ndarray:
     """Gradients of the three vertex hats on T^q with h = 1, one row per vertex.
 
-    Vertex order matches `mesh.triangle_vertices`.
+    Vertex order is that of `TRI_VERTEX_OFFSETS[q]`, as in `mesh.triangle_vertices`.
     """
-    if q == 1:
-        verts = np.array([(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    else:
-        verts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+    verts = np.array(TRI_VERTEX_OFFSETS[q], dtype=float)
     vm = np.column_stack([np.ones(3), verts])
     coeff = np.linalg.inv(vm)  # column m: lambda_m(x, y) = c0 + c1 x + c2 y
     return coeff[1:, :].T
-
-
-_TRI_VERTEX_OFFSETS = {1: ((0, 0), (1, 1), (0, 1)), 2: ((0, 0), (1, 0), (1, 1))}
 
 
 def _stencil_couplings() -> np.ndarray:
@@ -82,7 +77,7 @@ def _stencil_couplings() -> np.ndarray:
     out = np.zeros((len(NODE_TRIANGLES), len(offsets)))
     for chan, (q, owner) in enumerate(NODE_TRIANGLES):
         grads = _reference_gradients(q)
-        verts = [(owner[0] + d1, owner[1] + d2) for d1, d2 in _TRI_VERTEX_OFFSETS[q]]
+        verts = [(owner[0] + d1, owner[1] + d2) for d1, d2 in TRI_VERTEX_OFFSETS[q]]
         me = verts.index((0, 0))
         for m, v in enumerate(verts):
             out[chan, offsets.index(v)] = 0.5 * float(grads[me] @ grads[m])
@@ -307,8 +302,7 @@ def assemble_global(
     oi, oj = np.meshgrid(np.arange(nf - 1), np.arange(nf - 1), indexing="ij")
     base = oi * nf + oj
     vert_ids = {
-        1: (base, base + nf + 1, base + 1),
-        2: (base, base + nf, base + nf + 1),
+        q: [base + d1 * nf + d2 for d1, d2 in TRI_VERTEX_OFFSETS[q]] for q in (1, 2)
     }
     rows, cols, data = [], [], []
     for q in (1, 2):

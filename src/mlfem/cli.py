@@ -133,9 +133,12 @@ def parse_config(raw: dict) -> RunConfig:
     base_problem = CookieProblem()
     centers = base_problem.centers
     if "centers" in prob:
+        pairs = prob["centers"]
         try:
-            centers = tuple((float(c[0]), float(c[1])) for c in prob["centers"])
-        except (TypeError, ValueError, IndexError):
+            if not all(isinstance(c, (list, tuple)) and len(c) == 2 for c in pairs):
+                raise ValueError
+            centers = tuple((float(x), float(y)) for x, y in pairs)
+        except (TypeError, ValueError):
             raise ConfigurationError("problem.centers must be a list of [x, y] pairs") from None
         if not all(math.isfinite(v) for c in centers for v in c):
             raise ConfigurationError("problem.centers must be finite")
@@ -289,7 +292,12 @@ class MlfdDataset:
 
     def __init__(self, root):
         self.root = Path(root)
-        manifest = json.loads((self.root / "manifest.json").read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads((self.root / "manifest.json").read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigurationError(f"manifest is not valid JSON: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise ConfigurationError("manifest must be a JSON object")
         if manifest.get("format") != MLFD_FORMAT:
             raise ConfigurationError(
                 f"not an mlfd dataset: format {manifest.get('format')!r}"
@@ -298,26 +306,41 @@ class MlfdDataset:
             self.config_hash = manifest["config_hash"]
             self.seed = manifest["seed"]
             self.arrays = manifest["arrays"]
-            self.entries = {e["name"]: e for e in self.arrays}
-            if len(self.entries) != len(self.arrays):
-                raise ConfigurationError("duplicate array names in manifest")
+            if not isinstance(self.arrays, list) or not all(
+                isinstance(e, dict) for e in self.arrays
+            ):
+                raise ConfigurationError("manifest arrays must be a list of objects")
             for e in self.arrays:
-                fname = e["file"]
-                if not isinstance(fname, str) or fname in ("", ".", "..") or Path(fname).name != fname:
+                name, fname, shape = e["name"], e["file"], e["shape"]
+                if not all(isinstance(v, str) for v in (name, fname, e["dtype"])):
                     raise ConfigurationError(
-                        f"array {e['name']!r} file must be a bare file name, got {fname!r}"
+                        f"array {name!r}: name, file and dtype must be strings"
+                    )
+                if fname in ("", ".", "..") or Path(fname).name != fname:
+                    raise ConfigurationError(
+                        f"array {name!r} file must be a bare file name, got {fname!r}"
                     )
                 dtype = _DTYPES.get(e["dtype"])
                 if dtype is None:
                     raise ConfigurationError(
-                        f"unsupported dtype {e['dtype']!r} for array {e['name']!r}"
+                        f"unsupported dtype {e['dtype']!r} for array {name!r}"
                     )
-                expect = int(np.prod(e["shape"], dtype=np.int64)) * dtype.itemsize
+                if not isinstance(shape, list) or not all(
+                    type(d) is int and d >= 0 for d in shape
+                ):
+                    raise ConfigurationError(
+                        f"array {name!r} shape must be a list of non-negative "
+                        f"integers, got {shape!r}"
+                    )
+                expect = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
                 actual = (self.root / fname).stat().st_size
                 if expect != actual:
                     raise ConfigurationError(
                         f"blob {fname} holds {actual} bytes, manifest says {expect}"
                     )
+            self.entries = {e["name"]: e for e in self.arrays}
+            if len(self.entries) != len(self.arrays):
+                raise ConfigurationError("duplicate array names in manifest")
         except KeyError as exc:
             raise ConfigurationError(f"manifest lacks key {exc.args[0]!r}") from None
 

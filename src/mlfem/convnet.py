@@ -30,6 +30,7 @@ from .mesh import (
     NODE_TRIANGLES,
     TRI_CHILD_OFFSETS,
     TRI_FOOTPRINT_OFFSETS,
+    TRI_VERTEX_OFFSETS,
     ConfigurationError,
     GridHierarchy,
     hat_overlap_offsets,
@@ -173,9 +174,6 @@ def conv_apply(
 # kernel bank
 
 
-_TRI_VERTEX_OFFSETS = {1: ((0, 0), (1, 1), (0, 1)), 2: ((0, 0), (1, 0), (1, 1))}
-
-
 def _hat_gradients(verts: list[tuple[int, int]]) -> tuple[np.ndarray, float]:
     """Gradients of the three vertex hats, by the rotated-edge-vector rule.
 
@@ -199,7 +197,7 @@ def _operator_couplings() -> np.ndarray:
     offsets = hat_overlap_offsets()
     out = np.zeros((len(NODE_TRIANGLES), len(offsets)))
     for chan, (q, owner) in enumerate(NODE_TRIANGLES):
-        verts = [(owner[0] + a, owner[1] + b) for a, b in _TRI_VERTEX_OFFSETS[q]]
+        verts = [(owner[0] + a, owner[1] + b) for a, b in TRI_VERTEX_OFFSETS[q]]
         grads, area = _hat_gradients(verts)
         center = verts.index((0, 0))
         for t, off in enumerate(offsets):
@@ -228,7 +226,8 @@ _JUMP_TAPS = {
 class StencilBank:
     """All fixed kernels for one hierarchy, exact rationals times h-powers.
 
-    operator[l] pairs the 7-channel translation stack with node-triangle l;
+    operator maps the 7-channel translation stack to the six node-triangle
+    channels, and operator_transpose is its mirrored adjoint;
     upsilon integrates nodal kappa over the six incident triangles (times
     h^2 at use); prolong/restrict share the 3x3 interpolation weights as a
     transpose/strided pair; corner and jump kernels feed the estimator;
@@ -237,7 +236,7 @@ class StencilBank:
     translate builds the 7-offset stack as a submanifold conv.
     """
 
-    operator: tuple[ConvKernel, ...]
+    operator: ConvKernel
     operator_transpose: ConvKernel
     upsilon: ConvKernel
     prolong: ConvKernel
@@ -265,10 +264,7 @@ def build_stencil_bank(hierarchy: GridHierarchy) -> StencilBank:
         if stencil[t] != expect.get(off, 0.0):
             raise ConfigurationError("reference integration lost the Courant stencil")
 
-    operator = tuple(
-        ConvKernel(1, 7, 1, 1, couplings[chan].reshape(1, 7, 1, 1))
-        for chan in range(len(NODE_TRIANGLES))
-    )
+    operator = ConvKernel(6, 7, 1, 1, couplings.reshape(6, 7, 1, 1))
 
     wt = np.zeros((1, 6, 3, 3))
     for chan in range(6):
@@ -278,7 +274,7 @@ def build_stencil_bank(hierarchy: GridHierarchy) -> StencilBank:
 
     wu = np.zeros((6, 1, 3, 3))
     for chan, (q, owner) in enumerate(NODE_TRIANGLES):
-        for a, b in _TRI_VERTEX_OFFSETS[q]:
+        for a, b in TRI_VERTEX_OFFSETS[q]:
             wu[chan, 0, 1 + owner[0] + a, 1 + owner[1] + b] = 1.0 / 6.0
     upsilon = ConvKernel(6, 1, 3, 3, wu)
 
@@ -366,15 +362,16 @@ def conv_apply_A(
 ) -> np.ndarray:
     """Stiffness action from a translation stack and the six Upsilon channels.
 
-    out = (2/h^2) sum_l upsilon[l] * (stack conv K[l]), frame zeroed.
+    out = (2/h^2) sum_l upsilon[l] * (stack conv K)[l], frame zeroed.
     """
     if stack.shape != (7,) + upsilon.shape[1:] or upsilon.shape[0] != 6:
         raise ConfigurationError(
             f"stack {stack.shape} and upsilon {upsilon.shape} do not pair"
         )
+    sections = conv_apply(bank.operator, stack)
     acc = np.zeros(stack.shape[1:])
     for chan in range(6):
-        acc += upsilon[chan] * conv_apply(bank.operator[chan], stack)[0]
+        acc += upsilon[chan] * sections[chan]
     return zero_frame(acc * (2.0 / (h * h)))
 
 
@@ -641,10 +638,10 @@ def conv_mark_refine(
 def parameter_count(levels: int, sweeps: int) -> dict:
     """Weight-and-bias counts of the full pipeline, layers replicated.
 
-    Counts use the stored tensor sizes (a 1x7x1x1 operator kernel is 7
-    weights, six of them 42 per level).  Layers are counted once per
-    application, so the solver part scales with sweeps x levels while the
-    setup, estimator and refinement parts are affine in the level count:
+    Counts use the stored tensor sizes (the 6x7x1x1 operator kernel is 42
+    weights per level).  Layers are counted once per application, so the
+    solver part scales with sweeps x levels while the setup, estimator and
+    refinement parts are affine in the level count:
 
         total = fixed(levels) + sweeps * per_sweep(levels)
 
@@ -652,7 +649,7 @@ def parameter_count(levels: int, sweeps: int) -> dict:
     """
     if levels < 1 or sweeps < 0:
         raise ConfigurationError("need levels >= 1 and sweeps >= 0")
-    op = 6 * 7          # six 1x7x1x1 kernels
+    op = 6 * 7          # one 6x7x1x1 kernel
     op_t = 6 * 9        # mirrored 1x6x3x3 kernel
     trans = 7 * 9       # translation stack, 7 one-hot 3x3 taps
     transfer = 9        # one 3x3 interpolation kernel each way
@@ -663,7 +660,7 @@ def parameter_count(levels: int, sweeps: int) -> dict:
     refine = 2 * 9
     marking = 2 * 2 + 2  # per-level 1x1 pair with threshold biases
 
-    smoothing = trans + op + 1  # stack, stiffness kernels, damping factor
+    smoothing = trans + op + 1  # stack, stiffness kernel, damping factor
     down_link = op_t + transfer  # transposed stiffness, restriction
     up_link = transfer  # prolongation
     per_sweep = levels * 2 * smoothing + (levels - 1) * (down_link + up_link)
@@ -682,9 +679,7 @@ def parameter_count(levels: int, sweeps: int) -> dict:
 
 def flatten_bank(bank: StencilBank) -> tuple[np.ndarray, list[tuple[str, tuple[int, ...]]]]:
     """Serialize the bank to one float64 vector plus a (name, shape) layout."""
-    parts: list[tuple[str, np.ndarray]] = []
-    for i, kern in enumerate(bank.operator):
-        parts.append((f"operator_{i}", kern.weights))
+    parts: list[tuple[str, np.ndarray]] = [("operator", bank.operator.weights)]
     parts.append(("operator_transpose", bank.operator_transpose.weights))
     parts.append(("upsilon", bank.upsilon.weights))
     parts.append(("prolong", bank.prolong.weights))

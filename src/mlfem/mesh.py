@@ -25,6 +25,7 @@ __all__ = [
     "NODE_TRIANGLES",
     "TRI_CHILD_OFFSETS",
     "TRI_FOOTPRINT_OFFSETS",
+    "TRI_VERTEX_OFFSETS",
 ]
 
 # The 6 triangles incident to an interior node, as (q, owner-node offset).
@@ -37,6 +38,10 @@ NODE_TRIANGLES = (
     (2, (-1, 0)),
     (1, (0, -1)),
 )
+
+# Vertices of T^q as offsets from its owner node, counterclockwise:
+# T1 = {i, i+(1,1), i+(0,1)} (upper-left of the diagonal), T2 = {i, i+(1,0), i+(1,1)}.
+TRI_VERTEX_OFFSETS = {1: ((0, 0), (1, 1), (0, 1)), 2: ((0, 0), (1, 0), (1, 1))}
 
 # Children of T^q at coarse node i, as (q_child, fine-node offset from 2i).
 TRI_CHILD_OFFSETS = {
@@ -108,23 +113,16 @@ def build_hierarchy(coarse_nodes_per_side: int, levels: int) -> GridHierarchy:
 
 
 def triangle_vertices(hierarchy: GridHierarchy, level: int, q: int, i: tuple[int, int]) -> np.ndarray:
-    """(3, 2) vertex coordinates of T^q at owner node i, counterclockwise.
-
-    T1 = {i, i+(1,1), i+(0,1)} (upper-left of the square's diagonal),
-    T2 = {i, i+(1,0), i+(1,1)} (lower-right).
-    """
+    """(3, 2) vertex coordinates of T^q at owner node i, in the
+    counterclockwise order of `TRI_VERTEX_OFFSETS`."""
     i1, i2 = i
     lim = hierarchy.owner_limit(level)
     if not (0 <= i1 < lim and 0 <= i2 < lim):
         raise IndexError(f"node {i} owns no triangles on level {level}")
-    h = hierarchy.h(level)
-    if q == 1:
-        idx = [(i1, i2), (i1 + 1, i2 + 1), (i1, i2 + 1)]
-    elif q == 2:
-        idx = [(i1, i2), (i1 + 1, i2), (i1 + 1, i2 + 1)]
-    else:
+    if q not in TRI_VERTEX_OFFSETS:
         raise IndexError(f"q must be 1 or 2 (got {q})")
-    return np.array(idx, dtype=float) * h
+    idx = [(i1 + d1, i2 + d2) for d1, d2 in TRI_VERTEX_OFFSETS[q]]
+    return np.array(idx, dtype=float) * hierarchy.h(level)
 
 
 def children_of_triangle(

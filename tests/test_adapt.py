@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mlfem import adapt
 from mlfem.adapt import (
     MarkSet,
     afem,
@@ -286,6 +287,22 @@ def test_afem_report_structure():
     assert report.converged
     assert all(s == "converged" for s in report.solver_statuses)
     assert all(e > 0.0 for e in report.eta2_total)
+
+
+@pytest.mark.filterwarnings("ignore:dropping .* marked triangles:RuntimeWarning")
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_afem_estimates_once_per_iteration(monkeypatch, iterations):
+    """Every estimate afem computes is read: one per solve, none before the loop."""
+    calls = []
+    real_estimate = adapt.estimate
+
+    def counted_estimate(*args, **kwargs):
+        calls.append(1)
+        return real_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(adapt, "estimate", counted_estimate)
+    afem(CookieProblem(), (0.3, 0.9), build_hierarchy(5, 2), iterations, theta=0.3)
+    assert len(calls) == iterations
 
 
 def test_afem_input_validation():

@@ -103,6 +103,7 @@ def test_value_validation():
         {"sampling": {"count": 0}},
         {"sampling": {"seed": -1}},
         {"problem": {"centers": [[0.5]]}},
+        {"problem": {"centers": [[0.75, 0.25, 9.0], [0.75, 0.75]]}},
         {"problem": {"centers": [[float("nan"), 0.5]]}},
         {"problem": {"base": -1.0}},
         {"problem": {"base": 0.0}},
@@ -207,6 +208,28 @@ def test_mlfd_rejects_unsafe_or_incomplete_manifest(tmp_path):
         broken = {k: v for k, v in good.items() if k != key}
         with pytest.raises(ConfigurationError, match=key):
             reopen(broken)
+    # malformed values fail on open, not later in load or with a bare TypeError
+    entry = good["arrays"][0]
+    for field, value in (
+        ("shape", [-1, -4]),
+        ("shape", [2, 2.0]),
+        ("shape", [True, 4]),
+        ("shape", "abc"),
+        ("shape", None),
+        ("dtype", ["float64"]),
+        ("name", ["x"]),
+        ("file", None),
+    ):
+        with pytest.raises(ConfigurationError):
+            reopen(dict(good, arrays=[dict(entry, **{field: value})]))
+    for arrays in ({}, [7], "x"):
+        with pytest.raises(ConfigurationError):
+            reopen(dict(good, arrays=arrays))
+    with pytest.raises(ConfigurationError, match="JSON object"):
+        reopen([good])
+    (data / "manifest.json").write_text("{not json")
+    with pytest.raises(ConfigurationError, match="not valid JSON"):
+        MlfdDataset(data)
     assert np.array_equal(reopen(good).load("x"), np.ones((2, 2)))
 
 
@@ -439,6 +462,14 @@ def test_main_config_errors_exit_2(tmp_path, monkeypatch, capsys):
         assert main(["run", "--config", str(tmp_path / name), "--out", str(tmp_path / "o")]) == 2
         assert "must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+    # a center with a third coordinate is rejected, not truncated to a pair
+    three = write_config(
+        tmp_path / "three.json", problem={"centers": [[0.75, 0.25, 9.0], [0.75, 0.75]]}
+    )
+    assert main(["run", "--config", three, "--out", str(tmp_path / "three")]) == 2
+    assert "problem.centers must be a list of [x, y] pairs" in capsys.readouterr().err
+    assert not (tmp_path / "three").exists()
 
     rule = write_config(tmp_path / "rule.json", solver={"omega_rule": "gershgorin"})
     assert main(["run", "--config", rule, "--out", str(tmp_path / "rule")]) == 2

@@ -204,7 +204,7 @@ def test_operator_kernel_locality_and_row_sums():
     stencil = np.zeros(len(offsets))
     for chan, (q, owner) in enumerate(NODE_TRIANGLES):
         verts = {(owner[0] + a, owner[1] + b) for a, b in vertex_offsets[q]}
-        row = bank.operator[chan].weights[0, :, 0, 0]
+        row = bank.operator.weights[chan, :, 0, 0]
         for t, off in enumerate(offsets):
             if off not in verts:
                 assert row[t] == 0.0
@@ -443,9 +443,10 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels):
     # every smoothing step also multiplies by its damping factor, which no
     # kernel applies: one weight per step, two steps per level
     assert weights() == parameter_count(levels, 1)["per_sweep"] - 2 * levels
-    layers = (bank.translate, bank.prolong, bank.restrict)
+    # one smoothing step is one stack and one stiffness layer
+    layers = (bank.translate, bank.operator, bank.prolong, bank.restrict)
     uses = [sum(k is layer for k in applied) for layer in layers]
-    assert uses == [2 * levels, levels - 1, levels - 1]
+    assert uses == [2 * levels, 2 * levels, levels - 1, levels - 1]
 
 
 # ---------------------------------------------------------------- estimator
@@ -574,9 +575,7 @@ def test_flatten_bank_layout():
     names = [name for name, _ in layout]
     assert len(names) == len(set(names))
     shapes = dict(layout)
-    operator_weights = sum(
-        int(np.prod(shapes[f"operator_{i}"])) for i in range(6)
-    )
-    assert operator_weights == 42
+    assert shapes["operator"] == (6, 7, 1, 1)
+    assert int(np.prod(shapes["operator"])) == 42
     vec2, _ = flatten_bank(bank)
     assert np.array_equal(vec, vec2)
