@@ -20,7 +20,6 @@ import scipy.sparse as sp
 
 from .field import (
     MultilevelField,
-    flatten_to_finest,
     offset_views,
     prolongate_uniform,
     restrict_uniform,
@@ -49,15 +48,13 @@ __all__ = [
     "assemble_rhs",
     "h1_seminorm",
     "l2_norm",
-    "weighted_h1_seminorm",
-    "energy_seminorm",
 ]
 
 
 def _reference_gradients(q: int) -> np.ndarray:
     """Gradients of the three vertex hats on T^q with h = 1, one row per vertex.
 
-    Vertex order is that of `TRI_VERTEX_OFFSETS[q]`, as in `mesh.triangle_vertices`.
+    Vertex order is that of `TRI_VERTEX_OFFSETS[q]`.
     """
     verts = np.array(TRI_VERTEX_OFFSETS[q], dtype=float)
     vm = np.column_stack([np.ones(3), verts])
@@ -91,8 +88,7 @@ STENCIL_COUPLINGS = _stencil_couplings()
 class DiffusionField:
     """Per-level coefficient data derived from the finest nodal image.
 
-    kappa[k]          nodal values of kappa_h on the level-k lattice (exact,
-                      because coarse nodes coincide with finest nodes),
+    kappa             (n, n) nodal values of kappa_h on the finest lattice,
     tri_integrals[k]  (2, n-1, n-1) integrals of kappa_h over T^1/T^2 at each
                       owner node,
     upsilon[k]        (6, n, n) the same integrals gathered into the six
@@ -101,7 +97,7 @@ class DiffusionField:
     """
 
     hierarchy: GridHierarchy
-    kappa: list[np.ndarray]
+    kappa: np.ndarray
     tri_integrals: list[np.ndarray]
     upsilon: list[np.ndarray]
 
@@ -130,16 +126,13 @@ def compute_upsilon(hierarchy: GridHierarchy, kappa: np.ndarray) -> DiffusionFie
             f"kappa image must be {(nf, nf)} (finest lattice), got {kappa.shape}"
         )
 
-    kap: list[np.ndarray] = [np.empty(0)] * hierarchy.levels
     tri: list[np.ndarray] = [np.empty(0)] * hierarchy.levels
-    kap[last] = kappa
     hf = hierarchy.h(last)
     third = hf * hf / 6.0  # area/3 with area = h^2/2
     t1 = third * (kappa[:-1, :-1] + kappa[1:, 1:] + kappa[:-1, 1:])
     t2 = third * (kappa[:-1, :-1] + kappa[1:, :-1] + kappa[1:, 1:])
     tri[last] = np.stack([t1, t2])
     for k in range(last - 1, -1, -1):
-        kap[k] = kap[k + 1][::2, ::2]
         m = hierarchy.n(k) - 1
         acc = np.zeros((2, m, m))
         for q in (1, 2):
@@ -155,7 +148,7 @@ def compute_upsilon(hierarchy: GridHierarchy, kappa: np.ndarray) -> DiffusionFie
         embedded[:, : n - 1, : n - 1] = tri[k]
         views = offset_views(embedded, owners)
         ups.append(np.stack([view[q - 1] for (q, _), view in zip(NODE_TRIANGLES, views)]))
-    return DiffusionField(hierarchy, kap, tri, ups)
+    return DiffusionField(hierarchy, kappa, tri, ups)
 
 
 def apply_A_level(image: np.ndarray, upsilon: np.ndarray, h: float) -> np.ndarray:
@@ -371,25 +364,9 @@ def h1_seminorm(image: np.ndarray, h: float) -> float:
     return math.sqrt(max(float(s), 0.0))
 
 
-def weighted_h1_seminorm(image: np.ndarray, tri_integrals: np.ndarray, h: float) -> float:
-    """Energy seminorm sqrt(sum_T (int_T kappa) |grad|^2) for a nodal image."""
-    a, b, c, d = _triangle_corner_views(image)
-    g1 = (b - c) ** 2 + (c - a) ** 2
-    g2 = (d - a) ** 2 + (b - d) ** 2
-    s = float((tri_integrals[0] * g1 + tri_integrals[1] * g2).sum()) / (h * h)
-    return math.sqrt(max(s, 0.0))
-
-
 def l2_norm(image: np.ndarray, h: float) -> float:
     """L^2 norm of the P1 interpolant of a nodal image on one uniform level."""
     a, b, c, d = _triangle_corner_views(image)
     s1 = a * a + b * b + c * c + a * b + b * c + c * a
     s2 = a * a + b * b + d * d + a * b + b * d + d * a
     return math.sqrt(max(float((s1 + s2).sum()) * h * h / 12.0, 0.0))
-
-
-def energy_seminorm(u: MultilevelField, diffusion: DiffusionField) -> float:
-    """A-seminorm of a multilevel field, via its summed finest-level image."""
-    last = u.hierarchy.levels - 1
-    flat = flatten_to_finest(u)
-    return weighted_h1_seminorm(flat, diffusion.tri_integrals[last], u.hierarchy.h(last))

@@ -20,7 +20,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,13 +66,15 @@ MLFD_FORMAT = "mlfd-1"
 
 _DTYPES = {"float64": np.dtype("<f8"), "uint8": np.dtype("uint8")}
 
-_SECTION_KEYS = {
-    "problem": ("name", "base", "radius", "centers", "load"),
-    "hierarchy": ("coarse_nodes_per_side", "levels"),
-    "solver": ("tol", "max_sweeps"),
-    "afem": ("iterations", "marking", "theta"),
-    "sampling": ("seed", "count"),
+# The scalar sections of a config, as key -> kind.  Every key is also the
+# name of the RunConfig field it sets; the problem section is CookieProblem's.
+_SCHEMA = {
+    "hierarchy": {"coarse_nodes_per_side": int, "levels": int},
+    "solver": {"tol": float, "max_sweeps": int},
+    "afem": {"iterations": int, "marking": str, "theta": float},
+    "sampling": {"seed": int, "count": int},
 }
+_PROBLEM_FIELDS = tuple(f.name for f in fields(CookieProblem))
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,14 @@ def _reject_unknown(given: dict, allowed, where: str) -> None:
 
 
 def _coerce(value, kind, where: str):
+    if kind is str:
+        return str(value)
     try:
+        # JSON numbers only, as in the problem section: no strings or booleans
+        if isinstance(value, (bool, str)):
+            raise ValueError
         if kind is int:
-            if isinstance(value, bool) or int(value) != value:
+            if int(value) != value:
                 raise ValueError
             return int(value)
         out = float(value)
@@ -118,9 +125,9 @@ def parse_config(raw: dict) -> RunConfig:
     """Validate a decoded config object and fill in defaults."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config root must be a JSON object")
-    _reject_unknown(raw, tuple(_SECTION_KEYS) + ("output",), "config")
+    _reject_unknown(raw, ("problem", *_SCHEMA, "output"), "config")
     sections = {}
-    for name, keys in _SECTION_KEYS.items():
+    for name, keys in (("problem", ("name", *_PROBLEM_FIELDS)), *_SCHEMA.items()):
         sect = raw.get(name, {})
         if not isinstance(sect, dict):
             raise ConfigurationError(f"section {name!r} must be a JSON object")
@@ -130,59 +137,23 @@ def parse_config(raw: dict) -> RunConfig:
     prob = sections["problem"]
     if prob.get("name", "cookie") != "cookie":
         raise ConfigurationError(f"unknown problem {prob.get('name')!r}")
-    base_problem = CookieProblem()
-    centers = base_problem.centers
-    if "centers" in prob:
-        pairs = prob["centers"]
-        try:
-            if not all(isinstance(c, (list, tuple)) and len(c) == 2 for c in pairs):
-                raise ValueError
-            centers = tuple((float(x), float(y)) for x, y in pairs)
-        except (TypeError, ValueError):
-            raise ConfigurationError("problem.centers must be a list of [x, y] pairs") from None
-        if not all(math.isfinite(v) for c in centers for v in c):
-            raise ConfigurationError("problem.centers must be finite")
-    problem = CookieProblem(
-        base=_coerce(prob.get("base", base_problem.base), float, "problem.base"),
-        centers=centers,
-        radius=_coerce(prob.get("radius", base_problem.radius), float, "problem.radius"),
-        load=_coerce(prob.get("load", base_problem.load), float, "problem.load"),
-    )
+    problem = CookieProblem(**{key: prob[key] for key in _PROBLEM_FIELDS if key in prob})
 
-    grid = sections["hierarchy"]
-    solver = sections["solver"]
-    loop = sections["afem"]
-    sampling = sections["sampling"]
     out_dir = raw.get("output", RunConfig.out_dir)
     if not isinstance(out_dir, str):
         raise ConfigurationError("output must be a string path")
-    cfg = RunConfig(
-        problem=problem,
-        coarse_nodes_per_side=_coerce(
-            grid.get("coarse_nodes_per_side", RunConfig.coarse_nodes_per_side),
-            int,
-            "hierarchy.coarse_nodes_per_side",
-        ),
-        levels=_coerce(grid.get("levels", RunConfig.levels), int, "hierarchy.levels"),
-        tol=_coerce(solver.get("tol", RunConfig.tol), float, "solver.tol"),
-        max_sweeps=_coerce(solver.get("max_sweeps", RunConfig.max_sweeps), int, "solver.max_sweeps"),
-        iterations=_coerce(loop.get("iterations", RunConfig.iterations), int, "afem.iterations"),
-        marking=str(loop.get("marking", RunConfig.marking)),
-        theta=_coerce(loop.get("theta", RunConfig.theta), float, "afem.theta"),
-        seed=_coerce(sampling.get("seed", RunConfig.seed), int, "sampling.seed"),
-        count=_coerce(sampling.get("count", RunConfig.count), int, "sampling.count"),
-        out_dir=out_dir,
-    )
+    values = {
+        key: _coerce(sections[name].get(key, getattr(RunConfig, key)), kind, f"{name}.{key}")
+        for name, kinds in _SCHEMA.items()
+        for key, kind in kinds.items()
+    }
+    cfg = RunConfig(problem=problem, out_dir=out_dir, **values)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
     build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
-    if not cfg.problem.base > 0.0:
-        raise ConfigurationError("problem.base must be positive")
-    if not cfg.problem.radius >= 0.0:
-        raise ConfigurationError("problem.radius must be non-negative")
     if cfg.marking not in MARKING_STRATEGIES:
         raise ConfigurationError(
             f"afem.marking must be one of {MARKING_STRATEGIES}, got {cfg.marking!r}"
@@ -214,25 +185,11 @@ def load_config(path) -> RunConfig:
 
 def resolved_dict(cfg: RunConfig) -> dict:
     """The config with every default filled in, as plain JSON data."""
+    problem = {key: getattr(cfg.problem, key) for key in _PROBLEM_FIELDS}
+    problem["centers"] = [list(c) for c in cfg.problem.centers]
     return {
-        "problem": {
-            "name": "cookie",
-            "base": cfg.problem.base,
-            "centers": [list(c) for c in cfg.problem.centers],
-            "radius": cfg.problem.radius,
-            "load": cfg.problem.load,
-        },
-        "hierarchy": {
-            "coarse_nodes_per_side": cfg.coarse_nodes_per_side,
-            "levels": cfg.levels,
-        },
-        "solver": {"tol": cfg.tol, "max_sweeps": cfg.max_sweeps},
-        "afem": {
-            "iterations": cfg.iterations,
-            "marking": cfg.marking,
-            "theta": cfg.theta,
-        },
-        "sampling": {"seed": cfg.seed, "count": cfg.count},
+        "problem": {"name": "cookie", **problem},
+        **{name: {key: getattr(cfg, key) for key in kinds} for name, kinds in _SCHEMA.items()},
         "output": cfg.out_dir,
     }
 

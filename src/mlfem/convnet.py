@@ -530,7 +530,7 @@ def conv_estimator(
     area = h * h / 2.0
 
     ua, ub, uc, ud = conv_apply(bank.corner, u_flat[None, :, :])
-    ka, kb, kc, kd = conv_apply(bank.corner, diffusion.kappa[last][None, :, :])
+    ka, kb, kc, kd = conv_apply(bank.corner, diffusion.kappa[None, :, :])
     fa, fb, fc, fd = conv_apply(bank.corner, f_values[None, :, :])
 
     g1 = ((ub - uc) * (kb - kc) + (uc - ua) * (kc - ka)) / (h * h)

@@ -17,23 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import DiffusionField, weighted_h1_seminorm
+from .assembly import DiffusionField
 from .field import LevelMask, MultilevelField, flatten_to_finest
 from .mesh import TRI_CHILD_OFFSETS, TRI_FOOTPRINT_OFFSETS, GridHierarchy
-from .problems import reference_error
 
 __all__ = [
     "EstimatorField",
-    "ReliabilityReport",
     "finest_estimator_images",
     "aggregate_to_level",
     "leaf_triangle_masks",
     "estimate",
-    "reliability_efficiency",
 ]
 
 
@@ -58,15 +54,6 @@ class EstimatorField:
     def total(self) -> float:
         return float(sum(e.sum() for e in self.eta2))
 
-    def level_totals(self) -> list[float]:
-        return [float(e.sum()) for e in self.eta2]
-
-
-class ReliabilityReport(NamedTuple):
-    c_rel: float
-    c_eff: float
-    degenerate: bool
-
 
 def finest_estimator_images(
     u_flat: np.ndarray, f_values: np.ndarray, diffusion: DiffusionField
@@ -83,7 +70,7 @@ def finest_estimator_images(
     h = hier.h(last)
     if u_flat.shape != (n, n) or f_values.shape != (n, n):
         raise ValueError("images must live on the finest lattice")
-    kappa = diffusion.kappa[last]
+    kappa = diffusion.kappa
     area = h * h / 2.0
 
     def corners(img):
@@ -234,30 +221,3 @@ def estimate(
     j2 = [raw_j2[k] * tri_mask[k] for k in range(hier.levels)]
     eta2 = [r2[k] + j2[k] for k in range(hier.levels)]
     return EstimatorField(hier, r2, j2, eta2, tri_mask)
-
-
-def reliability_efficiency(
-    u: MultilevelField,
-    f_values: np.ndarray,
-    diffusion: DiffusionField,
-    masks: list[LevelMask],
-    reference_image: np.ndarray,
-    reference_diffusion: DiffusionField,
-) -> ReliabilityReport:
-    """Measured reliability/efficiency constants against an overkill solution.
-
-    The reference lives on the finest lattice of a (typically twice-refined)
-    reference hierarchy; the current solution is flattened and uniformly
-    interpolated onto it.  C_rel = error_A^2 / total eta^2 and
-    c_eff = max_T eta_T / error_A are diagnostics, not pass/fail gates.
-    """
-    est = estimate(u, f_values, diffusion, masks)
-    ref_hier = reference_diffusion.hierarchy
-    err = reference_error(u, reference_image)
-    last = ref_hier.levels - 1
-    err_a = weighted_h1_seminorm(err, reference_diffusion.tri_integrals[last], ref_hier.h(last))
-    total = est.total()
-    if err_a == 0.0 or total == 0.0:
-        return ReliabilityReport(math.nan, math.nan, True)
-    eta_max = math.sqrt(max(float(e.max()) for e in est.eta2))
-    return ReliabilityReport(err_a * err_a / total, eta_max / err_a, False)

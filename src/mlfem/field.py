@@ -24,12 +24,10 @@ __all__ = [
     "full_mask",
     "empty_mask",
     "uniform_masks",
-    "translate",
     "prolongate",
     "prolongate_uniform",
     "restrict_weighted",
     "restrict_uniform",
-    "evaluate_field",
     "flatten_to_finest",
     "zero_field",
 ]
@@ -41,8 +39,8 @@ def offset_views(image: np.ndarray, offsets) -> list[np.ndarray]:
     All views read one zero-padded copy of `image`, so entries whose source
     index leaves the lattice are zero.  Leading axes are carried along; the
     offsets act on the last two.  Every stencil of the direct route (stiffness
-    action, its transpose, load and Gershgorin sums, mask closure, channel
-    gathers) is built from such views.
+    action, its transpose, load and Gershgorin sums, mask closure, Upsilon
+    channels) is built from such views.
     """
     r = max((max(abs(d1), abs(d2)) for d1, d2 in offsets), default=0)
     n1, n2 = image.shape[-2], image.shape[-1]
@@ -147,17 +145,6 @@ def zero_field(hierarchy: GridHierarchy, masks: list[LevelMask]) -> MultilevelFi
     return MultilevelField(hierarchy, values, masks)
 
 
-def translate(image: np.ndarray, mask: LevelMask) -> np.ndarray:
-    """Masked translation stack: out[t, i] = image[i + p_t] * active[i].
-
-    Channel 0 (offset (0,0)) is the masked image itself.
-    """
-    if image.shape != mask.active.shape:
-        raise ValueError(f"image {image.shape} vs mask {mask.active.shape}")
-    act = mask.active.astype(image.dtype)
-    return np.stack(offset_views(image, hat_overlap_offsets())) * act
-
-
 def _interp(coarse: np.ndarray) -> np.ndarray:
     """Nodal interpolation from an n-grid onto the (2n-1)-grid, no masks."""
     n = coarse.shape[0]
@@ -215,41 +202,6 @@ def restrict_weighted(fine: np.ndarray, coarse_mask: LevelMask, fine_mask: Level
         raise ValueError("coarse mask is not one level above the fine image")
     w = fine * fine_mask.write()
     return _interp_t(w) * coarse_mask.write()
-
-
-def _eval_level(image: np.ndarray, h: float, pts: np.ndarray) -> np.ndarray:
-    """Piecewise-linear evaluation of one level's nodal image at points (m, 2)."""
-    n = image.shape[0]
-    cx = pts[:, 0] / h
-    cy = pts[:, 1] / h
-    i1 = np.clip(np.floor(cx).astype(int), 0, n - 2)
-    i2 = np.clip(np.floor(cy).astype(int), 0, n - 2)
-    fx = cx - i1
-    fy = cy - i2
-    a = image[i1, i2]
-    b = image[i1 + 1, i2 + 1]
-    c = image[i1, i2 + 1]
-    d = image[i1 + 1, i2]
-    upper = fx <= fy
-    out = np.where(
-        upper,
-        a + (b - c) * fx + (c - a) * fy,
-        a + (d - a) * fx + (b - d) * fy,
-    )
-    return out
-
-
-def evaluate_field(field: MultilevelField, points) -> np.ndarray:
-    """Evaluate the multilevel function at points inside the unit square."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != 2:
-        raise ValueError("points must be (m, 2)")
-    if np.any(pts < -1e-14) or np.any(pts > 1 + 1e-14):
-        raise ValueError("points must lie in the unit square")
-    total = np.zeros(pts.shape[0])
-    for k in range(field.levels):
-        total += _eval_level(field.values[k], field.hierarchy.h(k), pts)
-    return total
 
 
 def flatten_to_finest(field: MultilevelField) -> np.ndarray:

@@ -18,10 +18,7 @@ import numpy as np
 __all__ = [
     "GridHierarchy",
     "build_hierarchy",
-    "children_of_triangle",
     "hat_overlap_offsets",
-    "triangle_vertices",
-    "node_triangles",
     "NODE_TRIANGLES",
     "TRI_CHILD_OFFSETS",
     "TRI_FOOTPRINT_OFFSETS",
@@ -112,39 +109,6 @@ def build_hierarchy(coarse_nodes_per_side: int, levels: int) -> GridHierarchy:
     return GridHierarchy(levels=levels, nodes_per_side=tuple(ns), mesh_size=hs)
 
 
-def triangle_vertices(hierarchy: GridHierarchy, level: int, q: int, i: tuple[int, int]) -> np.ndarray:
-    """(3, 2) vertex coordinates of T^q at owner node i, in the
-    counterclockwise order of `TRI_VERTEX_OFFSETS`."""
-    i1, i2 = i
-    lim = hierarchy.owner_limit(level)
-    if not (0 <= i1 < lim and 0 <= i2 < lim):
-        raise IndexError(f"node {i} owns no triangles on level {level}")
-    if q not in TRI_VERTEX_OFFSETS:
-        raise IndexError(f"q must be 1 or 2 (got {q})")
-    idx = [(i1 + d1, i2 + d2) for d1, d2 in TRI_VERTEX_OFFSETS[q]]
-    return np.array(idx, dtype=float) * hierarchy.h(level)
-
-
-def children_of_triangle(
-    hierarchy: GridHierarchy, level: int, q: int, i: tuple[int, int]
-) -> list[tuple[int, tuple[int, int]]]:
-    """The 4 level-(level+1) triangles partitioning T^q at node i.
-
-    Returned as (q_child, fine owner node) on level+1.
-    """
-    if level >= hierarchy.levels - 1:
-        raise IndexError(f"level {level} has no finer level")
-    lim = hierarchy.owner_limit(level)
-    if not (0 <= i[0] < lim and 0 <= i[1] < lim):
-        raise IndexError(f"node {i} owns no triangles on level {level}")
-    if q not in (1, 2):
-        raise IndexError(f"q must be 1 or 2 (got {q})")
-    base = (2 * i[0], 2 * i[1])
-    return [
-        (qc, (base[0] + d[0], base[1] + d[1])) for qc, d in TRI_CHILD_OFFSETS[q]
-    ]
-
-
 def hat_overlap_offsets() -> list[tuple[int, int]]:
     """Index offsets of hat functions overlapping a given hat in positive measure.
 
@@ -154,18 +118,3 @@ def hat_overlap_offsets() -> list[tuple[int, int]]:
     so they are excluded.
     """
     return [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
-
-
-def node_triangles(hierarchy: GridHierarchy, level: int, i: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
-    """The 6 triangles surrounding node i, in the fixed channel order.
-
-    Entries are (q, owner node); triangles that would fall outside the lattice
-    (possible only for boundary nodes) are skipped.
-    """
-    lim = hierarchy.owner_limit(level)
-    out = []
-    for q, (d1, d2) in NODE_TRIANGLES:
-        o = (i[0] + d1, i[1] + d2)
-        if 0 <= o[0] < lim and 0 <= o[1] < lim:
-            out.append((q, o))
-    return out

@@ -7,6 +7,8 @@ parameters y drawn uniformly from [0, 1]^2, and constant load f = 1.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +19,46 @@ from .mesh import ConfigurationError, GridHierarchy, build_hierarchy
 from .solver import reference_solve
 
 
+def _finite(value) -> bool:
+    """A real number (not a bool) that is neither infinite nor NaN."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class CookieProblem:
+    """Coefficient base + sum_i y_i * chi_{D_i} on closed discs of one radius, constant load.
+
+    Construction rejects what the model cannot solve: `base` must be a finite
+    number > 0, `radius` a finite number >= 0, `load` finite, and every
+    centre a pair of finite numbers.  Numbers are stored as floats and the
+    centres as a tuple of pairs.
+    """
+
     base: float = 0.1
     centers: tuple[tuple[float, float], ...] = ((0.75, 0.25), (0.75, 0.75))
     radius: float = 0.15
     load: float = 1.0
+
+    def __post_init__(self):
+        base, radius, load = self.base, self.radius, self.load
+        if not (_finite(base) and base > 0.0):
+            raise ConfigurationError(f"problem.base must be a finite number > 0, got {base!r}")
+        if not (_finite(radius) and radius >= 0.0):
+            raise ConfigurationError(f"problem.radius must be a finite number >= 0, got {radius!r}")
+        if not _finite(load):
+            raise ConfigurationError(f"problem.load must be a finite number, got {load!r}")
+        try:
+            centers = tuple(tuple(c) for c in self.centers)
+        except TypeError:
+            centers = None
+        if centers is None or not all(len(c) == 2 and all(map(_finite, c)) for c in centers):
+            raise ConfigurationError(
+                "problem.centers must be a list of [x, y] pairs of finite numbers, "
+                f"got {self.centers!r}"
+            )
+        for name in ("base", "radius", "load"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "centers", tuple((float(x), float(y)) for x, y in centers))
 
 
 @dataclass(frozen=True)
@@ -73,19 +109,6 @@ def load_image(problem: CookieProblem, hierarchy: GridHierarchy) -> np.ndarray:
     """Nodal values of the (constant) load on the finest lattice."""
     n = hierarchy.n(hierarchy.levels - 1)
     return np.full((n, n), problem.load)
-
-
-def sample_parameters(rng: SampleRng, count: int) -> np.ndarray:
-    """(count, d) i.i.d. uniform parameters, one stream per sample.
-
-    d is the disc count of the default cookie problem.  Philox draws are
-    prefix-stable, so the first j columns do not depend on d.
-    """
-    dim = len(CookieProblem().centers)
-    out = np.empty((count, dim))
-    for i in range(count):
-        out[i] = rng.sample_generator(i).random(dim)
-    return out
 
 
 def overkill_reference(

@@ -5,14 +5,19 @@ without touching the package's stencil or image shortcuts: hat functions via
 their closed form, integrals via Dunavant / Gauss rules, stiffness matrices
 via an element loop, cross-level couplings via hat images on the finest
 lattice, and refinement footprints via convex polygon clipping.
+`children_of_triangle` and `node_triangles` read the package's geometry
+tables per triangle, so tests can check those tables against the geometry.
 
 Conventions match the package: nodes at (i1*h, i2*h) with axis 0 the x index,
 each grid square split by its lower-left-to-upper-right diagonal into an
 upper-left triangle (q=1) and a lower-right one (q=2), both owned by the
 square's lower-left node.
 
-The solver oracles at the end are the exception: they reuse the package's
-operators.  The reference sweeps (`ssc_sweep`, `lmg_sweep`) recompute the
+The reference measures and solver oracles at the end are the exception:
+they reuse the package's code.  `energy_seminorm` and
+`reliability_efficiency` measure errors against known or overkill
+solutions, and `sample_parameters` draws the default problem's parameter
+sets.  The reference sweeps (`ssc_sweep`, `lmg_sweep`) recompute the
 stacked action fresh on every level visit, to define the level-order
 iteration that the fused `solver.llmg_sweep` must reproduce.
 `power_lambda_max` estimates a level operator's largest eigenvalue, and
@@ -20,10 +25,16 @@ iteration that the fused `solver.llmg_sweep` must reproduce.
 iteration against a known solution.
 """
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-from mlfem.assembly import apply_A_level, apply_stacked, energy_seminorm
-from mlfem.mesh import ConfigurationError
+from mlfem.assembly import apply_A_level, apply_stacked
+from mlfem.estimator import estimate
+from mlfem.field import flatten_to_finest
+from mlfem.mesh import NODE_TRIANGLES, TRI_CHILD_OFFSETS, ConfigurationError
+from mlfem.problems import CookieProblem, reference_error
 from mlfem.solver import SolveReport, _stacked_residual_norm, llmg_sweep, stack_vector
 
 # vertex index offsets of the two triangles owned by node i
@@ -103,6 +114,11 @@ def pl_eval(image, h, pts):
     return np.where(eta >= xi, upper, lower)
 
 
+def multilevel_eval(u, pts):
+    """Value of a multilevel field at points (m, 2): pl_eval summed over the levels."""
+    return sum(pl_eval(v, u.hierarchy.h(k), pts) for k, v in enumerate(u.values))
+
+
 def pl_grad(image, h, pts):
     """Gradient of the interpolant at points (constant per triangle), shape (..., 2)."""
     n = image.shape[0]
@@ -122,6 +138,16 @@ def triangle_nodes(q, i):
 
 def triangle_verts(q, i, h):
     return np.array(triangle_nodes(q, i), dtype=float) * h
+
+
+def children_of_triangle(q, i):
+    """The 4 next-level triangles partitioning T^q at node i, as (q_child, fine owner node)."""
+    return [(qc, (2 * i[0] + d1, 2 * i[1] + d2)) for qc, (d1, d2) in TRI_CHILD_OFFSETS[q]]
+
+
+def node_triangles(i):
+    """The 6 triangles around interior node i, as (q, owner node) in channel order."""
+    return [(q, (i[0] + d1, i[1] + d2)) for q, (d1, d2) in NODE_TRIANGLES]
 
 
 def all_triangles(n):
@@ -330,6 +356,61 @@ def refine_support_oracle(marks, level_h, fine_n, fine_h):
                 if polygon_area(clip_polygon(hexa, tri)) > 1e-12:
                     lit[j1, j2] = 1
     return lit
+
+
+def weighted_h1_seminorm(image, tri_integrals, h):
+    """Energy seminorm sqrt(sum_T (int_T kappa) |grad|^2) for a nodal image."""
+    a, b, c, d = image[:-1, :-1], image[1:, 1:], image[:-1, 1:], image[1:, :-1]
+    g1 = (b - c) ** 2 + (c - a) ** 2
+    g2 = (d - a) ** 2 + (b - d) ** 2
+    s = float((tri_integrals[0] * g1 + tri_integrals[1] * g2).sum()) / (h * h)
+    return math.sqrt(max(s, 0.0))
+
+
+def energy_seminorm(u, diffusion):
+    """A-seminorm of a multilevel field, via its summed finest-level image."""
+    last = u.hierarchy.levels - 1
+    flat = flatten_to_finest(u)
+    return weighted_h1_seminorm(flat, diffusion.tri_integrals[last], u.hierarchy.h(last))
+
+
+class ReliabilityReport(NamedTuple):
+    c_rel: float
+    c_eff: float
+    degenerate: bool
+
+
+def reliability_efficiency(u, f_values, diffusion, masks, reference_image, reference_diffusion):
+    """Measured reliability/efficiency constants against an overkill solution.
+
+    The reference lives on the finest lattice of a (typically twice-refined)
+    reference hierarchy; the current solution is flattened and uniformly
+    interpolated onto it.  C_rel = error_A^2 / total eta^2 and
+    c_eff = max_T eta_T / error_A are diagnostics, not pass/fail gates.
+    """
+    est = estimate(u, f_values, diffusion, masks)
+    ref_hier = reference_diffusion.hierarchy
+    err = reference_error(u, reference_image)
+    last = ref_hier.levels - 1
+    err_a = weighted_h1_seminorm(err, reference_diffusion.tri_integrals[last], ref_hier.h(last))
+    total = est.total()
+    if err_a == 0.0 or total == 0.0:
+        return ReliabilityReport(math.nan, math.nan, True)
+    eta_max = math.sqrt(max(float(e.max()) for e in est.eta2))
+    return ReliabilityReport(err_a * err_a / total, eta_max / err_a, False)
+
+
+def sample_parameters(rng, count):
+    """(count, d) i.i.d. uniform parameters, one stream per sample.
+
+    d is the disc count of the default cookie problem.  Philox draws are
+    prefix-stable, so the first j columns do not depend on d.
+    """
+    dim = len(CookieProblem().centers)
+    out = np.empty((count, dim))
+    for i in range(count):
+        out[i] = rng.sample_generator(i).random(dim)
+    return out
 
 
 def ssc_sweep(u, f, diffusion, smoother, order):

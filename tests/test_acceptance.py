@@ -14,7 +14,10 @@ import numpy as np
 
 from oracles import (
     contraction_ratios,
+    energy_seminorm,
     power_lambda_max,
+    reliability_efficiency,
+    sample_parameters,
     solve_energy_history,
     triangle_estimator,
 )
@@ -27,7 +30,6 @@ from mlfem.assembly import (
     assemble_global,
     assemble_rhs,
     compute_upsilon,
-    energy_seminorm,
     h1_seminorm,
 )
 from mlfem.cli import main
@@ -45,7 +47,7 @@ from mlfem.convnet import (
     init_llmg_state,
     parameter_count,
 )
-from mlfem.estimator import aggregate_to_level, estimate, reliability_efficiency
+from mlfem.estimator import aggregate_to_level, estimate
 from mlfem.field import (
     MultilevelField,
     make_mask,
@@ -65,7 +67,6 @@ from mlfem.problems import (
     problem_rhs,
     reference_error,
     relative_errors,
-    sample_parameters,
 )
 from mlfem.solver import (
     SmootherConfig,

@@ -13,14 +13,14 @@ from mlfem.adapt import (
     mark_threshold,
     refine,
 )
-from mlfem.assembly import apply_stacked, compute_upsilon, weighted_h1_seminorm
+from mlfem.assembly import apply_stacked, compute_upsilon
 from mlfem.estimator import EstimatorField, estimate, leaf_triangle_masks
-from mlfem.field import MultilevelField, evaluate_field, flatten_to_finest, uniform_masks
+from mlfem.field import MultilevelField, flatten_to_finest, uniform_masks
 from mlfem.mesh import ConfigurationError, build_hierarchy
 from mlfem.problems import CookieProblem, discretize_kappa, problem_rhs
 from mlfem.solver import reference_solve, stack_vector
 
-from oracles import refine_support_oracle
+from oracles import multilevel_eval, refine_support_oracle, weighted_h1_seminorm
 
 
 def random_refined_masks(hier, rng, frac=0.35):
@@ -186,8 +186,8 @@ def test_refined_space_preserves_function():
     grown = refine(masks, marks, hier)
     u2 = MultilevelField(hier, vals, grown)
     pts = rng.uniform(0.0, 1.0, size=(500, 2))
-    va = evaluate_field(u, pts)
-    vb = evaluate_field(u2, pts)
+    va = multilevel_eval(u, pts)
+    vb = multilevel_eval(u2, pts)
     assert np.allclose(va, vb, rtol=1e-12, atol=1e-12)
 
 

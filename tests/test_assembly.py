@@ -13,14 +13,11 @@ from mlfem.assembly import (
     compute_ubar,
     compute_upsilon,
     compute_utilde,
-    energy_seminorm,
     h1_seminorm,
     l2_norm,
-    weighted_h1_seminorm,
 )
 from mlfem.field import (
     MultilevelField,
-    evaluate_field,
     flatten_to_finest,
     full_mask,
     make_mask,
@@ -31,21 +28,24 @@ from mlfem.mesh import (
     NODE_TRIANGLES,
     ConfigurationError,
     build_hierarchy,
-    children_of_triangle,
     hat_overlap_offsets,
 )
 from mlfem.solver import reference_solve, stack_vector
 
 from oracles import (
     all_triangles,
+    children_of_triangle,
     cross_level_matrix,
     dunavant4,
+    energy_seminorm,
     fine_stiffness_dense,
     hat_image,
     hat_value,
+    multilevel_eval,
     pl_eval,
     point_in_triangle,
     triangle_verts,
+    weighted_h1_seminorm,
 )
 
 
@@ -147,11 +147,12 @@ def test_upsilon_child_integrals_sum_to_parent():
     rng = np.random.default_rng(7)
     kap = rng.uniform(0.5, 2.0, size=(9, 9))
     diff = compute_upsilon(hier, kap)
+    assert np.array_equal(diff.kappa, kap)  # only the finest image is kept
     for k in range(2):
         for q in (1, 2):
             for i1 in range(hier.n(k) - 1):
                 for i2 in range(hier.n(k) - 1):
-                    kids = children_of_triangle(hier, k, q, (i1, i2))
+                    kids = children_of_triangle(q, (i1, i2))
                     want = sum(diff.tri_integrals[k + 1][qc - 1, j1, j2] for qc, (j1, j2) in kids)
                     assert diff.tri_integrals[k][q - 1, i1, i2] == pytest.approx(want, rel=1e-14)
 
@@ -267,7 +268,7 @@ def test_utilde_matches_pointwise_evaluation():
         n = hier.n(k)
         g = np.arange(n) * hier.h(k)
         pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-        want = evaluate_field(below, pts).reshape(n, n)
+        want = multilevel_eval(below, pts).reshape(n, n)
         assert np.allclose(tld[k], want, rtol=1e-13, atol=1e-13)
 
 

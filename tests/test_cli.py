@@ -92,6 +92,9 @@ def test_value_validation():
         {"hierarchy": {"levels": 2.5}},
         {"sampling": {"seed": True}},
         {"solver": {"tol": "tight"}},
+        {"solver": {"tol": "1e-8"}},
+        {"afem": {"theta": True}},
+        {"problem": {"base": "0.5"}},
         {"hierarchy": {"coarse_nodes_per_side": 2}},
         {"hierarchy": {"levels": 0}},
         {"solver": {"tol": 0.0}},
@@ -134,6 +137,23 @@ def test_three_disc_config_draws_three_parameters(tmp_path):
     h = hier.h(1)
     for (cx, cy), weight in zip(centers, y):
         assert kappa[round(cx / h), round(cy / h)] == pytest.approx(0.1 + weight)
+
+
+def test_config_hash_is_pinned():
+    # manifests carry this hash, so it must not move while the schema stays
+    assert config_hash(RunConfig()) == (
+        "f1ff9bc33918d06bdbe1d42197bf19dd7dd3e29d773c18fffbed03ee4fc807e4"
+    )
+    custom = parse_config(
+        {
+            "problem": {"base": 0.2, "radius": 0.1, "centers": [[0.3, 0.3]], "load": 2.0},
+            "afem": {"marking": "threshold", "theta": 0.5},
+            "solver": {"tol": 1e-8},
+        }
+    )
+    assert config_hash(custom) == (
+        "72981150e6fdaa48887ded3ca21b47337081515b5586d8c72d6cb57882d12f8e"
+    )
 
 
 def test_config_hash_ignores_output_only():

@@ -1,10 +1,8 @@
 import numpy as np
-import pytest
 
 from mlfem.field import (
     MultilevelField,
     empty_mask,
-    evaluate_field,
     flatten_to_finest,
     full_mask,
     make_mask,
@@ -13,13 +11,12 @@ from mlfem.field import (
     prolongate_uniform,
     restrict_uniform,
     restrict_weighted,
-    translate,
     uniform_masks,
     zero_field,
 )
 from mlfem.mesh import build_hierarchy, hat_overlap_offsets
 
-from oracles import hat_value, pl_eval
+from oracles import hat_value, multilevel_eval, pl_eval
 
 
 def random_mask(hier, level, rng, density=0.6):
@@ -27,6 +24,11 @@ def random_mask(hier, level, rng, density=0.6):
     act = np.zeros((n, n), dtype=np.uint8)
     act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < density
     return make_mask(act)
+
+
+def translate(image, mask):
+    """Masked translation stack: out[t, i] = image[i + p_t] * active[i]."""
+    return np.stack(offset_views(image, hat_overlap_offsets())) * mask.active
 
 
 def random_field(hier, masks, rng):
@@ -177,20 +179,13 @@ def test_evaluate_field_zero_and_delta():
     masks = [full_mask(hier, 0)]
     u = zero_field(hier, masks)
     pts = np.array([[0.3, 0.7], [0.5, 0.5]])
-    assert np.allclose(evaluate_field(u, pts), 0.0)
+    assert np.allclose(multilevel_eval(u, pts), 0.0)
     u.values[0][2, 2] = 1.0
     coords = hier.node_coords(0).reshape(-1, 2)
-    vals = evaluate_field(u, coords).reshape(5, 5)
+    vals = multilevel_eval(u, coords).reshape(5, 5)
     want = np.zeros((5, 5))
     want[2, 2] = 1.0
     assert np.allclose(vals, want)
-
-
-def test_evaluate_field_rejects_outside_points():
-    hier = build_hierarchy(5, 1)
-    u = zero_field(hier, [full_mask(hier, 0)])
-    with pytest.raises(ValueError):
-        evaluate_field(u, np.array([[1.5, 0.5]]))
 
 
 def test_two_level_field_equals_flattened_single_level():
@@ -205,7 +200,7 @@ def test_two_level_field_equals_flattened_single_level():
         [empty_mask(hier, 0), full_mask(hier, 1)],
     )
     pts = rng.random((1000, 2))
-    assert np.allclose(evaluate_field(u, pts), evaluate_field(single, pts), atol=1e-12)
+    assert np.allclose(multilevel_eval(u, pts), multilevel_eval(single, pts), atol=1e-12)
 
 
 def test_flatten_single_level_is_identity():
@@ -222,7 +217,7 @@ def test_flatten_matches_pointwise_evaluation():
     u = random_field(hier, masks, rng)
     flat = flatten_to_finest(u)
     coords = hier.node_coords(2).reshape(-1, 2)
-    assert np.allclose(evaluate_field(u, coords), flat.ravel(), atol=1e-12)
+    assert np.allclose(multilevel_eval(u, coords), flat.ravel(), atol=1e-12)
 
 
 def test_prolongate_uniform_round_trip_shapes():

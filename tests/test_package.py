@@ -1,0 +1,41 @@
+"""The names the benchmark binds and the names each module exports must exist."""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import mlfem
+
+MODULES = ["mlfem"] + [f"mlfem.{m.name}" for m in pkgutil.iter_modules(mlfem.__path__)]
+
+
+def load_benchmark_layers():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
+    spec = importlib.util.spec_from_file_location("benchmark_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_binds_every_target():
+    layers = load_benchmark_layers()
+    tracer = layers.Tracer()
+    tracer.install()
+    tracer.remove()
+    for key, owner, attr, scope, _ in layers.TARGETS:
+        func = getattr(owner, attr)
+        # a module target the benchmark cannot find anywhere would read 0
+        if not isinstance(owner, type):
+            assert layers.bindings(func, scope), f"{key}: no binding of {attr}"
+        # remove() put the originals back, not the tracer's wrappers
+        assert func.__name__ == attr, key
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_exist(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"

@@ -1,5 +1,7 @@
 """Cookie coefficient fields and parameter sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from mlfem.problems import (
     kappa_at,
     load_image,
     overkill_reference,
-    sample_parameters,
 )
+
+from oracles import sample_parameters
 
 
 def test_zero_parameters_give_background():
@@ -114,3 +117,33 @@ def test_samples_cover_unit_square_uniformly():
     assert ys.min() >= 0.0 and ys.max() <= 1.0
     assert abs(ys[:, 0].mean() - 0.5) <= 0.02
     assert abs(ys[:, 1].mean() - 0.5) <= 0.02
+
+
+def test_problem_rejects_what_the_model_cannot_solve():
+    # base -0.5 used to run afem to eta2 = 6.4e16, radius -1 dropped both
+    # discs, and a NaN base failed only after the sweeps diverged
+    for bad in (
+        {"base": -0.5},
+        {"base": 0.0},
+        {"base": math.nan},
+        {"base": math.inf},
+        {"base": "0.1"},
+        {"base": True},
+        {"radius": -1.0},
+        {"radius": math.nan},
+        {"load": math.inf},
+        {"load": math.nan},
+        {"centers": ((0.75, 0.25, 9.0), (0.75, 0.75))},
+        {"centers": ((0.5,),)},
+        {"centers": ((math.nan, 0.5),)},
+        {"centers": (("0.5", 0.5),)},
+        {"centers": ("12",)},
+        {"centers": 5},
+    ):
+        with pytest.raises(ConfigurationError):
+            CookieProblem(**bad)
+    # valid input is stored as floats and a tuple of pairs
+    problem = CookieProblem(base=1, centers=[[0, 1]], radius=0, load=-2)
+    assert problem == CookieProblem(base=1.0, centers=((0.0, 1.0),), radius=0.0, load=-2.0)
+    assert type(problem.base) is float and type(problem.centers[0][0]) is float
+    assert CookieProblem(centers=()).centers == ()

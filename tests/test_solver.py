@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mlfem.adapt import empty_marks, initial_masks, refine
-from mlfem.assembly import apply_A_level, assemble_rhs, compute_upsilon, energy_seminorm
+from mlfem.assembly import apply_A_level, assemble_rhs, compute_upsilon
 from mlfem.estimator import leaf_triangle_masks
 from mlfem.field import MultilevelField, full_mask, make_mask, uniform_masks, zero_field
 from mlfem.mesh import ConfigurationError, build_hierarchy
@@ -22,6 +22,7 @@ from mlfem.solver import (
 
 from oracles import (
     contraction_ratios,
+    energy_seminorm,
     lmg_sweep,
     power_lambda_max,
     solve_energy_history,
