@@ -52,11 +52,14 @@ class AfemReport:
     marked: list[int] = field(default_factory=list)
     sweeps: list[int] = field(default_factory=list)
     solver_statuses: list[str] = field(default_factory=list)
-    converged: bool = True
 
     @property
     def iterations(self) -> int:
         return len(self.dofs)
+
+    @property
+    def converged(self) -> bool:
+        return all(s == "converged" for s in self.solver_statuses)
 
 
 def mark_threshold(est: EstimatorField, thresholds) -> MarkSet:
@@ -128,7 +131,7 @@ def refine(masks: list[LevelMask], marks: MarkSet, hierarchy: GridHierarchy) -> 
         level_marks = marks.marks[k]
         if not level_marks.any():
             continue
-        m = hierarchy.owner_limit(k)
+        m = hierarchy.n(k) - 1  # nodes with both indices < m own a T1/T2 pair
         nf = hierarchy.n(k + 1)
         add = np.zeros((nf, nf), dtype=np.uint8)
         for q in (1, 2):
@@ -217,8 +220,6 @@ def afem(
         report.marked.append(marks.count())
         report.sweeps.append(solve_report.iterations)
         report.solver_statuses.append(solve_report.status)
-        if not solve_report.converged:
-            report.converged = False
         if observer is not None:
             observer(it, u, est, marks)
 

@@ -4,9 +4,12 @@ The stiffness action on one uniform level never forms a matrix.  Each lattice
 node carries the integrals of the diffusion coefficient over its six incident
 triangles (`compute_upsilon`); pairing those channels with constant
 reference-element gradient couplings gives the seven-point stencil row by
-row.  The stacked (all-levels) operator is realized through the carried-down
-and carried-up content recursions `compute_utilde` / `compute_ubar`, with
-`assemble_global` as the brute-force sparse counterpart used for
+row.  The stacked (all-levels) operator is defined once, by three level
+steps: `carry_down` and `carry_up` pass the carried-down and carried-up
+contents one level on, and `level_section` is one level's row
+A_k(u_k + utilde_k) + ubar_k.  `compute_utilde`, `compute_ubar` and
+`apply_stacked` loop over them, and so does `solver.llmg_sweep`;
+`assemble_global` is the brute-force sparse counterpart used for
 verification.
 """
 
@@ -41,6 +44,9 @@ __all__ = [
     "compute_upsilon",
     "apply_A_level",
     "apply_A_level_transpose",
+    "carry_down",
+    "carry_up",
+    "level_section",
     "compute_utilde",
     "compute_ubar",
     "apply_stacked",
@@ -188,52 +194,71 @@ def apply_A_level_transpose(image: np.ndarray, upsilon: np.ndarray, h: float) ->
     return zero_frame(out * (2.0 / (h * h)))
 
 
+def carry_down(tld_k: np.ndarray, values_k: np.ndarray) -> np.ndarray:
+    """utilde_{k+1} = interp(utilde_k + u_k): level k's carried and own content, one level finer."""
+    return prolongate_uniform(tld_k + values_k)
+
+
+def carry_up(
+    bar_k: np.ndarray, values_k: np.ndarray, diffusion: DiffusionField, k: int
+) -> np.ndarray:
+    """ubar_{k-1} = restrict(ubar_k + A_k^T u_k), boundary rows forced to zero."""
+    h = diffusion.hierarchy.h(k)
+    lifted = bar_k + apply_A_level_transpose(values_k, diffusion.upsilon[k], h)
+    return zero_frame(restrict_uniform(lifted))
+
+
+def level_section(
+    values_k: np.ndarray,
+    tld_k: np.ndarray,
+    bar_k: np.ndarray,
+    diffusion: DiffusionField,
+    k: int,
+) -> np.ndarray:
+    """Level-k row of the stacked operator, A_k(u_k + utilde_k) + ubar_k, unmasked."""
+    h = diffusion.hierarchy.h(k)
+    return apply_A_level(values_k + tld_k, diffusion.upsilon[k], h) + bar_k
+
+
 def compute_utilde(u: MultilevelField) -> list[np.ndarray]:
     """Carried-down content: nodal values at level k of all coarser components.
 
-    utilde[0] = 0 and utilde[k+1] = interp(utilde[k] + active values of level
-    k), on the full lattice.  Exact for any masks because every coarser hat is
-    reproduced by nodal interpolation onto finer lattices.
+    utilde[0] = 0, then `carry_down` of the active values on the full
+    lattice.  Exact for any masks because every coarser hat is reproduced by
+    nodal interpolation onto finer lattices.
     """
     tld = [np.zeros_like(u.values[0])]
     for k in range(u.levels - 1):
-        carried = tld[k] + u.values[k] * u.masks[k].active
-        tld.append(prolongate_uniform(carried))
+        tld.append(carry_down(tld[k], u.values[k] * u.masks[k].active))
     return tld
 
 
 def compute_ubar(u: MultilevelField, diffusion: DiffusionField) -> list[np.ndarray]:
     """Carried-up content: restriction of the transposed actions of all finer levels.
 
-    ubar[L] = 0 and ubar[k] = restrict(ubar[k+1] + A_{k+1}^T u_{k+1}), on the
-    full lattice with boundary rows forced to zero.
+    ubar[L] = 0, then `carry_up` of the active values down to level 0.
     """
     last = u.levels - 1
     bar: list[np.ndarray] = [np.empty(0)] * u.levels
     bar[last] = np.zeros_like(u.values[last])
-    for k in range(last - 1, -1, -1):
-        ak = u.values[k + 1] * u.masks[k + 1].active
-        lifted = bar[k + 1] + apply_A_level_transpose(
-            ak, diffusion.upsilon[k + 1], u.hierarchy.h(k + 1)
-        )
-        bar[k] = zero_frame(restrict_uniform(lifted))
+    for k in range(last, 0, -1):
+        bar[k - 1] = carry_up(bar[k], u.values[k] * u.masks[k].active, diffusion, k)
     return bar
 
 
 def apply_stacked(u: MultilevelField, diffusion: DiffusionField) -> list[np.ndarray]:
     """Row blocks of the stacked stiffness applied to a multilevel field.
 
-    Level k of the result is A_k(u_k + utilde_k) + ubar_k, masked to the
-    active rows: the same values the global sparse matrix produces at level-k
-    degrees of freedom.
+    Level k of the result is `level_section` of the active values, masked to
+    the active rows: the same values the global sparse matrix produces at
+    level-k degrees of freedom.
     """
     tld = compute_utilde(u)
     bar = compute_ubar(u, diffusion)
     out = []
     for k in range(u.levels):
-        ak = u.values[k] * u.masks[k].active
-        img = apply_A_level(ak + tld[k], diffusion.upsilon[k], u.hierarchy.h(k))
-        out.append((img + bar[k]) * u.masks[k].active)
+        act = u.masks[k].active
+        out.append(level_section(u.values[k] * act, tld[k], bar[k], diffusion, k) * act)
     return out
 
 

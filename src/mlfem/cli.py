@@ -586,8 +586,9 @@ def verify_rows(cfg: RunConfig) -> list[tuple[str, float]]:
     ]
 
 
-def cmd_verify(cfg: RunConfig, tolerance: float = 1e-10) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     """Print the conv-vs-oracle table; nonzero exit iff any row fails."""
+    tolerance = 1e-10
     rows = verify_rows(cfg)
     width = max(len(name) for name, _ in rows)
     print(f"{'suite':<{width}}  {'max deviation':>14}  {'tolerance':>10}  status")

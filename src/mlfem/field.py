@@ -145,8 +145,8 @@ def zero_field(hierarchy: GridHierarchy, masks: list[LevelMask]) -> MultilevelFi
     return MultilevelField(hierarchy, values, masks)
 
 
-def _interp(coarse: np.ndarray) -> np.ndarray:
-    """Nodal interpolation from an n-grid onto the (2n-1)-grid, no masks."""
+def prolongate_uniform(coarse: np.ndarray) -> np.ndarray:
+    """Uniform (unmasked) prolongation: nodal interpolation onto the (2n-1)-grid."""
     n = coarse.shape[0]
     nf = 2 * n - 1
     fine = np.zeros((nf, nf), dtype=coarse.dtype)
@@ -157,8 +157,8 @@ def _interp(coarse: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _interp_t(fine: np.ndarray) -> np.ndarray:
-    """Exact transpose of _interp."""
+def restrict_uniform(fine: np.ndarray) -> np.ndarray:
+    """Exact transpose of prolongate_uniform."""
     c = fine[0::2, 0::2].copy()
     mid_x = fine[1::2, 0::2]
     c[:-1, :] += 0.5 * mid_x
@@ -172,16 +172,6 @@ def _interp_t(fine: np.ndarray) -> np.ndarray:
     return c
 
 
-def prolongate_uniform(coarse: np.ndarray) -> np.ndarray:
-    """Uniform (unmasked) prolongation: nodal interpolation onto the next level."""
-    return _interp(coarse)
-
-
-def restrict_uniform(fine: np.ndarray) -> np.ndarray:
-    """Transpose of prolongate_uniform."""
-    return _interp_t(fine)
-
-
 def prolongate(coarse: np.ndarray, coarse_mask: LevelMask, fine_mask: LevelMask) -> np.ndarray:
     """Masked prolongation P_k: interpolate, then keep only the fine closure.
 
@@ -193,7 +183,7 @@ def prolongate(coarse: np.ndarray, coarse_mask: LevelMask, fine_mask: LevelMask)
     if 2 * coarse.shape[0] - 1 != fine_mask.n:
         raise ValueError("fine mask is not one level below the coarse image")
     v = coarse * coarse_mask.write()
-    return _interp(v) * fine_mask.write()
+    return prolongate_uniform(v) * fine_mask.write()
 
 
 def restrict_weighted(fine: np.ndarray, coarse_mask: LevelMask, fine_mask: LevelMask) -> np.ndarray:
@@ -201,7 +191,7 @@ def restrict_weighted(fine: np.ndarray, coarse_mask: LevelMask, fine_mask: Level
     if 2 * coarse_mask.n - 1 != fine.shape[0]:
         raise ValueError("coarse mask is not one level above the fine image")
     w = fine * fine_mask.write()
-    return _interp_t(w) * coarse_mask.write()
+    return restrict_uniform(w) * coarse_mask.write()
 
 
 def flatten_to_finest(field: MultilevelField) -> np.ndarray:
@@ -213,5 +203,5 @@ def flatten_to_finest(field: MultilevelField) -> np.ndarray:
     """
     acc = field.values[0].copy()
     for k in range(1, field.levels):
-        acc = _interp(acc) + field.values[k]
+        acc = prolongate_uniform(acc) + field.values[k]
     return acc

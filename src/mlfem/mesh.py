@@ -88,10 +88,6 @@ class GridHierarchy:
         m[1 : n - 1, 1 : n - 1] = 1
         return m
 
-    def owner_limit(self, level: int) -> int:
-        """Nodes with both indices < owner_limit own a T1/T2 pair."""
-        return self.n(level) - 1
-
 
 def build_hierarchy(coarse_nodes_per_side: int, levels: int) -> GridHierarchy:
     """Construct `levels` nested grids starting from an n0 x n0 lattice."""

@@ -115,15 +115,14 @@ def overkill_reference(
     problem: CookieProblem,
     y,
     hierarchy: GridHierarchy,
-    extra_refinements: int = 2,
 ) -> tuple[np.ndarray, GridHierarchy]:
-    """Galerkin solve on the uniformly refined finest lattice (error oracle).
+    """Galerkin solve on the finest lattice refined uniformly twice (error oracle).
 
     The coefficient is re-discretized on the refined lattice, so the
     reference carries its own (smaller) data error.  Returns the solution
     image and the single-level hierarchy it lives on.
     """
-    n_ref = ((hierarchy.n(hierarchy.levels - 1) - 1) << extra_refinements) + 1
+    n_ref = 4 * (hierarchy.n(hierarchy.levels - 1) - 1) + 1
     ref_hier = build_hierarchy(n_ref, 1)
     kappa_ref = discretize_kappa(problem, y, ref_hier)
     diffusion_ref = compute_upsilon(ref_hier, kappa_ref)

@@ -2,12 +2,12 @@
 
 One sweep visits the levels fine-to-coarse and back, applying damped
 Richardson smoothing on each level's active set.  The cross-level coupling is
-never assembled: the carried-down content (coarser components interpolated
-up) and carried-up content (finer residual actions restricted down) are
-maintained incrementally along the sweep with the full-lattice transfers that
-`apply_stacked` uses.  By linearity of the transfers this is the
-successive-subspace-correction iteration for that stacked operator, on any
-masks.
+never assembled: the sweep keeps the carried-down content (coarser
+components interpolated up) and the carried-up content (finer residual
+actions restricted down) up to date with the level steps that define
+`apply_stacked`: `assembly.carry_down`, `carry_up` and `level_section`.
+It is therefore the successive-subspace-correction iteration for that
+stacked operator, on any masks.
 """
 
 from __future__ import annotations
@@ -21,20 +21,14 @@ from .assembly import (
     DiffusionField,
     RhsField,
     STENCIL_COUPLINGS,
-    apply_A_level,
-    apply_A_level_transpose,
     apply_stacked,
     assemble_global,
+    carry_down,
+    carry_up,
+    compute_utilde,
+    level_section,
 )
-from .field import (
-    LevelMask,
-    MultilevelField,
-    offset_views,
-    prolongate_uniform,
-    restrict_uniform,
-    zero_field,
-    zero_frame,
-)
+from .field import LevelMask, MultilevelField, offset_views, zero_field
 from .mesh import ConfigurationError, hat_overlap_offsets
 
 __all__ = [
@@ -44,7 +38,6 @@ __all__ = [
     "llmg_sweep",
     "llmg_solve",
     "reference_solve",
-    "active_indices",
     "stack_vector",
 ]
 
@@ -64,21 +57,18 @@ class SolveReport:
     """
 
     iterations: int
-    converged: bool
     status: str
     residual_history: list[float] = dc_field(default_factory=list)
 
-
-def active_indices(masks: list[LevelMask]) -> list[np.ndarray]:
-    """Flat lattice indices of the active nodes, per level (row-major)."""
-    return [np.flatnonzero(m.active.ravel()) for m in masks]
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def stack_vector(images: list[np.ndarray], masks: list[LevelMask]) -> np.ndarray:
-    """Gather per-level images into the stacked active-DOF vector."""
-    idx = active_indices(masks)
+    """Gather per-level images into the stacked active-DOF vector (row-major per level)."""
     return np.concatenate(
-        [images[k].ravel()[idx[k]] for k in range(len(masks))]
+        [images[k].ravel()[np.flatnonzero(m.active.ravel())] for k, m in enumerate(masks)]
     ) if masks else np.empty(0)
 
 
@@ -116,10 +106,8 @@ def _smooth_level(
     utld_k: np.ndarray,
     ubar_k: np.ndarray,
 ) -> None:
-    h = u.hierarchy.h(k)
-    act = u.masks[k].active
-    section = apply_A_level(u.values[k] + utld_k, diffusion.upsilon[k], h) + ubar_k
-    u.values[k] += omega * (f.images[k] - section) * act
+    section = level_section(u.values[k], utld_k, ubar_k, diffusion, k)
+    u.values[k] += omega * (f.images[k] - section) * u.masks[k].active
 
 
 def llmg_sweep(
@@ -137,29 +125,23 @@ def llmg_sweep(
     for `apply_stacked`, on any masks.  The coarsest and finest levels are
     each smoothed twice per sweep (once per half-sweep).
     """
-    hier = u.hierarchy
-    nlev = hier.levels
+    nlev = u.levels
     if len(smoother.omegas) != nlev:
         raise ConfigurationError("smoother has wrong number of levels")
 
-    utld: list[np.ndarray] = [np.zeros_like(u.values[0])]
-    for k in range(nlev - 1):
-        utld.append(prolongate_uniform(utld[k] + u.values[k]))
+    utld = compute_utilde(u)
     ubar: list[np.ndarray] = [np.empty(0)] * nlev
     ubar[nlev - 1] = np.zeros_like(u.values[nlev - 1])
 
     for k in range(nlev - 1, -1, -1):
         _smooth_level(u, f, diffusion, k, smoother.omegas[k], utld[k], ubar[k])
         if k > 0:
-            lifted = ubar[k] + apply_A_level_transpose(
-                u.values[k], diffusion.upsilon[k], hier.h(k)
-            )
-            ubar[k - 1] = zero_frame(restrict_uniform(lifted))
+            ubar[k - 1] = carry_up(ubar[k], u.values[k], diffusion, k)
 
     for k in range(nlev):
         _smooth_level(u, f, diffusion, k, smoother.omegas[k], utld[k], ubar[k])
         if k < nlev - 1:
-            utld[k + 1] = prolongate_uniform(utld[k] + u.values[k])
+            utld[k + 1] = carry_down(utld[k], u.values[k])
 
     for k in range(nlev):
         if not np.all(np.isfinite(u.values[k])):
@@ -195,14 +177,13 @@ def llmg_solve(
     fnorm = float(np.linalg.norm(stack_vector(f.images, u.masks))) if u.masks else 0.0
     threshold = tol * fnorm if fnorm > 0.0 else tol
 
-    report = SolveReport(iterations=0, converged=False, status="max_sweeps")
+    report = SolveReport(iterations=0, status="max_sweeps")
     report.residual_history.append(_stacked_residual_norm(u, f, diffusion))
     for sweep in range(1, max_sweeps + 1):
         llmg_sweep(u, f, diffusion, smoother)
         report.iterations = sweep
         report.residual_history.append(_stacked_residual_norm(u, f, diffusion))
         if report.residual_history[-1] <= threshold:
-            report.converged = True
             report.status = "converged"
             break
     return u, report
@@ -220,7 +201,7 @@ def reference_solve(
     """
     hier = diffusion.hierarchy
     matrix, idx = assemble_global(hier, masks, diffusion)
-    b = np.concatenate([f.images[k].ravel()[idx[k]] for k in range(hier.levels)])
+    b = stack_vector(f.images, masks)
     u = zero_field(hier, masks)
     if b.size == 0:
         return u

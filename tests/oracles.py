@@ -474,7 +474,7 @@ def solve_energy_history(u0, f, diffusion, smoother, exact, tol=1e-10, max_sweep
             delta.values[k] = u.values[k] - exact.values[k]
         return energy_seminorm(delta, diffusion)
 
-    report = SolveReport(iterations=0, converged=False, status="max_sweeps")
+    report = SolveReport(iterations=0, status="max_sweeps")
     report.residual_history.append(_stacked_residual_norm(u, f, diffusion))
     energies = [energy_error()]
     for sweep in range(1, max_sweeps + 1):
@@ -483,7 +483,6 @@ def solve_energy_history(u0, f, diffusion, smoother, exact, tol=1e-10, max_sweep
         report.residual_history.append(_stacked_residual_norm(u, f, diffusion))
         energies.append(energy_error())
         if report.residual_history[-1] <= threshold:
-            report.converged = True
             report.status = "converged"
             break
     return u, report, energies

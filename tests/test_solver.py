@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mlfem import assembly, field
 from mlfem.adapt import empty_marks, initial_masks, refine
 from mlfem.assembly import apply_A_level, assemble_rhs, compute_upsilon
 from mlfem.estimator import leaf_triangle_masks
@@ -19,6 +20,8 @@ from mlfem.solver import (
     reference_solve,
     stack_vector,
 )
+
+from test_package import load_benchmark_layers
 
 from oracles import (
     contraction_ratios,
@@ -41,8 +44,8 @@ def random_field(hier, masks, rng):
 def random_refined_masks(hier, rng, frac=0.35):
     """Admissible hierarchy: grow active sets by marking random leaf triangles.
 
-    These are the masks the adaptive loop produces; independent per-level
-    masks are covered by `test_solve_converges_on_random_sparse_masks`.
+    These are the masks the adaptive loop produces; `random_sparse_masks`
+    draws independent per-level ones.
     """
     masks = initial_masks(hier)
     for _ in range(hier.levels - 1):
@@ -59,6 +62,21 @@ def random_refined_masks(hier, rng, frac=0.35):
                     ms.marks[k][q, a, b] = 1
                     break
         masks = refine(masks, ms, hier)
+    return masks
+
+
+def random_sparse_masks(hier, rng, density=0.3):
+    """Full coarsest level, independent random active sets below it.
+
+    Fine closures then reach past the coarse closures, which the sweep's
+    full-lattice transfers must carry.
+    """
+    masks = [full_mask(hier, 0)]
+    for k in range(1, hier.levels):
+        n = hier.n(k)
+        act = np.zeros((n, n), dtype=np.uint8)
+        act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < density
+        masks.append(make_mask(act))
     return masks
 
 
@@ -184,13 +202,14 @@ def test_zero_load_stays_zero():
 
 def test_llmg_sweep_equals_lmg_sweep():
     # the fused carried-term sweep is successive subspace correction in the
-    # down-then-up level order
+    # down-then-up level order, on the adaptive loop's masks and on
+    # independent sparse ones
     hier = build_hierarchy(3, 3)
     rng = np.random.default_rng(23)
-    for _ in range(5):
+    for draw in [random_refined_masks] * 5 + [random_sparse_masks] * 10:
         diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(9, 9)))
         rhs = assemble_rhs(hier, rng.normal(size=(9, 9)))
-        masks = random_refined_masks(hier, rng)
+        masks = draw(hier, rng)
         sm = choose_omega(diff, masks)
         ua = random_field(hier, masks, rng)
         ub = ua.copy()
@@ -199,6 +218,45 @@ def test_llmg_sweep_equals_lmg_sweep():
             lmg_sweep(ub, rhs, diff, sm)
         for k in range(3):
             assert np.allclose(ua.values[k], ub.values[k], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("levels", [2, 3, 4])
+def test_sweep_applies_exactly_the_counted_kernels(levels):
+    """One direct sweep: each level is smoothed twice, the carried-up content
+    takes one transposed action and one restriction per level below the
+    finest, and the carried-down chain is built once and updated once."""
+    hier = build_hierarchy(3, levels)
+    nf = hier.n(levels - 1)
+    rng = np.random.default_rng(67)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    masks = uniform_masks(hier)
+    sm = choose_omega(diff, masks)
+    u = random_field(hier, masks, rng)
+
+    # the benchmark's tracer, counting every mlfem binding of each kernel
+    kernels = (
+        (assembly, "apply_A_level"),
+        (assembly, "apply_A_level_transpose"),
+        (field, "prolongate_uniform"),
+        (field, "restrict_uniform"),
+        (assembly, "apply_stacked"),
+    )
+    tracer = load_benchmark_layers().Tracer(
+        [(name, owner, name, None, False) for owner, name in kernels]
+    )
+    tracer.install()
+    try:
+        llmg_sweep(u, rhs, diff, sm)
+    finally:
+        tracer.remove()
+    assert tracer.calls == {
+        "apply_A_level": 2 * levels,
+        "apply_A_level_transpose": levels - 1,
+        "prolongate_uniform": 2 * (levels - 1),
+        "restrict_uniform": levels - 1,
+        "apply_stacked": 0,
+    }
 
 
 def test_sweep_input_validation():
@@ -244,8 +302,6 @@ def test_solve_matches_direct_three_levels():
 
 
 def test_solve_converges_on_random_sparse_masks():
-    # independent per-level masks: fine closures reach past the coarse
-    # closures, which the sweep's full-lattice transfers must carry
     problem = CookieProblem()
     hier = build_hierarchy(5, 3)
     diff = compute_upsilon(hier, discretize_kappa(problem, (0.5, 0.5), hier))
@@ -253,12 +309,7 @@ def test_solve_converges_on_random_sparse_masks():
     sm = choose_omega(diff, uniform_masks(hier))
     rng = np.random.default_rng(61)
     for _ in range(10):
-        masks = [full_mask(hier, 0)]
-        for k in (1, 2):
-            n = hier.n(k)
-            act = np.zeros((n, n), dtype=np.uint8)
-            act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < 0.3
-            masks.append(make_mask(act))
+        masks = random_sparse_masks(hier, rng)
         u, report = llmg_solve(
             zero_field(hier, masks), rhs, diff, sm, tol=1e-10, max_sweeps=2000
         )
