@@ -6,7 +6,7 @@ indicator, and realizes every step of that pipeline a second time as exact
 sparse convolutions for verification and dataset export.
 """
 
-from .adapt import AfemReport, MarkSet, afem, mark_doerfler, mark_threshold, refine
+from .adapt import AfemReport, AfemStep, MarkSet, afem, mark_doerfler, mark_threshold, refine
 from .assembly import DiffusionField, RhsField, compute_upsilon
 from .convnet import ConvKernel, StencilBank, build_stencil_bank
 from .estimator import EstimatorField, estimate
@@ -19,6 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AfemReport",
+    "AfemStep",
     "ConfigurationError",
     "ConvKernel",
     "CookieProblem",

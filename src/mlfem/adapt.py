@@ -19,7 +19,20 @@ from .field import (
 )
 from .mesh import TRI_FOOTPRINT_OFFSETS, ConfigurationError, GridHierarchy
 from .problems import discretize_kappa, load_image, problem_rhs
-from .solver import RhsField, choose_omega, llmg_solve
+from .solver import RhsField, SolveReport, choose_omega, llmg_solve
+
+__all__ = [
+    "MARKING_STRATEGIES",
+    "MarkSet",
+    "AfemStep",
+    "AfemReport",
+    "empty_marks",
+    "mark_threshold",
+    "mark_doerfler",
+    "refine",
+    "initial_masks",
+    "afem",
+]
 
 MARKING_STRATEGIES = ("doerfler", "threshold")
 
@@ -44,22 +57,29 @@ def empty_marks(hierarchy: GridHierarchy) -> MarkSet:
 
 
 @dataclass
-class AfemReport:
-    """Per-iteration diagnostics of an adaptive run (parallel lists)."""
+class AfemStep:
+    """One adaptive pass: the iterate after its solve, on the masks that solve
+    ran on, with the estimate, the marks and the solver's report."""
 
-    dofs: list[int] = field(default_factory=list)
-    eta2_total: list[float] = field(default_factory=list)
-    marked: list[int] = field(default_factory=list)
-    sweeps: list[int] = field(default_factory=list)
-    solver_statuses: list[str] = field(default_factory=list)
+    u: MultilevelField
+    est: EstimatorField
+    marks: MarkSet
+    solve: SolveReport
+
+
+@dataclass
+class AfemReport:
+    """The passes of an adaptive run, in order."""
+
+    steps: list[AfemStep] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
-        return len(self.dofs)
+        return len(self.steps)
 
     @property
     def converged(self) -> bool:
-        return all(s == "converged" for s in self.solver_statuses)
+        return all(step.solve.converged for step in self.steps)
 
 
 def mark_threshold(est: EstimatorField, thresholds) -> MarkSet:
@@ -113,8 +133,8 @@ def refine(masks: list[LevelMask], marks: MarkSet, hierarchy: GridHierarchy) -> 
     """Grow active sets: each marked triangle activates the interior nodes of
     the next level whose hats meet it (the footprint of its four children).
 
-    Existing active sets are preserved; closures are recomputed.  Marks at the
-    deepest level have nowhere to refine into and are dropped with a warning.
+    Existing active sets are preserved.  Marks at the deepest level have
+    nowhere to refine into and are dropped with a warning.
     """
     if len(masks) != hierarchy.levels or len(marks.marks) != hierarchy.levels:
         raise ConfigurationError("masks/marks do not match the hierarchy depth")
@@ -161,18 +181,15 @@ def afem(
     theta: float = 0.1,
     tol: float = 1e-10,
     max_sweeps: int = 200,
-    observer=None,
 ) -> tuple[MultilevelField, EstimatorField, AfemReport]:
     """Adaptive loop: solve, estimate, mark, refine, `iterations` times.
 
     Spaces are nested, so the carried-over iterate needs no interpolation;
     newly activated nodes start at coefficient zero.  Each solve targets the
-    defect equation A v = f - A u from a zero initial guess.  Errors against a
-    reference solve (`problems.relative_errors`) are the caller's, via `observer`.
-
-    `observer(it, u, est, marks)`, when given, runs once per iteration after
-    the report row is appended and before the masks are refined.  Callers
-    that keep the arrays must copy them; the field is rebound every pass.
+    defect equation A v = f - A u from a zero initial guess.  Every pass
+    builds new value images, so the steps in the report are snapshots that
+    later passes never overwrite.  Errors against a reference solve
+    (`problems.relative_errors`) are the caller's, on `report.steps[i].u`.
     """
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
@@ -188,7 +205,7 @@ def afem(
     u = zero_field(hierarchy, initial_masks(hierarchy))
     smoother = choose_omega(diffusion, u.masks)
     report = AfemReport()
-    for it in range(iterations):
+    for _ in range(iterations):
         stacked = apply_stacked(u, diffusion)
         defect = RhsField(
             hierarchy,
@@ -205,8 +222,7 @@ def afem(
             tol=tol,
             max_sweeps=max_sweeps,
         )
-        for k in range(hierarchy.levels):
-            u.values[k] = u.values[k] + v.values[k]
+        u = MultilevelField(hierarchy, [a + b for a, b in zip(u.values, v.values)], u.masks)
         est = estimate(u, f_values, diffusion, u.masks)
 
         if marking == "doerfler":
@@ -214,14 +230,7 @@ def afem(
         else:
             peak = max((float(e.max()) for e in est.eta2), default=0.0)
             marks = mark_threshold(est, theta * peak) if peak > 0.0 else empty_marks(hierarchy)
-
-        report.dofs.append(u.dof_count())
-        report.eta2_total.append(est.total())
-        report.marked.append(marks.count())
-        report.sweeps.append(solve_report.iterations)
-        report.solver_statuses.append(solve_report.status)
-        if observer is not None:
-            observer(it, u, est, marks)
+        report.steps.append(AfemStep(u, est, marks, solve_report))
 
         u = MultilevelField(hierarchy, u.values, refine(u.masks, marks, hierarchy))
     return u, est, report

@@ -30,10 +30,10 @@ from .field import (
 )
 from .mesh import (
     NODE_TRIANGLES,
-    TRI_CHILD_OFFSETS,
     TRI_VERTEX_OFFSETS,
     ConfigurationError,
     GridHierarchy,
+    child_sums,
     hat_overlap_offsets,
 )
 
@@ -139,12 +139,7 @@ def compute_upsilon(hierarchy: GridHierarchy, kappa: np.ndarray) -> DiffusionFie
     t2 = third * (kappa[:-1, :-1] + kappa[1:, :-1] + kappa[1:, 1:])
     tri[last] = np.stack([t1, t2])
     for k in range(last - 1, -1, -1):
-        m = hierarchy.n(k) - 1
-        acc = np.zeros((2, m, m))
-        for q in (1, 2):
-            for qc, (d1, d2) in TRI_CHILD_OFFSETS[q]:
-                acc[q - 1] += tri[k + 1][qc - 1, d1::2, d2::2]
-        tri[k] = acc
+        tri[k] = child_sums(tri[k + 1], hierarchy.n(k) - 1)
 
     owners = [owner for _, owner in NODE_TRIANGLES]
     ups = []

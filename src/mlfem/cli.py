@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import MARKING_STRATEGIES, afem, initial_masks, mark_threshold, refine
+from .adapt import MARKING_STRATEGIES, AfemStep, afem, initial_masks, mark_threshold, refine
 from .assembly import apply_A_level, apply_A_level_transpose, compute_upsilon
 from .convnet import (
     build_stencil_bank,
@@ -335,7 +335,7 @@ AFEM_CSV_COLUMNS = [
 ]
 
 
-def _adaptive_sample(cfg: RunConfig, index: int, observer=None):
+def _adaptive_sample(cfg: RunConfig, index: int):
     """Draw the parameters of sample `index` and run the adaptive loop on them.
 
     One parameter per disc of the problem.  Saturated-depth warnings are
@@ -354,43 +354,40 @@ def _adaptive_sample(cfg: RunConfig, index: int, observer=None):
             theta=cfg.theta,
             tol=cfg.tol,
             max_sweeps=cfg.max_sweeps,
-            observer=observer,
         )
     return hier, y, u, report
 
 
+def _add_levels(writer: MlfdWriter, tag: str, step: AfemStep) -> None:
+    """Write one pass's per-level iterate, indicator and active-set images."""
+    for k, (values, eta2, mask) in enumerate(zip(step.u.values, step.est.eta2, step.u.masks)):
+        writer.add(f"{tag}_level{k}_u", values, channels="u", level=k)
+        writer.add(f"{tag}_level{k}_eta2", eta2, channels="eta2", level=k)
+        writer.add(f"{tag}_level{k}_mask", mask.active, channels="mask", level=k)
+
+
 def cmd_afem(cfg: RunConfig, out_dir) -> int:
     """One adaptive run on the first sample: CSV report plus MLFD snapshots."""
-    snapshots, iterates = [], []
-
-    def observer(it, u, est, marks):
-        iterates.append(u.copy())
-        for k in range(cfg.levels):
-            tag = f"iter{it:03d}_level{k}"
-            snapshots.append((f"{tag}_u", np.array(u.values[k]), "u", k))
-            snapshots.append((f"{tag}_eta2", np.array(est.eta2[k]), "eta2", k))
-            snapshots.append((f"{tag}_mask", np.array(u.masks[k].active), "mask", k))
-
-    hier, y, _, report = _adaptive_sample(cfg, 0, observer)
+    hier, y, _, report = _adaptive_sample(cfg, 0)
     ref_image, ref_hier = overkill_reference(cfg.problem, y, hier)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     writer = MlfdWriter(out / "snapshots", config_hash(cfg), cfg.seed)
     writer.add("kappa", discretize_kappa(cfg.problem, y, hier), channels="kappa")
     writer.add("f", load_image(cfg.problem, hier), channels="f")
-    for name, array, channels, k in snapshots:
-        writer.add(name, array, channels=channels, level=k)
+    for it, step in enumerate(report.steps):
+        _add_levels(writer, f"iter{it:03d}", step)
     writer.close()
     rows = [
         (
             it,
-            report.dofs[it],
-            report.eta2_total[it],
-            *relative_errors(iterates[it], ref_image, ref_hier),
-            report.marked[it],
-            report.sweeps[it],
+            step.u.dof_count(),
+            step.est.total(),
+            *relative_errors(step.u, ref_image, ref_hier),
+            step.marks.count(),
+            step.solve.iterations,
         )
-        for it in range(report.iterations)
+        for it, step in enumerate(report.steps)
     ]
     write_csv(out / "afem.csv", AFEM_CSV_COLUMNS, rows)
     if not report.converged:
@@ -407,16 +404,13 @@ def _study_sample(args):
     against one overkill reference of the sample.
     """
     cfg, index = args
-    iterates = []
-    hier, y, _, report = _adaptive_sample(
-        cfg, index, lambda it, u, est, marks: iterates.append(u.copy())
-    )
+    hier, y, _, report = _adaptive_sample(cfg, index)
     ref_image, ref_hier = overkill_reference(cfg.problem, y, hier)
     adaptive = np.array(
         [
-            report.dofs,
-            *zip(*(relative_errors(u, ref_image, ref_hier) for u in iterates)),
-            [status == "max_sweeps" for status in report.solver_statuses],
+            [step.u.dof_count() for step in report.steps],
+            *zip(*(relative_errors(step.u, ref_image, ref_hier) for step in report.steps)),
+            [step.solve.status == "max_sweeps" for step in report.steps],
         ],
         dtype=float,
     )
@@ -571,12 +565,7 @@ def verify_rows(cfg: RunConfig) -> list[tuple[str, float]]:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 oracle_masks = refine(u.masks, marks, hier)
                 conv_masks = conv_mark_refine(bank, direct, deltas, u.masks)
-            same = all(
-                np.array_equal(a.active, b.active)
-                and np.array_equal(a.closure, b.closure)
-                for a, b in zip(oracle_masks, conv_masks)
-            )
-            if not same:
+            if any((a.active != b.active).any() for a, b in zip(oracle_masks, conv_masks)):
                 worst_est = max(worst_est, 1.0)
 
     return [
@@ -601,34 +590,21 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _dataset_sample(args):
-    """Final-iteration snapshot of one adaptive run (worker body)."""
+    """Kappa, load and final adaptive pass of one sample (worker body)."""
     cfg, index = args
-    final = {}
-
-    def observer(it, u, est, marks):
-        if it == cfg.iterations - 1:
-            final["u"] = [np.array(v) for v in u.values]
-            final["eta2"] = [np.array(e) for e in est.eta2]
-            final["mask"] = [np.array(m.active) for m in u.masks]
-
-    hier, y, _, _ = _adaptive_sample(cfg, index, observer)
-    kappa = discretize_kappa(cfg.problem, y, hier)
-    f_img = load_image(cfg.problem, hier)
-    return kappa, f_img, final["u"], final["eta2"], final["mask"]
+    hier, y, _, report = _adaptive_sample(cfg, index)
+    return discretize_kappa(cfg.problem, y, hier), load_image(cfg.problem, hier), report.steps[-1]
 
 
 def cmd_gen_dataset(cfg: RunConfig, out_dir, workers: int) -> int:
     """Export N adaptive samples plus the kernel bank as one MLFD dataset."""
     results = _map_samples(_dataset_sample, cfg, workers)
     writer = MlfdWriter(Path(out_dir), config_hash(cfg), cfg.seed)
-    for index, (kappa, f_img, us, etas, msks) in enumerate(results):
+    for index, (kappa, f_img, step) in enumerate(results):
         tag = f"sample{index:05d}"
         writer.add(f"{tag}_kappa", kappa, channels="kappa")
         writer.add(f"{tag}_f", f_img, channels="f")
-        for k in range(cfg.levels):
-            writer.add(f"{tag}_level{k}_u", us[k], channels="u", level=k)
-            writer.add(f"{tag}_level{k}_eta2", etas[k], channels="eta2", level=k)
-            writer.add(f"{tag}_level{k}_mask", msks[k], channels="mask", level=k)
+        _add_levels(writer, tag, step)
     hier = build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
     vec, _ = flatten_bank(build_stencil_bank(hier))
     writer.add("kernel_bank", vec, channels="kernel-bank")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .assembly import DiffusionField
 from .field import LevelMask, MultilevelField, flatten_to_finest
-from .mesh import TRI_CHILD_OFFSETS, TRI_FOOTPRINT_OFFSETS, GridHierarchy
+from .mesh import TRI_CHILD_OFFSETS, TRI_FOOTPRINT_OFFSETS, GridHierarchy, child_sums
 
 __all__ = [
     "EstimatorField",
@@ -145,12 +145,8 @@ def aggregate_to_level(
     m = nc - 1
     r2 = np.zeros((2, nc, nc))
     j2 = np.zeros((2, nc, nc))
-    for q in (1, 2):
-        for qc, (d1, d2) in TRI_CHILD_OFFSETS[q]:
-            sl1 = slice(d1, d1 + 2 * m, 2)
-            sl2 = slice(d2, d2 + 2 * m, 2)
-            r2[q - 1, :m, :m] += fine_r2[qc - 1, sl1, sl2]
-            j2[q - 1, :m, :m] += fine_j2[qc - 1, sl1, sl2]
+    r2[:, :m, :m] = child_sums(fine_r2, m)
+    j2[:, :m, :m] = child_sums(fine_j2, m)
     return 4.0 * r2, 2.0 * j2
 
 

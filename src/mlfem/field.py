@@ -66,36 +66,35 @@ def zero_frame(image: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LevelMask:
-    """Active set and its closure on one level, as 0/1 uint8 images.
+    """Active set on one level, as a 0/1 uint8 image.
 
-    `closure` is the active set dilated by the hat-overlap stencil, clipped to
-    the lattice; it may contain boundary lattice entries.  Values written at
-    boundary entries are always forced to zero (interior hat functions vanish
-    identically on the domain boundary), which is what `write` encodes.
+    `closure`, computed when read, is the active set dilated by the hat-overlap
+    stencil, clipped to the lattice; it may contain boundary lattice entries.
+    Values written at boundary entries are always forced to zero (interior hat
+    functions vanish identically on the domain boundary), which `write` encodes.
     """
 
     active: np.ndarray
-    closure: np.ndarray
 
     @property
     def n(self) -> int:
         return self.active.shape[0]
+
+    @property
+    def closure(self) -> np.ndarray:
+        return np.bitwise_or.reduce(offset_views(self.active, hat_overlap_offsets()))
 
     def write(self) -> np.ndarray:
         """closure with the boundary frame zeroed: where operators may write."""
         return zero_frame(self.closure)
 
     def copy(self) -> "LevelMask":
-        return LevelMask(self.active.copy(), self.closure.copy())
+        return LevelMask(self.active.copy())
 
 
 def make_mask(active: np.ndarray) -> LevelMask:
-    """Build a LevelMask from an active 0/1 image, computing the closure."""
-    active = np.ascontiguousarray(active, dtype=np.uint8)
-    closure = np.zeros_like(active)
-    for view in offset_views(active, hat_overlap_offsets()):
-        closure |= view
-    return LevelMask(active=active, closure=closure)
+    """Build a LevelMask from an active 0/1 image."""
+    return LevelMask(np.ascontiguousarray(active, dtype=np.uint8))
 
 
 def full_mask(hierarchy: GridHierarchy, level: int) -> LevelMask:
@@ -103,9 +102,7 @@ def full_mask(hierarchy: GridHierarchy, level: int) -> LevelMask:
 
 
 def empty_mask(hierarchy: GridHierarchy, level: int) -> LevelMask:
-    n = hierarchy.n(level)
-    z = np.zeros((n, n), dtype=np.uint8)
-    return LevelMask(active=z, closure=z.copy())
+    return LevelMask(np.zeros((hierarchy.n(level),) * 2, dtype=np.uint8))
 
 
 def uniform_masks(hierarchy: GridHierarchy) -> list[LevelMask]:

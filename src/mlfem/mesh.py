@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "GridHierarchy",
     "build_hierarchy",
+    "child_sums",
     "hat_overlap_offsets",
     "NODE_TRIANGLES",
     "TRI_CHILD_OFFSETS",
@@ -114,3 +115,13 @@ def hat_overlap_offsets() -> list[tuple[int, int]]:
     so they are excluded.
     """
     return [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+
+
+def child_sums(fine: np.ndarray, m: int) -> np.ndarray:
+    """Sum a fine (2, ., .) triangle image over each coarse triangle's four
+    children: a (2, m, m) image, children added in TRI_CHILD_OFFSETS order."""
+    out = np.zeros((2, m, m))
+    for q in (1, 2):
+        for qc, (d1, d2) in TRI_CHILD_OFFSETS[q]:
+            out[q - 1] += fine[qc - 1, d1 : d1 + 2 * m : 2, d2 : d2 + 2 * m : 2]
+    return out

@@ -18,6 +18,18 @@ from .field import MultilevelField, flatten_to_finest, full_mask, prolongate_uni
 from .mesh import ConfigurationError, GridHierarchy, build_hierarchy
 from .solver import reference_solve
 
+__all__ = [
+    "CookieProblem",
+    "SampleRng",
+    "kappa_at",
+    "discretize_kappa",
+    "load_image",
+    "overkill_reference",
+    "reference_error",
+    "relative_errors",
+    "problem_rhs",
+]
+
 
 def _finite(value) -> bool:
     """A real number (not a bool) that is neither infinite nor NaN."""

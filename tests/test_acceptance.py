@@ -402,17 +402,15 @@ def test_07_adaptive_advantage(capsys):
     ad_dofs, ad_err, un_dofs, un_err = [], [], [], []
     mono_ok = 0
     for y in samples:
-        iterates = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            _, _, rep = afem(
-                prob, y, hier, 3, marking="doerfler", theta=0.1,
-                observer=lambda it, u, est, marks: iterates.append(u.copy()),
-            )
+            _, _, rep = afem(prob, y, hier, 3, marking="doerfler", theta=0.1)
         ref_img, ref_hier = overkill_reference(prob, y, hier)
-        ad_dofs.append(rep.dofs)
-        ad_err.append([relative_errors(u, ref_img, ref_hier)[0] for u in iterates])
-        if np.all(np.diff(rep.dofs) >= 0) and np.all(np.diff(rep.eta2_total) < 0):
+        dofs = [step.u.dof_count() for step in rep.steps]
+        eta2 = [step.est.total() for step in rep.steps]
+        ad_dofs.append(dofs)
+        ad_err.append([relative_errors(step.u, ref_img, ref_hier)[0] for step in rep.steps])
+        if np.all(np.diff(dofs) >= 0) and np.all(np.diff(eta2) < 0):
             mono_ok += 1
         diff = compute_upsilon(hier, discretize_kappa(prob, y, hier))
         rhs = problem_rhs(prob, hier)

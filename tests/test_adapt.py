@@ -210,7 +210,7 @@ def test_afem_one_iteration_matches_direct_solve():
     den = weighted_h1_seminorm(want, diff.tri_integrals[-1], h)
     assert num <= 1e-8 * den
     assert report.iterations == 1
-    assert report.dofs == [9]
+    assert [step.u.dof_count() for step in report.steps] == [9]
     assert report.converged
 
 
@@ -218,30 +218,35 @@ def test_afem_zero_load_is_inert():
     problem = CookieProblem(load=0.0)
     hier = build_hierarchy(5, 2)
     u, est, report = afem(problem, (0.5, 0.5), hier, 2)
-    assert report.eta2_total == [0.0, 0.0]
-    assert report.marked == [0, 0]
-    assert report.dofs == [9, 9]
+    assert [step.est.total() for step in report.steps] == [0.0, 0.0]
+    assert [step.marks.count() for step in report.steps] == [0, 0]
+    assert [step.u.dof_count() for step in report.steps] == [9, 9]
     assert all(not v.any() for v in u.values)
     assert est.total() == 0.0
 
 
 @pytest.mark.filterwarnings("ignore:dropping .* marked triangles:RuntimeWarning")
-def test_afem_observer_sees_each_iteration():
+def test_afem_steps_are_snapshots():
     # three passes on two levels mark into the saturated deepest level; the
     # dropped-marks warning is part of the expected behavior here
     problem = CookieProblem()
     hier = build_hierarchy(5, 2)
-    seen = []
-
-    def obs(it, u, est, marks):
-        seen.append((it, [m.active.copy() for m in u.masks], [v.copy() for v in u.values]))
-
-    afem(problem, (0.3, 0.9), hier, 3, theta=0.3, observer=obs)
-    assert [s[0] for s in seen] == [0, 1, 2]
+    _, _, report = afem(problem, (0.3, 0.9), hier, 3, theta=0.3)
+    assert report.iterations == 3
+    # a stored step is what a run stopping after that pass ends on: later
+    # passes never overwrite its images
+    for i, step in enumerate(report.steps):
+        _, _, short = afem(problem, (0.3, 0.9), hier, i + 1, theta=0.3)
+        want = short.steps[-1]
+        for k in range(hier.levels):
+            assert np.array_equal(step.u.values[k], want.u.values[k])
+            assert np.array_equal(step.u.masks[k].active, want.u.masks[k].active)
+            assert np.array_equal(step.est.eta2[k], want.est.eta2[k])
+            assert np.array_equal(step.marks.marks[k], want.marks.marks[k])
     # active sets only grow between iterations
-    for (_, before, _), (_, after, _) in zip(seen, seen[1:]):
-        for a, b in zip(before, after):
-            assert ((b.astype(int) - a.astype(int)) >= 0).all()
+    for before, after in zip(report.steps, report.steps[1:]):
+        for a, b in zip(before.u.masks, after.u.masks):
+            assert ((b.active.astype(int) - a.active.astype(int)) >= 0).all()
 
 
 def test_afem_galerkin_orthogonality():
@@ -251,18 +256,13 @@ def test_afem_galerkin_orthogonality():
     kappa = discretize_kappa(problem, y, hier)
     diff = compute_upsilon(hier, kappa)
     rhs = problem_rhs(problem, hier)
-    snaps = []
-
-    def obs(it, u, est, marks):
-        snaps.append(([v.copy() for v in u.values], [m.copy() for m in u.masks]))
-
     # the nearly redundant stacked system needs a generous sweep budget for
     # the inner solves to actually hit the 1e-10 residual target
-    _, _, report = afem(problem, y, hier, 2, theta=0.3, max_sweeps=5000, observer=obs)
+    _, _, report = afem(problem, y, hier, 2, theta=0.3, max_sweeps=5000)
     assert report.converged
     rng = np.random.default_rng(149)
-    for vals, masks in snaps:
-        u = MultilevelField(hier, vals, masks)
+    for step in report.steps:
+        u, masks = step.u, step.u.masks
         blocks = apply_stacked(u, diff)
         defect = [
             (rhs.images[k] - blocks[k]) * masks[k].active for k in range(hier.levels)
@@ -281,12 +281,12 @@ def test_afem_report_structure():
     hier = build_hierarchy(5, 3)
     u, est, report = afem(problem, (0.2, 0.8), hier, 3, theta=0.2, max_sweeps=5000)
     assert report.iterations == 3
-    for seq in (report.eta2_total, report.marked, report.sweeps, report.solver_statuses):
-        assert len(seq) == 3
-    assert all(b >= a for a, b in zip(report.dofs, report.dofs[1:]))
+    assert len(report.steps) == 3
+    dofs = [step.u.dof_count() for step in report.steps]
+    assert all(b >= a for a, b in zip(dofs, dofs[1:]))
     assert report.converged
-    assert all(s == "converged" for s in report.solver_statuses)
-    assert all(e > 0.0 for e in report.eta2_total)
+    assert all(step.solve.status == "converged" for step in report.steps)
+    assert all(step.est.total() > 0.0 for step in report.steps)
 
 
 @pytest.mark.filterwarnings("ignore:dropping .* marked triangles:RuntimeWarning")

@@ -427,22 +427,12 @@ def test_gen_dataset_layout_and_reload(tmp_path):
     from mlfem.adapt import afem
 
     y = SampleRng(5).sample_generator(1).random(2)
-    final = {}
-
-    def observer(it, u, est, marks):
-        if it == 1:
-            final["u"] = [np.array(v) for v in u.values]
-            final["mask"] = [np.array(m.active) for m in u.masks]
-            final["eta2"] = [np.array(e) for e in est.eta2]
-
-    afem(
-        CookieProblem(), y, hier, 2, theta=0.3, tol=1e-10, max_sweeps=3000,
-        observer=observer,
-    )
+    _, _, report = afem(CookieProblem(), y, hier, 2, theta=0.3, tol=1e-10, max_sweeps=3000)
+    final = report.steps[1]
     for k in range(levels):
-        assert np.array_equal(ds.load(f"sample00001_level{k}_u"), final["u"][k])
-        assert np.array_equal(ds.load(f"sample00001_level{k}_eta2"), final["eta2"][k])
-        assert np.array_equal(ds.load(f"sample00001_level{k}_mask"), final["mask"][k])
+        assert np.array_equal(ds.load(f"sample00001_level{k}_u"), final.u.values[k])
+        assert np.array_equal(ds.load(f"sample00001_level{k}_eta2"), final.est.eta2[k])
+        assert np.array_equal(ds.load(f"sample00001_level{k}_mask"), final.u.masks[k].active)
 
     # determinism: a second export is byte-identical file for file
     out2 = tmp_path / "data2"

@@ -39,3 +39,9 @@ def test_module_exports_exist(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "mlfem.cli"])
+def test_module_declares_exports(name):
+    # the CLI is an entry point, not a library module
+    assert hasattr(importlib.import_module(name), "__all__"), f"{name} lacks __all__"
