@@ -35,6 +35,7 @@ from .mesh import (
     GridHierarchy,
     child_sums,
     hat_overlap_offsets,
+    square_corners,
 )
 
 __all__ = [
@@ -135,8 +136,9 @@ def compute_upsilon(hierarchy: GridHierarchy, kappa: np.ndarray) -> DiffusionFie
     tri: list[np.ndarray] = [np.empty(0)] * hierarchy.levels
     hf = hierarchy.h(last)
     third = hf * hf / 6.0  # area/3 with area = h^2/2
-    t1 = third * (kappa[:-1, :-1] + kappa[1:, 1:] + kappa[:-1, 1:])
-    t2 = third * (kappa[:-1, :-1] + kappa[1:, :-1] + kappa[1:, 1:])
+    a, b, c, d = square_corners(kappa)
+    t1 = third * (a + b + c)
+    t2 = third * (a + d + b)
     tri[last] = np.stack([t1, t2])
     for k in range(last - 1, -1, -1):
         tri[k] = child_sums(tri[k + 1], hierarchy.n(k) - 1)
@@ -369,24 +371,16 @@ def assemble_rhs(hierarchy: GridHierarchy, f_values: np.ndarray) -> RhsField:
     return RhsField(hierarchy, images)
 
 
-def _triangle_corner_views(image: np.ndarray):
-    a = image[:-1, :-1]
-    b = image[1:, 1:]
-    c = image[:-1, 1:]
-    d = image[1:, :-1]
-    return a, b, c, d
-
-
 def h1_seminorm(image: np.ndarray, h: float) -> float:
     """H^1 seminorm of the P1 interpolant of a nodal image on one uniform level."""
-    a, b, c, d = _triangle_corner_views(image)
+    a, b, c, d = square_corners(image)
     s = 0.5 * ((b - c) ** 2 + (c - a) ** 2 + (d - a) ** 2 + (b - d) ** 2).sum()
     return math.sqrt(max(float(s), 0.0))
 
 
 def l2_norm(image: np.ndarray, h: float) -> float:
     """L^2 norm of the P1 interpolant of a nodal image on one uniform level."""
-    a, b, c, d = _triangle_corner_views(image)
+    a, b, c, d = square_corners(image)
     s1 = a * a + b * b + c * c + a * b + b * c + c * a
     s2 = a * a + b * b + d * d + a * b + b * d + d * a
     return math.sqrt(max(float((s1 + s2).sum()) * h * h / 12.0, 0.0))

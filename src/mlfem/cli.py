@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import MARKING_STRATEGIES, AfemStep, afem, initial_masks, mark_threshold, refine
+from .adapt import MARKING_STRATEGIES, afem, initial_masks, mark_threshold, refine
 from .assembly import apply_A_level, apply_A_level_transpose, compute_upsilon
 from .convnet import (
     build_stencil_bank,
@@ -358,11 +358,11 @@ def _adaptive_sample(cfg: RunConfig, index: int):
     return hier, y, u, report
 
 
-def _add_levels(writer: MlfdWriter, tag: str, step: AfemStep) -> None:
+def _add_levels(writer: MlfdWriter, tag: str, values, eta2, masks) -> None:
     """Write one pass's per-level iterate, indicator and active-set images."""
-    for k, (values, eta2, mask) in enumerate(zip(step.u.values, step.est.eta2, step.u.masks)):
-        writer.add(f"{tag}_level{k}_u", values, channels="u", level=k)
-        writer.add(f"{tag}_level{k}_eta2", eta2, channels="eta2", level=k)
+    for k, (u_k, eta2_k, mask) in enumerate(zip(values, eta2, masks)):
+        writer.add(f"{tag}_level{k}_u", u_k, channels="u", level=k)
+        writer.add(f"{tag}_level{k}_eta2", eta2_k, channels="eta2", level=k)
         writer.add(f"{tag}_level{k}_mask", mask.active, channels="mask", level=k)
 
 
@@ -376,7 +376,7 @@ def cmd_afem(cfg: RunConfig, out_dir) -> int:
     writer.add("kappa", discretize_kappa(cfg.problem, y, hier), channels="kappa")
     writer.add("f", load_image(cfg.problem, hier), channels="f")
     for it, step in enumerate(report.steps):
-        _add_levels(writer, f"iter{it:03d}", step)
+        _add_levels(writer, f"iter{it:03d}", step.u.values, step.est.eta2, step.u.masks)
     writer.close()
     rows = [
         (
@@ -590,21 +590,24 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _dataset_sample(args):
-    """Kappa, load and final adaptive pass of one sample (worker body)."""
+    """Kappa, load, and the final pass's iterate, indicator and masks of one
+    sample (worker body): only what the export writes goes back to the pool."""
     cfg, index = args
     hier, y, _, report = _adaptive_sample(cfg, index)
-    return discretize_kappa(cfg.problem, y, hier), load_image(cfg.problem, hier), report.steps[-1]
+    last = report.steps[-1]
+    kappa = discretize_kappa(cfg.problem, y, hier)
+    return kappa, load_image(cfg.problem, hier), last.u.values, last.est.eta2, last.u.masks
 
 
 def cmd_gen_dataset(cfg: RunConfig, out_dir, workers: int) -> int:
     """Export N adaptive samples plus the kernel bank as one MLFD dataset."""
     results = _map_samples(_dataset_sample, cfg, workers)
     writer = MlfdWriter(Path(out_dir), config_hash(cfg), cfg.seed)
-    for index, (kappa, f_img, step) in enumerate(results):
+    for index, (kappa, f_img, *levels) in enumerate(results):
         tag = f"sample{index:05d}"
         writer.add(f"{tag}_kappa", kappa, channels="kappa")
         writer.add(f"{tag}_f", f_img, channels="f")
-        _add_levels(writer, tag, step)
+        _add_levels(writer, tag, *levels)
     hier = build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
     vec, _ = flatten_bank(build_stencil_bank(hier))
     writer.add("kernel_bank", vec, channels="kernel-bank")

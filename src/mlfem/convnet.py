@@ -17,14 +17,13 @@ cell-center node `2i + 1` instead, selected per call with `cell_anchored`.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import DiffusionField, RhsField
-from .estimator import EstimatorField, leaf_triangle_masks
+from .estimator import EstimatorField, closed_forms, on_leaves
 from .field import LevelMask, MultilevelField, make_mask, zero_frame
 from .mesh import (
     NODE_TRIANGLES,
@@ -145,9 +144,9 @@ def conv_apply(
     if kernel.mode == "submanifold" and mask is None:
         raise ConfigurationError("submanifold mode requires a mask")
     shape = image.shape[1:]
-    if kernel.mode not in ("plain", "submanifold") and (shape[0] % 2 == 0 or shape[1] % 2 == 0):
+    if kernel.mode == "strided2" and (shape[0] % 2 == 0 or shape[1] % 2 == 0):
         raise ConfigurationError(
-            f"strided modes need an odd lattice (2n-1 layout), got {image.shape}"
+            f"strided2 needs an odd fine lattice (2n-1 layout), got {image.shape}"
         )
 
     if kernel.mode == "transpose-strided2":
@@ -211,8 +210,8 @@ _TRANSFER_WEIGHTS = np.array(
 )
 
 # estimator taps: (row offset, col offset) -> weight, offsets measured from
-# the owner node; the split into five families mirrors the edge bookkeeping
-# of `estimator.finest_estimator_images`
+# the owner node; the five families are the edge families of
+# `estimator.closed_forms`
 _JUMP_TAPS = {
     "left": ({(1, 1): 1.0, (0, 1): -1.0, (0, 0): -1.0, (-1, 0): 1.0}, 3, 3),
     "top": ({(0, 1): 1.0, (0, 0): -1.0, (1, 2): -1.0, (1, 1): 1.0}, 3, 5),
@@ -515,10 +514,10 @@ def conv_estimator(
 ) -> EstimatorField:
     """Estimator images through the kernel pipeline; equals estimator.estimate.
 
-    Finest residual and jump images come from corner-extraction kernels and
-    the five jump kernels combined by exact elementwise products; coarser
-    levels follow from the stride-2 aggregation kernels; leaf masking is the
-    same 0/1 gating as on the direct route.
+    Finest corner and jump images come from the corner-extraction kernel and
+    the five jump kernels and feed the shared `estimator.closed_forms`;
+    coarser levels follow from the stride-2 aggregation kernels; leaf
+    masking is `estimator.on_leaves`, as on the direct route.
     """
     hier = diffusion.hierarchy
     last = hier.levels - 1
@@ -527,46 +526,19 @@ def conv_estimator(
     if u_flat.shape != (n, n) or f_values.shape != (n, n):
         raise ConfigurationError("images must live on the finest lattice")
     m = n - 1
-    area = h * h / 2.0
-
-    ua, ub, uc, ud = conv_apply(bank.corner, u_flat[None, :, :])
-    ka, kb, kc, kd = conv_apply(bank.corner, diffusion.kappa[None, :, :])
-    fa, fb, fc, fd = conv_apply(bank.corner, f_values[None, :, :])
-
-    g1 = ((ub - uc) * (kb - kc) + (uc - ua) * (kc - ka)) / (h * h)
-    g2 = ((ud - ua) * (kd - ka) + (ub - ud) * (kb - kd)) / (h * h)
-    int_f1 = (area / 3.0) * (fa + fb + fc)
-    int_f2 = (area / 3.0) * (fa + fd + fb)
-    int_ff1 = (area / 6.0) * (fa * fa + fb * fb + fc * fc + fa * fb + fb * fc + fc * fa)
-    int_ff2 = (area / 6.0) * (fa * fa + fd * fd + fb * fb + fa * fd + fd * fb + fb * fa)
-    r2_fine = np.zeros((2, n, n))
-    r2_fine[0] = (h * h) * (int_ff1 + 2.0 * g1 * int_f1 + g1 * g1 * area)
-    r2_fine[1] = (h * h) * (int_ff2 + 2.0 * g2 * int_f2 + g2 * g2 * area)
-    r2_fine[:, m:, :] = 0.0
-    r2_fine[:, :, m:] = 0.0
 
     u_img = u_flat[None, :, :]
-    jl = conv_apply(bank.jumps["left"], u_img)[0] / h
-    jl[0, :] = 0.0
-    jt = conv_apply(bank.jumps["top"], u_img)[0] / h
-    jt[:, m - 1 :] = 0.0
-    jd = (math.sqrt(2.0) / h) * conv_apply(bank.jumps["diag"], u_img)[0]
-    jb = conv_apply(bank.jumps["bottom"], u_img)[0] / h
-    jb[:, 0] = 0.0
-    jr = conv_apply(bank.jumps["right"], u_img)[0] / h
-    jr[m - 1 :, :] = 0.0
-
-    w_left = (h / 3.0) * (ka * ka + ka * kc + kc * kc)
-    w_top = (h / 3.0) * (kc * kc + kc * kb + kb * kb)
-    w_diag = (math.sqrt(2.0) * h / 3.0) * (ka * ka + ka * kb + kb * kb)
-    w_bottom = (h / 3.0) * (ka * ka + ka * kd + kd * kd)
-    w_right = (h / 3.0) * (kd * kd + kd * kb + kb * kb)
-
-    j2_fine = np.zeros((2, n, n))
-    j2_fine[0] = h * (jl * jl * w_left + jt * jt * w_top + jd * jd * w_diag)
-    j2_fine[1] = h * (jb * jb * w_bottom + jr * jr * w_right + jd * jd * w_diag)
-    j2_fine[:, m:, :] = 0.0
-    j2_fine[:, :, m:] = 0.0
+    jumps = {name: conv_apply(kernel, u_img)[0] for name, kernel in bank.jumps.items()}
+    jumps["left"][0, :] = 0.0
+    jumps["top"][:, m - 1 :] = 0.0
+    jumps["bottom"][:, 0] = 0.0
+    jumps["right"][m - 1 :, :] = 0.0
+    images = (u_flat, diffusion.kappa, f_values)
+    corners = (conv_apply(bank.corner, img[None, :, :]) for img in images)
+    r2_fine, j2_fine = closed_forms(*corners, jumps, h)
+    for img in (r2_fine, j2_fine):
+        img[:, m:, :] = 0.0
+        img[:, :, m:] = 0.0
 
     raw_r2: list[np.ndarray] = [np.empty(0)] * hier.levels
     raw_j2: list[np.ndarray] = [np.empty(0)] * hier.levels
@@ -575,11 +547,7 @@ def conv_estimator(
         raw_r2[k] = conv_apply(bank.aggregate_r2, raw_r2[k + 1])
         raw_j2[k] = conv_apply(bank.aggregate_j2, raw_j2[k + 1])
 
-    tri_mask = leaf_triangle_masks(hier, masks)
-    r2 = [raw_r2[k] * tri_mask[k] for k in range(hier.levels)]
-    j2 = [raw_j2[k] * tri_mask[k] for k in range(hier.levels)]
-    eta2 = [r2[k] + j2[k] for k in range(hier.levels)]
-    return EstimatorField(hier, r2, j2, eta2, tri_mask)
+    return on_leaves(hier, raw_r2, raw_j2, masks)
 
 
 def conv_mark_refine(

@@ -22,14 +22,22 @@ import numpy as np
 
 from .assembly import DiffusionField
 from .field import LevelMask, MultilevelField, flatten_to_finest
-from .mesh import TRI_CHILD_OFFSETS, TRI_FOOTPRINT_OFFSETS, GridHierarchy, child_sums
+from .mesh import (
+    TRI_CHILD_OFFSETS,
+    TRI_FOOTPRINT_OFFSETS,
+    GridHierarchy,
+    child_sums,
+    square_corners,
+)
 
 __all__ = [
     "EstimatorField",
+    "closed_forms",
     "finest_estimator_images",
     "aggregate_to_level",
     "leaf_triangle_masks",
     "estimate",
+    "on_leaves",
 ]
 
 
@@ -55,6 +63,52 @@ class EstimatorField:
         return float(sum(e.sum() for e in self.eta2))
 
 
+def closed_forms(u_corners, kappa_corners, f_corners, jumps, h: float):
+    """Per-triangle residual and jump terms on the finest level, for both routes.
+
+    The corner arguments are u_h, kappa_h and f_h at the corners (a, b, c, d)
+    of every lattice square (`mesh.square_corners` layout); `jumps` maps the
+    edge families left, top, diag, bottom, right to the second differences
+    of u_h across them, 0 on boundary edges.  Returns (r2, j2), each stacked
+    over (T1, T2) on the shape of the inputs.
+    """
+    ua, ub, uc, ud = u_corners
+    ka, kb, kc, kd = kappa_corners
+    fa, fb, fc, fd = f_corners
+    area = h * h / 2.0
+
+    # strong residual: f_h + grad(kappa_h) . grad(u_h), the gradient part
+    # constant per triangle
+    g1 = ((ub - uc) * (kb - kc) + (uc - ua) * (kc - ka)) / (h * h)
+    g2 = ((ud - ua) * (kd - ka) + (ub - ud) * (kb - kd)) / (h * h)
+    int_f1 = (area / 3.0) * (fa + fb + fc)
+    int_f2 = (area / 3.0) * (fa + fd + fb)
+    int_ff1 = (area / 6.0) * (fa * fa + fb * fb + fc * fc + fa * fb + fb * fc + fc * fa)
+    int_ff2 = (area / 6.0) * (fa * fa + fd * fd + fb * fb + fa * fd + fd * fb + fb * fa)
+    r2 = np.stack([
+        (h * h) * (int_ff1 + 2.0 * g1 * int_f1 + g1 * g1 * area),
+        (h * h) * (int_ff2 + 2.0 * g2 * int_f2 + g2 * g2 * area),
+    ])
+
+    # normal jumps of grad(u_h) across the five edge families; kappa_h enters
+    # each edge integral as (|K|/3)(k_p^2 + k_p k_q + k_q^2)
+    jump_left = jumps["left"] / h
+    jump_top = jumps["top"] / h
+    jump_diag = (math.sqrt(2.0) / h) * jumps["diag"]
+    jump_bottom = jumps["bottom"] / h
+    jump_right = jumps["right"] / h
+    w_left = (h / 3.0) * (ka * ka + ka * kc + kc * kc)
+    w_top = (h / 3.0) * (kc * kc + kc * kb + kb * kb)
+    w_diag = (math.sqrt(2.0) * h / 3.0) * (ka * ka + ka * kb + kb * kb)
+    w_bottom = (h / 3.0) * (ka * ka + ka * kd + kd * kd)
+    w_right = (h / 3.0) * (kd * kd + kd * kb + kb * kb)
+    j2 = np.stack([
+        h * (jump_left**2 * w_left + jump_top**2 * w_top + jump_diag**2 * w_diag),
+        h * (jump_bottom**2 * w_bottom + jump_right**2 * w_right + jump_diag**2 * w_diag),
+    ])
+    return r2, j2
+
+
 def finest_estimator_images(
     u_flat: np.ndarray, f_values: np.ndarray, diffusion: DiffusionField
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -70,58 +124,19 @@ def finest_estimator_images(
     h = hier.h(last)
     if u_flat.shape != (n, n) or f_values.shape != (n, n):
         raise ValueError("images must live on the finest lattice")
-    kappa = diffusion.kappa
-    area = h * h / 2.0
-
-    def corners(img):
-        return img[:-1, :-1], img[1:, 1:], img[:-1, 1:], img[1:, :-1]
-
-    ua, ub, uc, ud = corners(u_flat)
-    ka, kb, kc, kd = corners(kappa)
-    fa, fb, fc, fd = corners(f_values)
-
-    # strong residual: f_h + grad(kappa_h) . grad(u_h), the gradient part
-    # constant per triangle
-    g1 = ((ub - uc) * (kb - kc) + (uc - ua) * (kc - ka)) / (h * h)
-    g2 = ((ud - ua) * (kd - ka) + (ub - ud) * (kb - kd)) / (h * h)
-    int_f1 = (area / 3.0) * (fa + fb + fc)
-    int_f2 = (area / 3.0) * (fa + fd + fb)
-    int_ff1 = (area / 6.0) * (fa * fa + fb * fb + fc * fc + fa * fb + fb * fc + fc * fa)
-    int_ff2 = (area / 6.0) * (fa * fa + fd * fd + fb * fb + fa * fd + fd * fb + fb * fa)
-    r2 = np.zeros((2, n, n))
-    r2[0, : n - 1, : n - 1] = (h * h) * (int_ff1 + 2.0 * g1 * int_f1 + g1 * g1 * area)
-    r2[1, : n - 1, : n - 1] = (h * h) * (int_ff2 + 2.0 * g2 * int_f2 + g2 * g2 * area)
-
-    # normal jumps of grad(u_h) across the five edge families; kappa_h enters
-    # each edge integral as (|K|/3)(k_p^2 + k_p k_q + k_q^2)
     un = u_flat
     m = n - 1
-    jump_left = np.zeros((m, m))
-    jump_left[1:, :] = (un[2:, 1:] - un[1:-1, 1:] - un[1:-1, :-1] + un[:-2, :-1]) / h
-    w_left = (h / 3.0) * (ka * ka + ka * kc + kc * kc)
-
-    jump_top = np.zeros((m, m))
-    jump_top[:, :-1] = (un[:-1, 1:-1] - un[:-1, :-2] - un[1:, 2:] + un[1:, 1:-1]) / h
-    w_top = (h / 3.0) * (kc * kc + kc * kb + kb * kb)
-
-    jump_diag = (math.sqrt(2.0) / h) * (un[1:, 1:] - un[:-1, 1:] - un[1:, :-1] + un[:-1, :-1])
-    w_diag = (math.sqrt(2.0) * h / 3.0) * (ka * ka + ka * kb + kb * kb)
-
-    jump_bottom = np.zeros((m, m))
-    jump_bottom[:, 1:] = (un[1:, 2:] - un[1:, 1:-1] - un[:-1, 1:-1] + un[:-1, :-2]) / h
-    w_bottom = (h / 3.0) * (ka * ka + ka * kd + kd * kd)
-
-    jump_right = np.zeros((m, m))
-    jump_right[:-1, :] = (un[1:-1, :-1] - un[:-2, :-1] - un[2:, 1:] + un[1:-1, 1:]) / h
-    w_right = (h / 3.0) * (kd * kd + kd * kb + kb * kb)
-
+    # diagonal edges are all interior; the axis families keep 0 on the boundary
+    jumps = {name: np.zeros((m, m)) for name in ("left", "top", "bottom", "right")}
+    jumps["left"][1:, :] = un[2:, 1:] - un[1:-1, 1:] - un[1:-1, :-1] + un[:-2, :-1]
+    jumps["top"][:, :-1] = un[:-1, 1:-1] - un[:-1, :-2] - un[1:, 2:] + un[1:, 1:-1]
+    jumps["diag"] = un[1:, 1:] - un[:-1, 1:] - un[1:, :-1] + un[:-1, :-1]
+    jumps["bottom"][:, 1:] = un[1:, 2:] - un[1:, 1:-1] - un[:-1, 1:-1] + un[:-1, :-2]
+    jumps["right"][:-1, :] = un[1:-1, :-1] - un[:-2, :-1] - un[2:, 1:] + un[1:-1, 1:]
+    corners = (square_corners(img) for img in (u_flat, diffusion.kappa, f_values))
+    r2 = np.zeros((2, n, n))
     j2 = np.zeros((2, n, n))
-    j2[0, : n - 1, : n - 1] = h * (
-        jump_left**2 * w_left + jump_top**2 * w_top + jump_diag**2 * w_diag
-    )
-    j2[1, : n - 1, : n - 1] = h * (
-        jump_bottom**2 * w_bottom + jump_right**2 * w_right + jump_diag**2 * w_diag
-    )
+    r2[:, :m, :m], j2[:, :m, :m] = closed_forms(*corners, jumps, h)
     return r2, j2
 
 
@@ -171,7 +186,6 @@ def leaf_triangle_masks(
 
     leaves: list[np.ndarray] = [a.copy() for a in active_tri]
     for k in range(nlev - 1):
-        nf = hierarchy.n(k + 1)
         m = hierarchy.n(k) - 1
         # a footprint node suffices if active or pinned on the boundary
         ok = masks[k + 1].active.astype(np.uint8) | (1 - hierarchy.interior_mask(k + 1))
@@ -212,8 +226,19 @@ def estimate(
     raw_r2[-1], raw_j2[-1] = finest_estimator_images(u_flat, f_values, diffusion)
     for k in range(hier.levels - 2, -1, -1):
         raw_r2[k], raw_j2[k] = aggregate_to_level(raw_r2[k + 1], raw_j2[k + 1])
-    tri_mask = leaf_triangle_masks(hier, masks)
-    r2 = [raw_r2[k] * tri_mask[k] for k in range(hier.levels)]
-    j2 = [raw_j2[k] * tri_mask[k] for k in range(hier.levels)]
-    eta2 = [r2[k] + j2[k] for k in range(hier.levels)]
-    return EstimatorField(hier, r2, j2, eta2, tri_mask)
+    return on_leaves(hier, raw_r2, raw_j2, masks)
+
+
+def on_leaves(
+    hierarchy: GridHierarchy,
+    raw_r2: list[np.ndarray],
+    raw_j2: list[np.ndarray],
+    masks: list[LevelMask],
+) -> EstimatorField:
+    """Mask every level's raw images to the leaf triangles of the composite
+    mesh and add them up: the common tail of both estimator routes."""
+    tri_mask = leaf_triangle_masks(hierarchy, masks)
+    r2 = [r * t for r, t in zip(raw_r2, tri_mask)]
+    j2 = [j * t for j, t in zip(raw_j2, tri_mask)]
+    eta2 = [r + j for r, j in zip(r2, j2)]
+    return EstimatorField(hierarchy, r2, j2, eta2, tri_mask)

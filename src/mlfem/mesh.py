@@ -20,6 +20,7 @@ __all__ = [
     "build_hierarchy",
     "child_sums",
     "hat_overlap_offsets",
+    "square_corners",
     "NODE_TRIANGLES",
     "TRI_CHILD_OFFSETS",
     "TRI_FOOTPRINT_OFFSETS",
@@ -125,3 +126,10 @@ def child_sums(fine: np.ndarray, m: int) -> np.ndarray:
         for qc, (d1, d2) in TRI_CHILD_OFFSETS[q]:
             out[q - 1] += fine[qc - 1, d1 : d1 + 2 * m : 2, d2 : d2 + 2 * m : 2]
     return out
+
+
+def square_corners(image: np.ndarray):
+    """Corner views (a, b, c, d) of every lattice square, at offsets (0, 0),
+    (1, 1), (0, 1), (1, 0) from its owner node: T1 = (a, b, c) and
+    T2 = (a, d, b), as in TRI_VERTEX_OFFSETS."""
+    return image[:-1, :-1], image[1:, 1:], image[:-1, 1:], image[1:, :-1]

@@ -23,6 +23,10 @@ iteration that the fused `solver.llmg_sweep` must reproduce.
 `power_lambda_max` estimates a level operator's largest eigenvalue, and
 `solve_energy_history` records the A-norm errors of `solver.llmg_solve`'s
 iteration against a known solution.
+
+The random fixtures at the very end (`random_mask`, `random_masks`,
+`random_field`, `random_refined_masks`) draw the masks and fields the test
+modules share, so a given generator state gives every test the same data.
 """
 
 import math
@@ -30,9 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from mlfem.adapt import empty_marks, initial_masks, refine
 from mlfem.assembly import apply_A_level, apply_stacked
-from mlfem.estimator import estimate
-from mlfem.field import flatten_to_finest
+from mlfem.estimator import estimate, leaf_triangle_masks
+from mlfem.field import MultilevelField, flatten_to_finest, make_mask
 from mlfem.mesh import NODE_TRIANGLES, TRI_CHILD_OFFSETS, ConfigurationError
 from mlfem.problems import CookieProblem, reference_error
 from mlfem.solver import SolveReport, _stacked_residual_norm, llmg_sweep, stack_vector
@@ -491,3 +496,49 @@ def solve_energy_history(u0, f, diffusion, smoother, exact, tol=1e-10, max_sweep
 def contraction_ratios(energies):
     """Per-sweep error ratios e_{i+1} / e_i, skipping sweeps that start at zero error."""
     return [b / a for a, b in zip(energies, energies[1:]) if a > 0.0]
+
+
+def random_mask(hier, level, rng, density=0.6):
+    """Active set with each interior node drawn active with `density`."""
+    n = hier.n(level)
+    act = np.zeros((n, n), dtype=np.uint8)
+    act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < density
+    return make_mask(act)
+
+
+def random_masks(hier, rng, density=0.6):
+    """Independent `random_mask` draws, one per level."""
+    return [random_mask(hier, k, rng, density) for k in range(hier.levels)]
+
+
+def random_field(hier, masks, rng):
+    """Standard normal values on the active sets, 0 elsewhere."""
+    values = [
+        rng.normal(size=(hier.n(k), hier.n(k))) * masks[k].active
+        for k in range(hier.levels)
+    ]
+    return MultilevelField(hier, values, masks)
+
+
+def random_refined_masks(hier, rng, frac=0.35):
+    """Admissible hierarchy: grow active sets by marking random leaf triangles.
+
+    These are the masks the adaptive loop produces; `random_masks` draws
+    independent per-level ones.
+    """
+    masks = initial_masks(hier)
+    for _ in range(hier.levels - 1):
+        leaves = leaf_triangle_masks(hier, masks)
+        ms = empty_marks(hier)
+        for k in range(hier.levels - 1):
+            pick = (rng.random(leaves[k].shape) < frac).astype(np.uint8)
+            ms.marks[k][...] = pick & leaves[k]
+        if ms.count() == 0:
+            for k in range(hier.levels - 1):
+                idx = np.argwhere(leaves[k])
+                if len(idx):
+                    q, a, b = idx[rng.integers(len(idx))]
+                    ms.marks[k][q, a, b] = 1
+                    break
+        masks = refine(masks, ms, hier)
+    return masks

@@ -16,6 +16,9 @@ from oracles import (
     contraction_ratios,
     energy_seminorm,
     power_lambda_max,
+    random_field,
+    random_mask,
+    random_masks,
     reliability_efficiency,
     sample_parameters,
     solve_energy_history,
@@ -91,25 +94,6 @@ def rel_dev(got, want):
     dev = float(np.abs(got - want).max())
     scale = float(np.abs(want).max())
     return dev / scale if scale > 0.0 else dev
-
-
-def random_mask(hier, level, rng, density=0.6):
-    n = hier.n(level)
-    act = np.zeros((n, n), dtype=np.uint8)
-    act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < density
-    return make_mask(act)
-
-
-def random_masks(hier, rng, density=0.6):
-    return [random_mask(hier, k, rng, density) for k in range(hier.levels)]
-
-
-def random_field(hier, masks, rng):
-    values = [
-        rng.normal(size=(hier.n(k), hier.n(k))) * masks[k].active
-        for k in range(hier.levels)
-    ]
-    return MultilevelField(hier, values, masks)
 
 
 def masks_to_depth(hier, depth):

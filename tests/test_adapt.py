@@ -14,32 +14,18 @@ from mlfem.adapt import (
     refine,
 )
 from mlfem.assembly import apply_stacked, compute_upsilon
-from mlfem.estimator import EstimatorField, estimate, leaf_triangle_masks
+from mlfem.estimator import EstimatorField, leaf_triangle_masks
 from mlfem.field import MultilevelField, flatten_to_finest, uniform_masks
 from mlfem.mesh import ConfigurationError, build_hierarchy
 from mlfem.problems import CookieProblem, discretize_kappa, problem_rhs
 from mlfem.solver import reference_solve, stack_vector
 
-from oracles import multilevel_eval, refine_support_oracle, weighted_h1_seminorm
-
-
-def random_refined_masks(hier, rng, frac=0.35):
-    masks = initial_masks(hier)
-    for _ in range(hier.levels - 1):
-        leaves = leaf_triangle_masks(hier, masks)
-        ms = empty_marks(hier)
-        for k in range(hier.levels - 1):
-            pick = (rng.random(leaves[k].shape) < frac).astype(np.uint8)
-            ms.marks[k][...] = pick & leaves[k]
-        if ms.count() == 0:
-            for k in range(hier.levels - 1):
-                idx = np.argwhere(leaves[k])
-                if len(idx):
-                    q, a, b = idx[rng.integers(len(idx))]
-                    ms.marks[k][q, a, b] = 1
-                    break
-        masks = refine(masks, ms, hier)
-    return masks
+from oracles import (
+    multilevel_eval,
+    random_refined_masks,
+    refine_support_oracle,
+    weighted_h1_seminorm,
+)
 
 
 def synthetic_estimator(hier, masks, rng):

@@ -20,16 +20,10 @@ from mlfem.field import (
     MultilevelField,
     flatten_to_finest,
     full_mask,
-    make_mask,
     uniform_masks,
     zero_field,
 )
-from mlfem.mesh import (
-    NODE_TRIANGLES,
-    ConfigurationError,
-    build_hierarchy,
-    hat_overlap_offsets,
-)
+from mlfem.mesh import NODE_TRIANGLES, ConfigurationError, build_hierarchy
 from mlfem.solver import reference_solve, stack_vector
 
 from oracles import (
@@ -44,24 +38,11 @@ from oracles import (
     multilevel_eval,
     pl_eval,
     point_in_triangle,
+    random_field,
+    random_mask,
     triangle_verts,
     weighted_h1_seminorm,
 )
-
-
-def random_mask(hier, level, rng, density=0.6):
-    n = hier.n(level)
-    act = np.zeros((n, n), dtype=np.uint8)
-    act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < density
-    return make_mask(act)
-
-
-def random_field(hier, masks, rng):
-    values = []
-    for k in range(hier.levels):
-        img = rng.normal(size=(hier.n(k), hier.n(k))) * masks[k].active
-        values.append(img)
-    return MultilevelField(hier, values, masks)
 
 
 def level_triangle_integral(kappa, h_fine, level_h, q, owner):

@@ -388,16 +388,22 @@ def test_overkill_reference_built_only_where_errors_are_written(tmp_path, monkey
 
 
 def test_verify_prints_three_passing_rows(tmp_path, capsys):
-    cfg_path = write_config(tmp_path / "cfg.json")
-    assert main(["verify", "--config", cfg_path]) == 0
-    first = capsys.readouterr().out
-    lines = first.strip().splitlines()
-    assert len(lines) == 4
-    names = [line.split()[0] for line in lines[1:]]
-    assert names == ["operator", "prolong/restrict", "estimator+mask"]
-    assert all(line.rstrip().endswith("pass") for line in lines[1:])
-    assert main(["verify", "--config", cfg_path]) == 0
-    assert capsys.readouterr().out == first
+    # the second config has an even coarse lattice (4 x 4 under a 7 x 7 one)
+    for cfg_path in (
+        write_config(tmp_path / "cfg.json"),
+        write_config(
+            tmp_path / "even.json", hierarchy={"coarse_nodes_per_side": 4, "levels": 2}
+        ),
+    ):
+        assert main(["verify", "--config", cfg_path]) == 0
+        first = capsys.readouterr().out
+        lines = first.strip().splitlines()
+        assert len(lines) == 4
+        names = [line.split()[0] for line in lines[1:]]
+        assert names == ["operator", "prolong/restrict", "estimator+mask"]
+        assert all(line.rstrip().endswith("pass") for line in lines[1:])
+        assert main(["verify", "--config", cfg_path]) == 0
+        assert capsys.readouterr().out == first
 
 
 # ---------------------------------------------------------------- gen-dataset
@@ -434,9 +440,10 @@ def test_gen_dataset_layout_and_reload(tmp_path):
         assert np.array_equal(ds.load(f"sample00001_level{k}_eta2"), final.est.eta2[k])
         assert np.array_equal(ds.load(f"sample00001_level{k}_mask"), final.u.masks[k].active)
 
-    # determinism: a second export is byte-identical file for file
+    # determinism: a second export, through the worker pool, is
+    # byte-identical file for file
     out2 = tmp_path / "data2"
-    assert main(["gen-dataset", "--config", cfg_path, "--out", str(out2)]) == 0
+    assert main(["gen-dataset", "--config", cfg_path, "--out", str(out2), "--workers", "2"]) == 0
     for path in sorted(out.iterdir()):
         assert path.read_bytes() == (out2 / path.name).read_bytes()
 

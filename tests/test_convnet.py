@@ -34,7 +34,6 @@ from mlfem.estimator import estimate
 from mlfem.field import (
     MultilevelField,
     flatten_to_finest,
-    make_mask,
     offset_views,
     prolongate_uniform,
     restrict_uniform,
@@ -51,26 +50,7 @@ from mlfem.mesh import (
 from mlfem.problems import CookieProblem, SampleRng, discretize_kappa, load_image
 from mlfem.solver import SmootherConfig, choose_omega, llmg_sweep
 
-from oracles import sample_parameters
-
-
-def random_mask(hier, level, rng, density=0.6):
-    n = hier.n(level)
-    act = np.zeros((n, n), dtype=np.uint8)
-    act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < density
-    return make_mask(act)
-
-
-def random_masks(hier, rng, density=0.6):
-    return [random_mask(hier, k, rng, density) for k in range(hier.levels)]
-
-
-def random_field(hier, masks, rng):
-    values = [
-        rng.normal(size=(hier.n(k), hier.n(k))) * masks[k].active
-        for k in range(hier.levels)
-    ]
-    return MultilevelField(hier, values, masks)
+from oracles import random_field, random_mask, random_masks, sample_parameters
 
 
 def loop_conv(kernel, image):
@@ -151,8 +131,10 @@ def test_strided_modes_need_odd_lattice():
     bank = build_stencil_bank(build_hierarchy(5, 2))
     with pytest.raises(ConfigurationError):
         conv_apply(bank.restrict, np.zeros((1, 8, 8)))
-    with pytest.raises(ConfigurationError):
-        conv_apply(bank.prolong, np.zeros((1, 8, 9)))
+    # a transpose-strided2 input is a coarse image, which may be even; its
+    # 2n - 1 output is always odd
+    coarse = np.random.default_rng(4).normal(size=(4, 4))
+    assert np.array_equal(conv_prolongate(bank, coarse), prolongate_uniform(coarse))
 
 
 def test_kernel_validation():

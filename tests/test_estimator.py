@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from mlfem.adapt import empty_marks, initial_masks, refine
+from mlfem.adapt import initial_masks
 from mlfem.assembly import assemble_rhs, compute_upsilon
 from mlfem.estimator import (
-    EstimatorField,
     aggregate_to_level,
     estimate,
     finest_estimator_images,
     leaf_triangle_masks,
 )
-from mlfem.field import MultilevelField, full_mask, uniform_masks, zero_field
+from mlfem.field import MultilevelField, uniform_masks, zero_field
 from mlfem.mesh import TRI_CHILD_OFFSETS, build_hierarchy
 from mlfem.problems import (
     CookieProblem,
@@ -22,7 +21,7 @@ from mlfem.problems import (
 )
 from mlfem.solver import reference_solve
 
-from oracles import reliability_efficiency, triangle_estimator
+from oracles import random_refined_masks, reliability_efficiency, triangle_estimator
 
 
 def single_level_field(hier, image):
@@ -30,25 +29,6 @@ def single_level_field(hier, image):
     vals = [np.zeros((hier.n(k), hier.n(k))) for k in range(hier.levels)]
     vals[-1] = image * masks[-1].active
     return MultilevelField(hier, vals, masks)
-
-
-def random_refined_masks(hier, rng, frac=0.35):
-    masks = initial_masks(hier)
-    for _ in range(hier.levels - 1):
-        leaves = leaf_triangle_masks(hier, masks)
-        ms = empty_marks(hier)
-        for k in range(hier.levels - 1):
-            pick = (rng.random(leaves[k].shape) < frac).astype(np.uint8)
-            ms.marks[k][...] = pick & leaves[k]
-        if ms.count() == 0:
-            for k in range(hier.levels - 1):
-                idx = np.argwhere(leaves[k])
-                if len(idx):
-                    q, a, b = idx[rng.integers(len(idx))]
-                    ms.marks[k][q, a, b] = 1
-                    break
-        masks = refine(masks, ms, hier)
-    return masks
 
 
 def test_linear_solution_no_load_unit_kappa_vanishes():

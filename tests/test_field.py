@@ -5,7 +5,6 @@ from mlfem.field import (
     empty_mask,
     flatten_to_finest,
     full_mask,
-    make_mask,
     offset_views,
     prolongate,
     prolongate_uniform,
@@ -16,27 +15,12 @@ from mlfem.field import (
 )
 from mlfem.mesh import build_hierarchy, hat_overlap_offsets
 
-from oracles import hat_value, multilevel_eval, pl_eval
-
-
-def random_mask(hier, level, rng, density=0.6):
-    n = hier.n(level)
-    act = np.zeros((n, n), dtype=np.uint8)
-    act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < density
-    return make_mask(act)
+from oracles import hat_value, multilevel_eval, pl_eval, random_field, random_mask
 
 
 def translate(image, mask):
     """Masked translation stack: out[t, i] = image[i + p_t] * active[i]."""
     return np.stack(offset_views(image, hat_overlap_offsets())) * mask.active
-
-
-def random_field(hier, masks, rng):
-    values = []
-    for k in range(hier.levels):
-        img = rng.normal(size=(hier.n(k), hier.n(k))) * masks[k].active
-        values.append(img)
-    return MultilevelField(hier, values, masks)
 
 
 def test_offset_views_match_index_loop():

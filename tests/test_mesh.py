@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from mlfem.mesh import TRI_VERTEX_OFFSETS, ConfigurationError, build_hierarchy, hat_overlap_offsets
+from mlfem.mesh import (
+    TRI_VERTEX_OFFSETS,
+    ConfigurationError,
+    build_hierarchy,
+    hat_overlap_offsets,
+    square_corners,
+)
 
 from oracles import (
     all_triangles,
@@ -77,6 +83,15 @@ def test_triangle_vertices_match_convention():
         assert np.allclose(verts, triangle_verts(q, i, h))
         e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
         assert e1[0] * e2[1] - e1[1] * e2[0] > 0.0
+
+
+def test_square_corners_follow_vertex_offsets():
+    # T1 = (a, b, c) and T2 = (a, d, b), vertex for vertex
+    image = np.arange(30.0).reshape(5, 6)
+    a, b, c, d = square_corners(image)
+    for q, views in ((1, (a, b, c)), (2, (a, d, b))):
+        for view, (d1, d2) in zip(views, TRI_VERTEX_OFFSETS[q]):
+            assert np.array_equal(view, image[d1 : d1 + 4, d2 : d2 + 5])
 
 
 def test_children_areas_quarter_parent():

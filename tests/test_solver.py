@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from mlfem import assembly, field
-from mlfem.adapt import empty_marks, initial_masks, refine
 from mlfem.assembly import apply_A_level, assemble_rhs, compute_upsilon
-from mlfem.estimator import leaf_triangle_masks
-from mlfem.field import MultilevelField, full_mask, make_mask, uniform_masks, zero_field
+from mlfem.field import full_mask, make_mask, uniform_masks, zero_field
 from mlfem.mesh import ConfigurationError, build_hierarchy
 from mlfem.problems import CookieProblem, discretize_kappa, problem_rhs
 from mlfem.solver import (
@@ -18,7 +16,6 @@ from mlfem.solver import (
     llmg_solve,
     llmg_sweep,
     reference_solve,
-    stack_vector,
 )
 
 from test_package import load_benchmark_layers
@@ -28,41 +25,11 @@ from oracles import (
     energy_seminorm,
     lmg_sweep,
     power_lambda_max,
+    random_field,
+    random_refined_masks,
     solve_energy_history,
     ssc_sweep,
 )
-
-
-def random_field(hier, masks, rng):
-    values = []
-    for k in range(hier.levels):
-        img = rng.normal(size=(hier.n(k), hier.n(k))) * masks[k].active
-        values.append(img)
-    return MultilevelField(hier, values, masks)
-
-
-def random_refined_masks(hier, rng, frac=0.35):
-    """Admissible hierarchy: grow active sets by marking random leaf triangles.
-
-    These are the masks the adaptive loop produces; `random_sparse_masks`
-    draws independent per-level ones.
-    """
-    masks = initial_masks(hier)
-    for _ in range(hier.levels - 1):
-        leaves = leaf_triangle_masks(hier, masks)
-        ms = empty_marks(hier)
-        for k in range(hier.levels - 1):
-            pick = (rng.random(leaves[k].shape) < frac).astype(np.uint8)
-            ms.marks[k][...] = pick & leaves[k]
-        if ms.count() == 0:
-            for k in range(hier.levels - 1):
-                idx = np.argwhere(leaves[k])
-                if len(idx):
-                    q, a, b = idx[rng.integers(len(idx))]
-                    ms.marks[k][q, a, b] = 1
-                    break
-        masks = refine(masks, ms, hier)
-    return masks
 
 
 def random_sparse_masks(hier, rng, density=0.3):
