@@ -29,6 +29,8 @@ __all__ = [
     "empty_marks",
     "mark_threshold",
     "mark_doerfler",
+    "level_thresholds",
+    "warn_dropped_marks",
     "refine",
     "initial_masks",
     "afem",
@@ -82,12 +84,30 @@ class AfemReport:
         return all(step.solve.converged for step in self.steps)
 
 
+def level_thresholds(thresholds, hierarchy: GridHierarchy) -> np.ndarray:
+    """One positive threshold per level, from a scalar or a per-level sequence."""
+    deltas = np.broadcast_to(np.asarray(thresholds, dtype=float), (hierarchy.levels,))
+    if not np.all(deltas > 0.0):
+        raise ConfigurationError("thresholds must be positive on every level")
+    return deltas
+
+
+def warn_dropped_marks(marks: np.ndarray, hierarchy: GridHierarchy) -> None:
+    """Warn the marking function's caller of deepest-level marks (nowhere to refine)."""
+    dropped = int(marks.sum())
+    if dropped:
+        warnings.warn(
+            f"dropping {dropped} marked triangles at the deepest level "
+            f"({hierarchy.levels - 1}); hierarchy depth is saturated",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def mark_threshold(est: EstimatorField, thresholds) -> MarkSet:
     """Mark every leaf triangle whose eta_T^2 exceeds its level's threshold."""
     hier = est.hierarchy
-    deltas = np.broadcast_to(np.asarray(thresholds, dtype=float), (hier.levels,))
-    if not np.all(deltas > 0.0):
-        raise ConfigurationError("thresholds must be positive on every level")
+    deltas = level_thresholds(thresholds, hier)
     marks = []
     for k in range(hier.levels):
         hit = (est.eta2[k] > deltas[k]) & est.tri_mask[k].astype(bool)
@@ -139,14 +159,7 @@ def refine(masks: list[LevelMask], marks: MarkSet, hierarchy: GridHierarchy) -> 
     if len(masks) != hierarchy.levels or len(marks.marks) != hierarchy.levels:
         raise ConfigurationError("masks/marks do not match the hierarchy depth")
     new_active = [np.array(m.active, dtype=np.uint8) for m in masks]
-    saturated = int(marks.marks[hierarchy.levels - 1].sum())
-    if saturated:
-        warnings.warn(
-            f"dropping {saturated} marked triangles at the deepest level "
-            f"({hierarchy.levels - 1}); hierarchy depth is saturated",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    warn_dropped_marks(marks.marks[hierarchy.levels - 1], hierarchy)
     for k in range(hierarchy.levels - 1):
         level_marks = marks.marks[k]
         if not level_marks.any():

@@ -290,6 +290,8 @@ class MlfdDataset:
                         f"integers, got {shape!r}"
                     )
                 expect = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+                if not (self.root / fname).is_file():
+                    raise ConfigurationError(f"array {name!r}: blob {fname} does not exist")
                 actual = (self.root / fname).stat().st_size
                 if expect != actual:
                     raise ConfigurationError(

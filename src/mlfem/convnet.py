@@ -13,18 +13,21 @@ zero padding outside the lattice (the Dirichlet boundary carries zeros
 anyway).  Strided modes align windows with the coarse-coincident fine node
 `2i`; kernels acting on cell-indexed (per-triangle) channels align with the
 cell-center node `2i + 1` instead, selected per call with `cell_anchored`.
+Every layer reads its neighbours through `field.offset_views`, the shift
+primitive of the direct route too; it moves images and derives no weight,
+so the kernels stay an independent derivation.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .adapt import level_thresholds, warn_dropped_marks
 from .assembly import DiffusionField, RhsField
 from .estimator import EstimatorField, closed_forms, on_leaves
-from .field import LevelMask, MultilevelField, make_mask, zero_frame
+from .field import LevelMask, MultilevelField, make_mask, offset_views, zero_frame
 from .mesh import (
     NODE_TRIANGLES,
     TRI_CHILD_OFFSETS,
@@ -89,37 +92,6 @@ class ConvKernel:
             raise ConfigurationError(f"unknown conv mode {self.mode!r}")
 
 
-def _tap_windows(
-    kernel: ConvKernel, coarse: tuple, fine: tuple, stride: int, cell_anchored: bool
-):
-    """Nonzero taps with the index windows they pair.
-
-    Yields (tap, coarse_index, fine_index): coarse position i meets fine
-    position stride*i + o for the tap's window offset o, and both index
-    tuples cover exactly the positions where each partner lies on its
-    lattice.  Taps with no such position, or with all-zero weights, are
-    skipped.  Stride 1 (coarse and fine the same lattice) is the plain conv.
-    """
-
-    def axis(size: int, center: int, m: int, n: int) -> list:
-        windows = []
-        for o in range(-center, size - center):
-            a = max(0, -(o // stride))
-            b = min(m - 1, (n - 1 - o) // stride)
-            windows.append((slice(a, b + 1), slice(stride * a + o, stride * b + o + 1, stride)))
-        return windows
-
-    c1 = 0 if cell_anchored else (kernel.height - 1) // 2
-    c2 = 0 if cell_anchored else (kernel.width - 1) // 2
-    rows = axis(kernel.height, c1, coarse[0], fine[0])
-    cols = axis(kernel.width, c2, coarse[1], fine[1])
-    for d1, (lo1, hi1) in enumerate(rows):
-        for d2, (lo2, hi2) in enumerate(cols):
-            tap = kernel.weights[:, :, d1, d2]
-            if lo1.start < lo1.stop and lo2.start < lo2.stop and tap.any():
-                yield tap, (slice(None), lo1, lo2), (slice(None), hi1, hi2)
-
-
 def conv_apply(
     kernel: ConvKernel,
     image: np.ndarray,
@@ -133,6 +105,10 @@ def conv_apply(
     (or from the cell-center node when cell_anchored).  transpose-strided2:
     exact adjoint of strided2, coarse in, fine out.  submanifold: plain conv
     multiplied by mask, so positions with mask 0 are never written.
+
+    Every tap reads its neighbours through `field.offset_views`: strided2 is
+    the plain conv read at every second node, and transpose-strided2 is the
+    plain conv of the zero-dilated input with mirrored offsets.
     """
     if image.ndim != 3:
         raise ConfigurationError(f"expected (channels, n1, n2) image, got {image.shape}")
@@ -143,25 +119,35 @@ def conv_apply(
         )
     if kernel.mode == "submanifold" and mask is None:
         raise ConfigurationError("submanifold mode requires a mask")
-    shape = image.shape[1:]
-    if kernel.mode == "strided2" and (shape[0] % 2 == 0 or shape[1] % 2 == 0):
+    n1, n2 = image.shape[1:]
+    if kernel.mode == "strided2" and (n1 % 2 == 0 or n2 % 2 == 0):
         raise ConfigurationError(
             f"strided2 needs an odd fine lattice (2n-1 layout), got {image.shape}"
         )
 
+    c1 = 0 if cell_anchored else (kernel.height - 1) // 2
+    c2 = 0 if cell_anchored else (kernel.width - 1) // 2
+    taps, offsets = [], []
+    for d1 in range(kernel.height):
+        for d2 in range(kernel.width):
+            if kernel.weights[:, :, d1, d2].any():
+                taps.append(kernel.weights[:, :, d1, d2])
+                offsets.append((d1 - c1, d2 - c2))
+
     if kernel.mode == "transpose-strided2":
         # out[c, 2i + offset] += w[o, c, tap] * in[o, i]
-        fine = (2 * shape[0] - 1, 2 * shape[1] - 1)
-        out = np.zeros((kernel.in_channels,) + fine)
-        for tap, lo, hi in _tap_windows(kernel, shape, fine, 2, cell_anchored):
-            out[hi] += np.einsum("oc,oab->cab", tap, image[lo])
+        dilated = np.zeros((cin, 2 * n1 - 1, 2 * n2 - 1))
+        dilated[:, ::2, ::2] = image
+        out = np.zeros((kernel.in_channels,) + dilated.shape[1:])
+        mirrored = [(-o1, -o2) for o1, o2 in offsets]
+        for tap, view in zip(taps, offset_views(dilated, mirrored)):
+            out += np.einsum("oc,oab->cab", tap, view)
     else:
-        stride = 2 if kernel.mode == "strided2" else 1
-        coarse = ((shape[0] + 1) // 2, (shape[1] + 1) // 2) if stride == 2 else shape
-        out = np.zeros((kernel.out_channels,) + coarse)
-        for tap, lo, hi in _tap_windows(kernel, coarse, shape, stride, cell_anchored):
+        step = 2 if kernel.mode == "strided2" else 1
+        out = np.zeros((kernel.out_channels, (n1 - 1) // step + 1, (n2 - 1) // step + 1))
+        for tap, view in zip(taps, offset_views(image, offsets)):
             # (O, I) x (I, a, b) -> (O, a, b)
-            out[lo] += np.einsum("oc,cab->oab", tap, image[hi])
+            out += np.einsum("oc,cab->oab", tap, view[:, ::step, ::step])
     if kernel.bias is not None:
         out += kernel.bias[:, None, None]
     if kernel.mode == "submanifold":
@@ -223,7 +209,10 @@ _JUMP_TAPS = {
 
 @dataclass(frozen=True, eq=False)
 class StencilBank:
-    """All fixed kernels for one hierarchy, exact rationals times h-powers.
+    """All fixed kernels of the network, exact rationals.
+
+    The weights do not depend on the hierarchy: every mesh-size factor is
+    applied where a kernel is used, so every hierarchy builds the same bank.
 
     operator maps the 7-channel translation stack to the six node-triangle
     channels, and operator_transpose is its mirrored adjoint;
@@ -343,17 +332,15 @@ def conv_upsilon_channels(bank: StencilBank, kappa: np.ndarray, h: float) -> np.
 
     The integration kernel sums the three vertex values times h^2/6; nodes
     whose incident triangle falls outside the lattice get a hard 0 through
-    the per-channel owner-validity gate, matching `compute_upsilon`.
+    the per-channel gate: the owned-square image read at the channel's
+    owner offset, as in `compute_upsilon`.
     """
     n = kappa.shape[0]
+    owned = np.zeros((n, n), dtype=bool)
+    owned[: n - 1, : n - 1] = True
+    gates = offset_views(owned, [owner for _, owner in NODE_TRIANGLES])
     ups = (h * h) * conv_apply(bank.upsilon, kappa[None, :, :])
-    idx1, idx2 = np.indices((n, n))
-    for chan, (_, (d1, d2)) in enumerate(NODE_TRIANGLES):
-        owner1 = idx1 + d1
-        owner2 = idx2 + d2
-        valid = (owner1 >= 0) & (owner1 < n - 1) & (owner2 >= 0) & (owner2 < n - 1)
-        ups[chan] *= valid
-    return ups
+    return ups * np.stack(gates)
 
 
 def conv_apply_A(
@@ -565,14 +552,11 @@ def conv_mark_refine(
     interior gate reproduces adapt.refine bit for bit.
     """
     hier = est.hierarchy
-    deltas = np.broadcast_to(np.asarray(thresholds, dtype=float), (hier.levels,))
-    if not np.all(deltas > 0.0):
-        raise ConfigurationError("thresholds must be positive on every level")
+    deltas = level_thresholds(thresholds, hier)
     if len(masks) != hier.levels:
         raise ConfigurationError("masks do not match the hierarchy depth")
 
     new_active = [np.array(mk.active, dtype=np.uint8) for mk in masks]
-    top_marks = 0
     for k in range(hier.levels):
         layer = ConvKernel(
             2, 2, 1, 1,
@@ -582,20 +566,13 @@ def conv_mark_refine(
         scores = conv_apply(layer, est.eta2[k])
         marks = ((scores > 0.0).astype(np.uint8)) & est.tri_mask[k]
         if k == hier.levels - 1:
-            top_marks = int(marks.sum())
+            warn_dropped_marks(marks, hier)
             continue
         if not marks.any():
             continue
         lit = conv_apply(bank.refine, marks.astype(float), cell_anchored=True)[0]
         add = (lit > 0.0).astype(np.uint8) & hier.interior_mask(k + 1)
         new_active[k + 1] |= add
-    if top_marks:
-        warnings.warn(
-            f"dropping {top_marks} marked triangles at the deepest level "
-            f"({hier.levels - 1}); hierarchy depth is saturated",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return [make_mask(a) for a in new_active]
 
 
@@ -646,19 +623,18 @@ def parameter_count(levels: int, sweeps: int) -> dict:
 
 
 def flatten_bank(bank: StencilBank) -> tuple[np.ndarray, list[tuple[str, tuple[int, ...]]]]:
-    """Serialize the bank to one float64 vector plus a (name, shape) layout."""
-    parts: list[tuple[str, np.ndarray]] = [("operator", bank.operator.weights)]
-    parts.append(("operator_transpose", bank.operator_transpose.weights))
-    parts.append(("upsilon", bank.upsilon.weights))
-    parts.append(("prolong", bank.prolong.weights))
-    parts.append(("restrict", bank.restrict.weights))
-    parts.append(("corner", bank.corner.weights))
-    for name in sorted(bank.jumps):
-        parts.append((f"jump_{name}", bank.jumps[name].weights))
-    parts.append(("aggregate_r2", bank.aggregate_r2.weights))
-    parts.append(("aggregate_j2", bank.aggregate_j2.weights))
-    parts.append(("refine", bank.refine.weights))
-    parts.append(("translate", bank.translate.weights))
+    """Serialize the bank to one float64 vector plus a (name, shape) layout.
+
+    Kernels follow the StencilBank field order; the jumps dict contributes
+    one `jump_<name>` entry per kernel, sorted by name.
+    """
+    parts: list[tuple[str, np.ndarray]] = []
+    for field in fields(bank):
+        value = getattr(bank, field.name)
+        if isinstance(value, dict):
+            parts.extend((f"jump_{name}", value[name].weights) for name in sorted(value))
+        else:
+            parts.append((field.name, value.weights))
     layout = [(name, arr.shape) for name, arr in parts]
     vec = np.concatenate([arr.ravel() for _, arr in parts])
     return vec, layout

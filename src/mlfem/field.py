@@ -38,9 +38,10 @@ def offset_views(image: np.ndarray, offsets) -> list[np.ndarray]:
 
     All views read one zero-padded copy of `image`, so entries whose source
     index leaves the lattice are zero.  Leading axes are carried along; the
-    offsets act on the last two.  Every stencil of the direct route (stiffness
-    action, its transpose, load and Gershgorin sums, mask closure, Upsilon
-    channels) is built from such views.
+    offsets act on the last two.  Both routes read their neighbours from such
+    views: every stencil of the direct route (stiffness action, its
+    transpose, load and Gershgorin sums, mask closure, Upsilon channels) and
+    every tap of `convnet.conv_apply`.
     """
     r = max((max(abs(d1), abs(d2)) for d1, d2 in offsets), default=0)
     n1, n2 = image.shape[-2], image.shape[-1]

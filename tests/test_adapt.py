@@ -154,9 +154,11 @@ def test_refine_warns_on_saturated_depth():
     hier = build_hierarchy(3, 2)
     marks = empty_marks(hier)
     marks.marks[1][0, 0, 0] = 1
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match="dropping 1 marked triangles") as record:
         out = refine(initial_masks(hier), marks, hier)
     assert not out[1].active.any()
+    # the warning points at the caller of refine
+    assert record[0].filename == __file__
 
 
 def test_refined_space_preserves_function():

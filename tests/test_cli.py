@@ -202,9 +202,15 @@ def test_mlfd_rejects_corrupt_dataset(tmp_path):
         MlfdDataset(tmp_path)
     blob.write_bytes(b"\x00" * (16 * 8))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
+    good_format = manifest["format"]
     manifest["format"] = "mlfd-99"
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ConfigurationError, match="not an mlfd dataset"):
+        MlfdDataset(tmp_path)
+    manifest["format"] = good_format
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    blob.unlink()
+    with pytest.raises(ConfigurationError, match="x.bin"):
         MlfdDataset(tmp_path)
 
 

@@ -1,5 +1,6 @@
 """Convolutional twins: kernels, stencil bank, sweep, estimator, marking."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -53,25 +54,46 @@ from mlfem.solver import SmootherConfig, choose_omega, llmg_sweep
 from oracles import random_field, random_mask, random_masks, sample_parameters
 
 
-def loop_conv(kernel, image):
-    """Reference cross-correlation: explicit loops, zero padding, centered."""
+def loop_conv(kernel, image, cell_anchored=False):
+    """Reference convolution: explicit loops, zero padding.
+
+    Window offsets run from the kernel centre, or from its first tap when
+    cell_anchored.  plain reads in[c, i + offset]; strided2 reads
+    in[c, 2i + offset] for every coarse node i of the odd fine lattice;
+    transpose-strided2 scatters w[o, c, tap] * in[o, i] to out[c, 2i + offset]
+    on the 2n - 1 lattice.  Taps that leave the lattice are dropped.
+    """
     cout, cin, kh, kw = kernel.weights.shape
     _, n1, n2 = image.shape
-    c1, c2 = (kh - 1) // 2, (kw - 1) // 2
-    out = np.zeros((cout, n1, n2))
-    for o in range(cout):
-        for i1 in range(n1):
-            for i2 in range(n2):
-                acc = 0.0
-                for c in range(cin):
-                    for d1 in range(kh):
-                        for d2 in range(kw):
-                            s1, s2 = i1 + d1 - c1, i2 + d2 - c2
+    c1, c2 = (0, 0) if cell_anchored else ((kh - 1) // 2, (kw - 1) // 2)
+    taps = [(d1, d2, d1 - c1, d2 - c2) for d1 in range(kh) for d2 in range(kw)]
+    if kernel.mode == "transpose-strided2":
+        f1, f2 = 2 * n1 - 1, 2 * n2 - 1
+        out = np.zeros((cin, f1, f2))
+        for o in range(cout):
+            for i1 in range(n1):
+                for i2 in range(n2):
+                    for c in range(cin):
+                        for d1, d2, o1, o2 in taps:
+                            s1, s2 = 2 * i1 + o1, 2 * i2 + o2
+                            if 0 <= s1 < f1 and 0 <= s2 < f2:
+                                out[c, s1, s2] += kernel.weights[o, c, d1, d2] * image[o, i1, i2]
+    else:
+        stride = 2 if kernel.mode == "strided2" else 1
+        m1, m2 = (n1 - 1) // stride + 1, (n2 - 1) // stride + 1
+        out = np.zeros((cout, m1, m2))
+        for o in range(cout):
+            for i1 in range(m1):
+                for i2 in range(m2):
+                    acc = 0.0
+                    for c in range(cin):
+                        for d1, d2, o1, o2 in taps:
+                            s1, s2 = stride * i1 + o1, stride * i2 + o2
                             if 0 <= s1 < n1 and 0 <= s2 < n2:
                                 acc += kernel.weights[o, c, d1, d2] * image[c, s1, s2]
-                out[o, i1, i2] = acc
-        if kernel.bias is not None:
-            out[o] += kernel.bias[o]
+                    out[o, i1, i2] = acc
+    if kernel.bias is not None:
+        out += kernel.bias[:, None, None]
     return out
 
 
@@ -97,6 +119,33 @@ def test_plain_conv_matches_loop_oracle():
     got = conv_apply(kern, img)
     want = loop_conv(kern, img)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
+
+
+# fine lattices are odd; coarse (transposed-input) lattices odd and even
+ORACLE_LATTICES = {
+    "plain": ((7, 6), (5, 5), (4, 9)),
+    "strided2": ((7, 7), (9, 5), (3, 11)),
+    "transpose-strided2": ((4, 4), (5, 3), (2, 5)),
+}
+
+
+@pytest.mark.parametrize("size", [(1, 1), (2, 2), (3, 3), (3, 5), (5, 3)])
+@pytest.mark.parametrize("cell_anchored", [False, True])
+@pytest.mark.parametrize("mode", sorted(ORACLE_LATTICES))
+def test_conv_modes_match_loop_oracle(mode, cell_anchored, size):
+    rng = np.random.default_rng(13)
+    kh, kw = size
+    # a transposed layer emits in_channels channels while its bias has
+    # out_channels entries, so only the forward modes carry a bias
+    bias = None if mode == "transpose-strided2" else rng.normal(size=2)
+    kern = ConvKernel(2, 3, kh, kw, rng.normal(size=(2, 3, kh, kw)), bias=bias, mode=mode)
+    cin = 2 if mode == "transpose-strided2" else 3
+    for shape in ORACLE_LATTICES[mode]:
+        img = rng.normal(size=(cin,) + shape)
+        got = conv_apply(kern, img, cell_anchored=cell_anchored)
+        want = loop_conv(kern, img, cell_anchored)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
 
 
 def test_submanifold_checkerboard():
@@ -517,6 +566,19 @@ def test_conv_mark_all_below_threshold_is_inert():
         assert np.array_equal(got[k].active, masks[k].active)
 
 
+def test_conv_mark_warns_at_the_caller():
+    hier = build_hierarchy(5, 2)
+    bank = build_stencil_bank(hier)
+    masks = uniform_masks(hier)
+    diff = compute_upsilon(hier, np.ones((9, 9)))
+    u = random_field(hier, masks, np.random.default_rng(71))
+    est = estimate(u, np.ones((9, 9)), diff, masks)
+    top = int(est.tri_mask[-1].sum())
+    with pytest.warns(RuntimeWarning, match=f"dropping {top} marked triangles") as record:
+        conv_mark_refine(bank, est, 1e-300, masks)
+    assert record[0].filename == __file__
+
+
 def test_conv_mark_validation():
     hier = build_hierarchy(5, 2)
     bank = build_stencil_bank(hier)
@@ -563,3 +625,12 @@ def test_flatten_bank_layout():
     assert int(np.prod(shapes["operator"])) == 42
     vec2, _ = flatten_bank(bank)
     assert np.array_equal(vec, vec2)
+    assert names == [
+        "operator", "operator_transpose", "upsilon", "prolong", "restrict", "corner",
+        "jump_bottom", "jump_diag", "jump_left", "jump_right", "jump_top",
+        "aggregate_r2", "aggregate_j2", "refine", "translate",
+    ]
+    # the dataset's kernel_bank blob holds these bytes
+    assert hashlib.sha256(vec.tobytes()).hexdigest() == (
+        "79943ff8b1e08e6816c8635af2485d0c336709b6b4994284941c78bb433b78fd"
+    )
