@@ -8,9 +8,9 @@ row.  The stacked (all-levels) operator is defined once, by three level
 steps: `carry_down` and `carry_up` pass the carried-down and carried-up
 contents one level on, and `level_section` is one level's row
 A_k(u_k + utilde_k) + ubar_k.  `compute_utilde`, `compute_ubar` and
-`apply_stacked` loop over them, and so does `solver.llmg_sweep`;
-`assemble_global` is the brute-force sparse counterpart used for
-verification.
+`apply_stacked` loop over them, and so does `solver.llmg_sweep`, each only
+over the occupied levels 0..D-1 (`occupied_depth`); `assemble_global` is the
+brute-force sparse counterpart used for verification.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "carry_down",
     "carry_up",
     "level_section",
+    "occupied_depth",
     "compute_utilde",
     "compute_ubar",
     "apply_stacked",
@@ -217,28 +218,42 @@ def level_section(
     return apply_A_level(values_k + tld_k, diffusion.upsilon[k], h) + bar_k
 
 
+def occupied_depth(masks) -> int:
+    """D = 1 + the deepest level with an active node (0 when no node is active).
+
+    The stacked operator needs only levels 0..D-1.  A level at or beyond D
+    holds +0.0 values: its smoothing step adds `x * 0`, its transposed action
+    and the content restricted from it are exactly zero, and no level below
+    D reads the carried-down content of a level at or beyond D.  So every
+    level loop of both routes stops at D, with bit-identical results.
+    """
+    return max((k + 1 for k, m in enumerate(masks) if m.active.any()), default=0)
+
+
 def compute_utilde(u: MultilevelField) -> list[np.ndarray]:
     """Carried-down content: nodal values at level k of all coarser components.
 
     utilde[0] = 0, then `carry_down` of the active values on the full
     lattice.  Exact for any masks because every coarser hat is reproduced by
-    nodal interpolation onto finer lattices.
+    nodal interpolation onto finer lattices.  Only the occupied levels
+    k < `occupied_depth(u.masks)` are returned.
     """
+    depth = occupied_depth(u.masks)
     tld = [np.zeros_like(u.values[0])]
-    for k in range(u.levels - 1):
+    for k in range(depth - 1):
         tld.append(carry_down(tld[k], u.values[k] * u.masks[k].active))
-    return tld
+    return tld[:depth]
 
 
 def compute_ubar(u: MultilevelField, diffusion: DiffusionField) -> list[np.ndarray]:
     """Carried-up content: restriction of the transposed actions of all finer levels.
 
-    ubar[L] = 0, then `carry_up` of the active values down to level 0.
+    ubar[D-1] = 0, then `carry_up` of the active values down to level 0,
+    for the occupied levels k < D = `occupied_depth(u.masks)` only.
     """
-    last = u.levels - 1
-    bar: list[np.ndarray] = [np.empty(0)] * u.levels
-    bar[last] = np.zeros_like(u.values[last])
-    for k in range(last, 0, -1):
+    depth = occupied_depth(u.masks)
+    bar: list[np.ndarray] = [np.zeros_like(u.values[k]) for k in range(depth)]
+    for k in range(depth - 1, 0, -1):
         bar[k - 1] = carry_up(bar[k], u.values[k] * u.masks[k].active, diffusion, k)
     return bar
 
@@ -248,14 +263,15 @@ def apply_stacked(u: MultilevelField, diffusion: DiffusionField) -> list[np.ndar
 
     Level k of the result is `level_section` of the active values, masked to
     the active rows: the same values the global sparse matrix produces at
-    level-k degrees of freedom.
+    level-k degrees of freedom.  Levels at or beyond `occupied_depth` have
+    no active rows, and their blocks are zero.
     """
     tld = compute_utilde(u)
     bar = compute_ubar(u, diffusion)
-    out = []
-    for k in range(u.levels):
+    out = [np.zeros_like(v) for v in u.values]
+    for k in range(len(tld)):
         act = u.masks[k].active
-        out.append(level_section(u.values[k] * act, tld[k], bar[k], diffusion, k) * act)
+        out[k] = level_section(u.values[k] * act, tld[k], bar[k], diffusion, k) * act
     return out
 
 

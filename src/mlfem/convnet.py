@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .adapt import level_thresholds, warn_dropped_marks
-from .assembly import DiffusionField, RhsField
+from .assembly import DiffusionField, RhsField, occupied_depth
 from .estimator import EstimatorField, closed_forms, on_leaves
 from .field import LevelMask, MultilevelField, make_mask, offset_views, zero_frame
 from .mesh import (
@@ -86,8 +86,10 @@ class ConvKernel:
             raise ConfigurationError(
                 f"kernel weights {self.weights.shape} do not match {expect}"
             )
-        if self.bias is not None and self.bias.shape != (self.out_channels,):
-            raise ConfigurationError("bias must have one entry per out channel")
+        # a transposed layer emits in_channels channels (see conv_apply)
+        emitted = self.in_channels if self.mode == "transpose-strided2" else self.out_channels
+        if self.bias is not None and self.bias.shape != (emitted,):
+            raise ConfigurationError("bias must have one entry per emitted channel")
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown conv mode {self.mode!r}")
 
@@ -392,7 +394,9 @@ class ConvLlmgState:
 
     Only the smoothing step builds a translation stack (of v + utld, gated
     by the active mask); the carried contents live on the full lattice, and
-    utld[0] and ubar[-1] stay zero.
+    utld[0] and ubar[-1] stay zero.  A sweep never reads or writes a level
+    at or beyond the occupied depth D (`assembly.occupied_depth`), so v,
+    utld and ubar stay +0.0 there.
     """
 
     hierarchy: GridHierarchy
@@ -423,9 +427,9 @@ def init_llmg_state(
     """Stage the sweep images from field-side objects.
 
     v is u on the active sets and +0.0 elsewhere; the carried-down chain
-    utld[k+1] = conv_prolongate(utld[k] + v[k]), on the full lattice as in
-    `compute_utilde`, is built here once, and each sweep's upward half keeps
-    it current afterwards.
+    utld[k+1] = conv_prolongate(utld[k] + v[k]), on the full lattice of the
+    occupied levels as in `compute_utilde`, is built here once, and each
+    sweep's upward half keeps it current afterwards.
     """
     hier = u.hierarchy
     if len(smoother.omegas) != hier.levels:
@@ -433,9 +437,9 @@ def init_llmg_state(
     masks = [m.copy() for m in u.masks]
     levels = range(hier.levels)
     v = [np.where(masks[k].active, u.values[k], 0.0) for k in levels]
-    utld = [np.zeros((hier.n(0), hier.n(0)))]
-    for k in range(hier.levels - 1):
-        utld.append(conv_prolongate(bank, utld[k] + v[k]))
+    utld = [np.zeros((hier.n(k), hier.n(k))) for k in levels]
+    for k in range(occupied_depth(masks) - 1):
+        utld[k + 1] = conv_prolongate(bank, utld[k] + v[k])
     return ConvLlmgState(
         hierarchy=hier,
         masks=masks,
@@ -461,8 +465,9 @@ def conv_llmg_sweep(state: ConvLlmgState, bank: StencilBank) -> ConvLlmgState:
 
     Computes what solver.llmg_sweep computes: smooth fine-to-coarse while
     accumulating the carried-up content, then smooth coarse-to-fine
-    re-extending the carried-down content.  Per level that is two
-    translation stacks, and one restriction and one prolongation per link.
+    re-extending the carried-down content, on the occupied levels 0..D-1
+    only.  Per level that is two translation stacks, and one restriction and
+    one prolongation per link.
     """
     hier = state.hierarchy
     nlev = hier.levels
@@ -473,7 +478,8 @@ def conv_llmg_sweep(state: ConvLlmgState, bank: StencilBank) -> ConvLlmgState:
         ):
             raise ConfigurationError(f"state group {name} does not match the hierarchy")
 
-    for k in range(nlev - 1, -1, -1):
+    depth = occupied_depth(state.masks)
+    for k in range(depth - 1, -1, -1):
         _conv_smooth(state, bank, k)
         if k > 0:
             lifted = state.ubar[k] + conv_apply_A_transpose(
@@ -481,9 +487,9 @@ def conv_llmg_sweep(state: ConvLlmgState, bank: StencilBank) -> ConvLlmgState:
             )
             state.ubar[k - 1] = conv_restrict(bank, lifted)
 
-    for k in range(nlev):
+    for k in range(depth):
         _conv_smooth(state, bank, k)
-        if k < nlev - 1:
+        if k < depth - 1:
             state.utld[k + 1] = conv_prolongate(bank, state.utld[k] + state.v[k])
     return state
 
@@ -582,6 +588,11 @@ def conv_mark_refine(
 
 def parameter_count(levels: int, sweeps: int) -> dict:
     """Weight-and-bias counts of the full pipeline, layers replicated.
+
+    This books the full-depth network, every one of `levels` levels in each
+    sweep.  A sweep on adaptive masks runs only the occupied levels 0..D-1
+    (`assembly.occupied_depth`), so it applies the per-sweep layers of
+    `parameter_count(D, 1)`; the fixed part still spans all levels.
 
     Counts use the stored tensor sizes (the 6x7x1x1 operator kernel is 42
     weights per level).  Layers are counted once per application, so the

@@ -34,6 +34,7 @@ from mlfem.convnet import (
 from mlfem.estimator import estimate
 from mlfem.field import (
     MultilevelField,
+    empty_mask,
     flatten_to_finest,
     offset_views,
     prolongate_uniform,
@@ -135,9 +136,8 @@ ORACLE_LATTICES = {
 def test_conv_modes_match_loop_oracle(mode, cell_anchored, size):
     rng = np.random.default_rng(13)
     kh, kw = size
-    # a transposed layer emits in_channels channels while its bias has
-    # out_channels entries, so only the forward modes carry a bias
-    bias = None if mode == "transpose-strided2" else rng.normal(size=2)
+    # a transposed layer emits in_channels channels, one bias entry each
+    bias = rng.normal(size=3 if mode == "transpose-strided2" else 2)
     kern = ConvKernel(2, 3, kh, kw, rng.normal(size=(2, 3, kh, kw)), bias=bias, mode=mode)
     cin = 2 if mode == "transpose-strided2" else 3
     for shape in ORACLE_LATTICES[mode]:
@@ -191,6 +191,13 @@ def test_kernel_validation():
         ConvKernel(1, 1, 3, 3, np.zeros((1, 1, 2, 3)))
     with pytest.raises(ConfigurationError):
         ConvKernel(2, 1, 1, 1, np.zeros((2, 1, 1, 1)), bias=np.zeros(3))
+    # a transposed layer emits its in_channels (here 1), not its 3 out channels
+    w = np.zeros((3, 1, 3, 3))
+    with pytest.raises(ConfigurationError):
+        ConvKernel(3, 1, 3, 3, w, bias=np.arange(3.0), mode="transpose-strided2")
+    with pytest.raises(ConfigurationError):
+        ConvKernel(1, 3, 3, 3, np.zeros((1, 3, 3, 3)), bias=np.zeros(1), mode="transpose-strided2")
+    ConvKernel(3, 1, 3, 3, w, bias=np.zeros(1), mode="transpose-strided2")
     with pytest.raises(ConfigurationError):
         ConvKernel(1, 1, 1, 1, np.zeros((1, 1, 1, 1)), mode="fancy")
     kern = ConvKernel(1, 2, 3, 3, np.zeros((1, 2, 3, 3)))
@@ -375,15 +382,33 @@ def test_single_dof_conv_trajectory():
     assert state.solution_images()[0][1, 1] == pytest.approx(0.046875, abs=1e-15)
 
 
+def occupied_masks(hier, depth, rng):
+    """Random active sets on levels 0..depth-1, empty levels below them."""
+    return [
+        random_mask(hier, k, rng) if k < depth else empty_mask(hier, k)
+        for k in range(hier.levels)
+    ]
+
+
 def test_conv_sweep_matches_solver_sweep():
-    hier = build_hierarchy(5, 3)
+    check_conv_sweep_matches_solver_sweep(levels=3, depth=3)
+
+
+def test_conv_sweep_culls_the_empty_levels():
+    # dofs on levels 0 and 1 of four: both routes visit only those two, and
+    # the conv iterate stays +0.0 on levels 2 and 3
+    check_conv_sweep_matches_solver_sweep(levels=4, depth=2)
+
+
+def check_conv_sweep_matches_solver_sweep(levels, depth):
+    hier = build_hierarchy(5, levels)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(43)
     nf = hier.n(hier.levels - 1)
     for _ in range(5):
         diff = compute_upsilon(hier, rng.uniform(0.5, 3.0, size=(nf, nf)))
         rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
-        masks = random_masks(hier, rng)
+        masks = occupied_masks(hier, depth, rng)
         values = [
             rng.normal(size=(hier.n(k), hier.n(k))) * masks[k].active
             for k in range(hier.levels)
@@ -399,6 +424,8 @@ def test_conv_sweep_matches_solver_sweep():
             for k in range(hier.levels):
                 dev = np.abs(state.solution_images()[k] - u.values[k]).max()
                 assert dev <= 1e-11
+            for k in range(depth, hier.levels):
+                assert not state.v[k].any() and not np.signbit(state.v[k]).any()
 
 
 def test_solution_images_copy_the_iterate():
@@ -444,17 +471,21 @@ def test_sweep_state_validation():
         conv_llmg_sweep(state, bank)
 
 
-@pytest.mark.parametrize("levels", [2, 3])
-def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels):
+@pytest.mark.parametrize(
+    "levels, depth",
+    [pytest.param(2, 2, id="2"), pytest.param(3, 3, id="3"), pytest.param(4, 2, id="4-depth2")],
+)
+def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     """The layers one sweep and the state setup apply are the ones
-    parameter_count books: no stack or chain is built and left unread."""
+    parameter_count books for the occupied depth: no stack or chain is built
+    and left unread, and no level without dofs is visited."""
     hier = build_hierarchy(5, levels)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(59)
     nf = hier.n(levels - 1)
     diff = compute_upsilon(hier, rng.uniform(0.5, 3.0, size=(nf, nf)))
     rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
-    masks = random_masks(hier, rng)
+    masks = occupied_masks(hier, depth, rng)
     sm = choose_omega(diff, masks)
     u = random_field(hier, masks, rng)
 
@@ -470,16 +501,16 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels):
 
     monkeypatch.setattr(convnet, "conv_apply", counted_apply)
     state = init_llmg_state(bank, u, rhs, diff, sm)
-    assert weights() == (levels - 1) * 9
+    assert weights() == (depth - 1) * 9
     applied.clear()
     conv_llmg_sweep(state, bank)
     # every smoothing step also multiplies by its damping factor, which no
     # kernel applies: one weight per step, two steps per level
-    assert weights() == parameter_count(levels, 1)["per_sweep"] - 2 * levels
+    assert weights() == parameter_count(depth, 1)["per_sweep"] - 2 * depth
     # one smoothing step is one stack and one stiffness layer
     layers = (bank.translate, bank.operator, bank.prolong, bank.restrict)
     uses = [sum(k is layer for k in applied) for layer in layers]
-    assert uses == [2 * levels, 2 * levels, levels - 1, levels - 1]
+    assert uses == [2 * depth, 2 * depth, depth - 1, depth - 1]
 
 
 # ---------------------------------------------------------------- estimator

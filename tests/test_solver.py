@@ -6,16 +6,28 @@ import numpy as np
 import pytest
 
 from mlfem import assembly, field
-from mlfem.assembly import apply_A_level, assemble_rhs, compute_upsilon
-from mlfem.field import full_mask, make_mask, uniform_masks, zero_field
+from mlfem.assembly import (
+    apply_A_level,
+    apply_stacked,
+    assemble_rhs,
+    carry_down,
+    carry_up,
+    compute_upsilon,
+    level_section,
+    occupied_depth,
+)
+from mlfem.field import empty_mask, full_mask, make_mask, uniform_masks, zero_field
 from mlfem.mesh import ConfigurationError, build_hierarchy
 from mlfem.problems import CookieProblem, discretize_kappa, problem_rhs
 from mlfem.solver import (
+    RESIDUAL_GATE,
     SmootherConfig,
+    _stacked_residual_norm,
     choose_omega,
     llmg_solve,
     llmg_sweep,
     reference_solve,
+    stack_vector,
 )
 
 from test_package import load_benchmark_layers
@@ -26,6 +38,7 @@ from oracles import (
     lmg_sweep,
     power_lambda_max,
     random_field,
+    random_mask,
     random_refined_masks,
     solve_energy_history,
     ssc_sweep,
@@ -187,17 +200,30 @@ def test_llmg_sweep_equals_lmg_sweep():
             assert np.allclose(ua.values[k], ub.values[k], rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("levels", [2, 3, 4])
-def test_sweep_applies_exactly_the_counted_kernels(levels):
-    """One direct sweep: each level is smoothed twice, the carried-up content
-    takes one transposed action and one restriction per level below the
-    finest, and the carried-down chain is built once and updated once."""
+@pytest.mark.parametrize(
+    "levels, depth",
+    [
+        pytest.param(2, 2, id="2"),
+        pytest.param(3, 3, id="3"),
+        pytest.param(4, 4, id="4"),
+        pytest.param(4, 2, id="4-depth2"),
+        pytest.param(4, 1, id="4-depth1"),
+    ],
+)
+def test_sweep_applies_exactly_the_counted_kernels(levels, depth):
+    """One direct sweep on masks full on levels 0..depth-1 and empty below:
+    each occupied level is smoothed twice, the carried-up content takes one
+    transposed action and one restriction per occupied level below the
+    deepest, and the carried-down chain is built once and updated once."""
     hier = build_hierarchy(3, levels)
     nf = hier.n(levels - 1)
     rng = np.random.default_rng(67)
     diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
     rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
-    masks = uniform_masks(hier)
+    masks = [
+        full_mask(hier, k) if k < depth else empty_mask(hier, k) for k in range(levels)
+    ]
+    assert occupied_depth(masks) == depth
     sm = choose_omega(diff, masks)
     u = random_field(hier, masks, rng)
 
@@ -218,12 +244,126 @@ def test_sweep_applies_exactly_the_counted_kernels(levels):
     finally:
         tracer.remove()
     assert tracer.calls == {
-        "apply_A_level": 2 * levels,
-        "apply_A_level_transpose": levels - 1,
-        "prolongate_uniform": 2 * (levels - 1),
-        "restrict_uniform": levels - 1,
+        "apply_A_level": 2 * depth,
+        "apply_A_level_transpose": depth - 1,
+        "prolongate_uniform": 2 * (depth - 1),
+        "restrict_uniform": depth - 1,
         "apply_stacked": 0,
     }
+
+
+def two_of_four_levels(rng):
+    """A 4-level hierarchy (25 + 81 + 289 + 1089 nodes) with dofs on levels
+    0 and 1 only, random data, and values +0.0 on the two empty levels."""
+    hier = build_hierarchy(5, 4)
+    nf = hier.n(3)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 3.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    masks = [full_mask(hier, 0), random_mask(hier, 1, rng)]
+    masks += [empty_mask(hier, 2), empty_mask(hier, 3)]
+    u = random_field(hier, masks, rng)
+    for k in (2, 3):
+        u.values[k] = np.zeros_like(u.values[k])
+    return hier, diff, rhs, u
+
+
+def full_depth_stacked(u, diff):
+    """apply_stacked's level steps run over every level, occupied or not."""
+    nlev = u.levels
+    vals = [u.values[k] * u.masks[k].active for k in range(nlev)]
+    tld = [np.zeros_like(vals[0])]
+    for k in range(nlev - 1):
+        tld.append(carry_down(tld[k], vals[k]))
+    bar = [np.zeros_like(v) for v in vals]
+    for k in range(nlev - 1, 0, -1):
+        bar[k - 1] = carry_up(bar[k], vals[k], diff, k)
+    return [
+        level_section(vals[k], tld[k], bar[k], diff, k) * u.masks[k].active
+        for k in range(nlev)
+    ]
+
+
+def full_depth_sweep(u, f, diff, sm):
+    """llmg_sweep's level steps run over every level; returns the lagged
+    norm sqrt(sum_k ||r_k||^2) of the upward half's masked residuals."""
+    nlev = u.levels
+    act = [m.active for m in u.masks]
+    tld = [np.zeros_like(u.values[0])]
+    for k in range(nlev - 1):
+        tld.append(carry_down(tld[k], u.values[k] * act[k]))
+    bar = [np.zeros_like(v) for v in u.values]
+    lagged2 = []
+
+    def smooth(k):
+        section = level_section(u.values[k], tld[k], bar[k], diff, k)
+        r = (f.images[k] - section) * act[k]
+        u.values[k] += sm.omegas[k] * (f.images[k] - section) * act[k]
+        return float(np.vdot(r, r))
+
+    for k in range(nlev - 1, -1, -1):
+        smooth(k)
+        if k > 0:
+            bar[k - 1] = carry_up(bar[k], u.values[k], diff, k)
+    for k in range(nlev):
+        lagged2.append(smooth(k))
+        if k < nlev - 1:
+            tld[k + 1] = carry_down(tld[k], u.values[k])
+    return float(np.sqrt(sum(lagged2)))
+
+
+def test_culled_stacked_operator_and_sweep_are_bit_identical():
+    # culling to the occupied levels changes no bit of an occupied level,
+    # signed zeros included; the empty levels' rows are all zero (the
+    # full-depth loop's may hold -0.0, the masked product of a negative)
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        hier, diff, rhs, u = two_of_four_levels(rng)
+        assert occupied_depth(u.masks) == 2
+        got, want = apply_stacked(u, diff), full_depth_stacked(u, diff)
+        assert [a.tobytes() for a in got[:2]] == [b.tobytes() for b in want[:2]]
+        assert all(np.array_equal(a, b) and not a.any() for a, b in zip(got[2:], want[2:]))
+        sm = choose_omega(diff, u.masks)
+        ref = u.copy()
+        for _sweep in range(3):
+            lagged = llmg_sweep(u, rhs, diff, sm)
+            assert lagged == full_depth_sweep(ref, rhs, diff, sm)
+            assert [a.tobytes() for a in u.values] == [b.tobytes() for b in ref.values]
+        for k in (2, 3):
+            assert not u.values[k].any() and not np.signbit(u.values[k]).any()
+
+
+def test_solve_forms_the_stacked_residual_only_near_the_stop():
+    """The first, the stopping and the last allowed entry of the history are
+    true stacked residuals, and so is every entry within the gate: a lagged
+    entry is recorded only above it."""
+    hier = build_hierarchy(5, 3)
+    nf = hier.n(2)
+    rng = np.random.default_rng(73)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    masks = uniform_masks(hier)
+    sm = choose_omega(diff, masks)
+    u0 = zero_field(hier, masks)
+    threshold = 1e-10 * np.linalg.norm(stack_vector(rhs.images, masks))
+    layers = load_benchmark_layers()
+    for max_sweeps in (4, 500):
+        tracer = layers.Tracer([("residual", assembly, "apply_stacked", "mlfem.solver", False)])
+        tracer.install()
+        try:
+            u, report = llmg_solve(u0, rhs, diff, sm, max_sweeps=max_sweeps)
+        finally:
+            tracer.remove()
+        hist = report.residual_history
+        assert hist[0] == _stacked_residual_norm(u0, rhs, diff)
+        assert hist[-1] == _stacked_residual_norm(u, rhs, diff)
+        assert report.converged == (max_sweeps == 500)
+        assert all(r > threshold for r in hist[1:-1])
+        near = sum(r <= RESIDUAL_GATE * threshold for r in hist[1:])
+        if max_sweeps == 4:
+            assert near == 0 and tracer.calls["residual"] == 2
+        else:
+            assert hist[-1] <= threshold
+            assert 1 + near <= tracer.calls["residual"] < report.iterations // 4
 
 
 def test_sweep_input_validation():
