@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .field import (
     MultilevelField,
@@ -37,6 +37,11 @@ from .mesh import (
     hat_overlap_offsets,
     square_corners,
 )
+
+# scipy is imported inside the verification routes that use it, so importing
+# the package does not load it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "STENCIL_COUPLINGS",
@@ -277,6 +282,8 @@ def apply_stacked(u: MultilevelField, diffusion: DiffusionField) -> list[np.ndar
 
 def _prolongation_matrix(n_coarse: int) -> sp.csr_matrix:
     """Sparse nodal interpolation matrix from an n-grid onto the (2n-1)-grid."""
+    import scipy.sparse as sp
+
     nc = n_coarse
     nf = 2 * nc - 1
 
@@ -325,6 +332,8 @@ def assemble_global(
     row-major within each level; the second return value holds the flat
     lattice indices per level.
     """
+    import scipy.sparse as sp
+
     last = hierarchy.levels - 1
     nf = hierarchy.n(last)
     hf = hierarchy.h(last)
@@ -387,8 +396,12 @@ def assemble_rhs(hierarchy: GridHierarchy, f_values: np.ndarray) -> RhsField:
     return RhsField(hierarchy, images)
 
 
-def h1_seminorm(image: np.ndarray, h: float) -> float:
-    """H^1 seminorm of the P1 interpolant of a nodal image on one uniform level."""
+def h1_seminorm(image: np.ndarray) -> float:
+    """H^1 seminorm of the P1 interpolant of a nodal image on one uniform level.
+
+    In 2-D it does not depend on the mesh size: the squared gradient's 1/h^2
+    cancels the triangle area h^2/2.
+    """
     a, b, c, d = square_corners(image)
     s = 0.5 * ((b - c) ** 2 + (c - a) ** 2 + (d - a) ** 2 + (b - d) ** 2).sum()
     return math.sqrt(max(float(s), 0.0))

@@ -10,10 +10,9 @@ implementations in `assembly`, `solver`, `estimator` and `adapt`.
 
 Kernel/image conventions: channels-first `(C, n1, n2)` images, row-major,
 zero padding outside the lattice (the Dirichlet boundary carries zeros
-anyway).  Strided modes align windows with the coarse-coincident fine node
-`2i`; kernels acting on cell-indexed (per-triangle) channels align with the
-cell-center node `2i + 1` instead, selected per call with `cell_anchored`.
-Every layer reads its neighbours through `field.offset_views`, the shift
+anyway).  Window offsets count from the kernel's centre tap, and strided
+modes align that tap with the coarse-coincident fine node `2i`.  Every
+layer reads its neighbours through `field.offset_views`, the shift
 primitive of the direct route too; it moves images and derives no weight,
 so the kernels stay an independent derivation.
 """
@@ -58,55 +57,52 @@ __all__ = [
     "flatten_bank",
 ]
 
-MODES = ("plain", "strided2", "transpose-strided2", "submanifold")
+MODES = ("plain", "strided2", "transpose-strided2")
 
 
 @dataclass(frozen=True, eq=False)
 class ConvKernel:
     """One convolution layer: weights (out_channels, in_channels, h, w).
 
-    `mode` selects how the window walks the lattice.  plain and submanifold
-    preserve shape; strided2 reads the fine lattice and emits one value per
-    coarse node; transpose-strided2 is the zero-dilated adjoint, so its
-    weights keep the strided2 layout (first axis indexes the *input* of the
-    transposed application).
+    The channel counts are read from the weights.  `mode` selects how the
+    window walks the lattice.  plain preserves shape; strided2 reads the fine
+    lattice and emits one value per coarse node; transpose-strided2 is the
+    zero-dilated adjoint, so its weights keep the strided2 layout (first axis
+    indexes the *input* of the transposed application).
     """
 
-    out_channels: int
-    in_channels: int
-    height: int
-    width: int
     weights: np.ndarray
     bias: np.ndarray | None = None
     mode: str = "plain"
 
     def __post_init__(self):
-        expect = (self.out_channels, self.in_channels, self.height, self.width)
-        if self.weights.shape != expect:
+        if self.weights.ndim != 4:
             raise ConfigurationError(
-                f"kernel weights {self.weights.shape} do not match {expect}"
+                f"kernel weights must be (out, in, h, w), got shape {self.weights.shape}"
             )
+        if self.mode not in MODES:
+            raise ConfigurationError(f"unknown conv mode {self.mode!r}")
         # a transposed layer emits in_channels channels (see conv_apply)
         emitted = self.in_channels if self.mode == "transpose-strided2" else self.out_channels
         if self.bias is not None and self.bias.shape != (emitted,):
             raise ConfigurationError("bias must have one entry per emitted channel")
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown conv mode {self.mode!r}")
+
+    @property
+    def out_channels(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def in_channels(self) -> int:
+        return self.weights.shape[1]
 
 
-def conv_apply(
-    kernel: ConvKernel,
-    image: np.ndarray,
-    mask: np.ndarray | None = None,
-    cell_anchored: bool = False,
-) -> np.ndarray:
+def conv_apply(kernel: ConvKernel, image: np.ndarray) -> np.ndarray:
     """Apply one kernel to a channels-first image with zero padding.
 
+    Window offsets count from the centre tap, `(size - 1) // 2` per axis.
     plain: cross-correlation, shape preserved.  strided2: output on the
-    coarse lattice, window offsets measured from the coincident fine node
-    (or from the cell-center node when cell_anchored).  transpose-strided2:
-    exact adjoint of strided2, coarse in, fine out.  submanifold: plain conv
-    multiplied by mask, so positions with mask 0 are never written.
+    coarse lattice, the centre tap on the coincident fine node.
+    transpose-strided2: exact adjoint of strided2, coarse in, fine out.
 
     Every tap reads its neighbours through `field.offset_views`: strided2 is
     the plain conv read at every second node, and transpose-strided2 is the
@@ -119,22 +115,19 @@ def conv_apply(
         raise ConfigurationError(
             f"kernel consumes {cin} channels, image has {image.shape[0]}"
         )
-    if kernel.mode == "submanifold" and mask is None:
-        raise ConfigurationError("submanifold mode requires a mask")
     n1, n2 = image.shape[1:]
     if kernel.mode == "strided2" and (n1 % 2 == 0 or n2 % 2 == 0):
         raise ConfigurationError(
             f"strided2 needs an odd fine lattice (2n-1 layout), got {image.shape}"
         )
 
-    c1 = 0 if cell_anchored else (kernel.height - 1) // 2
-    c2 = 0 if cell_anchored else (kernel.width - 1) // 2
+    height, width = kernel.weights.shape[2:]
     taps, offsets = [], []
-    for d1 in range(kernel.height):
-        for d2 in range(kernel.width):
+    for d1 in range(height):
+        for d2 in range(width):
             if kernel.weights[:, :, d1, d2].any():
                 taps.append(kernel.weights[:, :, d1, d2])
-                offsets.append((d1 - c1, d2 - c2))
+                offsets.append((d1 - (height - 1) // 2, d2 - (width - 1) // 2))
 
     if kernel.mode == "transpose-strided2":
         # out[c, 2i + offset] += w[o, c, tap] * in[o, i]
@@ -152,8 +145,6 @@ def conv_apply(
             out += np.einsum("oc,cab->oab", tap, view[:, ::step, ::step])
     if kernel.bias is not None:
         out += kernel.bias[:, None, None]
-    if kernel.mode == "submanifold":
-        out = out * np.asarray(mask)
     return out
 
 
@@ -223,7 +214,7 @@ class StencilBank:
     transpose/strided pair; corner and jump kernels feed the estimator;
     aggregate_* sum child triangles with the h-rescaling factors 4 and 2;
     refine maps marked-triangle channels to next-level node activations;
-    translate builds the 7-offset stack as a submanifold conv.
+    translate builds the 7-offset stack.
     """
 
     operator: ConvKernel
@@ -254,28 +245,28 @@ def build_stencil_bank(hierarchy: GridHierarchy) -> StencilBank:
         if stencil[t] != expect.get(off, 0.0):
             raise ConfigurationError("reference integration lost the Courant stencil")
 
-    operator = ConvKernel(6, 7, 1, 1, couplings.reshape(6, 7, 1, 1))
+    operator = ConvKernel(couplings.reshape(6, 7, 1, 1))
 
     wt = np.zeros((1, 6, 3, 3))
     for chan in range(6):
         for t, (d1, d2) in enumerate(hat_overlap_offsets()):
             wt[0, chan, 1 - d1, 1 - d2] += couplings[chan, t]
-    operator_transpose = ConvKernel(1, 6, 3, 3, wt)
+    operator_transpose = ConvKernel(wt)
 
     wu = np.zeros((6, 1, 3, 3))
     for chan, (q, owner) in enumerate(NODE_TRIANGLES):
         for a, b in TRI_VERTEX_OFFSETS[q]:
             wu[chan, 0, 1 + owner[0] + a, 1 + owner[1] + b] = 1.0 / 6.0
-    upsilon = ConvKernel(6, 1, 3, 3, wu)
+    upsilon = ConvKernel(wu)
 
     tw = _TRANSFER_WEIGHTS.reshape(1, 1, 3, 3).copy()
-    prolong = ConvKernel(1, 1, 3, 3, tw, mode="transpose-strided2")
-    restrict = ConvKernel(1, 1, 3, 3, tw.copy(), mode="strided2")
+    prolong = ConvKernel(tw, mode="transpose-strided2")
+    restrict = ConvKernel(tw.copy(), mode="strided2")
 
     wc = np.zeros((4, 1, 2, 2))
     for chan, (a, b) in enumerate(((0, 0), (1, 1), (0, 1), (1, 0))):
         wc[chan, 0, a, b] = 1.0
-    corner = ConvKernel(4, 1, 2, 2, wc)
+    corner = ConvKernel(wc)
 
     jumps = {}
     for name, (taps, kh, kw) in _JUMP_TAPS.items():
@@ -283,7 +274,7 @@ def build_stencil_bank(hierarchy: GridHierarchy) -> StencilBank:
         ch, cw = (kh - 1) // 2, (kw - 1) // 2
         for (d1, d2), val in taps.items():
             wj[0, 0, d1 + ch, d2 + cw] = val
-        jumps[name] = ConvKernel(1, 1, kh, kw, wj)
+        jumps[name] = ConvKernel(wj)
 
     agg_r = np.zeros((2, 2, 2, 2))
     agg_j = np.zeros((2, 2, 2, 2))
@@ -291,19 +282,19 @@ def build_stencil_bank(hierarchy: GridHierarchy) -> StencilBank:
         for cq, (d1, d2) in TRI_CHILD_OFFSETS[q]:
             agg_r[q - 1, cq - 1, d1, d2] = 4.0
             agg_j[q - 1, cq - 1, d1, d2] = 2.0
-    aggregate_r2 = ConvKernel(2, 2, 2, 2, agg_r, mode="strided2")
-    aggregate_j2 = ConvKernel(2, 2, 2, 2, agg_j, mode="strided2")
+    aggregate_r2 = ConvKernel(agg_r, mode="strided2")
+    aggregate_j2 = ConvKernel(agg_j, mode="strided2")
 
     wr = np.zeros((2, 1, 3, 3))
     for q in (1, 2):
         for d1, d2 in TRI_FOOTPRINT_OFFSETS[q]:
             wr[q - 1, 0, d1, d2] = 1.0
-    refine = ConvKernel(2, 1, 3, 3, wr, mode="transpose-strided2")
+    refine = ConvKernel(wr, mode="transpose-strided2")
 
     wtr = np.zeros((7, 1, 3, 3))
     for t, (d1, d2) in enumerate(hat_overlap_offsets()):
         wtr[t, 0, 1 + d1, 1 + d2] = 1.0
-    translate = ConvKernel(7, 1, 3, 3, wtr, mode="submanifold")
+    translate = ConvKernel(wtr)
 
     return StencilBank(
         operator=operator,
@@ -325,8 +316,9 @@ def build_stencil_bank(hierarchy: GridHierarchy) -> StencilBank:
 
 
 def conv_translate(bank: StencilBank, image: np.ndarray, mask01: np.ndarray) -> np.ndarray:
-    """7-offset translation stack gated by a 0/1 mask (channel 0 = image)."""
-    return conv_apply(bank.translate, image[None, :, :], mask=mask01)
+    """7-offset translation stack gated by a 0/1 mask (channel 0 = image):
+    the translate layer's output times the mask."""
+    return conv_apply(bank.translate, image[None]) * mask01
 
 
 def conv_upsilon_channels(bank: StencilBank, kappa: np.ndarray, h: float) -> np.ndarray:
@@ -388,33 +380,28 @@ def conv_restrict(bank: StencilBank, fine: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConvLlmgState:
-    """Per-level images of the sweep: the iterate v, the carried-down
-    content utld, the carried-up content ubar and the right-hand side f,
-    each (n, n), plus the 6 Upsilon channels.
+    """The sweep's images and the objects they were staged from.
 
-    Only the smoothing step builds a translation stack (of v + utld, gated
-    by the active mask); the carried contents live on the full lattice, and
-    utld[0] and ubar[-1] stay zero.  A sweep never reads or writes a level
-    at or beyond the occupied depth D (`assembly.occupied_depth`), so v,
-    utld and ubar stay +0.0 there.
+    u holds the iterate, one (n, n) image per level, +0.0 off the active
+    sets, on the caller's masks; utld and ubar hold the carried-down and
+    carried-up contents on the full lattice, and utld[0] and ubar[-1] stay
+    zero.  f, diffusion and smoother are the objects passed to
+    `init_llmg_state`.  Only the smoothing step builds a translation stack
+    (of u + utld, gated by the active mask).  A sweep never reads or writes a
+    level at or beyond the occupied depth D (`assembly.occupied_depth`), so
+    u, utld and ubar stay +0.0 there.
     """
 
-    hierarchy: GridHierarchy
-    masks: list[LevelMask]
-    omegas: tuple[float, ...]
-    v: list[np.ndarray]
+    u: MultilevelField
+    f: RhsField
+    diffusion: DiffusionField
+    smoother: SmootherConfig
     utld: list[np.ndarray]
     ubar: list[np.ndarray]
-    upsilon: list[np.ndarray]
-    f: list[np.ndarray]
-
-    @property
-    def levels(self) -> int:
-        return self.hierarchy.levels
 
     def solution_images(self) -> list[np.ndarray]:
-        """Copies of each level's v image: the current iterate."""
-        return [self.v[k].copy() for k in range(self.levels)]
+        """Copies of each level's iterate image."""
+        return [v.copy() for v in self.u.values]
 
 
 def init_llmg_state(
@@ -426,38 +413,35 @@ def init_llmg_state(
 ) -> ConvLlmgState:
     """Stage the sweep images from field-side objects.
 
-    v is u on the active sets and +0.0 elsewhere; the carried-down chain
-    utld[k+1] = conv_prolongate(utld[k] + v[k]), on the full lattice of the
-    occupied levels as in `compute_utilde`, is built here once, and each
+    The iterate is u on the active sets and +0.0 elsewhere; the carried-down
+    chain utld[k+1] = conv_prolongate(utld[k] + u[k]), on the full lattice of
+    the occupied levels as in `compute_utilde`, is built here once, and each
     sweep's upward half keeps it current afterwards.
     """
     hier = u.hierarchy
     if len(smoother.omegas) != hier.levels:
         raise ConfigurationError("smoother has wrong number of levels")
-    masks = [m.copy() for m in u.masks]
     levels = range(hier.levels)
-    v = [np.where(masks[k].active, u.values[k], 0.0) for k in levels]
+    v = [np.where(u.masks[k].active, u.values[k], 0.0) for k in levels]
     utld = [np.zeros((hier.n(k), hier.n(k))) for k in levels]
-    for k in range(occupied_depth(masks) - 1):
+    for k in range(occupied_depth(u.masks) - 1):
         utld[k + 1] = conv_prolongate(bank, utld[k] + v[k])
     return ConvLlmgState(
-        hierarchy=hier,
-        masks=masks,
-        omegas=tuple(smoother.omegas),
-        v=v,
+        u=MultilevelField(hier, v, u.masks),
+        f=f,
+        diffusion=diffusion,
+        smoother=smoother,
         utld=utld,
         ubar=[np.zeros((hier.n(k), hier.n(k))) for k in levels],
-        upsilon=[np.array(diffusion.upsilon[k]) for k in levels],
-        f=[f.images[k].copy() for k in levels],
     )
 
 
 def _conv_smooth(state: ConvLlmgState, bank: StencilBank, k: int) -> None:
-    act = state.masks[k].active
-    stack = conv_translate(bank, state.v[k] + state.utld[k], act)
-    section = conv_apply_A(bank, stack, state.upsilon[k], state.hierarchy.h(k))
+    v, act = state.u.values, state.u.masks[k].active
+    stack = conv_translate(bank, v[k] + state.utld[k], act)
+    section = conv_apply_A(bank, stack, state.diffusion.upsilon[k], state.u.hierarchy.h(k))
     section = section + state.ubar[k]
-    state.v[k] = state.v[k] + state.omegas[k] * (state.f[k] - section) * act
+    v[k] = v[k] + state.smoother.omegas[k] * (state.f.images[k] - section) * act
 
 
 def conv_llmg_sweep(state: ConvLlmgState, bank: StencilBank) -> ConvLlmgState:
@@ -469,28 +453,25 @@ def conv_llmg_sweep(state: ConvLlmgState, bank: StencilBank) -> ConvLlmgState:
     only.  Per level that is two translation stacks, and one restriction and
     one prolongation per link.
     """
-    hier = state.hierarchy
-    nlev = hier.levels
-    for name in ("v", "utld", "ubar", "f"):
-        group = getattr(state, name)
-        if len(group) != nlev or any(
-            group[k].shape != (hier.n(k), hier.n(k)) for k in range(nlev)
+    hier, v, upsilon = state.u.hierarchy, state.u.values, state.diffusion.upsilon
+    groups = {"u": v, "utld": state.utld, "ubar": state.ubar, "f": state.f.images}
+    for name, group in groups.items():
+        if len(group) != hier.levels or any(
+            group[k].shape != (hier.n(k), hier.n(k)) for k in range(hier.levels)
         ):
             raise ConfigurationError(f"state group {name} does not match the hierarchy")
 
-    depth = occupied_depth(state.masks)
+    depth = occupied_depth(state.u.masks)
     for k in range(depth - 1, -1, -1):
         _conv_smooth(state, bank, k)
         if k > 0:
-            lifted = state.ubar[k] + conv_apply_A_transpose(
-                bank, state.v[k], state.upsilon[k], hier.h(k)
-            )
+            lifted = state.ubar[k] + conv_apply_A_transpose(bank, v[k], upsilon[k], hier.h(k))
             state.ubar[k - 1] = conv_restrict(bank, lifted)
 
     for k in range(depth):
         _conv_smooth(state, bank, k)
         if k < depth - 1:
-            state.utld[k + 1] = conv_prolongate(bank, state.utld[k] + state.v[k])
+            state.utld[k + 1] = conv_prolongate(bank, state.utld[k] + v[k])
     return state
 
 
@@ -553,9 +534,11 @@ def conv_mark_refine(
 
     Per level: a 1x1 layer with bias -delta_k followed by the step function
     gives the marked-triangle channels; the transpose-strided refinement
-    kernel (cell anchored, since marks index triangles) lights every
-    next-level node whose hat meets a marked triangle; a final step plus the
-    interior gate reproduces adapt.refine bit for bit.
+    kernel lights every next-level node whose hat meets a marked triangle.
+    Its taps count from the triangle's owner node, one node before the
+    window centre, so its output is read one node on; the entries this
+    drops, in row and column 0, are boundary nodes.  A final step plus the interior
+    gate reproduces adapt.refine bit for bit.
     """
     hier = est.hierarchy
     deltas = level_thresholds(thresholds, hier)
@@ -564,11 +547,7 @@ def conv_mark_refine(
 
     new_active = [np.array(mk.active, dtype=np.uint8) for mk in masks]
     for k in range(hier.levels):
-        layer = ConvKernel(
-            2, 2, 1, 1,
-            np.eye(2).reshape(2, 2, 1, 1),
-            bias=np.array([-deltas[k], -deltas[k]]),
-        )
+        layer = ConvKernel(np.eye(2).reshape(2, 2, 1, 1), bias=np.array([-deltas[k], -deltas[k]]))
         scores = conv_apply(layer, est.eta2[k])
         marks = ((scores > 0.0).astype(np.uint8)) & est.tri_mask[k]
         if k == hier.levels - 1:
@@ -576,7 +555,8 @@ def conv_mark_refine(
             continue
         if not marks.any():
             continue
-        lit = conv_apply(bank.refine, marks.astype(float), cell_anchored=True)[0]
+        lit = conv_apply(bank.refine, marks.astype(float))[0]
+        lit = offset_views(lit, [(-1, -1)])[0]
         add = (lit > 0.0).astype(np.uint8) & hier.interior_mask(k + 1)
         new_active[k + 1] |= add
     return [make_mask(a) for a in new_active]

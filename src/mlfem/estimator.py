@@ -175,33 +175,26 @@ def leaf_triangle_masks(
     four children.  Level 0 triangles are all active (the root mesh tiles the
     domain); a leaf is an active triangle that is not covered.
     """
-    nlev = hierarchy.levels
-    active_tri: list[np.ndarray] = []
-    for k in range(nlev):
-        n = hierarchy.n(k)
-        a = np.zeros((2, n, n), dtype=np.uint8)
-        if k == 0:
-            a[:, : n - 1, : n - 1] = 1
-        active_tri.append(a)
-
-    leaves: list[np.ndarray] = [a.copy() for a in active_tri]
-    for k in range(nlev - 1):
+    n = hierarchy.n(0)
+    active = np.zeros((2, n, n), dtype=np.uint8)
+    active[:, : n - 1, : n - 1] = 1
+    leaves: list[np.ndarray] = []
+    for k in range(hierarchy.levels - 1):
         m = hierarchy.n(k) - 1
         # a footprint node suffices if active or pinned on the boundary
         ok = masks[k + 1].active.astype(np.uint8) | (1 - hierarchy.interior_mask(k + 1))
-        covered = np.zeros((2, m, m), dtype=np.uint8)
+        covered = active[:, :m, :m].copy()
         for q in (1, 2):
-            cov = np.ones((m, m), dtype=np.uint8)
             for d1, d2 in TRI_FOOTPRINT_OFFSETS[q]:
-                cov &= ok[d1 : d1 + 2 * m : 2, d2 : d2 + 2 * m : 2]
-            covered[q - 1] = cov & active_tri[k][q - 1, :m, :m]
-        leaves[k][:, :m, :m] = active_tri[k][:, :m, :m] & (1 - covered)
+                covered[q - 1] &= ok[d1 : d1 + 2 * m : 2, d2 : d2 + 2 * m : 2]
+        active[:, :m, :m] &= 1 - covered
+        leaves.append(active)
+        n = hierarchy.n(k + 1)
+        active = np.zeros((2, n, n), dtype=np.uint8)
         for q in (1, 2):
             for qc, (d1, d2) in TRI_CHILD_OFFSETS[q]:
-                sl1 = slice(d1, d1 + 2 * m, 2)
-                sl2 = slice(d2, d2 + 2 * m, 2)
-                active_tri[k + 1][qc - 1, sl1, sl2] |= covered[q - 1]
-        leaves[k + 1] = active_tri[k + 1].copy()
+                active[qc - 1, d1 : d1 + 2 * m : 2, d2 : d2 + 2 * m : 2] |= covered[q - 1]
+    leaves.append(active)
     return leaves
 
 

@@ -157,9 +157,9 @@ def relative_errors(u: MultilevelField, ref_image: np.ndarray, ref_hier: GridHie
     """Relative (H1 seminorm, L2 norm) errors of u against a reference solve (0 if it is 0)."""
     err = reference_error(u, ref_image)
     h = ref_hier.h(0)
-    ref_h1, ref_l2 = h1_seminorm(ref_image, h), l2_norm(ref_image, h)
+    ref_h1, ref_l2 = h1_seminorm(ref_image), l2_norm(ref_image, h)
     return (
-        h1_seminorm(err, h) / ref_h1 if ref_h1 > 0.0 else 0.0,
+        h1_seminorm(err) / ref_h1 if ref_h1 > 0.0 else 0.0,
         l2_norm(err, h) / ref_l2 if ref_l2 > 0.0 else 0.0,
     )
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     DiffusionField,
@@ -194,7 +193,8 @@ def llmg_solve(
 ) -> tuple[MultilevelField, SolveReport]:
     """Iterate llmg_sweep until the relative stacked residual drops below tol.
 
-    Stops on ||f - A u||_2 <= tol * ||f||_2 (absolute when f = 0).  The
+    Stops on ||f - A u||_2 <= tol * ||f||_2 (absolute when f = 0), tested
+    before the first sweep too: a start that meets it takes no sweep.  The
     stacked residual is formed only after a sweep whose lagged norm is at
     most `RESIDUAL_GATE` times that threshold, and after the last allowed
     sweep; the other sweeps record their lagged norm (see `SolveReport`).
@@ -206,16 +206,18 @@ def llmg_solve(
     threshold = tol * fnorm if fnorm > 0.0 else tol
 
     report = SolveReport(iterations=0, status="max_sweeps")
-    report.residual_history.append(_stacked_residual_norm(u, f, diffusion))
+    residual = _stacked_residual_norm(u, f, diffusion)
+    report.residual_history.append(residual)
     for sweep in range(1, max_sweeps + 1):
+        if residual <= threshold:
+            break
         residual = llmg_sweep(u, f, diffusion, smoother)
         report.iterations = sweep
         if residual <= RESIDUAL_GATE * threshold or sweep == max_sweeps:
             residual = _stacked_residual_norm(u, f, diffusion)
         report.residual_history.append(residual)
-        if residual <= threshold:
-            report.status = "converged"
-            break
+    if residual <= threshold:
+        report.status = "converged"
     return u, report
 
 
@@ -229,6 +231,8 @@ def reference_solve(
     coarse hats are resolved exactly by finer active sets), conjugate
     gradients at relative residual 1e-12 beyond 2000 unknowns.
     """
+    import scipy.sparse.linalg as spla
+
     hier = diffusion.hierarchy
     matrix, idx = assemble_global(hier, masks, diffusion)
     b = stack_vector(f.images, masks)

@@ -471,8 +471,8 @@ def power_lambda_max(diffusion, k, iterations=50):
 def solve_energy_history(u0, f, diffusion, smoother, exact, tol=1e-10, max_sweeps=200):
     """`llmg_solve` with the A-norm error against `exact` recorded per sweep.
 
-    Same sweeps and stopping rule, including the gate that forms the stacked
-    residual only near the stop, so the returned (u, report) equal
+    Same sweeps and stopping rule, including the test before the first sweep
+    and the gate that forms the stacked residual only near the stop, so the returned (u, report) equal
     `llmg_solve`'s.  The errors start with the initial one, so there are
     report.iterations + 1 of them.
     """
@@ -487,18 +487,20 @@ def solve_energy_history(u0, f, diffusion, smoother, exact, tol=1e-10, max_sweep
         return energy_seminorm(delta, diffusion)
 
     report = SolveReport(iterations=0, status="max_sweeps")
-    report.residual_history.append(_stacked_residual_norm(u, f, diffusion))
+    residual = _stacked_residual_norm(u, f, diffusion)
+    report.residual_history.append(residual)
     energies = [energy_error()]
     for sweep in range(1, max_sweeps + 1):
+        if residual <= threshold:
+            break
         residual = llmg_sweep(u, f, diffusion, smoother)
         report.iterations = sweep
         if residual <= RESIDUAL_GATE * threshold or sweep == max_sweeps:
             residual = _stacked_residual_norm(u, f, diffusion)
         report.residual_history.append(residual)
         energies.append(energy_error())
-        if residual <= threshold:
-            report.status = "converged"
-            break
+    if residual <= threshold:
+        report.status = "converged"
     return u, report, energies
 
 

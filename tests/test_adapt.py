@@ -209,6 +209,7 @@ def test_afem_zero_load_is_inert():
     assert [step.est.total() for step in report.steps] == [0.0, 0.0]
     assert [step.marks.count() for step in report.steps] == [0, 0]
     assert [step.u.dof_count() for step in report.steps] == [9, 9]
+    assert all(step.solve.iterations == 0 for step in report.steps)
     assert all(not v.any() for v in u.values)
     assert est.total() == 0.0
 

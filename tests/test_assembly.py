@@ -430,8 +430,8 @@ def test_rhs_rejects_wrong_shape():
 def test_h1_seminorm_of_linear_image():
     n, h = 9, 1.0 / 8.0
     x = np.arange(n)[:, None] * h * np.ones((1, n))
-    assert h1_seminorm(x, h) == pytest.approx(1.0, rel=1e-13)
-    assert h1_seminorm(np.ones((n, n)), h) == 0.0
+    assert h1_seminorm(x) == pytest.approx(1.0, rel=1e-13)
+    assert h1_seminorm(np.ones((n, n))) == 0.0
 
 
 def test_l2_norm_of_constant_and_quadrature():
@@ -452,7 +452,7 @@ def test_weighted_h1_reduces_to_h1_for_unit_kappa():
     rng = np.random.default_rng(73)
     img = rng.normal(size=(5, 5))
     assert weighted_h1_seminorm(img, diff.tri_integrals[0], hier.h(0)) == pytest.approx(
-        h1_seminorm(img, hier.h(0)), rel=1e-13
+        h1_seminorm(img), rel=1e-13
     )
 
 

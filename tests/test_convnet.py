@@ -61,8 +61,8 @@ def loop_conv(kernel, image, cell_anchored=False):
     Window offsets run from the kernel centre, or from its first tap when
     cell_anchored.  plain reads in[c, i + offset]; strided2 reads
     in[c, 2i + offset] for every coarse node i of the odd fine lattice;
-    transpose-strided2 scatters w[o, c, tap] * in[o, i] to out[c, 2i + offset]
-    on the 2n - 1 lattice.  Taps that leave the lattice are dropped.
+    transpose-strided2 scatters w[o, c, tap] * in[o, i] to
+    out[c, 2i + offset] on the 2n - 1 lattice.  Taps that leave the lattice are dropped.
     """
     cout, cin, kh, kw = kernel.weights.shape
     _, n1, n2 = image.shape
@@ -104,18 +104,16 @@ def loop_conv(kernel, image, cell_anchored=False):
 def test_identity_kernel_preserves_input():
     rng = np.random.default_rng(3)
     img = rng.normal(size=(1, 6, 7))
-    one = ConvKernel(1, 1, 1, 1, np.ones((1, 1, 1, 1)))
+    one = ConvKernel(np.ones((1, 1, 1, 1)))
     assert np.array_equal(conv_apply(one, img), img)
     img2 = rng.normal(size=(2, 5, 5))
-    eye = ConvKernel(2, 2, 1, 1, np.eye(2).reshape(2, 2, 1, 1))
+    eye = ConvKernel(np.eye(2).reshape(2, 2, 1, 1))
     assert np.array_equal(conv_apply(eye, img2), img2)
 
 
 def test_plain_conv_matches_loop_oracle():
     rng = np.random.default_rng(11)
-    kern = ConvKernel(
-        2, 3, 3, 3, rng.normal(size=(2, 3, 3, 3)), bias=rng.normal(size=2)
-    )
+    kern = ConvKernel(rng.normal(size=(2, 3, 3, 3)), bias=rng.normal(size=2))
     img = rng.normal(size=(3, 7, 6))
     got = conv_apply(kern, img)
     want = loop_conv(kern, img)
@@ -130,6 +128,25 @@ ORACLE_LATTICES = {
 }
 
 
+def first_tap_conv(kernel, image):
+    """The layer with window offsets counted from its first tap, from conv_apply.
+
+    conv_apply counts offsets from the centre tap c = (size - 1) // 2, so the
+    first-tap layer (how `conv_mark_refine` anchors the refine layer) is the
+    centred layer read c nodes on.  Padding the image by c zero nodes on every
+    side keeps that read on the lattice: it starts 2c nodes in for plain and c
+    nodes in for strided2 (coarse nodes) and transpose-strided2 (fine nodes).
+    """
+    c1, c2 = ((s - 1) // 2 for s in kernel.weights.shape[2:])
+    _, n1, n2 = image.shape
+    out = conv_apply(kernel, np.pad(image, ((0, 0), (c1, c1), (c2, c2))))
+    if kernel.mode == "plain":
+        return out[:, 2 * c1 : 2 * c1 + n1, 2 * c2 : 2 * c2 + n2]
+    if kernel.mode == "strided2":
+        return out[:, c1 : c1 + (n1 + 1) // 2, c2 : c2 + (n2 + 1) // 2]
+    return out[:, c1 : c1 + 2 * n1 - 1, c2 : c2 + 2 * n2 - 1]
+
+
 @pytest.mark.parametrize("size", [(1, 1), (2, 2), (3, 3), (3, 5), (5, 3)])
 @pytest.mark.parametrize("cell_anchored", [False, True])
 @pytest.mark.parametrize("mode", sorted(ORACLE_LATTICES))
@@ -138,36 +155,32 @@ def test_conv_modes_match_loop_oracle(mode, cell_anchored, size):
     kh, kw = size
     # a transposed layer emits in_channels channels, one bias entry each
     bias = rng.normal(size=3 if mode == "transpose-strided2" else 2)
-    kern = ConvKernel(2, 3, kh, kw, rng.normal(size=(2, 3, kh, kw)), bias=bias, mode=mode)
+    kern = ConvKernel(rng.normal(size=(2, 3, kh, kw)), bias=bias, mode=mode)
     cin = 2 if mode == "transpose-strided2" else 3
     for shape in ORACLE_LATTICES[mode]:
         img = rng.normal(size=(cin,) + shape)
-        got = conv_apply(kern, img, cell_anchored=cell_anchored)
+        got = first_tap_conv(kern, img) if cell_anchored else conv_apply(kern, img)
         want = loop_conv(kern, img, cell_anchored)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
 
 
-def test_submanifold_checkerboard():
-    rng = np.random.default_rng(5)
-    w = rng.normal(size=(1, 1, 3, 3))
-    img = rng.normal(size=(1, 7, 7))
+def test_translate_gates_a_checkerboard():
+    bank = build_stencil_bank(build_hierarchy(3, 1))
+    img = np.random.default_rng(5).normal(size=(7, 7))
     i1, i2 = np.indices((7, 7))
     board = ((i1 + i2) % 2).astype(np.uint8)
-    sub = conv_apply(ConvKernel(1, 1, 3, 3, w, mode="submanifold"), img, mask=board)
-    plain = conv_apply(ConvKernel(1, 1, 3, 3, w), img)
-    assert np.array_equal(sub, plain * board)
-    assert not sub[0][board == 0].any()
-    assert np.allclose(sub[0][board == 1], loop_conv(ConvKernel(1, 1, 3, 3, w), img)[0][board == 1], rtol=1e-13)
-    with pytest.raises(ConfigurationError):
-        conv_apply(ConvKernel(1, 1, 3, 3, w, mode="submanifold"), img)
+    got = conv_translate(bank, img, board)
+    assert np.array_equal(got, loop_conv(bank.translate, img[None]) * board)
+    assert not got[:, board == 0].any()
+    assert got[:, board == 1].any()
 
 
 def test_strided_pair_adjointness():
     rng = np.random.default_rng(7)
     w = rng.normal(size=(3, 2, 3, 3))
-    down = ConvKernel(3, 2, 3, 3, w, mode="strided2")
-    up = ConvKernel(3, 2, 3, 3, w.copy(), mode="transpose-strided2")
+    down = ConvKernel(w, mode="strided2")
+    up = ConvKernel(w.copy(), mode="transpose-strided2")
     for _ in range(10):
         v = rng.normal(size=(2, 9, 9))
         wimg = rng.normal(size=(3, 5, 5))
@@ -187,26 +200,30 @@ def test_strided_modes_need_odd_lattice():
 
 
 def test_kernel_validation():
+    for shape in ((1, 3, 3), (1, 1, 1, 3, 3)):
+        with pytest.raises(ConfigurationError):
+            ConvKernel(np.zeros(shape))
     with pytest.raises(ConfigurationError):
-        ConvKernel(1, 1, 3, 3, np.zeros((1, 1, 2, 3)))
-    with pytest.raises(ConfigurationError):
-        ConvKernel(2, 1, 1, 1, np.zeros((2, 1, 1, 1)), bias=np.zeros(3))
+        ConvKernel(np.zeros((2, 1, 1, 1)), bias=np.zeros(3))
     # a transposed layer emits its in_channels (here 1), not its 3 out channels
     w = np.zeros((3, 1, 3, 3))
     with pytest.raises(ConfigurationError):
-        ConvKernel(3, 1, 3, 3, w, bias=np.arange(3.0), mode="transpose-strided2")
+        ConvKernel(w, bias=np.arange(3.0), mode="transpose-strided2")
     with pytest.raises(ConfigurationError):
-        ConvKernel(1, 3, 3, 3, np.zeros((1, 3, 3, 3)), bias=np.zeros(1), mode="transpose-strided2")
-    ConvKernel(3, 1, 3, 3, w, bias=np.zeros(1), mode="transpose-strided2")
+        ConvKernel(np.zeros((1, 3, 3, 3)), bias=np.zeros(1), mode="transpose-strided2")
+    ConvKernel(w, bias=np.zeros(1), mode="transpose-strided2")
     with pytest.raises(ConfigurationError):
-        ConvKernel(1, 1, 1, 1, np.zeros((1, 1, 1, 1)), mode="fancy")
-    kern = ConvKernel(1, 2, 3, 3, np.zeros((1, 2, 3, 3)))
+        ConvKernel(np.zeros((1, 1, 1, 1)), mode="fancy")
+    with pytest.raises(ConfigurationError):
+        ConvKernel(np.zeros((1, 1, 3, 3)), mode="submanifold")
+    kern = ConvKernel(np.zeros((1, 2, 3, 3)))
+    assert (kern.out_channels, kern.in_channels) == (1, 2)
     with pytest.raises(ConfigurationError):
         conv_apply(kern, np.zeros((5, 5)))
     with pytest.raises(ConfigurationError):
         conv_apply(kern, np.zeros((3, 5, 5)))
     # transpose mode consumes out_channels many input channels
-    up = ConvKernel(3, 2, 3, 3, np.zeros((3, 2, 3, 3)), mode="transpose-strided2")
+    up = ConvKernel(np.zeros((3, 2, 3, 3)), mode="transpose-strided2")
     with pytest.raises(ConfigurationError):
         conv_apply(up, np.zeros((2, 5, 5)))
 
@@ -425,7 +442,8 @@ def check_conv_sweep_matches_solver_sweep(levels, depth):
                 dev = np.abs(state.solution_images()[k] - u.values[k]).max()
                 assert dev <= 1e-11
             for k in range(depth, hier.levels):
-                assert not state.v[k].any() and not np.signbit(state.v[k]).any()
+                iterate = state.u.values[k]
+                assert not iterate.any() and not np.signbit(iterate).any()
 
 
 def test_solution_images_copy_the_iterate():
@@ -441,10 +459,10 @@ def test_solution_images_copy_the_iterate():
     for k in range(hier.levels):
         out = state.solution_images()[k]
         assert out.shape == (hier.n(k), hier.n(k))
-        assert np.array_equal(out, state.v[k])
+        assert np.array_equal(out, state.u.values[k])
         assert out.any() and not out[masks[k].active == 0].any()
         out[:] = 99.0
-        assert not np.array_equal(state.v[k], out)
+        assert not np.array_equal(state.u.values[k], out)
 
 
 def test_sweep_state_validation():
@@ -459,14 +477,14 @@ def test_sweep_state_validation():
             SmootherConfig(omegas=(0.1,)),
         )
     sm = choose_omega(diff, masks)
-    for name in ("v", "utld", "ubar"):
+    for group in (lambda s: s.u.values, lambda s: s.utld, lambda s: s.ubar):
         for wrong in (np.zeros((7, 9, 9)), np.zeros((5, 5))):
             state = init_llmg_state(bank, zero_field(hier, masks), rhs, diff, sm)
-            getattr(state, name)[1] = wrong
+            group(state)[1] = wrong
             with pytest.raises(ConfigurationError):
                 conv_llmg_sweep(state, bank)
     state = init_llmg_state(bank, zero_field(hier, masks), rhs, diff, sm)
-    state.v.pop()
+    state.u.values.pop()
     with pytest.raises(ConfigurationError):
         conv_llmg_sweep(state, bank)
 

@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,13 @@ def test_module_exports_exist(name):
 def test_module_declares_exports(name):
     # the CLI is an entry point, not a library module
     assert hasattr(importlib.import_module(name), "__all__"), f"{name} lacks __all__"
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the verification routes (assembled matrix, reference
+    # solve), which import it where they use it
+    src = str(Path(mlfem.__file__).resolve().parents[1])
+    code = "import sys, mlfem, mlfem.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

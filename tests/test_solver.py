@@ -180,6 +180,21 @@ def test_zero_load_stays_zero():
     assert all(not v.any() for v in u.values)
 
 
+def test_converged_start_takes_no_sweep():
+    # the stop is tested on the initial residual, so a zero load is solved
+    # before any sweep, also when no sweep is allowed
+    hier = build_hierarchy(3, 2)
+    diff = compute_upsilon(hier, np.ones((5, 5)))
+    rhs = assemble_rhs(hier, np.zeros((5, 5)))
+    masks = uniform_masks(hier)
+    sm = choose_omega(diff, masks)
+    for max_sweeps in (200, 0):
+        _, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm, max_sweeps=max_sweeps)
+        assert report.iterations == 0
+        assert report.status == "converged"
+        assert report.residual_history == [0.0]
+
+
 def test_llmg_sweep_equals_lmg_sweep():
     # the fused carried-term sweep is successive subspace correction in the
     # down-then-up level order, on the adaptive loop's masks and on
