@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import apply_stacked, compute_upsilon
+from .assembly import DiffusionField, RhsField, apply_stacked, assemble_rhs
 from .estimator import EstimatorField, estimate
 from .field import (
     LevelMask,
@@ -18,8 +18,7 @@ from .field import (
     zero_field,
 )
 from .mesh import TRI_FOOTPRINT_OFFSETS, ConfigurationError, GridHierarchy
-from .problems import discretize_kappa, load_image, problem_rhs
-from .solver import RhsField, SolveReport, choose_omega, llmg_solve
+from .solver import SolveReport, choose_omega, llmg_solve
 
 __all__ = [
     "MARKING_STRATEGIES",
@@ -186,9 +185,8 @@ def initial_masks(hierarchy: GridHierarchy) -> list[LevelMask]:
 
 
 def afem(
-    problem,
-    y,
-    hierarchy: GridHierarchy,
+    diffusion: DiffusionField,
+    f_values: np.ndarray,
     iterations: int,
     marking: str = "doerfler",
     theta: float = 0.1,
@@ -197,8 +195,10 @@ def afem(
 ) -> tuple[MultilevelField, EstimatorField, AfemReport]:
     """Adaptive loop: solve, estimate, mark, refine, `iterations` times.
 
-    Spaces are nested, so the carried-over iterate needs no interpolation;
-    newly activated nodes start at coefficient zero.  Each solve targets the
+    Runs on discrete data: the coefficient channels and the load's nodal
+    values on the finest lattice of `diffusion.hierarchy`.  Spaces are
+    nested, so the carried-over iterate needs no interpolation; newly
+    activated nodes start at coefficient zero.  Each solve targets the
     defect equation A v = f - A u from a zero initial guess.  Every pass
     builds new value images, so the steps in the report are snapshots that
     later passes never overwrite.  Errors against a reference solve
@@ -210,10 +210,8 @@ def afem(
         raise ConfigurationError(
             f"unknown marking strategy {marking!r}; expected one of {MARKING_STRATEGIES}"
         )
-    kappa = discretize_kappa(problem, y, hierarchy)
-    diffusion = compute_upsilon(hierarchy, kappa)
-    f_values = load_image(problem, hierarchy)
-    rhs = problem_rhs(problem, hierarchy)
+    hierarchy = diffusion.hierarchy
+    rhs = assemble_rhs(hierarchy, f_values)
 
     u = zero_field(hierarchy, initial_masks(hierarchy))
     smoother = choose_omega(diffusion, u.masks)

@@ -130,6 +130,7 @@ def compute_upsilon(hierarchy: GridHierarchy, kappa: np.ndarray) -> DiffusionFie
     of its own triangles is area/3 times the sum of the three vertex values.
     A coarse triangle is the disjoint union of its four children, so coarser
     integrals are exact sums of child integrals, never re-interpolations.
+    Every entry of kappa must be finite and > 0: the model is elliptic only then.
     """
     last = hierarchy.levels - 1
     nf = hierarchy.n(last)
@@ -138,6 +139,8 @@ def compute_upsilon(hierarchy: GridHierarchy, kappa: np.ndarray) -> DiffusionFie
         raise ConfigurationError(
             f"kappa image must be {(nf, nf)} (finest lattice), got {kappa.shape}"
         )
+    if not np.all(np.isfinite(kappa) & (kappa > 0.0)):
+        raise ConfigurationError("kappa image must be finite and > 0 at every node")
 
     tri: list[np.ndarray] = [np.empty(0)] * hierarchy.levels
     hf = hierarchy.h(last)

@@ -50,7 +50,7 @@ from .field import (
     zero_field,
     zero_frame,
 )
-from .mesh import ConfigurationError, build_hierarchy
+from .mesh import MAX_NODES_PER_SIDE, ConfigurationError, build_hierarchy
 from .problems import (
     CookieProblem,
     SampleRng,
@@ -58,6 +58,7 @@ from .problems import (
     load_image,
     overkill_reference,
     problem_rhs,
+    reference_nodes_per_side,
     relative_errors,
 )
 from .solver import choose_omega, llmg_solve
@@ -153,7 +154,12 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
+    n_ref = reference_nodes_per_side(build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels))
+    if n_ref > MAX_NODES_PER_SIDE:
+        raise ConfigurationError(
+            f"the overkill reference would have {n_ref} nodes per side, more than "
+            f"{MAX_NODES_PER_SIDE}: lower hierarchy.levels or coarse_nodes_per_side"
+        )
     if cfg.marking not in MARKING_STRATEGIES:
         raise ConfigurationError(
             f"afem.marking must be one of {MARKING_STRATEGIES}, got {cfg.marking!r}"
@@ -338,26 +344,28 @@ AFEM_CSV_COLUMNS = [
 
 
 def _adaptive_sample(cfg: RunConfig, index: int):
-    """Draw the parameters of sample `index` and run the adaptive loop on them.
+    """Draw sample `index`'s parameters, derive its data, and run the adaptive loop.
 
-    One parameter per disc of the problem.  Saturated-depth warnings are
-    silenced.  Returns (hierarchy, y, final field, report).
+    One parameter per disc of the problem.  The data (coefficient channels,
+    finest load image) are derived here once, for every caller.  Saturated-depth
+    warnings are silenced.  Returns (y, diffusion, f_values, final field, report).
     """
     hier = build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
     y = SampleRng(cfg.seed).sample_generator(index).random(len(cfg.problem.centers))
+    diffusion = compute_upsilon(hier, discretize_kappa(cfg.problem, y, hier))
+    f_values = load_image(cfg.problem, hier)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         u, _, report = afem(
-            cfg.problem,
-            y,
-            hier,
+            diffusion,
+            f_values,
             cfg.iterations,
             marking=cfg.marking,
             theta=cfg.theta,
             tol=cfg.tol,
             max_sweeps=cfg.max_sweeps,
         )
-    return hier, y, u, report
+    return y, diffusion, f_values, u, report
 
 
 def _add_levels(writer: MlfdWriter, tag: str, values, eta2, masks) -> None:
@@ -370,13 +378,13 @@ def _add_levels(writer: MlfdWriter, tag: str, values, eta2, masks) -> None:
 
 def cmd_afem(cfg: RunConfig, out_dir) -> int:
     """One adaptive run on the first sample: CSV report plus MLFD snapshots."""
-    hier, y, _, report = _adaptive_sample(cfg, 0)
-    ref_image, ref_hier = overkill_reference(cfg.problem, y, hier)
+    y, diffusion, f_values, _, report = _adaptive_sample(cfg, 0)
+    ref_image, ref_hier = overkill_reference(cfg.problem, y, diffusion.hierarchy)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     writer = MlfdWriter(out / "snapshots", config_hash(cfg), cfg.seed)
-    writer.add("kappa", discretize_kappa(cfg.problem, y, hier), channels="kappa")
-    writer.add("f", load_image(cfg.problem, hier), channels="f")
+    writer.add("kappa", diffusion.kappa, channels="kappa")
+    writer.add("f", f_values, channels="f")
     for it, step in enumerate(report.steps):
         _add_levels(writer, f"iter{it:03d}", step.u.values, step.est.eta2, step.u.masks)
     writer.close()
@@ -406,8 +414,8 @@ def _study_sample(args):
     against one overkill reference of the sample.
     """
     cfg, index = args
-    hier, y, _, report = _adaptive_sample(cfg, index)
-    ref_image, ref_hier = overkill_reference(cfg.problem, y, hier)
+    y, diffusion, _, _, report = _adaptive_sample(cfg, index)
+    ref_image, ref_hier = overkill_reference(cfg.problem, y, diffusion.hierarchy)
     adaptive = np.array(
         [
             [step.u.dof_count() for step in report.steps],
@@ -512,12 +520,12 @@ def verify_rows(cfg: RunConfig) -> list[tuple[str, float]]:
     marking/refinement cascade (the last contributes 1.0 when the refined
     masks differ anywhere).
     """
-    hier, y, u_a, _ = _adaptive_sample(
+    _, diffusion, f_values, u_a, _ = _adaptive_sample(
         replace(cfg, iterations=2, marking="doerfler", theta=0.3), 0
     )
+    hier = diffusion.hierarchy
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(cfg.seed)
-    diffusion = compute_upsilon(hier, discretize_kappa(cfg.problem, y, hier))
 
     worst_op = 0.0
     for k in range(hier.levels):
@@ -547,7 +555,6 @@ def verify_rows(cfg: RunConfig) -> list[tuple[str, float]]:
         )
 
     worst_est = 0.0
-    f_values = load_image(cfg.problem, hier)
     zero_u = zero_field(hier, initial_masks(hier))
     for u in (zero_u, u_a):
         direct = estimate(u, f_values, diffusion, u.masks)
@@ -595,10 +602,9 @@ def _dataset_sample(args):
     """Kappa, load, and the final pass's iterate, indicator and masks of one
     sample (worker body): only what the export writes goes back to the pool."""
     cfg, index = args
-    hier, y, _, report = _adaptive_sample(cfg, index)
+    _, diffusion, f_values, _, report = _adaptive_sample(cfg, index)
     last = report.steps[-1]
-    kappa = discretize_kappa(cfg.problem, y, hier)
-    return kappa, load_image(cfg.problem, hier), last.u.values, last.est.eta2, last.u.masks
+    return diffusion.kappa, f_values, last.u.values, last.est.eta2, last.u.masks
 
 
 def cmd_gen_dataset(cfg: RunConfig, out_dir, workers: int) -> int:

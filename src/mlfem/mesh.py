@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "GridHierarchy",
+    "MAX_NODES_PER_SIDE",
     "build_hierarchy",
     "child_sums",
     "hat_overlap_offsets",
@@ -54,6 +55,15 @@ TRI_FOOTPRINT_OFFSETS = {
     1: ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)),
     2: ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2)),
 }
+
+
+# Nodes per side of the largest lattice `build_hierarchy` builds, overkill
+# references included.  1025 admits the reference of 7 levels from 5 nodes:
+# on 2 cores and 8 GB that sparse solve took 21 s and 2.5 GB peak RSS (it
+# failed under a 3.5 GB address-space limit, ran under 4 GB).  The next
+# lattice, 2049, needs about 4x that.  A fixed cap keeps a config valid on
+# every host or on none.
+MAX_NODES_PER_SIDE = 1025
 
 
 class ConfigurationError(ValueError):
@@ -100,6 +110,14 @@ def build_hierarchy(coarse_nodes_per_side: int, levels: int) -> GridHierarchy:
         )
     if levels < 1:
         raise ConfigurationError(f"levels must be >= 1 (got {levels})")
+    # the finest side is (n0 - 1) 2^(L-1) + 1; the exponent is clamped at 11
+    # (2^11 > the cap), so a huge `levels` is rejected without a huge number
+    doublings = min(levels - 1, MAX_NODES_PER_SIDE.bit_length())
+    if (coarse_nodes_per_side - 1) * 2**doublings + 1 > MAX_NODES_PER_SIDE:
+        raise ConfigurationError(
+            f"{levels} levels from {coarse_nodes_per_side} coarse nodes per side give "
+            f"a finest lattice of more than {MAX_NODES_PER_SIDE} nodes per side"
+        )
     ns = [coarse_nodes_per_side]
     for _ in range(levels - 1):
         ns.append(2 * ns[-1] - 1)

@@ -25,6 +25,7 @@ __all__ = [
     "discretize_kappa",
     "load_image",
     "overkill_reference",
+    "reference_nodes_per_side",
     "reference_error",
     "relative_errors",
     "problem_rhs",
@@ -123,6 +124,11 @@ def load_image(problem: CookieProblem, hierarchy: GridHierarchy) -> np.ndarray:
     return np.full((n, n), problem.load)
 
 
+def reference_nodes_per_side(hierarchy: GridHierarchy) -> int:
+    """Side of the overkill reference lattice: the finest lattice refined uniformly twice."""
+    return 4 * (hierarchy.n(hierarchy.levels - 1) - 1) + 1
+
+
 def overkill_reference(
     problem: CookieProblem,
     y,
@@ -134,8 +140,7 @@ def overkill_reference(
     reference carries its own (smaller) data error.  Returns the solution
     image and the single-level hierarchy it lives on.
     """
-    n_ref = 4 * (hierarchy.n(hierarchy.levels - 1) - 1) + 1
-    ref_hier = build_hierarchy(n_ref, 1)
+    ref_hier = build_hierarchy(reference_nodes_per_side(hierarchy), 1)
     kappa_ref = discretize_kappa(problem, y, ref_hier)
     diffusion_ref = compute_upsilon(ref_hier, kappa_ref)
     rhs_ref = assemble_rhs(ref_hier, load_image(problem, ref_hier))

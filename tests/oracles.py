@@ -21,8 +21,8 @@ sets.  The reference sweeps (`ssc_sweep`, `lmg_sweep`) recompute the
 stacked action fresh on every level visit, to define the level-order
 iteration that the fused `solver.llmg_sweep` must reproduce.
 `power_lambda_max` estimates a level operator's largest eigenvalue, and
-`solve_energy_history` records the A-norm errors of `solver.llmg_solve`'s
-iteration against a known solution.
+`solve_energy_history` replays `solver.llmg_solve`'s sweeps to record the
+A-norm errors of its iterates against a known solution.
 
 The random fixtures at the very end (`random_mask`, `random_masks`,
 `random_field`, `random_refined_masks`) draw the masks and fields the test
@@ -40,13 +40,7 @@ from mlfem.estimator import estimate, leaf_triangle_masks
 from mlfem.field import MultilevelField, flatten_to_finest, make_mask
 from mlfem.mesh import NODE_TRIANGLES, TRI_CHILD_OFFSETS, ConfigurationError
 from mlfem.problems import CookieProblem, reference_error
-from mlfem.solver import (
-    RESIDUAL_GATE,
-    SolveReport,
-    _stacked_residual_norm,
-    llmg_sweep,
-    stack_vector,
-)
+from mlfem.solver import llmg_solve, llmg_sweep
 
 # vertex index offsets of the two triangles owned by node i
 TRI_VERTEX_OFFSETS = {
@@ -469,39 +463,27 @@ def power_lambda_max(diffusion, k, iterations=50):
 
 
 def solve_energy_history(u0, f, diffusion, smoother, exact, tol=1e-10, max_sweeps=200):
-    """`llmg_solve` with the A-norm error against `exact` recorded per sweep.
+    """`llmg_solve`, then its sweeps replayed from u0 with the A-norm error
+    against `exact` recorded after each.
 
-    Same sweeps and stopping rule, including the test before the first sweep
-    and the gate that forms the stacked residual only near the stop, so the returned (u, report) equal
-    `llmg_solve`'s.  The errors start with the initial one, so there are
+    The replay must end on `llmg_solve`'s iterate bit for bit, so the errors
+    are those of the solve's own iterates.  Returns (u, report) of
+    `llmg_solve` and the errors, starting with the initial one: there are
     report.iterations + 1 of them.
     """
+    u_solved, report = llmg_solve(u0, f, diffusion, smoother, tol=tol, max_sweeps=max_sweeps)
     u = u0.copy()
-    fnorm = float(np.linalg.norm(stack_vector(f.images, u.masks))) if u.masks else 0.0
-    threshold = tol * fnorm if fnorm > 0.0 else tol
 
     def energy_error():
-        delta = u.copy()
-        for k in range(u.levels):
-            delta.values[k] = u.values[k] - exact.values[k]
-        return energy_seminorm(delta, diffusion)
+        delta = [a - b for a, b in zip(u.values, exact.values)]
+        return energy_seminorm(MultilevelField(u.hierarchy, delta, u.masks), diffusion)
 
-    report = SolveReport(iterations=0, status="max_sweeps")
-    residual = _stacked_residual_norm(u, f, diffusion)
-    report.residual_history.append(residual)
     energies = [energy_error()]
-    for sweep in range(1, max_sweeps + 1):
-        if residual <= threshold:
-            break
-        residual = llmg_sweep(u, f, diffusion, smoother)
-        report.iterations = sweep
-        if residual <= RESIDUAL_GATE * threshold or sweep == max_sweeps:
-            residual = _stacked_residual_norm(u, f, diffusion)
-        report.residual_history.append(residual)
+    for _ in range(report.iterations):
+        llmg_sweep(u, f, diffusion, smoother)
         energies.append(energy_error())
-    if residual <= threshold:
-        report.status = "converged"
-    return u, report, energies
+    assert all(np.array_equal(a, b) for a, b in zip(u.values, u_solved.values))
+    return u_solved, report, energies
 
 
 def contraction_ratios(energies):

@@ -382,12 +382,14 @@ def test_07_adaptive_advantage(capsys):
     prob = CookieProblem()
     hier = build_hierarchy(5, 4)
     samples = sample_parameters(SampleRng(0), 100)
+    f_values = load_image(prob, hier)
     ad_dofs, ad_err, un_dofs, un_err = [], [], [], []
     mono_ok = 0
     for y in samples:
+        diff = compute_upsilon(hier, discretize_kappa(prob, y, hier))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            _, _, rep = afem(prob, y, hier, 3, marking="doerfler", theta=0.1)
+            _, _, rep = afem(diff, f_values, 3, marking="doerfler", theta=0.1)
         ref_img, ref_hier = overkill_reference(prob, y, hier)
         dofs = [step.u.dof_count() for step in rep.steps]
         eta2 = [step.est.total() for step in rep.steps]
@@ -395,7 +397,6 @@ def test_07_adaptive_advantage(capsys):
         ad_err.append([relative_errors(step.u, ref_img, ref_hier)[0] for step in rep.steps])
         if np.all(np.diff(dofs) >= 0) and np.all(np.diff(eta2) < 0):
             mono_ok += 1
-        diff = compute_upsilon(hier, discretize_kappa(prob, y, hier))
         rhs = problem_rhs(prob, hier)
         dd, ee = [], []
         for depth in range(1, hier.levels + 1):

@@ -17,7 +17,7 @@ from mlfem.assembly import apply_stacked, compute_upsilon
 from mlfem.estimator import EstimatorField, leaf_triangle_masks
 from mlfem.field import MultilevelField, flatten_to_finest, uniform_masks
 from mlfem.mesh import ConfigurationError, build_hierarchy
-from mlfem.problems import CookieProblem, discretize_kappa, problem_rhs
+from mlfem.problems import CookieProblem, discretize_kappa, load_image, problem_rhs
 from mlfem.solver import reference_solve, stack_vector
 
 from oracles import (
@@ -26,6 +26,11 @@ from oracles import (
     refine_support_oracle,
     weighted_h1_seminorm,
 )
+
+
+def cookie_data(y, hier, problem=CookieProblem()):
+    """The discrete data afem runs on: coefficient channels and load image."""
+    return compute_upsilon(hier, discretize_kappa(problem, y, hier)), load_image(problem, hier)
 
 
 def synthetic_estimator(hier, masks, rng):
@@ -186,9 +191,8 @@ def test_afem_one_iteration_matches_direct_solve():
     problem = CookieProblem()
     y = (0.7, 0.2)
     hier = build_hierarchy(5, 2)
-    u, est, report = afem(problem, y, hier, 1)
-    kappa = discretize_kappa(problem, y, hier)
-    diff = compute_upsilon(hier, kappa)
+    diff, f_values = cookie_data(y, hier, problem)
+    u, est, report = afem(diff, f_values, 1)
     rhs = problem_rhs(problem, hier)
     star = reference_solve(initial_masks(hier), diff, rhs)
     got = flatten_to_finest(u)
@@ -205,7 +209,7 @@ def test_afem_one_iteration_matches_direct_solve():
 def test_afem_zero_load_is_inert():
     problem = CookieProblem(load=0.0)
     hier = build_hierarchy(5, 2)
-    u, est, report = afem(problem, (0.5, 0.5), hier, 2)
+    u, est, report = afem(*cookie_data((0.5, 0.5), hier, problem), 2)
     assert [step.est.total() for step in report.steps] == [0.0, 0.0]
     assert [step.marks.count() for step in report.steps] == [0, 0]
     assert [step.u.dof_count() for step in report.steps] == [9, 9]
@@ -218,14 +222,14 @@ def test_afem_zero_load_is_inert():
 def test_afem_steps_are_snapshots():
     # three passes on two levels mark into the saturated deepest level; the
     # dropped-marks warning is part of the expected behavior here
-    problem = CookieProblem()
     hier = build_hierarchy(5, 2)
-    _, _, report = afem(problem, (0.3, 0.9), hier, 3, theta=0.3)
+    data = cookie_data((0.3, 0.9), hier)
+    _, _, report = afem(*data, 3, theta=0.3)
     assert report.iterations == 3
     # a stored step is what a run stopping after that pass ends on: later
     # passes never overwrite its images
     for i, step in enumerate(report.steps):
-        _, _, short = afem(problem, (0.3, 0.9), hier, i + 1, theta=0.3)
+        _, _, short = afem(*data, i + 1, theta=0.3)
         want = short.steps[-1]
         for k in range(hier.levels):
             assert np.array_equal(step.u.values[k], want.u.values[k])
@@ -242,12 +246,11 @@ def test_afem_galerkin_orthogonality():
     problem = CookieProblem()
     y = (0.6, 0.1)
     hier = build_hierarchy(5, 2)
-    kappa = discretize_kappa(problem, y, hier)
-    diff = compute_upsilon(hier, kappa)
+    diff, f_values = cookie_data(y, hier, problem)
     rhs = problem_rhs(problem, hier)
     # the nearly redundant stacked system needs a generous sweep budget for
     # the inner solves to actually hit the 1e-10 residual target
-    _, _, report = afem(problem, y, hier, 2, theta=0.3, max_sweeps=5000)
+    _, _, report = afem(diff, f_values, 2, theta=0.3, max_sweeps=5000)
     assert report.converged
     rng = np.random.default_rng(149)
     for step in report.steps:
@@ -266,9 +269,8 @@ def test_afem_galerkin_orthogonality():
 
 
 def test_afem_report_structure():
-    problem = CookieProblem()
     hier = build_hierarchy(5, 3)
-    u, est, report = afem(problem, (0.2, 0.8), hier, 3, theta=0.2, max_sweeps=5000)
+    u, est, report = afem(*cookie_data((0.2, 0.8), hier), 3, theta=0.2, max_sweeps=5000)
     assert report.iterations == 3
     assert len(report.steps) == 3
     dofs = [step.u.dof_count() for step in report.steps]
@@ -290,17 +292,16 @@ def test_afem_estimates_once_per_iteration(monkeypatch, iterations):
         return real_estimate(*args, **kwargs)
 
     monkeypatch.setattr(adapt, "estimate", counted_estimate)
-    afem(CookieProblem(), (0.3, 0.9), build_hierarchy(5, 2), iterations, theta=0.3)
+    afem(*cookie_data((0.3, 0.9), build_hierarchy(5, 2)), iterations, theta=0.3)
     assert len(calls) == iterations
 
 
 def test_afem_input_validation():
-    problem = CookieProblem()
-    hier = build_hierarchy(3, 2)
+    data = cookie_data((0.5, 0.5), build_hierarchy(3, 2))
     with pytest.raises(ConfigurationError):
-        afem(problem, (0.5, 0.5), hier, 0)
+        afem(*data, 0)
     with pytest.raises(ConfigurationError):
-        afem(problem, (0.5, 0.5), hier, 1, marking="random")
+        afem(*data, 1, marking="random")
 
 
 def test_initial_masks_and_empty_marks():

@@ -144,6 +144,16 @@ def test_upsilon_rejects_wrong_shape():
         compute_upsilon(hier, np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.5, float("nan"), float("inf")])
+def test_upsilon_rejects_kappa_the_model_cannot_solve(bad):
+    # one bad node is enough: the operator is elliptic only for kappa > 0
+    hier = build_hierarchy(3, 2)
+    kappa = np.ones((5, 5))
+    kappa[2, 3] = bad
+    with pytest.raises(ConfigurationError, match="finite and > 0"):
+        compute_upsilon(hier, kappa)
+
+
 # ---------------------------------------------------------------- level action
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mlfem import problems
+from mlfem.assembly import compute_upsilon
 from mlfem.cli import (
     AFEM_CSV_COLUMNS,
     MlfdDataset,
@@ -24,7 +25,7 @@ from mlfem.cli import (
 )
 from mlfem.convnet import build_stencil_bank, flatten_bank
 from mlfem.mesh import ConfigurationError, build_hierarchy
-from mlfem.problems import CookieProblem, SampleRng, discretize_kappa
+from mlfem.problems import CookieProblem, SampleRng, discretize_kappa, load_image
 
 
 def write_config(path, **sections):
@@ -117,9 +118,17 @@ def test_value_validation():
         {"output": 7},
         json.loads('{"hierarchy": {"levels": Infinity}}'),
         json.loads('{"sampling": {"count": 1e400}}'),
+        # lattices past mesh.MAX_NODES_PER_SIDE, the finest or the overkill
+        # reference's: rejected on their sizes alone, nothing is allocated
+        {"hierarchy": {"levels": 2000}},
+        {"hierarchy": {"levels": 30}},
+        {"hierarchy": {"coarse_nodes_per_side": 2000, "levels": 1}},
+        {"hierarchy": {"levels": 8}},
     ):
         with pytest.raises(ConfigurationError):
             parse_config(bad)
+    # the edge: 7 levels from 5 nodes have a 1025-node reference lattice
+    assert parse_config({"hierarchy": {"levels": 7}}).levels == 7
 
 
 def test_three_disc_config_draws_three_parameters(tmp_path):
@@ -439,7 +448,9 @@ def test_gen_dataset_layout_and_reload(tmp_path):
     from mlfem.adapt import afem
 
     y = SampleRng(5).sample_generator(1).random(2)
-    _, _, report = afem(CookieProblem(), y, hier, 2, theta=0.3, tol=1e-10, max_sweeps=3000)
+    diffusion = compute_upsilon(hier, discretize_kappa(CookieProblem(), y, hier))
+    f_values = load_image(CookieProblem(), hier)
+    _, _, report = afem(diffusion, f_values, 2, theta=0.3, tol=1e-10, max_sweeps=3000)
     final = report.steps[1]
     for k in range(levels):
         assert np.array_equal(ds.load(f"sample00001_level{k}_u"), final.u.values[k])
@@ -485,6 +496,16 @@ def test_main_config_errors_exit_2(tmp_path, monkeypatch, capsys):
         assert main(["run", "--config", str(tmp_path / name), "--out", str(tmp_path / "o")]) == 2
         assert "must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+    # a hierarchy too deep or too wide to build fails before any work
+    for name, hierarchy in (
+        ("deep.json", {"levels": 2000}),
+        ("deeper.json", {"levels": 30}),
+        ("wide.json", {"coarse_nodes_per_side": 5000, "levels": 2}),
+    ):
+        path = write_config(tmp_path / name, hierarchy=hierarchy)
+        assert main(["verify", "--config", path]) == 2
+        assert "nodes per side" in capsys.readouterr().err
 
     # a center with a third coordinate is rejected, not truncated to a pair
     three = write_config(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mlfem.mesh import (
+    MAX_NODES_PER_SIDE,
     TRI_VERTEX_OFFSETS,
     ConfigurationError,
     build_hierarchy,
@@ -36,6 +37,14 @@ def test_build_hierarchy_rejects_degenerate():
         build_hierarchy(2, 1)
     with pytest.raises(ConfigurationError):
         build_hierarchy(5, 0)
+
+
+def test_build_hierarchy_caps_the_finest_lattice():
+    assert build_hierarchy(3, 10).n(9) == MAX_NODES_PER_SIDE == 1025
+    assert build_hierarchy(MAX_NODES_PER_SIDE, 1).n(0) == MAX_NODES_PER_SIDE
+    for n0, levels in ((3, 11), (MAX_NODES_PER_SIDE + 1, 1), (5, 2000), (5, 10**12)):
+        with pytest.raises(ConfigurationError, match="nodes per side"):
+            build_hierarchy(n0, levels)
 
 
 def test_nesting_recurrence():

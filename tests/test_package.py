@@ -1,5 +1,7 @@
-"""The names the benchmark binds and the names each module exports must exist."""
+"""The names the benchmark binds and the names each module exports must exist,
+and the discrete pipeline stays free of the problem model."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -58,3 +60,30 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Dotted names a package module imports, relative imports resolved to `mlfem`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["mlfem" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_the_entry_points_import_the_problem_model():
+    # the adaptive loop, the network and their kernels run on discrete data
+    # (coefficient channels and load images); only the CLI and the package
+    # namespace know the cookie problem that produces them
+    src = Path(mlfem.__file__).resolve().parent
+    offenders = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("cli.py", "__init__.py")
+        and "mlfem.problems" in imported_modules(path)
+    ]
+    assert offenders == []

@@ -501,7 +501,7 @@ def test_report_histories_are_consistent():
     star = reference_solve(masks, diff, rhs)
     u, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm)
     assert len(report.residual_history) == report.iterations + 1
-    # the energy-history oracle runs exactly llmg_solve's iteration
+    # the energy-history oracle replays llmg_solve's iteration
     u_o, report_o, hist = solve_energy_history(zero_field(hier, masks), rhs, diff, sm, star)
     assert report_o == report
     assert all(np.array_equal(a, b) for a, b in zip(u_o.values, u.values))
