@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +22,7 @@ from .solver import SolveReport, choose_omega, llmg_solve
 
 __all__ = [
     "MARKING_STRATEGIES",
-    "MarkSet",
     "AfemStep",
-    "AfemReport",
-    "empty_marks",
     "mark_threshold",
     "mark_doerfler",
     "level_thresholds",
@@ -39,48 +36,18 @@ MARKING_STRATEGIES = ("doerfler", "threshold")
 
 
 @dataclass
-class MarkSet:
-    """Per-level 0/1 triangle marks, shape (2, n_k, n_k) each."""
-
-    hierarchy: GridHierarchy
-    marks: list[np.ndarray]
-
-    def count(self) -> int:
-        return int(sum(int(m.sum()) for m in self.marks))
-
-
-def empty_marks(hierarchy: GridHierarchy) -> MarkSet:
-    marks = [
-        np.zeros((2, hierarchy.n(k), hierarchy.n(k)), dtype=np.uint8)
-        for k in range(hierarchy.levels)
-    ]
-    return MarkSet(hierarchy, marks)
-
-
-@dataclass
 class AfemStep:
     """One adaptive pass: the iterate after its solve, on the masks that solve
-    ran on, with the estimate, the marks and the solver's report."""
+    ran on, with the estimate, the marks and the solver's report.
+
+    The marks are 0/1 uint8 images, one (2, n_k, n_k) image per level in
+    the layout of `est.tri_mask`.
+    """
 
     u: MultilevelField
     est: EstimatorField
-    marks: MarkSet
+    marks: list[np.ndarray]
     solve: SolveReport
-
-
-@dataclass
-class AfemReport:
-    """The passes of an adaptive run, in order."""
-
-    steps: list[AfemStep] = field(default_factory=list)
-
-    @property
-    def iterations(self) -> int:
-        return len(self.steps)
-
-    @property
-    def converged(self) -> bool:
-        return all(step.solve.converged for step in self.steps)
 
 
 def level_thresholds(thresholds, hierarchy: GridHierarchy) -> np.ndarray:
@@ -103,18 +70,16 @@ def warn_dropped_marks(marks: np.ndarray, hierarchy: GridHierarchy) -> None:
         )
 
 
-def mark_threshold(est: EstimatorField, thresholds) -> MarkSet:
+def mark_threshold(est: EstimatorField, thresholds) -> list[np.ndarray]:
     """Mark every leaf triangle whose eta_T^2 exceeds its level's threshold."""
-    hier = est.hierarchy
-    deltas = level_thresholds(thresholds, hier)
-    marks = []
-    for k in range(hier.levels):
-        hit = (est.eta2[k] > deltas[k]) & est.tri_mask[k].astype(bool)
-        marks.append(hit.astype(np.uint8))
-    return MarkSet(hier, marks)
+    deltas = level_thresholds(thresholds, est.hierarchy)
+    return [
+        ((eta2 > delta) & tri.astype(bool)).astype(np.uint8)
+        for eta2, delta, tri in zip(est.eta2, deltas, est.tri_mask)
+    ]
 
 
-def mark_doerfler(est: EstimatorField, theta: float) -> MarkSet:
+def mark_doerfler(est: EstimatorField, theta: float) -> list[np.ndarray]:
     """Greedy bulk marking: smallest prefix of leaves with sum >= theta * total.
 
     Leaves are sorted by eta^2 descending; ties break by (level, i1, i2, q)
@@ -122,10 +87,9 @@ def mark_doerfler(est: EstimatorField, theta: float) -> MarkSet:
     """
     if not 0.0 < theta < 1.0:
         raise ConfigurationError(f"theta must lie in (0, 1), got {theta}")
-    hier = est.hierarchy
-    out = empty_marks(hier)
+    out = [np.zeros_like(tri) for tri in est.tri_mask]
     vals, levels, qs, i1s, i2s = [], [], [], [], []
-    for k in range(hier.levels):
+    for k in range(est.hierarchy.levels):
         q_idx, a_idx, b_idx = np.nonzero(est.tri_mask[k])
         vals.append(est.eta2[k][q_idx, a_idx, b_idx])
         levels.append(np.full(q_idx.shape, k))
@@ -144,23 +108,25 @@ def mark_doerfler(est: EstimatorField, theta: float) -> MarkSet:
     csum = np.cumsum(vals[order])
     take = int(np.searchsorted(csum, theta * total, side="left")) + 1
     for j in order[:take]:
-        out.marks[levels[j]][qs[j], i1s[j], i2s[j]] = 1
+        out[levels[j]][qs[j], i1s[j], i2s[j]] = 1
     return out
 
 
-def refine(masks: list[LevelMask], marks: MarkSet, hierarchy: GridHierarchy) -> list[LevelMask]:
+def refine(
+    masks: list[LevelMask], marks: list[np.ndarray], hierarchy: GridHierarchy
+) -> list[LevelMask]:
     """Grow active sets: each marked triangle activates the interior nodes of
     the next level whose hats meet it (the footprint of its four children).
 
     Existing active sets are preserved.  Marks at the deepest level have
     nowhere to refine into and are dropped with a warning.
     """
-    if len(masks) != hierarchy.levels or len(marks.marks) != hierarchy.levels:
+    if len(masks) != hierarchy.levels or len(marks) != hierarchy.levels:
         raise ConfigurationError("masks/marks do not match the hierarchy depth")
     new_active = [np.array(m.active, dtype=np.uint8) for m in masks]
-    warn_dropped_marks(marks.marks[hierarchy.levels - 1], hierarchy)
+    warn_dropped_marks(marks[hierarchy.levels - 1], hierarchy)
     for k in range(hierarchy.levels - 1):
-        level_marks = marks.marks[k]
+        level_marks = marks[k]
         if not level_marks.any():
             continue
         m = hierarchy.n(k) - 1  # nodes with both indices < m own a T1/T2 pair
@@ -192,17 +158,19 @@ def afem(
     theta: float = 0.1,
     tol: float = 1e-10,
     max_sweeps: int = 200,
-) -> tuple[MultilevelField, EstimatorField, AfemReport]:
-    """Adaptive loop: solve, estimate, mark, refine, `iterations` times.
+) -> list[AfemStep]:
+    """Adaptive loop: `iterations` passes of solve, estimate and mark, each
+    pass after the first on the masks its predecessor's marks refine.
 
     Runs on discrete data: the coefficient channels and the load's nodal
     values on the finest lattice of `diffusion.hierarchy`.  Spaces are
     nested, so the carried-over iterate needs no interpolation; newly
     activated nodes start at coefficient zero.  Each solve targets the
-    defect equation A v = f - A u from a zero initial guess.  Every pass
-    builds new value images, so the steps in the report are snapshots that
-    later passes never overwrite.  Errors against a reference solve
-    (`problems.relative_errors`) are the caller's, on `report.steps[i].u`.
+    defect equation A v = f - A u from a zero initial guess.  Returns one
+    `AfemStep` per pass.  Every pass builds new value images, so the steps
+    are snapshots that later passes never overwrite.  The last pass's marks
+    are not refined.  Errors against a reference solve
+    (`problems.relative_errors`) are the caller's, on `steps[i].u`.
     """
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
@@ -215,8 +183,10 @@ def afem(
 
     u = zero_field(hierarchy, initial_masks(hierarchy))
     smoother = choose_omega(diffusion, u.masks)
-    report = AfemReport()
+    steps: list[AfemStep] = []
     for _ in range(iterations):
+        if steps:
+            u = MultilevelField(hierarchy, u.values, refine(u.masks, marks, hierarchy))
         stacked = apply_stacked(u, diffusion)
         defect = RhsField(
             hierarchy,
@@ -240,8 +210,10 @@ def afem(
             marks = mark_doerfler(est, theta)
         else:
             peak = max((float(e.max()) for e in est.eta2), default=0.0)
-            marks = mark_threshold(est, theta * peak) if peak > 0.0 else empty_marks(hierarchy)
-        report.steps.append(AfemStep(u, est, marks, solve_report))
-
-        u = MultilevelField(hierarchy, u.values, refine(u.masks, marks, hierarchy))
-    return u, est, report
+            marks = (
+                mark_threshold(est, theta * peak)
+                if peak > 0.0
+                else [np.zeros_like(tri) for tri in est.tri_mask]
+            )
+        steps.append(AfemStep(u, est, marks, solve_report))
+    return steps

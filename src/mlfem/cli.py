@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import MARKING_STRATEGIES, afem, initial_masks, mark_threshold, refine
-from .assembly import apply_A_level, apply_A_level_transpose, compute_upsilon
+from .assembly import apply_A_level, apply_A_level_transpose, assemble_rhs, compute_upsilon
 from .convnet import (
     build_stencil_bank,
     conv_apply_A,
@@ -40,6 +40,7 @@ from .convnet import (
 )
 from .estimator import estimate
 from .field import (
+    MultilevelField,
     empty_mask,
     flatten_to_finest,
     full_mask,
@@ -57,7 +58,6 @@ from .problems import (
     discretize_kappa,
     load_image,
     overkill_reference,
-    problem_rhs,
     reference_nodes_per_side,
     relative_errors,
 )
@@ -295,7 +295,7 @@ class MlfdDataset:
                         f"array {name!r} shape must be a list of non-negative "
                         f"integers, got {shape!r}"
                     )
-                expect = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+                expect = math.prod(shape) * dtype.itemsize
                 if not (self.root / fname).is_file():
                     raise ConfigurationError(f"array {name!r}: blob {fname} does not exist")
                 actual = (self.root / fname).stat().st_size
@@ -348,7 +348,8 @@ def _adaptive_sample(cfg: RunConfig, index: int):
 
     One parameter per disc of the problem.  The data (coefficient channels,
     finest load image) are derived here once, for every caller.  Saturated-depth
-    warnings are silenced.  Returns (y, diffusion, f_values, final field, report).
+    warnings are silenced.  Returns (y, diffusion, f_values, steps), with one
+    `AfemStep` per pass.
     """
     hier = build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
     y = SampleRng(cfg.seed).sample_generator(index).random(len(cfg.problem.centers))
@@ -356,7 +357,7 @@ def _adaptive_sample(cfg: RunConfig, index: int):
     f_values = load_image(cfg.problem, hier)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        u, _, report = afem(
+        steps = afem(
             diffusion,
             f_values,
             cfg.iterations,
@@ -365,7 +366,7 @@ def _adaptive_sample(cfg: RunConfig, index: int):
             tol=cfg.tol,
             max_sweeps=cfg.max_sweeps,
         )
-    return y, diffusion, f_values, u, report
+    return y, diffusion, f_values, steps
 
 
 def _add_levels(writer: MlfdWriter, tag: str, values, eta2, masks) -> None:
@@ -378,14 +379,14 @@ def _add_levels(writer: MlfdWriter, tag: str, values, eta2, masks) -> None:
 
 def cmd_afem(cfg: RunConfig, out_dir) -> int:
     """One adaptive run on the first sample: CSV report plus MLFD snapshots."""
-    y, diffusion, f_values, _, report = _adaptive_sample(cfg, 0)
+    y, diffusion, f_values, steps = _adaptive_sample(cfg, 0)
     ref_image, ref_hier = overkill_reference(cfg.problem, y, diffusion.hierarchy)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     writer = MlfdWriter(out / "snapshots", config_hash(cfg), cfg.seed)
     writer.add("kappa", diffusion.kappa, channels="kappa")
     writer.add("f", f_values, channels="f")
-    for it, step in enumerate(report.steps):
+    for it, step in enumerate(steps):
         _add_levels(writer, f"iter{it:03d}", step.u.values, step.est.eta2, step.u.masks)
     writer.close()
     rows = [
@@ -394,13 +395,13 @@ def cmd_afem(cfg: RunConfig, out_dir) -> int:
             step.u.dof_count(),
             step.est.total(),
             *relative_errors(step.u, ref_image, ref_hier),
-            step.marks.count(),
+            sum(int(m.sum()) for m in step.marks),
             step.solve.iterations,
         )
-        for it, step in enumerate(report.steps)
+        for it, step in enumerate(steps)
     ]
     write_csv(out / "afem.csv", AFEM_CSV_COLUMNS, rows)
-    if not report.converged:
+    if not all(step.solve.converged for step in steps):
         print("solver hit the sweep limit on at least one iteration", file=sys.stderr)
         return 1
     return 0
@@ -411,16 +412,18 @@ def _study_sample(args):
 
     Each is a (4, steps) table: dofs, relative H1 and L2 errors, and 1 where
     the step's solve stopped at max_sweeps.  Both families are measured
-    against one overkill reference of the sample.
+    against one overkill reference of the sample.  A uniform hierarchy of
+    depth d reads the sample's kappa and load at every s-th finest node,
+    s = 2^(levels - d): its finest lattice is exactly those nodes.
     """
     cfg, index = args
-    y, diffusion, _, _, report = _adaptive_sample(cfg, index)
+    y, diffusion, f_values, steps = _adaptive_sample(cfg, index)
     ref_image, ref_hier = overkill_reference(cfg.problem, y, diffusion.hierarchy)
     adaptive = np.array(
         [
-            [step.u.dof_count() for step in report.steps],
-            *zip(*(relative_errors(step.u, ref_image, ref_hier) for step in report.steps)),
-            [step.solve.status == "max_sweeps" for step in report.steps],
+            [step.u.dof_count() for step in steps],
+            *zip(*(relative_errors(step.u, ref_image, ref_hier) for step in steps)),
+            [step.solve.status == "max_sweeps" for step in steps],
         ],
         dtype=float,
     )
@@ -428,14 +431,14 @@ def _study_sample(args):
     uniform = np.empty((4, cfg.levels))
     for depth in range(1, cfg.levels + 1):
         sub = build_hierarchy(cfg.coarse_nodes_per_side, depth)
+        s = 2 ** (cfg.levels - depth)
         masks = uniform_masks(sub)
-        diffusion = compute_upsilon(sub, discretize_kappa(cfg.problem, y, sub))
-        rhs = problem_rhs(cfg.problem, sub)
-        smoother = choose_omega(diffusion, masks)
+        sub_diffusion = compute_upsilon(sub, diffusion.kappa[::s, ::s])
+        smoother = choose_omega(sub_diffusion, masks)
         u, solve_report = llmg_solve(
             zero_field(sub, masks),
-            rhs,
-            diffusion,
+            assemble_rhs(sub, f_values[::s, ::s]),
+            sub_diffusion,
             smoother,
             tol=cfg.tol,
             max_sweeps=cfg.max_sweeps,
@@ -520,10 +523,16 @@ def verify_rows(cfg: RunConfig) -> list[tuple[str, float]]:
     marking/refinement cascade (the last contributes 1.0 when the refined
     masks differ anywhere).
     """
-    _, diffusion, f_values, u_a, _ = _adaptive_sample(
+    _, diffusion, f_values, steps = _adaptive_sample(
         replace(cfg, iterations=2, marking="doerfler", theta=0.3), 0
     )
     hier = diffusion.hierarchy
+    # the last pass's iterate on the masks its marks refine: a field with
+    # freshly activated zero nodes
+    last = steps[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        u_a = MultilevelField(hier, last.u.values, refine(last.u.masks, last.marks, hier))
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(cfg.seed)
 
@@ -602,8 +611,8 @@ def _dataset_sample(args):
     """Kappa, load, and the final pass's iterate, indicator and masks of one
     sample (worker body): only what the export writes goes back to the pool."""
     cfg, index = args
-    _, diffusion, f_values, _, report = _adaptive_sample(cfg, index)
-    last = report.steps[-1]
+    _, diffusion, f_values, steps = _adaptive_sample(cfg, index)
+    last = steps[-1]
     return diffusion.kappa, f_values, last.u.values, last.est.eta2, last.u.masks
 
 

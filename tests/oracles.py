@@ -21,8 +21,8 @@ sets.  The reference sweeps (`ssc_sweep`, `lmg_sweep`) recompute the
 stacked action fresh on every level visit, to define the level-order
 iteration that the fused `solver.llmg_sweep` must reproduce.
 `power_lambda_max` estimates a level operator's largest eigenvalue, and
-`solve_energy_history` replays `solver.llmg_solve`'s sweeps to record the
-A-norm errors of its iterates against a known solution.
+`solve_energy_history` records the A-norm errors of `solver.llmg_solve`'s
+own iterates against a known solution.
 
 The random fixtures at the very end (`random_mask`, `random_masks`,
 `random_field`, `random_refined_masks`) draw the masks and fields the test
@@ -34,13 +34,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mlfem.adapt import empty_marks, initial_masks, refine
+from mlfem import solver
+from mlfem.adapt import initial_masks, refine
 from mlfem.assembly import apply_A_level, apply_stacked
 from mlfem.estimator import estimate, leaf_triangle_masks
 from mlfem.field import MultilevelField, flatten_to_finest, make_mask
 from mlfem.mesh import NODE_TRIANGLES, TRI_CHILD_OFFSETS, ConfigurationError
 from mlfem.problems import CookieProblem, reference_error
-from mlfem.solver import llmg_solve, llmg_sweep
 
 # vertex index offsets of the two triangles owned by node i
 TRI_VERTEX_OFFSETS = {
@@ -463,27 +463,33 @@ def power_lambda_max(diffusion, k, iterations=50):
 
 
 def solve_energy_history(u0, f, diffusion, smoother, exact, tol=1e-10, max_sweeps=200):
-    """`llmg_solve`, then its sweeps replayed from u0 with the A-norm error
-    against `exact` recorded after each.
+    """`llmg_solve` with the A-norm error against `exact` recorded after each
+    of its own sweeps.
 
-    The replay must end on `llmg_solve`'s iterate bit for bit, so the errors
-    are those of the solve's own iterates.  Returns (u, report) of
-    `llmg_solve` and the errors, starting with the initial one: there are
-    report.iterations + 1 of them.
+    The `llmg_sweep` binding in `mlfem.solver` is wrapped for the length of
+    the call, so the errors are those of the solve's own iterates.  Returns
+    (u, report) of `llmg_solve` and the errors, starting with the initial
+    one: there are report.iterations + 1 of them.
     """
-    u_solved, report = llmg_solve(u0, f, diffusion, smoother, tol=tol, max_sweeps=max_sweeps)
-    u = u0.copy()
 
-    def energy_error():
+    def energy_error(u):
         delta = [a - b for a, b in zip(u.values, exact.values)]
         return energy_seminorm(MultilevelField(u.hierarchy, delta, u.masks), diffusion)
 
-    energies = [energy_error()]
-    for _ in range(report.iterations):
-        llmg_sweep(u, f, diffusion, smoother)
-        energies.append(energy_error())
-    assert all(np.array_equal(a, b) for a, b in zip(u.values, u_solved.values))
-    return u_solved, report, energies
+    energies = [energy_error(u0)]
+    sweep = solver.llmg_sweep
+
+    def recorded(u, *args, **kwargs):
+        lagged = sweep(u, *args, **kwargs)
+        energies.append(energy_error(u))
+        return lagged
+
+    solver.llmg_sweep = recorded
+    try:
+        u, report = solver.llmg_solve(u0, f, diffusion, smoother, tol=tol, max_sweeps=max_sweeps)
+    finally:
+        solver.llmg_sweep = sweep
+    return u, report, energies
 
 
 def contraction_ratios(energies):
@@ -522,16 +528,16 @@ def random_refined_masks(hier, rng, frac=0.35):
     masks = initial_masks(hier)
     for _ in range(hier.levels - 1):
         leaves = leaf_triangle_masks(hier, masks)
-        ms = empty_marks(hier)
+        ms = [np.zeros_like(leaf) for leaf in leaves]
         for k in range(hier.levels - 1):
             pick = (rng.random(leaves[k].shape) < frac).astype(np.uint8)
-            ms.marks[k][...] = pick & leaves[k]
-        if ms.count() == 0:
+            ms[k][...] = pick & leaves[k]
+        if not any(m.any() for m in ms):
             for k in range(hier.levels - 1):
                 idx = np.argwhere(leaves[k])
                 if len(idx):
                     q, a, b = idx[rng.integers(len(idx))]
-                    ms.marks[k][q, a, b] = 1
+                    ms[k][q, a, b] = 1
                     break
         masks = refine(masks, ms, hier)
     return masks

@@ -389,12 +389,12 @@ def test_07_adaptive_advantage(capsys):
         diff = compute_upsilon(hier, discretize_kappa(prob, y, hier))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            _, _, rep = afem(diff, f_values, 3, marking="doerfler", theta=0.1)
+            steps = afem(diff, f_values, 3, marking="doerfler", theta=0.1)
         ref_img, ref_hier = overkill_reference(prob, y, hier)
-        dofs = [step.u.dof_count() for step in rep.steps]
-        eta2 = [step.est.total() for step in rep.steps]
+        dofs = [step.u.dof_count() for step in steps]
+        eta2 = [step.est.total() for step in steps]
         ad_dofs.append(dofs)
-        ad_err.append([relative_errors(step.u, ref_img, ref_hier)[0] for step in rep.steps])
+        ad_err.append([relative_errors(step.u, ref_img, ref_hier)[0] for step in steps])
         if np.all(np.diff(dofs) >= 0) and np.all(np.diff(eta2) < 0):
             mono_ok += 1
         rhs = problem_rhs(prob, hier)

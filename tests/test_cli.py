@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mlfem import problems
-from mlfem.assembly import compute_upsilon
+from mlfem.assembly import assemble_rhs, compute_upsilon
 from mlfem.cli import (
     AFEM_CSV_COLUMNS,
     MlfdDataset,
@@ -25,7 +25,7 @@ from mlfem.cli import (
 )
 from mlfem.convnet import build_stencil_bank, flatten_bank
 from mlfem.mesh import ConfigurationError, build_hierarchy
-from mlfem.problems import CookieProblem, SampleRng, discretize_kappa, load_image
+from mlfem.problems import CookieProblem, SampleRng, discretize_kappa, load_image, problem_rhs
 
 
 def write_config(path, **sections):
@@ -217,6 +217,13 @@ def test_mlfd_rejects_corrupt_dataset(tmp_path):
     with pytest.raises(ConfigurationError, match="not an mlfd dataset"):
         MlfdDataset(tmp_path)
     manifest["format"] = good_format
+    # a byte count past int64 must not wrap to match an empty blob
+    blob.write_bytes(b"")
+    manifest["arrays"][0]["shape"] = [2**32, 2**32]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigurationError, match="bytes"):
+        MlfdDataset(tmp_path)
+    manifest["arrays"][0]["shape"] = [4, 4]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     blob.unlink()
     with pytest.raises(ConfigurationError, match="x.bin"):
@@ -369,6 +376,33 @@ def test_convstudy_uniform_errors_decrease(tmp_path, monkeypatch):
     assert [int(r[capped]) for r in rows] == [2, 2, 2, 2]
 
 
+@pytest.mark.parametrize("coarse", [3, 4, 5, 7])
+def test_uniform_family_data_is_the_sample_data_subsampled(coarse):
+    """convstudy's uniform hierarchy of depth d reads the sample's finest kappa
+    and load at every s-th node, s = 2^(L - d).  Each of its coordinates is
+    exactly every s-th finest coordinate, so the images are bit for bit those
+    discretized on its own lattice, also for the non-dyadic spacing 1/3 of
+    coarse side 4."""
+    problem, levels = CookieProblem(), 4
+    full = build_hierarchy(coarse, levels)
+    f_values = load_image(problem, full)
+    for index in range(3):
+        y = SampleRng(0).sample_generator(index).random(len(problem.centers))
+        kappa = discretize_kappa(problem, y, full)
+        for depth in range(1, levels + 1):
+            sub = build_hierarchy(coarse, depth)
+            s = 2 ** (levels - depth)
+            assert np.array_equal(full.node_coords(levels - 1)[::s, ::s], sub.node_coords(depth - 1))
+            want = discretize_kappa(problem, y, sub)
+            assert kappa[::s, ::s].tobytes() == want.tobytes()
+            got_tri = compute_upsilon(sub, kappa[::s, ::s]).tri_integrals
+            want_tri = compute_upsilon(sub, want).tri_integrals
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got_tri, want_tri))
+            got_rhs = assemble_rhs(sub, f_values[::s, ::s]).images
+            want_rhs = problem_rhs(problem, sub).images
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got_rhs, want_rhs))
+
+
 def test_overkill_reference_built_only_where_errors_are_written(tmp_path, monkeypatch):
     calls = []
     original = problems.overkill_reference
@@ -450,8 +484,7 @@ def test_gen_dataset_layout_and_reload(tmp_path):
     y = SampleRng(5).sample_generator(1).random(2)
     diffusion = compute_upsilon(hier, discretize_kappa(CookieProblem(), y, hier))
     f_values = load_image(CookieProblem(), hier)
-    _, _, report = afem(diffusion, f_values, 2, theta=0.3, tol=1e-10, max_sweeps=3000)
-    final = report.steps[1]
+    final = afem(diffusion, f_values, 2, theta=0.3, tol=1e-10, max_sweeps=3000)[1]
     for k in range(levels):
         assert np.array_equal(ds.load(f"sample00001_level{k}_u"), final.u.values[k])
         assert np.array_equal(ds.load(f"sample00001_level{k}_eta2"), final.est.eta2[k])
@@ -557,3 +590,16 @@ def test_readme_config_block_is_the_default_config():
     blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
     assert parse_config(json.loads(blocks[0])) == RunConfig()
+
+
+def test_readme_library_block_runs(capsys):
+    # the documented example must run against the current API: one printed
+    # row per adaptive iteration
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert blocks
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme_example"})
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 3
+    assert all(row.split()[4] == "converged" for row in rows)
