@@ -4,19 +4,21 @@ The stiffness action on one uniform level never forms a matrix.  Each lattice
 node carries the integrals of the diffusion coefficient over its six incident
 triangles (`compute_upsilon`); pairing those channels with constant
 reference-element gradient couplings gives the seven-point stencil row by
-row.  The stacked (all-levels) operator is defined once, by three level
-steps: `carry_down` and `carry_up` pass the carried-down and carried-up
-contents one level on, and `level_section` is one level's row
-A_k(u_k + utilde_k) + ubar_k.  `compute_utilde`, `compute_ubar` and
-`apply_stacked` loop over them, and so does `solver.llmg_sweep`, each only
-over the occupied levels 0..D-1 (`occupied_depth`); `assemble_global` is the
-brute-force sparse counterpart used for verification.
+row.  `DiffusionField.stencil` stages those weight images once per level,
+and `apply_stencil` and its transpose apply them.  The stacked (all-levels)
+operator is defined once, by three level steps: `carry_down` and `carry_up`
+pass the carried-down and carried-up contents one level on, and
+`level_section` is one level's row A_k(u_k + utilde_k) + ubar_k.
+`compute_utilde`, `compute_ubar` and `apply_stacked` loop over them, and so
+does `solver.llmg_sweep`, each only over the occupied levels 0..D-1
+(`occupied_depth`); `assemble_global` is the brute-force sparse counterpart
+used for verification.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,6 +50,8 @@ __all__ = [
     "DiffusionField",
     "RhsField",
     "compute_upsilon",
+    "apply_stencil",
+    "apply_stencil_transpose",
     "apply_A_level",
     "apply_A_level_transpose",
     "carry_down",
@@ -96,6 +100,15 @@ def _stencil_couplings() -> np.ndarray:
 
 STENCIL_COUPLINGS = _stencil_couplings()
 
+_OFFSETS = hat_overlap_offsets()
+_MIRRORED = [(-d1, -d2) for d1, d2 in _OFFSETS]
+
+
+def _stencil_weights(upsilon: np.ndarray) -> np.ndarray:
+    """The seven stencil weight images of one level, (7, n, n), h = 1 and unscaled:
+    weights[t, j] = sum_l upsilon[l, j] K[l, t]."""
+    return np.einsum("lt,lij->tij", STENCIL_COUPLINGS, upsilon)
+
 
 @dataclass
 class DiffusionField:
@@ -107,12 +120,29 @@ class DiffusionField:
     upsilon[k]        (6, n, n) the same integrals gathered into the six
                       node-incident channels, zero where the triangle falls
                       outside the lattice.
+
+    `stencil(k)` stages level k's seven stencil weight images from
+    upsilon[k] on first use and keeps them, read-only: the level steps and
+    the Gershgorin bound only apply them.  A field that is only assembled
+    (`assemble_global`, the overkill reference) never builds them.
     """
 
     hierarchy: GridHierarchy
     kappa: np.ndarray
     tri_integrals: list[np.ndarray]
     upsilon: list[np.ndarray]
+    _stencils: dict[int, np.ndarray] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def stencil(self, k: int) -> np.ndarray:
+        """(7, n, n) weight images of level k, as `apply_stencil` takes them."""
+        weights = self._stencils.get(k)
+        if weights is None:
+            weights = _stencil_weights(self.upsilon[k])
+            weights.flags.writeable = False
+            self._stencils[k] = weights
+        return weights
 
 
 @dataclass
@@ -163,41 +193,57 @@ def compute_upsilon(hierarchy: GridHierarchy, kappa: np.ndarray) -> DiffusionFie
     return DiffusionField(hierarchy, kappa, tri, ups)
 
 
-def apply_A_level(image: np.ndarray, upsilon: np.ndarray, h: float) -> np.ndarray:
-    """Stiffness action of one uniform level on a nodal image.
+def apply_stencil(image: np.ndarray, weights: np.ndarray, h: float) -> np.ndarray:
+    """Stiffness action of one uniform level from its stencil weight images.
 
-    out[j] = (2/h^2) * sum_t (sum_l upsilon[l, j] K[l, t]) * image[j + p_t],
-    with input and output restricted to interior lattice nodes (homogeneous
-    Dirichlet rows and columns).
+    out[j] = (2/h^2) * sum_t weights[t, j] * image[j + p_t], with input and
+    output restricted to interior lattice nodes (homogeneous Dirichlet rows
+    and columns); `weights` is `DiffusionField.stencil(k)`.
     """
-    if upsilon.shape != (6,) + image.shape:
-        raise ValueError(f"upsilon {upsilon.shape} does not match image {image.shape}")
+    if weights.shape != (7,) + image.shape:
+        raise ValueError(f"stencil weights {weights.shape} do not match image {image.shape}")
     v = zero_frame(np.asarray(image, dtype=float))
-    weights = np.einsum("lt,lij->tij", STENCIL_COUPLINGS, upsilon)
     out = np.zeros_like(v)
-    for w, view in zip(weights, offset_views(v, hat_overlap_offsets())):
+    for w, view in zip(weights, offset_views(v, _OFFSETS)):
         out += w * view
     return zero_frame(out * (2.0 / (h * h)))
 
 
-def apply_A_level_transpose(image: np.ndarray, upsilon: np.ndarray, h: float) -> np.ndarray:
-    """Transposed stiffness action: coefficient channels read at the source node.
+def apply_stencil_transpose(image: np.ndarray, weights: np.ndarray, h: float) -> np.ndarray:
+    """Transposed stiffness action: the weight images read at the source node.
 
-    out[j] = (2/h^2) * sum_t (sum_l upsilon[l, j - p_t] K[l, t]) * image[j - p_t].
-    The level matrix is symmetric, so this agrees with `apply_A_level` up to
+    out[j] = (2/h^2) * sum_t weights[t, j - p_t] * image[j - p_t].  The level
+    matrix is symmetric, so this agrees with `apply_stencil` up to
     round-off; it is kept separate because the convolutional realization of
     the two actions differs, and the carried-up recursion is defined through
     the transpose.
     """
-    if upsilon.shape != (6,) + image.shape:
-        raise ValueError(f"upsilon {upsilon.shape} does not match image {image.shape}")
+    if weights.shape != (7,) + image.shape:
+        raise ValueError(f"stencil weights {weights.shape} do not match image {image.shape}")
     v = zero_frame(np.asarray(image, dtype=float))
-    weights = np.einsum("lt,lij->tij", STENCIL_COUPLINGS, upsilon)
-    mirrored = [(-d1, -d2) for d1, d2 in hat_overlap_offsets()]
     out = np.zeros_like(v)
-    for t, view in enumerate(offset_views(weights * v, mirrored)):
+    for t, view in enumerate(offset_views(weights * v, _MIRRORED)):
         out += view[t]
     return zero_frame(out * (2.0 / (h * h)))
+
+
+def apply_A_level(image: np.ndarray, upsilon: np.ndarray, h: float) -> np.ndarray:
+    """Stiffness action of one uniform level on a nodal image, from its Upsilon channels.
+
+    out[j] = (2/h^2) * sum_t (sum_l upsilon[l, j] K[l, t]) * image[j + p_t]:
+    `apply_stencil` of the contracted weights, formed on every call.
+    """
+    if upsilon.shape != (6,) + image.shape:
+        raise ValueError(f"upsilon {upsilon.shape} does not match image {image.shape}")
+    return apply_stencil(image, _stencil_weights(upsilon), h)
+
+
+def apply_A_level_transpose(image: np.ndarray, upsilon: np.ndarray, h: float) -> np.ndarray:
+    """Transposed stiffness action from the Upsilon channels: `apply_stencil_transpose`
+    of the contracted weights, formed on every call."""
+    if upsilon.shape != (6,) + image.shape:
+        raise ValueError(f"upsilon {upsilon.shape} does not match image {image.shape}")
+    return apply_stencil_transpose(image, _stencil_weights(upsilon), h)
 
 
 def carry_down(tld_k: np.ndarray, values_k: np.ndarray) -> np.ndarray:
@@ -210,7 +256,7 @@ def carry_up(
 ) -> np.ndarray:
     """ubar_{k-1} = restrict(ubar_k + A_k^T u_k), boundary rows forced to zero."""
     h = diffusion.hierarchy.h(k)
-    lifted = bar_k + apply_A_level_transpose(values_k, diffusion.upsilon[k], h)
+    lifted = bar_k + apply_stencil_transpose(values_k, diffusion.stencil(k), h)
     return zero_frame(restrict_uniform(lifted))
 
 
@@ -223,7 +269,7 @@ def level_section(
 ) -> np.ndarray:
     """Level-k row of the stacked operator, A_k(u_k + utilde_k) + ubar_k, unmasked."""
     h = diffusion.hierarchy.h(k)
-    return apply_A_level(values_k + tld_k, diffusion.upsilon[k], h) + bar_k
+    return apply_stencil(values_k + tld_k, diffusion.stencil(k), h) + bar_k
 
 
 def occupied_depth(masks) -> int:
@@ -390,7 +436,7 @@ def assemble_rhs(hierarchy: GridHierarchy, f_values: np.ndarray) -> RhsField:
         )
     hf = hierarchy.h(last)
     load = (hf * hf / 2.0) * f_values
-    for view in offset_views(f_values, hat_overlap_offsets()[1:]):
+    for view in offset_views(f_values, _OFFSETS[1:]):
         load += (hf * hf / 12.0) * view
     images: list[np.ndarray] = [np.empty(0)] * hierarchy.levels
     images[last] = zero_frame(load)

@@ -19,7 +19,7 @@ so the kernels stay an independent derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -69,11 +69,22 @@ class ConvKernel:
     lattice and emits one value per coarse node; transpose-strided2 is the
     zero-dilated adjoint, so its weights keep the strided2 layout (first axis
     indexes the *input* of the transposed application).
+
+    The layer is staged once, at construction, in the form `conv_apply`
+    applies it: `taps` holds the weights at each nonzero window position and
+    `offsets` the lattice offset that tap reads its input at (the window
+    offset from the centre tap, mirrored for transpose-strided2).  A tap is
+    the (out, in) weight matrix; when the layer contracts one channel only
+    (in_channels == 1, or out_channels == 1 for transpose-strided2) it is
+    the emitted channels' weights shaped (emitted, 1, 1) for a broadcast
+    product.  The weights are read here only, so they must not change later.
     """
 
     weights: np.ndarray
     bias: np.ndarray | None = None
     mode: str = "plain"
+    taps: tuple[np.ndarray, ...] = dc_field(init=False, repr=False)
+    offsets: tuple[tuple[int, int], ...] = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if self.weights.ndim != 4:
@@ -83,9 +94,23 @@ class ConvKernel:
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown conv mode {self.mode!r}")
         # a transposed layer emits in_channels channels (see conv_apply)
-        emitted = self.in_channels if self.mode == "transpose-strided2" else self.out_channels
+        transposed = self.mode == "transpose-strided2"
+        emitted = self.in_channels if transposed else self.out_channels
         if self.bias is not None and self.bias.shape != (emitted,):
             raise ConfigurationError("bias must have one entry per emitted channel")
+
+        single = (self.out_channels if transposed else self.in_channels) == 1
+        height, width = self.weights.shape[2:]
+        taps, offsets = [], []
+        for d1 in range(height):
+            for d2 in range(width):
+                tap = self.weights[:, :, d1, d2]
+                if tap.any():
+                    taps.append(tap.reshape(emitted, 1, 1) if single else tap)
+                    o1, o2 = d1 - (height - 1) // 2, d2 - (width - 1) // 2
+                    offsets.append((-o1, -o2) if transposed else (o1, o2))
+        object.__setattr__(self, "taps", tuple(taps))
+        object.__setattr__(self, "offsets", tuple(offsets))
 
     @property
     def out_channels(self) -> int:
@@ -104,9 +129,11 @@ def conv_apply(kernel: ConvKernel, image: np.ndarray) -> np.ndarray:
     coarse lattice, the centre tap on the coincident fine node.
     transpose-strided2: exact adjoint of strided2, coarse in, fine out.
 
-    Every tap reads its neighbours through `field.offset_views`: strided2 is
-    the plain conv read at every second node, and transpose-strided2 is the
-    plain conv of the zero-dilated input with mirrored offsets.
+    Every tap reads its neighbours through `field.offset_views` at the
+    kernel's staged offsets: strided2 is the plain conv read at every second
+    node, and transpose-strided2 is the plain conv of the zero-dilated input
+    with mirrored offsets.  A tap that contracts one channel is a broadcast
+    product, the others an `np.einsum` over the contracted channels.
     """
     if image.ndim != 3:
         raise ConfigurationError(f"expected (channels, n1, n2) image, got {image.shape}")
@@ -121,28 +148,20 @@ def conv_apply(kernel: ConvKernel, image: np.ndarray) -> np.ndarray:
             f"strided2 needs an odd fine lattice (2n-1 layout), got {image.shape}"
         )
 
-    height, width = kernel.weights.shape[2:]
-    taps, offsets = [], []
-    for d1 in range(height):
-        for d2 in range(width):
-            if kernel.weights[:, :, d1, d2].any():
-                taps.append(kernel.weights[:, :, d1, d2])
-                offsets.append((d1 - (height - 1) // 2, d2 - (width - 1) // 2))
-
     if kernel.mode == "transpose-strided2":
         # out[c, 2i + offset] += w[o, c, tap] * in[o, i]
         dilated = np.zeros((cin, 2 * n1 - 1, 2 * n2 - 1))
         dilated[:, ::2, ::2] = image
         out = np.zeros((kernel.in_channels,) + dilated.shape[1:])
-        mirrored = [(-o1, -o2) for o1, o2 in offsets]
-        for tap, view in zip(taps, offset_views(dilated, mirrored)):
-            out += np.einsum("oc,oab->cab", tap, view)
+        for tap, view in zip(kernel.taps, offset_views(dilated, kernel.offsets)):
+            out += tap * view if cin == 1 else np.einsum("oc,oab->cab", tap, view)
     else:
         step = 2 if kernel.mode == "strided2" else 1
         out = np.zeros((kernel.out_channels, (n1 - 1) // step + 1, (n2 - 1) // step + 1))
-        for tap, view in zip(taps, offset_views(image, offsets)):
+        for tap, view in zip(kernel.taps, offset_views(image, kernel.offsets)):
+            view = view[:, ::step, ::step]
             # (O, I) x (I, a, b) -> (O, a, b)
-            out += np.einsum("oc,cab->oab", tap, view[:, ::step, ::step])
+            out += tap * view if cin == 1 else np.einsum("oc,cab->oab", tap, view)
     if kernel.bias is not None:
         out += kernel.bias[:, None, None]
     return out

@@ -8,6 +8,7 @@ Dirichlet) and zero off the active set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,12 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _pad_radius(offsets: tuple) -> int:
+    """Largest |component| over an offset set: the zero padding its views need."""
+    return max((max(abs(d1), abs(d2)) for d1, d2 in offsets), default=0)
+
+
 def offset_views(image: np.ndarray, offsets) -> list[np.ndarray]:
     """Lattice-neighbour views: views[t][..., i] = image[..., i + offsets[t]].
 
@@ -41,9 +48,10 @@ def offset_views(image: np.ndarray, offsets) -> list[np.ndarray]:
     offsets act on the last two.  Both routes read their neighbours from such
     views: every stencil of the direct route (stiffness action, its
     transpose, load and Gershgorin sums, mask closure, Upsilon channels) and
-    every tap of `convnet.conv_apply`.
+    every tap of `convnet.conv_apply`.  The padding radius is computed once
+    per offset set (keyed by its tuple of offsets) and looked up afterwards.
     """
-    r = max((max(abs(d1), abs(d2)) for d1, d2 in offsets), default=0)
+    r = _pad_radius(tuple(offsets))
     n1, n2 = image.shape[-2], image.shape[-1]
     padded = np.zeros(image.shape[:-2] + (n1 + 2 * r, n2 + 2 * r), dtype=image.dtype)
     padded[..., r : r + n1, r : r + n2] = image

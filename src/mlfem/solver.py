@@ -20,7 +20,6 @@ import numpy as np
 from .assembly import (
     DiffusionField,
     RhsField,
-    STENCIL_COUPLINGS,
     apply_stacked,
     assemble_global,
     carry_down,
@@ -82,7 +81,7 @@ def _gershgorin_omega(diffusion: DiffusionField, k: int) -> float:
     """1 / max interior row sum of |entries|, columns restricted to the lattice interior."""
     h = diffusion.hierarchy.h(k)
     interior = diffusion.hierarchy.interior_mask(k)
-    weights = np.einsum("lt,lij->tij", STENCIL_COUPLINGS, diffusion.upsilon[k]) * (2.0 / (h * h))
+    weights = diffusion.stencil(k) * (2.0 / (h * h))
     row_sums = np.zeros(interior.shape)
     for w, view in zip(weights, offset_views(interior, hat_overlap_offsets())):
         row_sums += np.abs(w) * view

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mlfem import assembly
 from mlfem.assembly import (
     STENCIL_COUPLINGS,
     apply_A_level,
@@ -10,18 +11,22 @@ from mlfem.assembly import (
     apply_stacked,
     assemble_global,
     assemble_rhs,
+    carry_up,
     compute_ubar,
     compute_upsilon,
     compute_utilde,
     h1_seminorm,
     l2_norm,
+    level_section,
 )
 from mlfem.field import (
     MultilevelField,
     flatten_to_finest,
     full_mask,
+    restrict_uniform,
     uniform_masks,
     zero_field,
+    zero_frame,
 )
 from mlfem.mesh import NODE_TRIANGLES, ConfigurationError, build_hierarchy
 from mlfem.solver import reference_solve, stack_vector
@@ -225,6 +230,52 @@ def test_apply_A_transpose_is_adjoint_and_symmetric():
             # the level matrix is symmetric, so both actions agree
             av = apply_A_level(v, diff.upsilon[k], hier.h(k))
             assert np.allclose(av, atv, rtol=1e-12, atol=1e-12)
+
+
+def test_level_steps_match_the_upsilon_route_bit_for_bit():
+    """level_section and carry_up apply the staged stencil images; their
+    bytes are those of apply_A_level / apply_A_level_transpose, which
+    contract the Upsilon channels on every call."""
+    rng = np.random.default_rng(31)
+    for coarse, levels in ((3, 3), (5, 2), (4, 3)):
+        hier = build_hierarchy(coarse, levels)
+        nf = hier.n(levels - 1)
+        diff = compute_upsilon(hier, rng.uniform(0.1, 3.0, size=(nf, nf)))
+        for k in range(levels):
+            n, h = hier.n(k), hier.h(k)
+            for _ in range(4):
+                values = rng.normal(size=(n, n)) * random_mask(hier, k, rng).active
+                tld, bar = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+                got = level_section(values, tld, bar, diff, k)
+                want = apply_A_level(values + tld, diff.upsilon[k], h) + bar
+                assert got.tobytes() == want.tobytes()
+                if k > 0:
+                    got = carry_up(bar, values, diff, k)
+                    lifted = bar + apply_A_level_transpose(values, diff.upsilon[k], h)
+                    assert got.tobytes() == zero_frame(restrict_uniform(lifted)).tobytes()
+
+
+def test_stencil_images_are_staged_once_per_level(monkeypatch):
+    contracted = []
+    weights = assembly._stencil_weights
+    monkeypatch.setattr(
+        assembly, "_stencil_weights", lambda ups: contracted.append(ups.shape) or weights(ups)
+    )
+    hier = build_hierarchy(3, 3)
+    rng = np.random.default_rng(37)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(9, 9)))
+    u = random_field(hier, uniform_masks(hier), rng)
+    assert contracted == []  # built on first use, not with the field
+    for _ in range(3):
+        apply_stacked(u, diff)
+    assert contracted == [(6, hier.n(k), hier.n(k)) for k in (2, 1, 0)]
+    for k in range(hier.levels):
+        staged = diff.stencil(k)
+        assert staged is diff.stencil(k)
+        assert not staged.flags.writeable
+        want = np.einsum("lt,lij->tij", STENCIL_COUPLINGS, diff.upsilon[k])
+        assert staged.tobytes() == want.tobytes()
+    assert len(contracted) == hier.levels
 
 
 def test_stencil_couplings_row_sums_vanish():

@@ -228,6 +228,84 @@ def test_kernel_validation():
         conv_apply(up, np.zeros((2, 5, 5)))
 
 
+def scanned_taps(kernel):
+    """A fresh row-major scan of the weights: (window offset, (out, in) matrix)
+    for every nonzero window position, offsets from the centre tap."""
+    height, width = kernel.weights.shape[2:]
+    return [
+        ((d1 - (height - 1) // 2, d2 - (width - 1) // 2), kernel.weights[:, :, d1, d2])
+        for d1 in range(height)
+        for d2 in range(width)
+        if kernel.weights[:, :, d1, d2].any()
+    ]
+
+
+def einsum_conv(kernel, image):
+    """conv_apply with every tap an `np.einsum` over the contracted channels,
+    read from a fresh scan of the weights."""
+    n1, n2 = image.shape[1:]
+    scan = scanned_taps(kernel)
+    if kernel.mode == "transpose-strided2":
+        dilated = np.zeros((image.shape[0], 2 * n1 - 1, 2 * n2 - 1))
+        dilated[:, ::2, ::2] = image
+        out = np.zeros((kernel.in_channels,) + dilated.shape[1:])
+        mirrored = [(-o1, -o2) for (o1, o2), _ in scan]
+        for (_, tap), view in zip(scan, offset_views(dilated, mirrored)):
+            out += np.einsum("oc,oab->cab", tap, view)
+    else:
+        step = 2 if kernel.mode == "strided2" else 1
+        out = np.zeros((kernel.out_channels, (n1 - 1) // step + 1, (n2 - 1) // step + 1))
+        for (_, tap), view in zip(scan, offset_views(image, [o for o, _ in scan])):
+            out += np.einsum("oc,cab->oab", tap, view[:, ::step, ::step])
+    if kernel.bias is not None:
+        out += kernel.bias[:, None, None]
+    return out
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("mode", sorted(ORACLE_LATTICES))
+def test_single_channel_taps_give_the_einsum_bytes(mode, bias):
+    """A layer that contracts one channel applies each tap as a broadcast
+    product; the bytes are those of an `np.einsum` per tap, signed zeros
+    included."""
+    rng = np.random.default_rng(29)
+    transposed = mode == "transpose-strided2"
+    shape = (1, 3, 3, 3) if transposed else (3, 1, 3, 3)
+    weights = rng.normal(size=shape)
+    weights[..., 0, 2] = 0.0  # a zero tap is skipped
+    weights[0, 0, 1, 0] = -0.0
+    emitted = 3
+    kern = ConvKernel(weights, mode=mode, bias=rng.normal(size=emitted) if bias else None)
+    assert all(tap.shape == (emitted, 1, 1) for tap in kern.taps)
+    for lattice in ORACLE_LATTICES[mode]:
+        img = rng.normal(size=(1,) + lattice)
+        img[0, ::2, 1::3] = -0.0
+        got = conv_apply(kern, img)
+        want = einsum_conv(kern, img)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_bank_kernels_stage_a_fresh_scan_of_their_weights():
+    bank = build_stencil_bank(build_hierarchy(3, 2))
+    kernels = {
+        name: getattr(bank, name)
+        for name in ("operator", "operator_transpose", "upsilon", "prolong", "restrict",
+                     "corner", "aggregate_r2", "aggregate_j2", "refine", "translate")
+    }
+    kernels.update((f"jump_{name}", k) for name, k in bank.jumps.items())
+    for name, kernel in kernels.items():
+        transposed = kernel.mode == "transpose-strided2"
+        contracted = kernel.out_channels if transposed else kernel.in_channels
+        scan = scanned_taps(kernel)
+        want_offsets = tuple((-o1, -o2) if transposed else (o1, o2) for (o1, o2), _ in scan)
+        assert kernel.offsets == want_offsets, name
+        assert len(kernel.taps) == len(scan), name
+        for tap, (_, matrix) in zip(kernel.taps, scan):
+            want = matrix.reshape(-1, 1, 1) if contracted == 1 else matrix
+            assert tap.shape == want.shape and np.array_equal(tap, want), name
+
+
 # ---------------------------------------------------------------- stencil bank
 
 

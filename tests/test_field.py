@@ -40,6 +40,31 @@ def test_offset_views_match_index_loop():
             assert np.array_equal(view, expect)
 
 
+def test_offset_views_radius_cache_cannot_go_stale():
+    """The padding radius is looked up per offset set; sets of radius 0, 1
+    and 2, as lists and as tuples and interleaved, each read the views of a
+    fresh zero pad of their own radius."""
+    rng = np.random.default_rng(9)
+    image = rng.normal(size=(2, 6, 7))
+    sets = [
+        [],
+        [(2, -1), (0, 0)],
+        [(1, 0), (0, -1), (-1, 1)],
+        [(0, 0)],
+        [(0, -2)],
+        [(-1, -1), (1, 1)],
+        [(0, 0), (2, 2), (-2, 0)],
+    ]
+    for offsets in sets * 2 + sets[::-1]:
+        r = max((max(abs(d1), abs(d2)) for d1, d2 in offsets), default=0)
+        padded = np.pad(image, ((0, 0), (r, r), (r, r)))
+        want = [padded[:, r + d1 : r + d1 + 6, r + d2 : r + d2 + 7] for d1, d2 in offsets]
+        for form in (list(offsets), tuple(offsets)):
+            got = offset_views(image, form)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_translate_zero_image():
     hier = build_hierarchy(5, 1)
     stack = translate(np.zeros((5, 5)), full_mask(hier, 0))

@@ -87,3 +87,28 @@ def test_only_the_entry_points_import_the_problem_model():
         and "mlfem.problems" in imported_modules(path)
     ]
     assert offenders == []
+
+
+def stencil_coupling_reads(path: Path) -> list[str]:
+    """Functions (or `<module>`) of a package module that read STENCIL_COUPLINGS."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owners = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owners.setdefault(node, func.name)
+    reads = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "STENCIL_COUPLINGS" and isinstance(node.ctx, ast.Load):
+            reads.append(f"{path.name}:{owners.get(node, '<module>')}")
+    return reads
+
+
+def test_stencil_couplings_are_contracted_in_one_place():
+    # each level's weight images are the couplings contracted with Upsilon;
+    # that contraction is written once, and everything else applies its
+    # result (`DiffusionField.stencil`)
+    src = Path(mlfem.__file__).resolve().parent
+    reads = [r for path in sorted(src.glob("*.py")) for r in stencil_coupling_reads(path)]
+    assert reads == ["assembly.py:_stencil_weights"]

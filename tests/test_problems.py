@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mlfem import problems
 from mlfem.mesh import ConfigurationError, build_hierarchy
 from mlfem.problems import (
     CookieProblem,
@@ -147,3 +148,21 @@ def test_problem_rejects_what_the_model_cannot_solve():
     assert problem == CookieProblem(base=1.0, centers=((0.0, 1.0),), radius=0.0, load=-2.0)
     assert type(problem.base) is float and type(problem.centers[0][0]) is float
     assert CookieProblem(centers=()).centers == ()
+
+
+def test_overkill_reference_builds_no_stencil_images(monkeypatch):
+    # the reference only assembles its single-level system; at L = 7 the
+    # stencil images would take about 59 MB
+    fields = []
+    compute_upsilon = problems.compute_upsilon
+
+    def recorded(hierarchy, kappa):
+        fields.append(compute_upsilon(hierarchy, kappa))
+        return fields[-1]
+
+    monkeypatch.setattr(problems, "compute_upsilon", recorded)
+    overkill_reference(CookieProblem(), (0.5, 0.5), build_hierarchy(3, 2))
+    assert len(fields) == 1
+    assert fields[0]._stencils == {}
+    fields[0].stencil(0)  # the images are built on first use
+    assert list(fields[0]._stencils) == [0]

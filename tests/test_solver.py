@@ -7,6 +7,7 @@ import pytest
 
 from mlfem import assembly, field
 from mlfem.assembly import (
+    STENCIL_COUPLINGS,
     apply_A_level,
     apply_stacked,
     assemble_global,
@@ -17,8 +18,15 @@ from mlfem.assembly import (
     level_section,
     occupied_depth,
 )
-from mlfem.field import empty_mask, full_mask, make_mask, uniform_masks, zero_field
-from mlfem.mesh import ConfigurationError, build_hierarchy
+from mlfem.field import (
+    empty_mask,
+    full_mask,
+    make_mask,
+    offset_views,
+    uniform_masks,
+    zero_field,
+)
+from mlfem.mesh import ConfigurationError, build_hierarchy, hat_overlap_offsets
 from mlfem.problems import CookieProblem, discretize_kappa, problem_rhs
 from mlfem.solver import (
     RESIDUAL_GATE,
@@ -102,6 +110,25 @@ def test_gershgorin_below_inverse_lambda_max():
         # the power-iteration oracle of check 03: a Rayleigh quotient within 1%
         lam_hat = power_lambda_max(diff, k)
         assert lam <= 1.01 * lam_hat and lam_hat <= lam * (1.0 + 1e-12)
+
+
+def test_gershgorin_steps_match_the_upsilon_route():
+    """choose_omega reads the staged stencil images; the floats are those of
+    the weights contracted from the Upsilon channels on the spot."""
+    rng = np.random.default_rng(41)
+    for coarse, levels in ((3, 3), (5, 2), (5, 4)):
+        hier = build_hierarchy(coarse, levels)
+        nf = hier.n(levels - 1)
+        diff = compute_upsilon(hier, rng.uniform(0.1, 3.0, size=(nf, nf)))
+        want = []
+        for k in range(levels):
+            h, interior = hier.h(k), hier.interior_mask(k)
+            weights = np.einsum("lt,lij->tij", STENCIL_COUPLINGS, diff.upsilon[k]) * (2.0 / (h * h))
+            row_sums = np.zeros(interior.shape)
+            for w, view in zip(weights, offset_views(interior, hat_overlap_offsets())):
+                row_sums += np.abs(w) * view
+            want.append(1.0 / float((row_sums * interior).max()))
+        assert choose_omega(diff, uniform_masks(hier)).omegas == tuple(want)
 
 
 def test_smoothing_step_contracts_energy():
@@ -230,7 +257,9 @@ def test_sweep_applies_exactly_the_counted_kernels(levels, depth):
     """One direct sweep on masks full on levels 0..depth-1 and empty below:
     each occupied level is smoothed twice, the carried-up content takes one
     transposed action and one restriction per occupied level below the
-    deepest, and the carried-down chain is built once and updated once."""
+    deepest, and the carried-down chain is built once and updated once.
+    Every level action applies the staged stencil images; the Upsilon-route
+    wrappers, which contract the weights on every call, are never called."""
     hier = build_hierarchy(3, levels)
     nf = hier.n(levels - 1)
     rng = np.random.default_rng(67)
@@ -245,6 +274,8 @@ def test_sweep_applies_exactly_the_counted_kernels(levels, depth):
 
     # the benchmark's tracer, counting every mlfem binding of each kernel
     kernels = (
+        (assembly, "apply_stencil"),
+        (assembly, "apply_stencil_transpose"),
         (assembly, "apply_A_level"),
         (assembly, "apply_A_level_transpose"),
         (field, "prolongate_uniform"),
@@ -260,8 +291,10 @@ def test_sweep_applies_exactly_the_counted_kernels(levels, depth):
     finally:
         tracer.remove()
     assert tracer.calls == {
-        "apply_A_level": 2 * depth,
-        "apply_A_level_transpose": depth - 1,
+        "apply_stencil": 2 * depth,
+        "apply_stencil_transpose": depth - 1,
+        "apply_A_level": 0,
+        "apply_A_level_transpose": 0,
         "prolongate_uniform": 2 * (depth - 1),
         "restrict_uniform": depth - 1,
         "apply_stacked": 0,
