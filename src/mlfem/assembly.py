@@ -9,10 +9,9 @@ and `apply_stencil` and its transpose apply them.  The stacked (all-levels)
 operator is defined once, by three level steps: `carry_down` and `carry_up`
 pass the carried-down and carried-up contents one level on, and
 `level_section` is one level's row A_k(u_k + utilde_k) + ubar_k.
-`compute_utilde`, `compute_ubar` and `apply_stacked` loop over them, and so
-does `solver.llmg_sweep`, each only over the occupied levels 0..D-1
-(`occupied_depth`); `assemble_global` is the brute-force sparse counterpart
-used for verification.
+`compute_utilde`, `compute_ubar` and `apply_stacked` loop over them, each
+only over the occupied levels 0..D-1 (`occupied_depth`); `assemble_global`
+is the brute-force sparse counterpart used for verification.
 """
 
 from __future__ import annotations

@@ -4,11 +4,21 @@ One sweep visits the levels fine-to-coarse and back, applying damped
 Richardson smoothing on each level's active set.  The cross-level coupling is
 never assembled: the sweep keeps the carried-down content (coarser
 components interpolated up) and the carried-up content (finer residual
-actions restricted down) up to date with the level steps that define
-`apply_stacked`: `assembly.carry_down`, `carry_up` and `level_section`.
-It is therefore the successive-subspace-correction iteration for that
-stacked operator, on any masks.  Like `apply_stacked`, a sweep visits only
-the occupied levels 0..D-1 (`assembly.occupied_depth`).
+actions restricted down) up to date, with the arithmetic of the level steps
+that define `apply_stacked` (`assembly.carry_down`, `carry_up` and
+`level_section`).  It is therefore the successive-subspace-correction
+iteration for that stacked operator, on any masks.  Like `apply_stacked`, a
+sweep visits only the occupied levels 0..D-1 (`assembly.occupied_depth`).
+
+A solve stages its sweep once (`_StagedSweep`): the masks, loads, stencil
+images and damping are fixed while it runs.  Each occupied level keeps its
+active rows, their stencil neighbours as gather indices, the gathered
+weights and loads, and the buffers of its transfers; the carried-down chain
+is built once and kept current by the sweeps.  A smoothing step then
+computes only its level's active rows, so its work follows the active set;
+the transfers between levels still cover each level's full interior.  The
+iterates are those of the full-lattice loop over the level steps, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -22,10 +32,7 @@ from .assembly import (
     RhsField,
     apply_stacked,
     assemble_global,
-    carry_down,
-    carry_up,
     compute_utilde,
-    level_section,
 )
 from .field import LevelMask, MultilevelField, offset_views, zero_field
 from .mesh import ConfigurationError, hat_overlap_offsets
@@ -102,20 +109,179 @@ def choose_omega(diffusion: DiffusionField, masks: list[LevelMask]) -> SmootherC
     )
 
 
-def _smooth_level(
-    u: MultilevelField,
-    f: RhsField,
-    diffusion: DiffusionField,
-    k: int,
-    omega: float,
-    utld_k: np.ndarray,
-    ubar_k: np.ndarray,
-) -> float:
-    """One damped Richardson step on level k; returns ||r_k||^2 of its masked residual."""
-    section = level_section(u.values[k], utld_k, ubar_k, diffusion, k)
-    r = (f.images[k] - section) * u.masks[k].active
-    u.values[k] += omega * r
-    return float(np.vdot(r, r))
+_OFFSETS = hat_overlap_offsets()
+
+
+def _square(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major lattice indices (i1, i2) of the nodes lo..hi-1 on both axes."""
+    i1, i2 = np.meshgrid(np.arange(lo, hi), np.arange(lo, hi), indexing="ij")
+    return i1.ravel(), i2.ravel()
+
+
+class _LevelStage:
+    """What occupied level k fixes for the sweeps of one solve, staged once.
+
+    - the active interior rows, as flat lattice indices;
+    - their seven stencil neighbours, as flat indices into a zero-padded
+      (n+2, n+2) buffer kept for the solve;
+    - the stencil weights and the loads gathered at those rows;
+    - a full-size residual image, zero off the rows, so the lagged norm is
+      the `np.vdot` of the whole level;
+    - the index maps and buffers of the carry-up (on every level but 0) and
+      of the carry-down (on every level but the deepest occupied one).
+
+    The iterate, the kept carried-down images and the carried-up images are
+    updated in place and never replaced.  Each entry gets the arithmetic of
+    `assembly.level_section`, `carry_up` and `carry_down` in the same order:
+    the axis-0 `np.add.reduce` of a (7, m) array starts from +0.0 and adds
+    the rows in order, as the `out += w * view` loops of `apply_stencil`
+    and its transpose do (`restrict_uniform` starts from its coincident
+    term instead, which is never -0.0, so the sums agree).  Frames need no
+    zeroing: an active frame node (if a mask has one) is not a row, because
+    its load and carried-up content are zero and its step never moves it;
+    the fine frame of the transposed action reaches only the coarse frame,
+    which carry_up zeroes; and the carried-down frames stay the +0.0 that
+    `compute_utilde` gives them.
+    """
+
+    def __init__(self, u, f, diffusion, omega, k, tld, bar):
+        hier = u.hierarchy
+        n, h = hier.n(k), hier.h(k)
+        p = n + 2  # side of the zero-padded buffers
+        values = u.values[k]
+        if not values.flags.c_contiguous:
+            raise ValueError(f"iterate image of level {k} is not C-contiguous")
+        self.values, self.values_flat = values, values.reshape(-1)
+        self.values_interior = values[1:-1, 1:-1]
+        self.tld, self.tld_interior = tld[k], tld[k][1:-1, 1:-1]
+        self.bar_flat = bar[k].reshape(-1)
+        self.omega, self.scale = omega, 2.0 / (h * h)
+        weights = diffusion.stencil(k)
+
+        r1, r2 = np.nonzero(u.masks[k].active[1:-1, 1:-1])
+        r1, r2 = r1 + 1, r2 + 1
+        self.rows = r1 * n + r2
+        self.weights = weights[:, r1, r2]
+        self.loads = f.images[k][r1, r2]
+        self.taps = np.array([(r1 + 1 + d1) * p + r2 + 1 + d2 for d1, d2 in _OFFSETS])
+        padded = np.zeros((p, p))
+        self.padded_flat, self.padded_interior = padded.reshape(-1), padded[2:-2, 2:-2]
+        self.residual = np.zeros(n * n)
+
+        if k > 0:
+            # the transposed action at the fine interior nodes a, from the
+            # weight images times u_k, zero-padded by one node
+            a1, a2 = _square(1, n - 1)
+            self.weights_interior = weights[:, 1:-1, 1:-1]
+            products = np.zeros((7, p, p))
+            self.products_flat, self.products_interior = products.reshape(-1), products[:, 2:-2, 2:-2]
+            self.mirrored = np.array(
+                [t * p * p + (a1 + 1 - d1) * p + a2 + 1 - d2 for t, (d1, d2) in enumerate(_OFFSETS)]
+            )
+            self.interior = a1 * n + a2
+            # row 0 holds ubar_k + A_k^T u_k at those nodes, row 1 half of it;
+            # each coarse interior node sums its coincident node and then its
+            # +-x, +-y and +-diagonal halves, in `restrict_uniform`'s order
+            m = a1.size
+            lifted = np.zeros((2, m))
+            self.lifted_flat, self.lifted_full, self.lifted_half = lifted.reshape(-1), lifted[0], lifted[1]
+            nc = hier.n(k - 1)
+            c1, c2 = _square(1, nc - 1)
+
+            def at(d1, d2, row):
+                return row * m + (2 * c1 + d1 - 1) * (n - 2) + 2 * c2 + d2 - 1
+
+            self.restriction = np.array(
+                [at(0, 0, 0), at(1, 0, 1), at(-1, 0, 1), at(0, 1, 1), at(0, -1, 1), at(1, 1, 1), at(-1, -1, 1)]
+            )
+            self.coarse_flat, self.coarse_interior = bar[k - 1].reshape(-1), c1 * nc + c2
+
+        if k + 1 < len(tld):
+            # interpolation onto the next level's interior: a coincident node
+            # copies its coarse node, the others average their two neighbours
+            nf = hier.n(k + 1)
+            f1, f2 = _square(1, nf - 1)
+            lo = (f1 // 2) * n + f2 // 2
+            hi = ((f1 + 1) // 2) * n + (f2 + 1) // 2
+            coincident = (f1 % 2 == 0) & (f2 % 2 == 0)
+            self.carried = np.zeros((n, n))
+            self.carried_flat = self.carried.reshape(-1)
+            self.next_flat = tld[k + 1].reshape(-1)
+            fine = f1 * nf + f2
+            self.copy_to, self.copy_from = fine[coincident], lo[coincident]
+            self.mid_to, self.mid_lo, self.mid_hi = fine[~coincident], lo[~coincident], hi[~coincident]
+
+    def smooth(self) -> np.ndarray:
+        """One damped Richardson step on the active rows; returns their residual."""
+        np.add(self.values_interior, self.tld_interior, out=self.padded_interior)
+        terms = self.padded_flat[self.taps]
+        terms *= self.weights
+        section = np.add.reduce(terms, axis=0)
+        section *= self.scale
+        section += self.bar_flat[self.rows]
+        r = self.loads - section
+        self.values_flat[self.rows] += self.omega * r
+        return r
+
+    def smooth_norm2(self) -> float:
+        """`smooth`, returning ||r_k||^2 of the level's full residual image."""
+        self.residual[self.rows] = self.smooth()
+        return float(np.vdot(self.residual, self.residual))
+
+    def carry_up(self) -> None:
+        """ubar_{k-1} = restrict(ubar_k + A_k^T u_k), on the coarse interior."""
+        np.multiply(self.weights_interior, self.values_interior, out=self.products_interior)
+        lifted = np.add.reduce(self.products_flat[self.mirrored], axis=0)
+        lifted *= self.scale
+        np.add(lifted, self.bar_flat[self.interior], out=self.lifted_full)
+        np.multiply(self.lifted_full, 0.5, out=self.lifted_half)
+        restricted = np.add.reduce(self.lifted_flat[self.restriction], axis=0)
+        self.coarse_flat[self.coarse_interior] = restricted
+
+    def carry_down(self) -> None:
+        """utilde_{k+1} = interp(utilde_k + u_k), on the next level's interior."""
+        carried = self.carried_flat
+        np.add(self.tld, self.values, out=self.carried)
+        self.next_flat[self.copy_to] = carried[self.copy_from]
+        self.next_flat[self.mid_to] = 0.5 * (carried[self.mid_lo] + carried[self.mid_hi])
+
+
+class _StagedSweep:
+    """The sweeps of one solve on a fixed iterate, load, diffusion and smoother.
+
+    Staging builds the carried-down chain once (`compute_utilde`) and one
+    `_LevelStage` per occupied level; after that the upward half of each
+    sweep keeps the chain current, as `convnet.ConvLlmgState` does.  The kept
+    chain equals a fresh one because the iterate is zero off the active sets
+    (signed zeros included: u * 0 keeps the sign of u's zero).
+    """
+
+    def __init__(self, u, f, diffusion, smoother):
+        if len(smoother.omegas) != u.levels:
+            raise ConfigurationError("smoother has wrong number of levels")
+        self.u = u
+        tld = compute_utilde(u)  # one image per occupied level
+        bar = [np.zeros_like(t) for t in tld]
+        self.stages = [
+            _LevelStage(u, f, diffusion, smoother.omegas[k], k, tld, bar) for k in range(len(tld))
+        ]
+
+    def sweep(self) -> float:
+        """One sweep of the iterate in place; returns `llmg_sweep`'s lagged norm."""
+        stages = self.stages
+        for k in range(len(stages) - 1, -1, -1):
+            stages[k].smooth()
+            if k > 0:
+                stages[k].carry_up()
+        lagged2 = 0.0
+        for k, stage in enumerate(stages):
+            lagged2 += stage.smooth_norm2()
+            if k < len(stages) - 1:
+                stage.carry_down()
+        for k, stage in enumerate(stages):
+            if not np.isfinite(stage.values).all():
+                raise ArithmeticError(f"llmg diverged: non-finite iterate on level {k}")
+        return float(np.sqrt(lagged2))
 
 
 def llmg_sweep(
@@ -126,41 +292,24 @@ def llmg_sweep(
 ) -> float:
     """One fine-to-coarse-and-back sweep of levelwise local multigrid.
 
-    Mutates u in place.  The carried-down content is computed fresh at sweep
-    start; the carried-up content is built during the downward half-sweep,
-    so every smoothing step sees the current residual of the full multilevel
-    iterate: this is the successive-subspace-correction iteration for
-    `apply_stacked`, on any masks.  The coarsest and finest occupied levels
-    are each smoothed twice per sweep (once per half-sweep); levels at or
-    beyond D = `occupied_depth(u.masks)` hold no dofs and are not visited.
+    Mutates u in place: stages the sweep (`_StagedSweep`) and runs it once;
+    `llmg_solve` stages once per solve and runs its sweeps on that.  The
+    carried-down content comes from the staged chain; the carried-up content
+    is built during the downward half-sweep, so every smoothing step sees the
+    current residual of the full multilevel iterate: this is the
+    successive-subspace-correction iteration for `apply_stacked`, on any
+    masks.  The coarsest and finest occupied levels are each smoothed twice
+    per sweep (once per half-sweep); levels at or beyond D =
+    `occupied_depth(u.masks)` hold no dofs and are not visited.  A step
+    computes and writes only its level's active rows, so every entry off the
+    active sets keeps its bits.
 
     Returns the lagged norm sqrt(sum_k ||r_k||^2) of the upward half's
     masked level residuals.  Each r_k is taken before level k's own update
     and before the finer levels' upward updates, so it is not the residual
     after the sweep; `llmg_solve` uses it only to decide when to form that.
     """
-    if len(smoother.omegas) != u.levels:
-        raise ConfigurationError("smoother has wrong number of levels")
-
-    utld = compute_utilde(u)  # one image per occupied level
-    depth = len(utld)
-    ubar = [np.zeros_like(v) for v in u.values[:depth]]
-
-    for k in range(depth - 1, -1, -1):
-        _smooth_level(u, f, diffusion, k, smoother.omegas[k], utld[k], ubar[k])
-        if k > 0:
-            ubar[k - 1] = carry_up(ubar[k], u.values[k], diffusion, k)
-
-    lagged2 = 0.0
-    for k in range(depth):
-        lagged2 += _smooth_level(u, f, diffusion, k, smoother.omegas[k], utld[k], ubar[k])
-        if k < depth - 1:
-            utld[k + 1] = carry_down(utld[k], u.values[k])
-
-    for k in range(depth):
-        if not np.all(np.isfinite(u.values[k])):
-            raise ArithmeticError(f"llmg diverged: non-finite iterate on level {k}")
-    return float(np.sqrt(lagged2))
+    return _StagedSweep(u, f, diffusion, smoother).sweep()
 
 
 def _stacked_residual_norm(
@@ -190,17 +339,21 @@ def llmg_solve(
     tol: float = 1e-10,
     max_sweeps: int = 200,
 ) -> tuple[MultilevelField, SolveReport]:
-    """Iterate llmg_sweep until the relative stacked residual drops below tol.
+    """Sweep until the relative stacked residual drops below tol.
 
-    Stops on ||f - A u||_2 <= tol * ||f||_2 (absolute when f = 0), tested
-    before the first sweep too: a start that meets it takes no sweep.  The
-    stacked residual is formed only after a sweep whose lagged norm is at
-    most `RESIDUAL_GATE` times that threshold, and after the last allowed
-    sweep; the other sweeps record their lagged norm (see `SolveReport`).
+    The sweep is staged once for the whole solve and then run as
+    `llmg_sweep` would run it; the iterates and lagged norms are those of
+    repeated `llmg_sweep` calls, bit for bit.  Stops on ||f - A u||_2 <= tol *
+    ||f||_2 (absolute when f = 0), tested before the first sweep too: a start
+    that meets it takes no sweep.  The stacked residual is formed only after
+    a sweep whose lagged norm is at most `RESIDUAL_GATE` times that
+    threshold, and after the last allowed sweep; the other sweeps record
+    their lagged norm (see `SolveReport`).
     """
     if not tol > 0.0:
         raise ConfigurationError("tol must be positive")
     u = u0.copy()
+    staged = _StagedSweep(u, f, diffusion, smoother)
     fnorm = float(np.linalg.norm(stack_vector(f.images, u.masks))) if u.masks else 0.0
     threshold = tol * fnorm if fnorm > 0.0 else tol
 
@@ -210,7 +363,7 @@ def llmg_solve(
     for sweep in range(1, max_sweeps + 1):
         if residual <= threshold:
             break
-        residual = llmg_sweep(u, f, diffusion, smoother)
+        residual = staged.sweep()
         report.iterations = sweep
         if residual <= RESIDUAL_GATE * threshold or sweep == max_sweeps:
             residual = _stacked_residual_norm(u, f, diffusion)

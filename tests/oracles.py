@@ -19,7 +19,9 @@ they reuse the package's code.  `energy_seminorm` and
 solutions, and `sample_parameters` draws the default problem's parameter
 sets.  The reference sweeps (`ssc_sweep`, `lmg_sweep`) recompute the
 stacked action fresh on every level visit, to define the level-order
-iteration that the fused `solver.llmg_sweep` must reproduce.
+iteration that the fused `solver.llmg_sweep` must reproduce;
+`full_depth_sweep` is the unstaged full-lattice loop over `assembly`'s
+level steps, which the staged sweep must reproduce bit for bit.
 `power_lambda_max` estimates a level operator's largest eigenvalue, and
 `solve_energy_history` records the A-norm errors of `solver.llmg_solve`'s
 own iterates against a known solution.
@@ -36,7 +38,7 @@ import numpy as np
 
 from mlfem import solver
 from mlfem.adapt import initial_masks, refine
-from mlfem.assembly import apply_A_level, apply_stacked
+from mlfem.assembly import apply_A_level, apply_stacked, carry_down, carry_up, level_section
 from mlfem.estimator import estimate, leaf_triangle_masks
 from mlfem.field import MultilevelField, flatten_to_finest, make_mask
 from mlfem.mesh import NODE_TRIANGLES, TRI_CHILD_OFFSETS, ConfigurationError
@@ -443,6 +445,37 @@ def lmg_sweep(u, f, diffusion, smoother):
     return ssc_sweep(u, f, diffusion, smoother, order)
 
 
+def full_depth_sweep(u, f, diff, sm):
+    """The unstaged sweep: `assembly`'s level steps (`level_section`,
+    `carry_up`, `carry_down`) on the full lattice of every level, occupied or
+    not, from a fresh carried-down chain.  `solver.llmg_sweep` must reproduce
+    it bit for bit.  Returns the lagged norm sqrt(sum_k ||r_k||^2) of the
+    upward half's masked residuals."""
+    nlev = u.levels
+    act = [m.active for m in u.masks]
+    tld = [np.zeros_like(u.values[0])]
+    for k in range(nlev - 1):
+        tld.append(carry_down(tld[k], u.values[k] * act[k]))
+    bar = [np.zeros_like(v) for v in u.values]
+    lagged2 = []
+
+    def smooth(k):
+        section = level_section(u.values[k], tld[k], bar[k], diff, k)
+        r = (f.images[k] - section) * act[k]
+        u.values[k] += sm.omegas[k] * (f.images[k] - section) * act[k]
+        return float(np.vdot(r, r))
+
+    for k in range(nlev - 1, -1, -1):
+        smooth(k)
+        if k > 0:
+            bar[k - 1] = carry_up(bar[k], u.values[k], diff, k)
+    for k in range(nlev):
+        lagged2.append(smooth(k))
+        if k < nlev - 1:
+            tld[k + 1] = carry_down(tld[k], u.values[k])
+    return float(np.sqrt(sum(lagged2)))
+
+
 def power_lambda_max(diffusion, k, iterations=50):
     """Largest-eigenvalue estimate of the level-k uniform operator.
 
@@ -466,10 +499,11 @@ def solve_energy_history(u0, f, diffusion, smoother, exact, tol=1e-10, max_sweep
     """`llmg_solve` with the A-norm error against `exact` recorded after each
     of its own sweeps.
 
-    The `llmg_sweep` binding in `mlfem.solver` is wrapped for the length of
-    the call, so the errors are those of the solve's own iterates.  Returns
-    (u, report) of `llmg_solve` and the errors, starting with the initial
-    one: there are report.iterations + 1 of them.
+    `llmg_solve` stages its sweeps once (`solver._StagedSweep`); the staged
+    sweep is wrapped for the length of the call, so the errors are those of
+    the solve's own iterates.  Returns (u, report) of `llmg_solve` and the
+    errors, starting with the initial one: there are report.iterations + 1
+    of them.
     """
 
     def energy_error(u):
@@ -477,18 +511,18 @@ def solve_energy_history(u0, f, diffusion, smoother, exact, tol=1e-10, max_sweep
         return energy_seminorm(MultilevelField(u.hierarchy, delta, u.masks), diffusion)
 
     energies = [energy_error(u0)]
-    sweep = solver.llmg_sweep
+    sweep = solver._StagedSweep.sweep
 
-    def recorded(u, *args, **kwargs):
-        lagged = sweep(u, *args, **kwargs)
-        energies.append(energy_error(u))
+    def recorded(staged):
+        lagged = sweep(staged)
+        energies.append(energy_error(staged.u))
         return lagged
 
-    solver.llmg_sweep = recorded
+    solver._StagedSweep.sweep = recorded
     try:
         u, report = solver.llmg_solve(u0, f, diffusion, smoother, tol=tol, max_sweeps=max_sweeps)
     finally:
-        solver.llmg_sweep = sweep
+        solver._StagedSweep.sweep = sweep
     return u, report, energies
 
 
@@ -511,9 +545,14 @@ def random_masks(hier, rng, density=0.6):
 
 
 def random_field(hier, masks, rng):
-    """Standard normal values on the active sets, 0 elsewhere."""
+    """Standard normal values on the active sets, +0.0 elsewhere.
+
+    Off the active sets the values are +0.0, as in every field a solve sees
+    (`zero_field` and the sweeps' updates); `normal * 0` would leave -0.0
+    wherever the draw is negative.
+    """
     values = [
-        rng.normal(size=(hier.n(k), hier.n(k))) * masks[k].active
+        np.where(masks[k].active, rng.normal(size=(hier.n(k), hier.n(k))), 0.0)
         for k in range(hier.levels)
     ]
     return MultilevelField(hier, values, masks)

@@ -1,11 +1,12 @@
 """Levelwise multigrid sweeps, Gershgorin damping, and solver convergence."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mlfem import assembly, field
+from mlfem import assembly, field, solver
 from mlfem.assembly import (
     STENCIL_COUPLINGS,
     apply_A_level,
@@ -44,6 +45,7 @@ from test_package import load_benchmark_layers
 from oracles import (
     contraction_ratios,
     energy_seminorm,
+    full_depth_sweep,
     lmg_sweep,
     power_lambda_max,
     random_field,
@@ -253,13 +255,13 @@ def test_llmg_sweep_equals_lmg_sweep():
         pytest.param(4, 1, id="4-depth1"),
     ],
 )
-def test_sweep_applies_exactly_the_counted_kernels(levels, depth):
-    """One direct sweep on masks full on levels 0..depth-1 and empty below:
-    each occupied level is smoothed twice, the carried-up content takes one
-    transposed action and one restriction per occupied level below the
-    deepest, and the carried-down chain is built once and updated once.
-    Every level action applies the staged stencil images; the Upsilon-route
-    wrappers, which contract the weights on every call, are never called."""
+def test_staged_solve_applies_no_kernel_inside_its_sweeps(levels, depth):
+    """A solve on masks full on levels 0..depth-1 and empty below stages its
+    sweep once: the carried-down chain (`compute_utilde`) is built and each
+    occupied level's stencil images are read while staging, never inside a
+    sweep, and a sweep applies none of the level kernels: it only runs the
+    staged gathers.  The stacked residual, formed between sweeps, is the
+    one caller of the kernels."""
     hier = build_hierarchy(3, levels)
     nf = hier.n(levels - 1)
     rng = np.random.default_rng(67)
@@ -270,35 +272,143 @@ def test_sweep_applies_exactly_the_counted_kernels(levels, depth):
     ]
     assert occupied_depth(masks) == depth
     sm = choose_omega(diff, masks)
-    u = random_field(hier, masks, rng)
 
-    # the benchmark's tracer, counting every mlfem binding of each kernel
+    phase = ["solve"]
+    calls = []
+
+    def traced(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append((name, phase[0]))
+            return func(*args, **kwargs)
+        return wrapper
+
+    def during(label, func):
+        def wrapper(*args, **kwargs):
+            outer, phase[0] = phase[0], label
+            try:
+                return func(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        return wrapper
+
     kernels = (
         (assembly, "apply_stencil"),
         (assembly, "apply_stencil_transpose"),
         (assembly, "apply_A_level"),
         (assembly, "apply_A_level_transpose"),
+        (assembly, "compute_utilde"),
         (field, "prolongate_uniform"),
         (field, "restrict_uniform"),
-        (assembly, "apply_stacked"),
+        (field, "offset_views"),
     )
-    tracer = load_benchmark_layers().Tracer(
-        [(name, owner, name, None, False) for owner, name in kernels]
-    )
-    tracer.install()
-    try:
-        llmg_sweep(u, rhs, diff, sm)
-    finally:
-        tracer.remove()
-    assert tracer.calls == {
-        "apply_stencil": 2 * depth,
-        "apply_stencil_transpose": depth - 1,
-        "apply_A_level": 0,
-        "apply_A_level_transpose": 0,
-        "prolongate_uniform": 2 * (depth - 1),
-        "restrict_uniform": depth - 1,
-        "apply_stacked": 0,
-    }
+    layers = load_benchmark_layers()
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in kernels:
+            func = getattr(owner, name)
+            for site, attr in layers.bindings(func):
+                mp.setattr(site, attr, traced(name, func))
+        mp.setattr(assembly.DiffusionField, "stencil", traced("stencil", assembly.DiffusionField.stencil))
+        mp.setattr(solver._StagedSweep, "__init__", during("staging", solver._StagedSweep.__init__))
+        mp.setattr(solver._StagedSweep, "sweep", during("sweep", solver._StagedSweep.sweep))
+        _, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm, max_sweeps=20)
+    assert report.iterations >= 1
+    assert [c for c in calls if c[1] == "sweep"] == []
+    staging = [name for name, where in calls if where == "staging"]
+    assert staging.count("compute_utilde") == 1
+    assert staging.count("stencil") == depth
+    assert not {"apply_stencil", "apply_stencil_transpose", "restrict_uniform"} & set(staging)
+    # the stacked residual applies the kernels, outside the sweeps
+    assert ("apply_stencil", "solve") in calls
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_solve_equals_one_shot_sweeps(levels):
+    """`llmg_solve` with max_sweeps = m keeps its staged chain from sweep to
+    sweep; m one-shot `llmg_sweep` calls, each staging a fresh chain, give
+    the same iterates and lagged norms bit for bit, on random refined masks
+    of every occupied depth up to `levels`."""
+    hier = build_hierarchy(5, levels)
+    nf = hier.n(levels - 1)
+    rng = np.random.default_rng(83 + levels)
+    depths = set()
+    for _ in range(6):
+        diff = compute_upsilon(hier, rng.uniform(0.1, 3.0, size=(nf, nf)))
+        rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+        masks = random_refined_masks(hier, rng, frac=0.5)
+        depths.add(occupied_depth(masks))
+        sm = choose_omega(diff, masks)
+        u0 = random_field(hier, masks, rng)
+        m = 7
+        u, report = llmg_solve(u0, rhs, diff, sm, tol=1e-14, max_sweeps=m)
+        assert report.iterations == m
+        ref = u0.copy()
+        lagged = [llmg_sweep(ref, rhs, diff, sm) for _ in range(m)]
+        assert [a.tobytes() for a in u.values] == [b.tobytes() for b in ref.values]
+        # every entry but the last (a stacked residual) is a lagged norm
+        assert report.residual_history[1:-1] == lagged[:-1]
+    assert max(depths) == levels
+
+
+def test_sweep_leaves_off_active_entries_bit_for_bit():
+    """A sweep computes and writes only the active rows: every other entry,
+    a planted -0.0 included, keeps its bits."""
+    hier = build_hierarchy(5, 3)
+    nf = hier.n(2)
+    rng = np.random.default_rng(89)
+    for draw in (random_refined_masks, random_sparse_masks):
+        diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+        rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+        masks = draw(hier, rng)
+        sm = choose_omega(diff, masks)
+        u = random_field(hier, masks, rng)
+        planted = []
+        for k in range(3):
+            off = np.argwhere(masks[k].active == 0)
+            pick = off[rng.choice(len(off), size=min(5, len(off)), replace=False)]
+            u.values[k][pick[:, 0], pick[:, 1]] = -0.0
+            planted.append(pick)
+        before = [v.copy() for v in u.values]
+        for _ in range(2):
+            llmg_sweep(u, rhs, diff, sm)
+        for k in range(3):
+            off = masks[k].active == 0
+            assert u.values[k][off].tobytes() == before[k][off].tobytes()
+            assert np.signbit(u.values[k][planted[k][:, 0], planted[k][:, 1]]).all()
+        assert any(not np.array_equal(a, b) for a, b in zip(u.values, before))
+
+
+class FullLatticeSweep:
+    """`solver._StagedSweep`'s interface around the unstaged full-lattice loop."""
+
+    calls = 0
+
+    def __init__(self, u, f, diffusion, smoother):
+        self.u, self.f, self.diffusion, self.smoother = u, f, diffusion, smoother
+
+    def sweep(self):
+        FullLatticeSweep.calls += 1
+        return full_depth_sweep(self.u, self.f, self.diffusion, self.smoother)
+
+
+def test_gen_dataset_bytes_match_the_full_lattice_sweep(tmp_path, monkeypatch):
+    """The staged sweep against the full-lattice reference loop, end to end:
+    a dataset of the default config's seed-0 samples 0-2 is byte-identical
+    file for file when `llmg_solve` runs `oracles.full_depth_sweep`
+    instead."""
+    from mlfem.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sampling": {"seed": 0, "count": 3}}), encoding="utf-8")
+    staged, full = tmp_path / "staged", tmp_path / "full"
+    assert main(["gen-dataset", "--config", str(cfg), "--out", str(staged), "--workers", "1"]) == 0
+    monkeypatch.setattr(solver, "_StagedSweep", FullLatticeSweep)
+    FullLatticeSweep.calls = 0
+    assert main(["gen-dataset", "--config", str(cfg), "--out", str(full), "--workers", "1"]) == 0
+    assert FullLatticeSweep.calls > 0
+    names = sorted(p.name for p in staged.iterdir())
+    assert names == sorted(p.name for p in full.iterdir()) and len(names) > 3
+    for name in names:
+        assert (staged / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def two_of_four_levels(rng):
@@ -311,8 +421,6 @@ def two_of_four_levels(rng):
     masks = [full_mask(hier, 0), random_mask(hier, 1, rng)]
     masks += [empty_mask(hier, 2), empty_mask(hier, 3)]
     u = random_field(hier, masks, rng)
-    for k in (2, 3):
-        u.values[k] = np.zeros_like(u.values[k])
     return hier, diff, rhs, u
 
 
@@ -330,34 +438,6 @@ def full_depth_stacked(u, diff):
         level_section(vals[k], tld[k], bar[k], diff, k) * u.masks[k].active
         for k in range(nlev)
     ]
-
-
-def full_depth_sweep(u, f, diff, sm):
-    """llmg_sweep's level steps run over every level; returns the lagged
-    norm sqrt(sum_k ||r_k||^2) of the upward half's masked residuals."""
-    nlev = u.levels
-    act = [m.active for m in u.masks]
-    tld = [np.zeros_like(u.values[0])]
-    for k in range(nlev - 1):
-        tld.append(carry_down(tld[k], u.values[k] * act[k]))
-    bar = [np.zeros_like(v) for v in u.values]
-    lagged2 = []
-
-    def smooth(k):
-        section = level_section(u.values[k], tld[k], bar[k], diff, k)
-        r = (f.images[k] - section) * act[k]
-        u.values[k] += sm.omegas[k] * (f.images[k] - section) * act[k]
-        return float(np.vdot(r, r))
-
-    for k in range(nlev - 1, -1, -1):
-        smooth(k)
-        if k > 0:
-            bar[k - 1] = carry_up(bar[k], u.values[k], diff, k)
-    for k in range(nlev):
-        lagged2.append(smooth(k))
-        if k < nlev - 1:
-            tld[k + 1] = carry_down(tld[k], u.values[k])
-    return float(np.sqrt(sum(lagged2)))
 
 
 def test_culled_stacked_operator_and_sweep_are_bit_identical():
@@ -423,6 +503,10 @@ def test_sweep_input_validation():
     u = zero_field(hier, masks)
     with pytest.raises(ConfigurationError):
         llmg_sweep(u, rhs, diff, SmootherConfig((0.1,)))
+    # the staged sweep updates flat views of the iterate images
+    u.values[1] = np.zeros((9, 9))[::2, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        llmg_sweep(u, rhs, diff, choose_omega(diff, masks))
     with pytest.raises(ConfigurationError):
         ssc_sweep(u, rhs, diff, SmootherConfig((0.1, 0.1)), [2])
 
