@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import MARKING_STRATEGIES, afem, initial_masks, mark_threshold, refine
-from .assembly import apply_A_level, apply_A_level_transpose, assemble_rhs, compute_upsilon
+from .assembly import apply_stencil, apply_stencil_transpose, assemble_rhs, compute_upsilon
 from .convnet import (
     build_stencil_bank,
     conv_apply_A,
@@ -539,17 +539,17 @@ def verify_rows(cfg: RunConfig) -> list[tuple[str, float]]:
     worst_op = 0.0
     for k in range(hier.levels):
         n, h = hier.n(k), hier.h(k)
-        ups = diffusion.upsilon[k]
+        ups, weights = diffusion.upsilon[k], diffusion.stencil(k)
         for mk in _verify_masks(hier, k, rng):
             act = mk.active
             v = rng.normal(size=(n, n)) * act
             stack = conv_translate(bank, v, act)
             worst_op = max(
                 worst_op,
-                _rel_dev(conv_apply_A(bank, stack, ups, h), act * apply_A_level(v, ups, h)),
+                _rel_dev(conv_apply_A(bank, stack, ups, h), act * apply_stencil(v, weights, h)),
                 _rel_dev(
                     conv_apply_A_transpose(bank, v, ups, h),
-                    apply_A_level_transpose(v, ups, h),
+                    apply_stencil_transpose(v, weights, h),
                 ),
             )
 

@@ -36,7 +36,7 @@ from .mesh import (
     GridHierarchy,
     hat_overlap_offsets,
 )
-from .solver import SmootherConfig
+from .solver import SmootherConfig, carry_down_chain, llmg_schedule
 
 __all__ = [
     "ConvKernel",
@@ -432,65 +432,76 @@ def init_llmg_state(
 ) -> ConvLlmgState:
     """Stage the sweep images from field-side objects.
 
-    The iterate is u on the active sets and +0.0 elsewhere; the carried-down
-    chain utld[k+1] = conv_prolongate(utld[k] + u[k]), on the full lattice of
-    the occupied levels as in `compute_utilde`, is built here once, and each
-    sweep's upward half keeps it current afterwards.
+    The iterate is u on the active sets and +0.0 elsewhere.  The
+    carried-down chain utld is built here once, on the full lattice of the
+    occupied levels, by `solver.carry_down_chain` over the conv level ops,
+    and each sweep's upward half keeps it current afterwards.
     """
     hier = u.hierarchy
     if len(smoother.omegas) != hier.levels:
         raise ConfigurationError("smoother has wrong number of levels")
     levels = range(hier.levels)
-    v = [np.where(u.masks[k].active, u.values[k], 0.0) for k in levels]
-    utld = [np.zeros((hier.n(k), hier.n(k))) for k in levels]
-    for k in range(occupied_depth(u.masks) - 1):
-        utld[k + 1] = conv_prolongate(bank, utld[k] + v[k])
-    return ConvLlmgState(
-        u=MultilevelField(hier, v, u.masks),
+    state = ConvLlmgState(
+        u=MultilevelField(
+            hier, [np.where(u.masks[k].active, u.values[k], 0.0) for k in levels], u.masks
+        ),
         f=f,
         diffusion=diffusion,
         smoother=smoother,
-        utld=utld,
+        utld=[np.zeros((hier.n(k), hier.n(k))) for k in levels],
         ubar=[np.zeros((hier.n(k), hier.n(k))) for k in levels],
     )
+    carry_down_chain(_conv_levels(state, bank))
+    return state
 
 
-def _conv_smooth(state: ConvLlmgState, bank: StencilBank, k: int) -> None:
-    v, act = state.u.values, state.u.masks[k].active
-    stack = conv_translate(bank, v[k] + state.utld[k], act)
-    section = conv_apply_A(bank, stack, state.diffusion.upsilon[k], state.u.hierarchy.h(k))
-    section = section + state.ubar[k]
-    v[k] = v[k] + state.smoother.omegas[k] * (state.f.images[k] - section) * act
+class _ConvLevel:
+    """The conv route's ops of level k for `solver.llmg_schedule`, on the
+    images of `state`."""
+
+    def __init__(self, state: ConvLlmgState, bank: StencilBank, k: int):
+        self.state, self.bank, self.k = state, bank, k
+
+    def smooth(self) -> None:
+        state, bank, k = self.state, self.bank, self.k
+        v, act = state.u.values, state.u.masks[k].active
+        stack = conv_translate(bank, v[k] + state.utld[k], act)
+        section = conv_apply_A(bank, stack, state.diffusion.upsilon[k], state.u.hierarchy.h(k))
+        section = section + state.ubar[k]
+        v[k] = v[k] + state.smoother.omegas[k] * (state.f.images[k] - section) * act
+
+    def carry_up(self) -> None:
+        state, bank, k = self.state, self.bank, self.k
+        upsilon, h = state.diffusion.upsilon[k], state.u.hierarchy.h(k)
+        lifted = state.ubar[k] + conv_apply_A_transpose(bank, state.u.values[k], upsilon, h)
+        state.ubar[k - 1] = conv_restrict(bank, lifted)
+
+    def carry_down(self) -> None:
+        state, k = self.state, self.k
+        state.utld[k + 1] = conv_prolongate(self.bank, state.utld[k] + state.u.values[k])
+
+
+def _conv_levels(state: ConvLlmgState, bank: StencilBank) -> list[_ConvLevel]:
+    """The ops of the occupied levels 0..D-1 (`assembly.occupied_depth`)."""
+    return [_ConvLevel(state, bank, k) for k in range(occupied_depth(state.u.masks))]
 
 
 def conv_llmg_sweep(state: ConvLlmgState, bank: StencilBank) -> ConvLlmgState:
     """One multigrid sweep on the image state, in place.
 
-    Computes what solver.llmg_sweep computes: smooth fine-to-coarse while
-    accumulating the carried-up content, then smooth coarse-to-fine
-    re-extending the carried-down content, on the occupied levels 0..D-1
-    only.  Per level that is two translation stacks, and one restriction and
-    one prolongation per link.
+    Computes what solver.llmg_sweep computes: `solver.llmg_schedule` over the
+    conv level ops (`_ConvLevel`), on the occupied levels 0..D-1 only.  Per
+    level that is two translation stacks, and one restriction and one
+    prolongation per link.
     """
-    hier, v, upsilon = state.u.hierarchy, state.u.values, state.diffusion.upsilon
-    groups = {"u": v, "utld": state.utld, "ubar": state.ubar, "f": state.f.images}
+    hier = state.u.hierarchy
+    groups = {"u": state.u.values, "utld": state.utld, "ubar": state.ubar, "f": state.f.images}
     for name, group in groups.items():
         if len(group) != hier.levels or any(
             group[k].shape != (hier.n(k), hier.n(k)) for k in range(hier.levels)
         ):
             raise ConfigurationError(f"state group {name} does not match the hierarchy")
-
-    depth = occupied_depth(state.u.masks)
-    for k in range(depth - 1, -1, -1):
-        _conv_smooth(state, bank, k)
-        if k > 0:
-            lifted = state.ubar[k] + conv_apply_A_transpose(bank, v[k], upsilon[k], hier.h(k))
-            state.ubar[k - 1] = conv_restrict(bank, lifted)
-
-    for k in range(depth):
-        _conv_smooth(state, bank, k)
-        if k < depth - 1:
-            state.utld[k + 1] = conv_prolongate(bank, state.utld[k] + v[k])
+    llmg_schedule(_conv_levels(state, bank))
     return state
 
 

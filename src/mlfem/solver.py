@@ -10,6 +10,11 @@ that define `apply_stacked` (`assembly.carry_down`, `carry_up` and
 iteration for that stacked operator, on any masks.  Like `apply_stacked`, a
 sweep visits only the occupied levels 0..D-1 (`assembly.occupied_depth`).
 
+The level order is written once, in `llmg_schedule`, and the chain build
+once, in `carry_down_chain`.  Both routes run them over per-level ops:
+`_LevelStage` here, `convnet._ConvLevel` on the conv route, whose kernels
+stay separately derived.
+
 A solve stages its sweep once (`_StagedSweep`): the masks, loads, stencil
 images and damping are fixed while it runs.  Each occupied level keeps its
 active rows, their stencil neighbours as gather indices, the gathered
@@ -32,7 +37,7 @@ from .assembly import (
     RhsField,
     apply_stacked,
     assemble_global,
-    compute_utilde,
+    occupied_depth,
 )
 from .field import LevelMask, MultilevelField, offset_views, zero_field
 from .mesh import ConfigurationError, hat_overlap_offsets
@@ -41,7 +46,9 @@ __all__ = [
     "SmootherConfig",
     "SolveReport",
     "RESIDUAL_GATE",
+    "carry_down_chain",
     "choose_omega",
+    "llmg_schedule",
     "llmg_sweep",
     "llmg_solve",
     "reference_solve",
@@ -109,6 +116,34 @@ def choose_omega(diffusion: DiffusionField, masks: list[LevelMask]) -> SmootherC
     )
 
 
+def llmg_schedule(levels) -> None:
+    """One LLMG sweep over the ops of the occupied levels 0..D-1.
+
+    `levels[k]` holds level k's ops: `smooth()` takes one smoothing step,
+    `carry_up()` restricts its carried-up content plus its transposed action
+    onto level k-1, and `carry_down()` interpolates its carried-down content
+    plus its iterate onto level k+1.  The downward half visits D-1..0,
+    smoothing and carrying up (but level 0); the upward half visits 0..D-1,
+    smoothing again and carrying down (but level D-1).
+    """
+    top = len(levels) - 1
+    for k in range(top, -1, -1):
+        levels[k].smooth()
+        if k > 0:
+            levels[k].carry_up()
+    for k, level in enumerate(levels):
+        level.smooth()
+        if k < top:
+            level.carry_down()
+
+
+def carry_down_chain(levels) -> None:
+    """Build the carried-down chain from a zero chain: `carry_down()` of
+    levels 0..D-2 in order, as the upward half of `llmg_schedule` keeps it."""
+    for level in levels[:-1]:
+        level.carry_down()
+
+
 _OFFSETS = hat_overlap_offsets()
 
 
@@ -119,14 +154,16 @@ def _square(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _LevelStage:
-    """What occupied level k fixes for the sweeps of one solve, staged once.
+    """The direct route's ops of occupied level k for `llmg_schedule`: what
+    the level fixes for the sweeps of one solve, staged once.
 
     - the active interior rows, as flat lattice indices;
     - their seven stencil neighbours, as flat indices into a zero-padded
       (n+2, n+2) buffer kept for the solve;
     - the stencil weights and the loads gathered at those rows;
-    - a full-size residual image, zero off the rows, so the lagged norm is
-      the `np.vdot` of the whole level;
+    - the residual of its last smoothing step (`r`, kept by reference), and
+      a full-size residual image, zero off the rows, that the sweep writes
+      it into once, so the lagged norm is the `np.vdot` of the whole level;
     - the index maps and buffers of the carry-up (on every level but 0) and
       of the carry-down (on every level but the deepest occupied one).
 
@@ -140,8 +177,8 @@ class _LevelStage:
     zeroing: an active frame node (if a mask has one) is not a row, because
     its load and carried-up content are zero and its step never moves it;
     the fine frame of the transposed action reaches only the coarse frame,
-    which carry_up zeroes; and the carried-down frames stay the +0.0 that
-    `compute_utilde` gives them.
+    which carry_up zeroes; and the carried-down frames stay the +0.0 of the
+    zero chain they start from.
     """
 
     def __init__(self, u, f, diffusion, omega, k, tld, bar):
@@ -151,6 +188,8 @@ class _LevelStage:
         values = u.values[k]
         if not values.flags.c_contiguous:
             raise ValueError(f"iterate image of level {k} is not C-contiguous")
+        if values[u.masks[k].active == 0].any():
+            raise ValueError(f"iterate image of level {k} is nonzero off its active set")
         self.values, self.values_flat = values, values.reshape(-1)
         self.values_interior = values[1:-1, 1:-1]
         self.tld, self.tld_interior = tld[k], tld[k][1:-1, 1:-1]
@@ -211,22 +250,16 @@ class _LevelStage:
             self.copy_to, self.copy_from = fine[coincident], lo[coincident]
             self.mid_to, self.mid_lo, self.mid_hi = fine[~coincident], lo[~coincident], hi[~coincident]
 
-    def smooth(self) -> np.ndarray:
-        """One damped Richardson step on the active rows; returns their residual."""
+    def smooth(self) -> None:
+        """One damped Richardson step on the active rows; keeps their residual in `r`."""
         np.add(self.values_interior, self.tld_interior, out=self.padded_interior)
         terms = self.padded_flat[self.taps]
         terms *= self.weights
         section = np.add.reduce(terms, axis=0)
         section *= self.scale
         section += self.bar_flat[self.rows]
-        r = self.loads - section
-        self.values_flat[self.rows] += self.omega * r
-        return r
-
-    def smooth_norm2(self) -> float:
-        """`smooth`, returning ||r_k||^2 of the level's full residual image."""
-        self.residual[self.rows] = self.smooth()
-        return float(np.vdot(self.residual, self.residual))
+        self.r = self.loads - section
+        self.values_flat[self.rows] += self.omega * self.r
 
     def carry_up(self) -> None:
         """ubar_{k-1} = restrict(ubar_k + A_k^T u_k), on the coarse interior."""
@@ -249,38 +282,35 @@ class _LevelStage:
 class _StagedSweep:
     """The sweeps of one solve on a fixed iterate, load, diffusion and smoother.
 
-    Staging builds the carried-down chain once (`compute_utilde`) and one
-    `_LevelStage` per occupied level; after that the upward half of each
-    sweep keeps the chain current, as `convnet.ConvLlmgState` does.  The kept
-    chain equals a fresh one because the iterate is zero off the active sets
-    (signed zeros included: u * 0 keeps the sign of u's zero).
+    Staging builds one `_LevelStage` per occupied level and then the
+    carried-down chain (`carry_down_chain`); each sweep is `llmg_schedule`
+    over the stages, whose upward half keeps the chain current.  The stages
+    read the iterate unmasked where `apply_stacked` masks it, so staging
+    rejects an iterate that is nonzero off its active sets (-0.0 passes:
+    u * 0 keeps the sign of u's zero).  The kept chain then equals
+    `compute_utilde`'s, bit for bit.
     """
 
     def __init__(self, u, f, diffusion, smoother):
         if len(smoother.omegas) != u.levels:
             raise ConfigurationError("smoother has wrong number of levels")
         self.u = u
-        tld = compute_utilde(u)  # one image per occupied level
+        tld = [np.zeros_like(u.values[k]) for k in range(occupied_depth(u.masks))]
         bar = [np.zeros_like(t) for t in tld]
         self.stages = [
             _LevelStage(u, f, diffusion, smoother.omegas[k], k, tld, bar) for k in range(len(tld))
         ]
+        carry_down_chain(self.stages)
 
     def sweep(self) -> float:
         """One sweep of the iterate in place; returns `llmg_sweep`'s lagged norm."""
-        stages = self.stages
-        for k in range(len(stages) - 1, -1, -1):
-            stages[k].smooth()
-            if k > 0:
-                stages[k].carry_up()
+        llmg_schedule(self.stages)
         lagged2 = 0.0
-        for k, stage in enumerate(stages):
-            lagged2 += stage.smooth_norm2()
-            if k < len(stages) - 1:
-                stage.carry_down()
-        for k, stage in enumerate(stages):
+        for k, stage in enumerate(self.stages):
             if not np.isfinite(stage.values).all():
                 raise ArithmeticError(f"llmg diverged: non-finite iterate on level {k}")
+            stage.residual[stage.rows] = stage.r
+            lagged2 += float(np.vdot(stage.residual, stage.residual))
         return float(np.sqrt(lagged2))
 
 
@@ -294,15 +324,15 @@ def llmg_sweep(
 
     Mutates u in place: stages the sweep (`_StagedSweep`) and runs it once;
     `llmg_solve` stages once per solve and runs its sweeps on that.  The
-    carried-down content comes from the staged chain; the carried-up content
-    is built during the downward half-sweep, so every smoothing step sees the
-    current residual of the full multilevel iterate: this is the
-    successive-subspace-correction iteration for `apply_stacked`, on any
-    masks.  The coarsest and finest occupied levels are each smoothed twice
-    per sweep (once per half-sweep); levels at or beyond D =
-    `occupied_depth(u.masks)` hold no dofs and are not visited.  A step
-    computes and writes only its level's active rows, so every entry off the
-    active sets keeps its bits.
+    level order is `llmg_schedule`'s.  The carried-down content comes from
+    the staged chain; the carried-up content is built during the downward
+    half-sweep, so every smoothing step sees the current residual of the
+    full multilevel iterate: this is the successive-subspace-correction
+    iteration for `apply_stacked`, on any masks.  Levels at or beyond D =
+    `occupied_depth(u.masks)` hold no dofs and are not visited.  u must be
+    zero off its active sets (`_StagedSweep`).  A step computes and writes
+    only its level's active rows, so every entry off the active sets keeps
+    its bits.
 
     Returns the lagged norm sqrt(sum_k ||r_k||^2) of the upward half's
     masked level residuals.  Each r_k is taken before level k's own update

@@ -1,9 +1,11 @@
 """The names the benchmark binds and the names each module exports must exist,
-and the discrete pipeline stays free of the problem model."""
+the benchmark's smoke run passes, and the discrete pipeline stays free of the
+problem model."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
@@ -112,3 +114,17 @@ def test_stencil_couplings_are_contracted_in_one_place():
     src = Path(mlfem.__file__).resolve().parent
     reads = [r for path in sorted(src.glob("*.py")) for r in stencil_coupling_reads(path)]
     assert reads == ["assembly.py:_stencil_weights"]
+
+
+def test_benchmark_smoke_passes():
+    # one round of every workload, untraced and traced, with all of the
+    # benchmark's checks: it calls the sweep functions (`llmg_sweep`,
+    # `init_llmg_state`, `conv_llmg_sweep`) through their public names
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--smoke"],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    last = json.loads(out.stdout.strip().splitlines()[-1])
+    assert last["smoke"] == "pass"

@@ -16,6 +16,7 @@ from mlfem.assembly import (
     carry_down,
     carry_up,
     compute_upsilon,
+    compute_utilde,
     level_section,
     occupied_depth,
 )
@@ -257,11 +258,12 @@ def test_llmg_sweep_equals_lmg_sweep():
 )
 def test_staged_solve_applies_no_kernel_inside_its_sweeps(levels, depth):
     """A solve on masks full on levels 0..depth-1 and empty below stages its
-    sweep once: the carried-down chain (`compute_utilde`) is built and each
-    occupied level's stencil images are read while staging, never inside a
-    sweep, and a sweep applies none of the level kernels: it only runs the
-    staged gathers.  The stacked residual, formed between sweeps, is the
-    one caller of the kernels."""
+    sweep once: each occupied level's stencil images are read while staging,
+    never inside a sweep, and the carried-down chain is built by the stages'
+    own carry-downs, equal to `compute_utilde`'s bit for bit.  A sweep
+    applies none of the level kernels: it only runs the staged gathers.  The
+    stacked residual, formed between sweeps, is the one caller of the
+    kernels."""
     hier = build_hierarchy(3, levels)
     nf = hier.n(levels - 1)
     rng = np.random.default_rng(67)
@@ -302,23 +304,155 @@ def test_staged_solve_applies_no_kernel_inside_its_sweeps(levels, depth):
         (field, "offset_views"),
     )
     layers = load_benchmark_layers()
+    chains = []
+    stage = during("staging", solver._StagedSweep.__init__)
+
+    def staged(self, u, *args):
+        stage(self, u, *args)
+        chains.append(([s.tld.tobytes() for s in self.stages], [t.tobytes() for t in compute_utilde(u)]))
+
     with pytest.MonkeyPatch.context() as mp:
         for owner, name in kernels:
             func = getattr(owner, name)
             for site, attr in layers.bindings(func):
                 mp.setattr(site, attr, traced(name, func))
         mp.setattr(assembly.DiffusionField, "stencil", traced("stencil", assembly.DiffusionField.stencil))
-        mp.setattr(solver._StagedSweep, "__init__", during("staging", solver._StagedSweep.__init__))
+        mp.setattr(solver._StagedSweep, "__init__", staged)
         mp.setattr(solver._StagedSweep, "sweep", during("sweep", solver._StagedSweep.sweep))
         _, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm, max_sweeps=20)
     assert report.iterations >= 1
     assert [c for c in calls if c[1] == "sweep"] == []
     staging = [name for name, where in calls if where == "staging"]
-    assert staging.count("compute_utilde") == 1
+    assert not {"compute_utilde", "prolongate_uniform"} & set(staging)
+    assert len(chains) == 1 and chains[0][0] == chains[0][1]
     assert staging.count("stencil") == depth
     assert not {"apply_stencil", "apply_stencil_transpose", "restrict_uniform"} & set(staging)
     # the stacked residual applies the kernels, outside the sweeps
     assert ("apply_stencil", "solve") in calls
+
+
+class RecordingLevel:
+    """Per-level ops that only log their visits, as (level, op) pairs."""
+
+    def __init__(self, k, log):
+        self.k, self.log = k, log
+
+    def smooth(self):
+        self.log.append((self.k, "smooth"))
+
+    def carry_up(self):
+        self.log.append((self.k, "up"))
+
+    def carry_down(self):
+        self.log.append((self.k, "down"))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_schedule_visits_the_levels_in_llmg_order(depth):
+    """Downward D-1..1 smoothing and carrying up, level 0 smoothed twice,
+    upward 0..D-2 carrying down after each smoothing step, D-1 smoothed
+    last; the chain is D-1 carry-downs from level 0 up."""
+    log = []
+    levels = [RecordingLevel(k, log) for k in range(depth)]
+    solver.llmg_schedule(levels)
+    down = [op for k in range(depth - 1, 0, -1) for op in ((k, "smooth"), (k, "up"))]
+    up = [op for k in range(depth - 1) for op in ((k, "smooth"), (k, "down"))]
+    assert log == down + [(0, "smooth")] + up + [(depth - 1, "smooth")]
+    if depth == 3:
+        assert log == [
+            (2, "smooth"), (2, "up"), (1, "smooth"), (1, "up"), (0, "smooth"),
+            (0, "smooth"), (0, "down"), (1, "smooth"), (1, "down"), (2, "smooth"),
+        ]
+    log.clear()
+    solver.carry_down_chain(levels)
+    assert log == [(k, "down") for k in range(depth - 1)]
+
+
+def test_both_routes_sweep_through_the_one_schedule():
+    """One `llmg_solve` sweep and one `conv_llmg_sweep` each run the one
+    schedule once, and each route's setup builds its chain once, counted
+    through every binding of the two functions."""
+    from mlfem import convnet
+
+    hier = build_hierarchy(5, 3)
+    nf = hier.n(2)
+    rng = np.random.default_rng(97)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    masks = uniform_masks(hier)
+    sm = choose_omega(diff, masks)
+    bank = convnet.build_stencil_bank(hier)
+
+    calls = []
+
+    def counted(func):
+        def wrapper(*args, **kwargs):
+            calls.append(func.__name__)
+            return func(*args, **kwargs)
+        return wrapper
+
+    layers = load_benchmark_layers()
+    with pytest.MonkeyPatch.context() as mp:
+        for func in (solver.llmg_schedule, solver.carry_down_chain):
+            sites = layers.bindings(func)
+            assert {site.__name__ for site, _ in sites} == {"mlfem.solver", "mlfem.convnet"}
+            for site, attr in sites:
+                mp.setattr(site, attr, counted(func))
+        _, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm, max_sweeps=1)
+        assert report.iterations == 1
+        assert calls == ["carry_down_chain", "llmg_schedule"]
+        calls.clear()
+        state = convnet.init_llmg_state(bank, zero_field(hier, masks), rhs, diff, sm)
+        convnet.conv_llmg_sweep(state, bank)
+        assert calls == ["carry_down_chain", "llmg_schedule"]
+
+
+def test_staged_chain_equals_compute_utilde():
+    """Staging builds the carried-down chain with the stages' own
+    carry-downs from a zero chain; on an iterate that is zero off its active
+    sets, planted -0.0 included, it is `compute_utilde`'s bit for bit."""
+    hier = build_hierarchy(5, 3)
+    nf = hier.n(2)
+    rng = np.random.default_rng(101)
+    for draw in [random_refined_masks] * 3 + [random_sparse_masks] * 3:
+        diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+        rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+        masks = draw(hier, rng)
+        u = random_field(hier, masks, rng)
+        for k in range(3):
+            off = np.argwhere(masks[k].active == 0)
+            pick = off[rng.choice(len(off), size=min(5, len(off)), replace=False)]
+            u.values[k][pick[:, 0], pick[:, 1]] = -0.0
+        staged = solver._StagedSweep(u, rhs, diff, choose_omega(diff, masks))
+        want = compute_utilde(u)
+        assert len(staged.stages) == len(want) == occupied_depth(masks)
+        assert [s.tld.tobytes() for s in staged.stages] == [t.tobytes() for t in want]
+
+
+def test_staging_rejects_an_iterate_off_its_active_sets():
+    """The stages read the iterate unmasked where `apply_stacked` masks it,
+    so a value off an occupied level's active set is refused before any
+    sweep, naming the level; a -0.0 there passes."""
+    hier = build_hierarchy(5, 3)
+    nf = hier.n(2)
+    rng = np.random.default_rng(103)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    masks = random_sparse_masks(hier, rng)
+    assert occupied_depth(masks) == 3
+    sm = choose_omega(diff, masks)
+    for k in range(3):
+        off = np.argwhere(masks[k].active == 0)
+        # a frame node, and on the finer levels an interior one
+        for node in {tuple(off[0]), tuple(off[len(off) // 2])}:
+            u = zero_field(hier, masks)
+            u.values[k][node] = 1e-3
+            with pytest.raises(ValueError, match=f"level {k} is nonzero off its active set"):
+                llmg_solve(u, rhs, diff, sm)
+            with pytest.raises(ValueError, match=f"level {k} is nonzero off its active set"):
+                llmg_sweep(u, rhs, diff, sm)
+            u.values[k][node] = -0.0
+            llmg_sweep(u, rhs, diff, sm)
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
