@@ -16,18 +16,18 @@ once, in `carry_down_chain`.  Both routes run them over per-level ops:
 stay separately derived.
 
 A solve stages its sweep once (`_StagedSweep`): the masks, loads, stencil
-images and damping are fixed while it runs.  Each occupied level keeps its
-active rows, their stencil neighbours as gather indices, the gathered
-weights and loads, and the buffers of its transfers; the carried-down chain
-is built once and kept current by the sweeps.  A smoothing step then
-computes only its level's active rows, so its work follows the active set;
-the transfers between levels still cover each level's full interior.  The
+images and damping are fixed while it runs.  Each occupied level stages its
+four ops as fixed-weight gathers (`_Taps`): the section on its active rows,
+so a smoothing step's work follows the active set, and the transposed
+action, restriction and interpolation on full level interiors.  The
+carried-down chain is built once and kept current by the sweeps.  The
 iterates are those of the full-lattice loop over the level steps, bit for
-bit.
+bit, under the one condition on the interpolation that `_LevelStage` states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -39,7 +39,7 @@ from .assembly import (
     assemble_global,
     occupied_depth,
 )
-from .field import LevelMask, MultilevelField, offset_views, zero_field
+from .field import LevelMask, MultilevelField, offset_views, zero_field, zero_frame
 from .mesh import ConfigurationError, hat_overlap_offsets
 
 __all__ = [
@@ -58,9 +58,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Per-level Richardson step sizes 0 < omega_k."""
+    """Per-level Richardson step sizes omega_k, finite and > 0, kept as floats."""
 
     omegas: tuple[float, ...]
+
+    def __post_init__(self):
+        omegas = tuple(float(w) for w in self.omegas)
+        if not all(math.isfinite(w) and w > 0.0 for w in omegas):
+            raise ConfigurationError(f"smoother steps must be finite and > 0, got {omegas}")
+        object.__setattr__(self, "omegas", omegas)
 
 
 @dataclass
@@ -144,7 +150,9 @@ def carry_down_chain(levels) -> None:
         level.carry_down()
 
 
-_OFFSETS = hat_overlap_offsets()
+# the stencil's tap offsets (d1, d2) as two (7, 1) columns: the coincident node,
+# then +-x, +-y and +-diagonal, which is also `restrict_uniform`'s order
+_D1, _D2 = np.array(hat_overlap_offsets()).T[:, :, None]
 
 
 def _square(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,38 +161,58 @@ def _square(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return i1.ravel(), i2.ravel()
 
 
+class _Taps:
+    """A fixed-weight gather: out[j] = sum_t coef[t, j] * src[index[t, j]].
+
+    `index` holds (T, m) flat source indices and `coef` broadcasts to them.
+    The axis-0 `np.add.reduce` starts from +0.0 and adds the taps in order,
+    as the `out = zeros; out += w * view` loops of `apply_stencil` do (numpy
+    sums a single column pairwise from T = 8 on; every op here has T <= 7).
+    """
+
+    def __init__(self, index: np.ndarray, coef: np.ndarray):
+        self.index, self.coef = index, coef
+
+    def __call__(self, src: np.ndarray) -> np.ndarray:
+        terms = src[self.index]
+        terms *= self.coef
+        return np.add.reduce(terms, axis=0)
+
+
 class _LevelStage:
     """The direct route's ops of occupied level k for `llmg_schedule`: what
-    the level fixes for the sweeps of one solve, staged once.
+    the level fixes for the sweeps of one solve, staged once.  Each op is
+    one `_Taps` over flat lattice indices of level k or its neighbour:
+    - `section`: the seven stencil neighbours of the active interior rows
+      in a frame-zeroed copy of u_k + utilde_k, with the gathered weights;
+    - `transposed` (levels > 0): the mirrored neighbours of the interior in
+      a frame-zeroed copy of u_k, with the weight images there, zeroed off
+      the interior, so a frame term is +0.0 * +0.0;
+    - `restriction` (levels > 0): the coarse interior from ubar_k + A_k^T
+      u_k, in `restrict_uniform`'s order, with coefficients [1, 1/2 x 6];
+    - `interpolation` (all but the deepest level): the next interior from
+      utilde_k + u_k at its coarse neighbours lo and hi (one node twice
+      where they coincide), with coefficients 1/2.
+    It also keeps the loads at its rows, the residual of its last smoothing
+    step (`r`), and a full-size residual image, zero off the rows, for the
+    lagged norm.  The iterate and carried images are updated in place.
 
-    - the active interior rows, as flat lattice indices;
-    - their seven stencil neighbours, as flat indices into a zero-padded
-      (n+2, n+2) buffer kept for the solve;
-    - the stencil weights and the loads gathered at those rows;
-    - the residual of its last smoothing step (`r`, kept by reference), and
-      a full-size residual image, zero off the rows, that the sweep writes
-      it into once, so the lagged norm is the `np.vdot` of the whole level;
-    - the index maps and buffers of the carry-up (on every level but 0) and
-      of the carry-down (on every level but the deepest occupied one).
-
-    The iterate, the kept carried-down images and the carried-up images are
-    updated in place and never replaced.  Each entry gets the arithmetic of
-    `assembly.level_section`, `carry_up` and `carry_down` in the same order:
-    the axis-0 `np.add.reduce` of a (7, m) array starts from +0.0 and adds
-    the rows in order, as the `out += w * view` loops of `apply_stencil`
-    and its transpose do (`restrict_uniform` starts from its coincident
-    term instead, which is never -0.0, so the sums agree).  Frames need no
-    zeroing: an active frame node (if a mask has one) is not a row, because
-    its load and carried-up content are zero and its step never moves it;
-    the fine frame of the transposed action reaches only the coarse frame,
-    which carry_up zeroes; and the carried-down frames stay the +0.0 of the
-    zero chain they start from.
+    Each entry has the bits of `assembly.level_section`, `carry_up` and
+    `carry_down`: the same terms in the same order (`restrict_uniform`
+    starts from its coincident term, never -0.0, instead of +0.0).  1/2 a +
+    1/2 b is `prolongate_uniform`'s 1/2 (a + b), and 1/2 a + 1/2 a its copy
+    a, unless a value is subnormal, near overflow or -0.0.  No carried value
+    is -0.0: the chain starts at +0.0, utilde_k + u_k is -0.0 only if both
+    terms are, and a sum from +0.0 never is.  Frames need no zeroing: an
+    active frame node is not a row (its load and carried-up content are
+    zero, so its step never moves it); the fine frame of the transposed
+    action reaches only the coarse frame, which carry_up zeroes; and the
+    carried-down frames stay the +0.0 of the zero chain.
     """
 
     def __init__(self, u, f, diffusion, omega, k, tld, bar):
         hier = u.hierarchy
         n, h = hier.n(k), hier.h(k)
-        p = n + 2  # side of the zero-padded buffers
         values = u.values[k]
         if not values.flags.c_contiguous:
             raise ValueError(f"iterate image of level {k} is not C-contiguous")
@@ -196,66 +224,39 @@ class _LevelStage:
         self.bar_flat = bar[k].reshape(-1)
         self.omega, self.scale = omega, 2.0 / (h * h)
         weights = diffusion.stencil(k)
+        framed = np.zeros((n, n))
+        self.framed_flat, self.framed_interior = framed.reshape(-1), framed[1:-1, 1:-1]
 
         r1, r2 = np.nonzero(u.masks[k].active[1:-1, 1:-1])
         r1, r2 = r1 + 1, r2 + 1
         self.rows = r1 * n + r2
-        self.weights = weights[:, r1, r2]
         self.loads = f.images[k][r1, r2]
-        self.taps = np.array([(r1 + 1 + d1) * p + r2 + 1 + d2 for d1, d2 in _OFFSETS])
-        padded = np.zeros((p, p))
-        self.padded_flat, self.padded_interior = padded.reshape(-1), padded[2:-2, 2:-2]
+        self.section = _Taps((r1 + _D1) * n + r2 + _D2, weights[:, r1, r2])
         self.residual = np.zeros(n * n)
 
         if k > 0:
-            # the transposed action at the fine interior nodes a, from the
-            # weight images times u_k, zero-padded by one node
             a1, a2 = _square(1, n - 1)
-            self.weights_interior = weights[:, 1:-1, 1:-1]
-            products = np.zeros((7, p, p))
-            self.products_flat, self.products_interior = products.reshape(-1), products[:, 2:-2, 2:-2]
-            self.mirrored = np.array(
-                [t * p * p + (a1 + 1 - d1) * p + a2 + 1 - d2 for t, (d1, d2) in enumerate(_OFFSETS)]
-            )
             self.interior = a1 * n + a2
-            # row 0 holds ubar_k + A_k^T u_k at those nodes, row 1 half of it;
-            # each coarse interior node sums its coincident node and then its
-            # +-x, +-y and +-diagonal halves, in `restrict_uniform`'s order
-            m = a1.size
-            lifted = np.zeros((2, m))
-            self.lifted_flat, self.lifted_full, self.lifted_half = lifted.reshape(-1), lifted[0], lifted[1]
+            mirrored = (a1 - _D1) * n + a2 - _D2
+            inner = zero_frame(weights).reshape(7, -1)
+            self.transposed = _Taps(mirrored, np.take_along_axis(inner, mirrored, axis=1))
             nc = hier.n(k - 1)
             c1, c2 = _square(1, nc - 1)
-
-            def at(d1, d2, row):
-                return row * m + (2 * c1 + d1 - 1) * (n - 2) + 2 * c2 + d2 - 1
-
-            self.restriction = np.array(
-                [at(0, 0, 0), at(1, 0, 1), at(-1, 0, 1), at(0, 1, 1), at(0, -1, 1), at(1, 1, 1), at(-1, -1, 1)]
-            )
+            neighbours = (2 * c1 + _D1 - 1) * (n - 2) + 2 * c2 + _D2 - 1
+            self.restriction = _Taps(neighbours, np.array([[1.0]] + [[0.5]] * 6))
             self.coarse_flat, self.coarse_interior = bar[k - 1].reshape(-1), c1 * nc + c2
 
         if k + 1 < len(tld):
-            # interpolation onto the next level's interior: a coincident node
-            # copies its coarse node, the others average their two neighbours
             nf = hier.n(k + 1)
             f1, f2 = _square(1, nf - 1)
-            lo = (f1 // 2) * n + f2 // 2
-            hi = ((f1 + 1) // 2) * n + (f2 + 1) // 2
-            coincident = (f1 % 2 == 0) & (f2 % 2 == 0)
-            self.carried = np.zeros((n, n))
-            self.carried_flat = self.carried.reshape(-1)
-            self.next_flat = tld[k + 1].reshape(-1)
-            fine = f1 * nf + f2
-            self.copy_to, self.copy_from = fine[coincident], lo[coincident]
-            self.mid_to, self.mid_lo, self.mid_hi = fine[~coincident], lo[~coincident], hi[~coincident]
+            self.next_flat, self.fine = tld[k + 1].reshape(-1), f1 * nf + f2
+            lo, hi = (f1 // 2) * n + f2 // 2, ((f1 + 1) // 2) * n + (f2 + 1) // 2
+            self.interpolation = _Taps(np.array([lo, hi]), np.full((2, 1), 0.5))
 
     def smooth(self) -> None:
         """One damped Richardson step on the active rows; keeps their residual in `r`."""
-        np.add(self.values_interior, self.tld_interior, out=self.padded_interior)
-        terms = self.padded_flat[self.taps]
-        terms *= self.weights
-        section = np.add.reduce(terms, axis=0)
+        np.add(self.values_interior, self.tld_interior, out=self.framed_interior)
+        section = self.section(self.framed_flat)
         section *= self.scale
         section += self.bar_flat[self.rows]
         self.r = self.loads - section
@@ -263,20 +264,15 @@ class _LevelStage:
 
     def carry_up(self) -> None:
         """ubar_{k-1} = restrict(ubar_k + A_k^T u_k), on the coarse interior."""
-        np.multiply(self.weights_interior, self.values_interior, out=self.products_interior)
-        lifted = np.add.reduce(self.products_flat[self.mirrored], axis=0)
+        np.copyto(self.framed_interior, self.values_interior)
+        lifted = self.transposed(self.framed_flat)
         lifted *= self.scale
-        np.add(lifted, self.bar_flat[self.interior], out=self.lifted_full)
-        np.multiply(self.lifted_full, 0.5, out=self.lifted_half)
-        restricted = np.add.reduce(self.lifted_flat[self.restriction], axis=0)
-        self.coarse_flat[self.coarse_interior] = restricted
+        lifted += self.bar_flat[self.interior]
+        self.coarse_flat[self.coarse_interior] = self.restriction(lifted)
 
     def carry_down(self) -> None:
         """utilde_{k+1} = interp(utilde_k + u_k), on the next level's interior."""
-        carried = self.carried_flat
-        np.add(self.tld, self.values, out=self.carried)
-        self.next_flat[self.copy_to] = carried[self.copy_from]
-        self.next_flat[self.mid_to] = 0.5 * (carried[self.mid_lo] + carried[self.mid_hi])
+        self.next_flat[self.fine] = self.interpolation((self.tld + self.values).reshape(-1))
 
 
 class _StagedSweep:
@@ -378,10 +374,12 @@ def llmg_solve(
     that meets it takes no sweep.  The stacked residual is formed only after
     a sweep whose lagged norm is at most `RESIDUAL_GATE` times that
     threshold, and after the last allowed sweep; the other sweeps record
-    their lagged norm (see `SolveReport`).
+    their lagged norm (see `SolveReport`).  Needs tol > 0 and max_sweeps >= 0.
     """
     if not tol > 0.0:
         raise ConfigurationError("tol must be positive")
+    if max_sweeps < 0:
+        raise ConfigurationError(f"max_sweeps must be >= 0, got {max_sweeps}")
     u = u0.copy()
     staged = _StagedSweep(u, f, diffusion, smoother)
     fnorm = float(np.linalg.norm(stack_vector(f.images, u.masks))) if u.masks else 0.0

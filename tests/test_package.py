@@ -116,6 +116,82 @@ def test_stencil_couplings_are_contracted_in_one_place():
     assert reads == ["assembly.py:_stencil_weights"]
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def module_bindings(body: list[ast.stmt]) -> list[tuple[str, int]]:
+    """(name, line) of the imports and private names bound at module level,
+    also inside top-level `if` blocks (`TYPE_CHECKING` imports)."""
+    found = []
+    for stmt in body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            if getattr(stmt, "module", None) != "__future__":
+                found += [((a.asname or a.name).split(".")[0], stmt.lineno) for a in stmt.names]
+        elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            found += [(stmt.name, stmt.lineno)] if _is_private(stmt.name) else []
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            found += [(name, stmt.lineno) for name in names if _is_private(name)]
+        elif isinstance(stmt, ast.If):
+            found += module_bindings(stmt.body + stmt.orelse)
+    return found
+
+
+def module_reads(tree: ast.Module) -> set[str]:
+    """Names a module reads: loaded names, its `__all__` entries and the
+    names inside string annotations."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            reads |= {e.value for e in node.value.elts}
+        annotations = []
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            annotations = [a.annotation for a in every if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                parsed = ast.parse(ann.value, mode="eval")
+                reads |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return reads
+
+
+def unread_module_names(src: Path) -> list[str]:
+    """`module:line name` of each top-level import or private module-level
+    name that neither its module nor another package module reads (the
+    others through `from .module import name` or an attribute `.name`)."""
+    paths = sorted(src.glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    elsewhere = {stem: set() for stem in trees}
+    attributes = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in elsewhere:
+                elsewhere[node.module] |= {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    unread = []
+    for stem, tree in trees.items():
+        reads = module_reads(tree) | elsewhere[stem] | attributes
+        bound = module_bindings(tree.body)
+        unread += [f"{stem}.py:{line} {name}" for name, line in bound if name not in reads]
+    return unread
+
+
+def test_package_binds_no_unread_module_names():
+    # the package has no linter: a leftover import or private helper that
+    # nothing reads (say, after a deletion) fails here
+    assert unread_module_names(Path(mlfem.__file__).resolve().parent) == []
+
+
 def test_benchmark_smoke_passes():
     # one round of every workload, untraced and traced, with all of the
     # benchmark's checks: it calls the sweep functions (`llmg_sweep`,

@@ -1,7 +1,9 @@
 """Levelwise multigrid sweeps, Gershgorin damping, and solver convergence."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,6 +457,61 @@ def test_staging_rejects_an_iterate_off_its_active_sets():
             llmg_sweep(u, rhs, diff, sm)
 
 
+def test_taps_add_in_tap_order():
+    """A gather adds its terms in tap order, for one column and for several:
+    (1e16, 1, -1e16) loses the 1, (1e16, -1e16, 1) keeps it."""
+    src, ones = np.array([1e16, 1.0, -1e16]), np.ones((3, 1))
+    assert solver._Taps(np.array([[0], [1], [2]]), ones)(src).tolist() == [0.0]
+    assert solver._Taps(np.array([[0], [2], [1]]), ones)(src).tolist() == [1.0]
+    # two columns, one in each order
+    assert solver._Taps(np.array([[0, 0], [1, 2], [2, 1]]), ones)(src).tolist() == [0.0, 1.0]
+
+
+def test_taps_sum_of_negative_zeros_is_positive_zero():
+    """The sum starts from +0.0, as `apply_stencil`'s `out = zeros; out +=
+    w * view` loop does, so -0.0 terms (a -0.0 read or a -0.0 weight) give +0.0."""
+    src = np.array([-0.0, 0.0])
+    for index, coef in (([0, 0, 1], [1.0, 2.0, -1.0]), ([1] * 7, [-1.0] * 7)):
+        index, coef = np.array(index)[:, None], np.array(coef)[:, None]
+        terms = src[index] * coef
+        assert np.signbit(terms).all()
+        out = np.zeros(1)
+        for term in terms:
+            out += term
+        got = solver._Taps(index, coef)(src)
+        assert got.tobytes() == out.tobytes() == np.zeros(1).tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_every_level_op_is_one_gather(depth):
+    """Each stage's ops are `_Taps`: the section on every occupied level,
+    the transposed action and restriction on levels > 0, the interpolation
+    below the deepest occupied level; and the gathers' sum is written once,
+    in `_Taps.__call__`."""
+    hier = build_hierarchy(5, 4)
+    nf = hier.n(3)
+    rng = np.random.default_rng(107)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    masks = random_sparse_masks(hier, rng)[:depth] + [empty_mask(hier, k) for k in range(depth, 4)]
+    staged = solver._StagedSweep(zero_field(hier, masks), rhs, diff, choose_omega(diff, masks))
+    assert len(staged.stages) == depth
+    names = ("section", "transposed", "restriction", "interpolation")
+    for k, stage in enumerate(staged.stages):
+        ops = {op for op in names if hasattr(stage, op)}
+        want = {"section"} | ({"transposed", "restriction"} if k > 0 else set())
+        assert ops == want | ({"interpolation"} if k < depth - 1 else set())
+        assert all(type(getattr(stage, op)) is solver._Taps for op in ops)
+    tree = ast.parse(Path(solver.__file__).read_text(encoding="utf-8"))
+    owners = [
+        f"{cls.name}.{func.name}"
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for func in cls.body if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func) if isinstance(node, ast.Attribute) and node.attr == "reduce"
+    ]
+    assert owners == ["_Taps.__call__"]
+
+
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_solve_equals_one_shot_sweeps(levels):
     """`llmg_solve` with max_sweeps = m keeps its staged chain from sweep to
@@ -741,6 +798,35 @@ def test_solve_rejects_bad_tolerance():
     sm = choose_omega(diff, masks)
     with pytest.raises(ConfigurationError):
         llmg_solve(zero_field(hier, masks), rhs, diff, sm, tol=0.0)
+
+
+def test_solve_rejects_negative_max_sweeps():
+    hier, diff, rhs = single_dof_setup()
+    masks = uniform_masks(hier)
+    sm = choose_omega(diff, masks)
+    with pytest.raises(ConfigurationError, match="max_sweeps"):
+        llmg_solve(zero_field(hier, masks), rhs, diff, sm, max_sweeps=-1)
+    _, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm, max_sweeps=0)
+    assert (report.iterations, report.status, len(report.residual_history)) == (0, "max_sweeps", 1)
+
+
+@pytest.mark.parametrize("omega", [0.0, -0.125, math.nan, math.inf, -math.inf])
+def test_smoother_steps_must_be_finite_and_positive(omega):
+    """A step that is not finite and > 0 is refused when the config is made,
+    so neither route's solve or staging starts on it."""
+    from mlfem.convnet import build_stencil_bank, init_llmg_state
+
+    hier = build_hierarchy(3, 2)
+    diff = compute_upsilon(hier, np.ones((5, 5)))
+    rhs = assemble_rhs(hier, np.ones((5, 5)))
+    masks = uniform_masks(hier)
+    with pytest.raises(ConfigurationError, match="finite and > 0"):
+        llmg_solve(zero_field(hier, masks), rhs, diff, SmootherConfig((0.1, omega)), max_sweeps=50)
+    bank = build_stencil_bank(hier)
+    with pytest.raises(ConfigurationError, match="finite and > 0"):
+        init_llmg_state(bank, zero_field(hier, masks), rhs, diff, SmootherConfig((omega, 0.1)))
+    steps = SmootherConfig([np.float64(0.25), 1]).omegas
+    assert steps == (0.25, 1.0) and all(type(w) is float for w in steps)
 
 
 def test_report_histories_are_consistent():
