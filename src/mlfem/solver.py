@@ -23,6 +23,9 @@ action, restriction and interpolation on full level interiors.  The
 carried-down chain is built once and kept current by the sweeps.  The
 iterates are those of the full-lattice loop over the level steps, bit for
 bit, under the one condition on the interpolation that `_LevelStage` states.
+The stopping test's stacked residual is formed from the same stages
+(`_StagedSweep.residual_norm`); `apply_stacked` runs once per solve, after
+the last sweep, and must give the final residual bit for bit.
 """
 
 from __future__ import annotations
@@ -76,9 +79,11 @@ class SolveReport:
     residual_history has length iterations + 1 (the initial residual first).
     The first entry, every entry within `RESIDUAL_GATE` times the stopping
     threshold (so the stopping entry), and the entry of the last allowed
-    sweep are true stacked residuals ||f - A u||_2.  Entries far from the
-    stop are the sweep's lagged norms (`llmg_sweep`'s return value), which
-    are only tested against the gate.
+    sweep are true stacked residuals ||f - A u||_2, formed from the staged
+    sweep's ops.  Entries far from the stop are the sweep's lagged norms
+    (`llmg_sweep`'s return value), which are only tested against the gate.
+    The final entry is always a true residual, and `llmg_solve` certifies it
+    with `apply_stacked`, bit for bit.
     """
 
     iterations: int
@@ -195,7 +200,8 @@ class _LevelStage:
       where they coincide), with coefficients 1/2.
     It also keeps the loads at its rows, the residual of its last smoothing
     step (`r`), and a full-size residual image, zero off the rows, for the
-    lagged norm.  The iterate and carried images are updated in place.
+    lagged norm and the stacked residual.  The iterate and carried images
+    are updated in place.
 
     Each entry has the bits of `assembly.level_section`, `carry_up` and
     `carry_down`: the same terms in the same order (`restrict_uniform`
@@ -216,8 +222,16 @@ class _LevelStage:
         values = u.values[k]
         if not values.flags.c_contiguous:
             raise ValueError(f"iterate image of level {k} is not C-contiguous")
-        if values[u.masks[k].active == 0].any():
+        active = u.masks[k].active != 0
+        if values[~active].any():
             raise ValueError(f"iterate image of level {k} is nonzero off its active set")
+        for name, image in (("iterate", values), ("load", f.images[k])):
+            if not np.isfinite(image[active]).all():
+                raise ValueError(f"{name} image of level {k} is not finite on its active set")
+        edge = active.copy()
+        edge[1:-1, 1:-1] = False
+        if f.images[k][edge].any():
+            raise ValueError(f"load image of level {k} is nonzero at an active frame node")
         self.values, self.values_flat = values, values.reshape(-1)
         self.values_interior = values[1:-1, 1:-1]
         self.tld, self.tld_interior = tld[k], tld[k][1:-1, 1:-1]
@@ -253,13 +267,18 @@ class _LevelStage:
             lo, hi = (f1 // 2) * n + f2 // 2, ((f1 + 1) // 2) * n + (f2 + 1) // 2
             self.interpolation = _Taps(np.array([lo, hi]), np.full((2, 1), 0.5))
 
-    def smooth(self) -> None:
-        """One damped Richardson step on the active rows; keeps their residual in `r`."""
+    def row_residual(self) -> np.ndarray:
+        """loads - (scale * section + ubar_k) on the active rows, from the
+        current iterate and carried images."""
         np.add(self.values_interior, self.tld_interior, out=self.framed_interior)
         section = self.section(self.framed_flat)
         section *= self.scale
         section += self.bar_flat[self.rows]
-        self.r = self.loads - section
+        return self.loads - section
+
+    def smooth(self) -> None:
+        """One damped Richardson step on the active rows; keeps their residual in `r`."""
+        self.r = self.row_residual()
         self.values_flat[self.rows] += self.omega * self.r
 
     def carry_up(self) -> None:
@@ -280,11 +299,15 @@ class _StagedSweep:
 
     Staging builds one `_LevelStage` per occupied level and then the
     carried-down chain (`carry_down_chain`); each sweep is `llmg_schedule`
-    over the stages, whose upward half keeps the chain current.  The stages
-    read the iterate unmasked where `apply_stacked` masks it, so staging
-    rejects an iterate that is nonzero off its active sets (-0.0 passes:
-    u * 0 keeps the sign of u's zero).  The kept chain then equals
-    `compute_utilde`'s, bit for bit.
+    over the stages, whose upward half keeps the chain current, and
+    `residual_norm` forms the stacked residual from the same stages.  The
+    stages read the iterate unmasked where `apply_stacked` masks it, so
+    staging rejects an iterate that is nonzero off its active sets (-0.0
+    passes: u * 0 keeps the sign of u's zero).  The kept chain then equals
+    `compute_utilde`'s, bit for bit.  Staging also rejects, before any work,
+    an iterate or load that is not finite on an active set, and a nonzero
+    load at an active frame node: loads are zero on the frame (`RhsField`),
+    and neither the sweep nor the residual has a row there.
     """
 
     def __init__(self, u, f, diffusion, smoother):
@@ -297,6 +320,23 @@ class _StagedSweep:
             _LevelStage(u, f, diffusion, smoother.omegas[k], k, tld, bar) for k in range(len(tld))
         ]
         carry_down_chain(self.stages)
+
+    def residual_norm(self) -> float:
+        """The stacked residual ||f - A u||_2 of the current iterate, from the stages.
+
+        A fresh carried-up chain (`carry_up()` of levels D-1..1), then each
+        level's `row_residual()` written into its residual image: entry for
+        entry the vector `_stacked_residual_norm` forms, so the same norm bit
+        for bit.  It overwrites only the carried-up and residual images,
+        which the next sweep rewrites before reading them (the chain in its
+        downward half, the residual images for its lagged norm).
+        """
+        for stage in reversed(self.stages[1:]):
+            stage.carry_up()
+        for stage in self.stages:
+            stage.residual[stage.rows] = stage.row_residual()
+        images = [stage.residual for stage in self.stages]
+        return float(np.linalg.norm(stack_vector(images, self.u.masks[: len(images)])))
 
     def sweep(self) -> float:
         """One sweep of the iterate in place; returns `llmg_sweep`'s lagged norm."""
@@ -353,7 +393,9 @@ def _stacked_residual_norm(
 # default-config sweeps (every pass of seed-0 samples 0-5 and the uniform
 # depth 1-4 solves of samples 0-1, 200 sweeps each), so the stopping sweep is
 # the one the true residual alone would give; a ratio above the factor could
-# only delay the stop, never bring it earlier.
+# only delay the stop, never bring it earlier.  The gate trades the staged
+# residual, which costs about 0.6 of a sweep, against the sweeps it would
+# test too early to stop.
 RESIDUAL_GATE = 10.0
 
 
@@ -371,10 +413,16 @@ def llmg_solve(
     `llmg_sweep` would run it; the iterates and lagged norms are those of
     repeated `llmg_sweep` calls, bit for bit.  Stops on ||f - A u||_2 <= tol *
     ||f||_2 (absolute when f = 0), tested before the first sweep too: a start
-    that meets it takes no sweep.  The stacked residual is formed only after
+    that meets it takes no sweep.  The stacked residual is formed, from the
+    staged ops (`_StagedSweep.residual_norm`), before the first sweep, after
     a sweep whose lagged norm is at most `RESIDUAL_GATE` times that
     threshold, and after the last allowed sweep; the other sweeps record
-    their lagged norm (see `SolveReport`).  Needs tol > 0 and max_sweeps >= 0.
+    their lagged norm (see `SolveReport`).  After the last sweep
+    `apply_stacked` forms the final residual once more, from the assembly
+    route's level steps; it must equal the final entry bit for bit, or the
+    solve raises `ArithmeticError` naming both.  Needs tol > 0 and
+    max_sweeps >= 0; staging rejects non-finite or contract-breaking data
+    (`_StagedSweep`) with `ValueError`.
     """
     if not tol > 0.0:
         raise ConfigurationError("tol must be positive")
@@ -386,7 +434,7 @@ def llmg_solve(
     threshold = tol * fnorm if fnorm > 0.0 else tol
 
     report = SolveReport(iterations=0, status="max_sweeps")
-    residual = _stacked_residual_norm(u, f, diffusion)
+    residual = staged.residual_norm()
     report.residual_history.append(residual)
     for sweep in range(1, max_sweeps + 1):
         if residual <= threshold:
@@ -394,8 +442,13 @@ def llmg_solve(
         residual = staged.sweep()
         report.iterations = sweep
         if residual <= RESIDUAL_GATE * threshold or sweep == max_sweeps:
-            residual = _stacked_residual_norm(u, f, diffusion)
+            residual = staged.residual_norm()
         report.residual_history.append(residual)
+    certified = _stacked_residual_norm(u, f, diffusion)
+    if certified != residual:
+        raise ArithmeticError(
+            f"staged stacked residual {residual!r} differs from apply_stacked's {certified!r}"
+        )
     if residual <= threshold:
         report.status = "converged"
     return u, report

@@ -192,6 +192,23 @@ def test_package_binds_no_unread_module_names():
     assert unread_module_names(Path(mlfem.__file__).resolve().parent) == []
 
 
+# The tracer targets each workload never calls, as its traced smoke round
+# reports them.  A target that goes dead (say, a function the package stops
+# calling) reads 0 in the benchmark without failing it, so the sets are
+# pinned here; ROADMAP item 8 retargets them.
+_CONV = {"convnet.conv_apply", "convnet.estimator", "convnet.mark_refine", "convnet.sweep"}
+_UNCALLED = {"assembly.apply_A_level", "assembly.apply_A_level_transpose",
+             "field.prolongate", "field.restrict_weighted", "field.shift", "solver.sweep"}
+ZERO_CALL_TARGETS = {
+    "dataset": _UNCALLED | _CONV | {"problems.reference"},
+    "uq-study": _UNCALLED | _CONV | {"cli.reload", "cli.write"},
+    "cnn-forward": _UNCALLED | {
+        "adapt.mark", "adapt.refine", "cli.reload", "cli.write", "estimator.estimate",
+        "problems.reference", "solver.residual",
+    },
+}
+
+
 def test_benchmark_smoke_passes():
     # one round of every workload, untraced and traced, with all of the
     # benchmark's checks: it calls the sweep functions (`llmg_sweep`,
@@ -204,3 +221,7 @@ def test_benchmark_smoke_passes():
     assert out.returncode == 0, out.stderr[-2000:]
     last = json.loads(out.stdout.strip().splitlines()[-1])
     assert last["smoke"] == "pass"
+    for workload, pinned in ZERO_CALL_TARGETS.items():
+        trace = json.loads((root / "benchmarks" / "_out" / f"trace-{workload}-seed0.json").read_text())
+        zero = {key for key, calls in trace["calls"].items() if calls == 0}
+        assert zero == pinned, workload

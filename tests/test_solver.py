@@ -263,8 +263,9 @@ def test_staged_solve_applies_no_kernel_inside_its_sweeps(levels, depth):
     sweep once: each occupied level's stencil images are read while staging,
     never inside a sweep, and the carried-down chain is built by the stages'
     own carry-downs, equal to `compute_utilde`'s bit for bit.  A sweep
-    applies none of the level kernels: it only runs the staged gathers.  The
-    stacked residual, formed between sweeps, is the one caller of the
+    applies none of the level kernels: it only runs the staged gathers, and
+    so does the staged stacked residual between sweeps.  The certificate,
+    `apply_stacked` once after the last sweep, is the one caller of the
     kernels."""
     hier = build_hierarchy(3, levels)
     nf = hier.n(levels - 1)
@@ -329,7 +330,7 @@ def test_staged_solve_applies_no_kernel_inside_its_sweeps(levels, depth):
     assert len(chains) == 1 and chains[0][0] == chains[0][1]
     assert staging.count("stencil") == depth
     assert not {"apply_stencil", "apply_stencil_transpose", "restrict_uniform"} & set(staging)
-    # the stacked residual applies the kernels, outside the sweeps
+    # the certificate after the last sweep applies the kernels, outside the sweeps
     assert ("apply_stencil", "solve") in calls
 
 
@@ -457,6 +458,63 @@ def test_staging_rejects_an_iterate_off_its_active_sets():
             llmg_sweep(u, rhs, diff, sm)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_staging_rejects_a_non_finite_iterate(bad):
+    """A non-finite iterate value on an occupied level's active set is
+    refused before any sweep, naming the level, also when no sweep is
+    allowed (it would otherwise be recorded as a nan residual)."""
+    hier = build_hierarchy(5, 3)
+    nf = hier.n(2)
+    rng = np.random.default_rng(109)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    masks = random_sparse_masks(hier, rng)
+    sm = choose_omega(diff, masks)
+    for k in range(3):
+        u = zero_field(hier, masks)
+        u.values[k][tuple(np.argwhere(masks[k].active)[0])] = bad
+        message = f"iterate image of level {k} is not finite on its active set"
+        for max_sweeps in (200, 0):
+            with pytest.raises(ValueError, match=message):
+                llmg_solve(u, rhs, diff, sm, max_sweeps=max_sweeps)
+        with pytest.raises(ValueError, match=message):
+            llmg_sweep(u, rhs, diff, sm)
+
+
+def test_staging_rejects_a_non_finite_load():
+    """A non-finite load on an occupied level's active set is refused before
+    any sweep, naming the level."""
+    hier = build_hierarchy(5, 3)
+    nf = hier.n(2)
+    rng = np.random.default_rng(113)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+    masks = random_sparse_masks(hier, rng)
+    sm = choose_omega(diff, masks)
+    for k in range(3):
+        rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+        rhs.images[k][tuple(np.argwhere(masks[k].active)[-1])] = np.nan
+        with pytest.raises(ValueError, match=f"load image of level {k} is not finite on its active set"):
+            llmg_solve(zero_field(hier, masks), rhs, diff, sm)
+
+
+def test_staging_rejects_a_load_at_an_active_frame_node():
+    """Loads are zero on the frame (`RhsField`): an active frame node is no
+    row of the staged sweep or residual, so a load there could never be
+    met.  It is refused before any sweep, naming the level; a zero load
+    there passes."""
+    hier = build_hierarchy(5, 2)
+    diff = compute_upsilon(hier, np.ones((9, 9)))
+    rhs = assemble_rhs(hier, np.ones((9, 9)))
+    masks = uniform_masks(hier)
+    masks[1].active[0, 4] = 1
+    sm = choose_omega(diff, masks)
+    _, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm)
+    assert report.converged
+    rhs.images[1][0, 4] = 0.5
+    with pytest.raises(ValueError, match="load image of level 1 is nonzero at an active frame node"):
+        llmg_solve(zero_field(hier, masks), rhs, diff, sm)
+
+
 def test_taps_add_in_tap_order():
     """A gather adds its terms in tap order, for one column and for several:
     (1e16, 1, -1e16) loses the 1, (1e16, -1e16, 1) keeps it."""
@@ -580,12 +638,16 @@ class FullLatticeSweep:
         FullLatticeSweep.calls += 1
         return full_depth_sweep(self.u, self.f, self.diffusion, self.smoother)
 
+    def residual_norm(self):
+        return _stacked_residual_norm(self.u, self.f, self.diffusion)
+
 
 def test_gen_dataset_bytes_match_the_full_lattice_sweep(tmp_path, monkeypatch):
-    """The staged sweep against the full-lattice reference loop, end to end:
-    a dataset of the default config's seed-0 samples 0-2 is byte-identical
-    file for file when `llmg_solve` runs `oracles.full_depth_sweep`
-    instead."""
+    """The staged sweep and residual against the full-lattice reference
+    loop, end to end: a dataset of the default config's seed-0 samples 0-2
+    is byte-identical file for file when `llmg_solve` runs
+    `oracles.full_depth_sweep` and forms every residual entry with
+    `apply_stacked` instead."""
     from mlfem.cli import main
 
     cfg = tmp_path / "cfg.json"
@@ -655,7 +717,9 @@ def test_culled_stacked_operator_and_sweep_are_bit_identical():
 def test_solve_forms_the_stacked_residual_only_near_the_stop():
     """The first, the stopping and the last allowed entry of the history are
     true stacked residuals, and so is every entry within the gate: a lagged
-    entry is recorded only above it."""
+    entry is recorded only above it.  Each is formed by the staged
+    `residual_norm`; `apply_stacked` runs once per solve, as the certificate
+    of the final entry."""
     hier = build_hierarchy(5, 3)
     nf = hier.n(2)
     rng = np.random.default_rng(73)
@@ -667,7 +731,10 @@ def test_solve_forms_the_stacked_residual_only_near_the_stop():
     threshold = 1e-10 * np.linalg.norm(stack_vector(rhs.images, masks))
     layers = load_benchmark_layers()
     for max_sweeps in (4, 500):
-        tracer = layers.Tracer([("residual", assembly, "apply_stacked", "mlfem.solver", False)])
+        tracer = layers.Tracer([
+            ("staged", solver._StagedSweep, "residual_norm", None, False),
+            ("certificate", assembly, "apply_stacked", "mlfem.solver", False),
+        ])
         tracer.install()
         try:
             u, report = llmg_solve(u0, rhs, diff, sm, max_sweeps=max_sweeps)
@@ -678,12 +745,102 @@ def test_solve_forms_the_stacked_residual_only_near_the_stop():
         assert hist[-1] == _stacked_residual_norm(u, rhs, diff)
         assert report.converged == (max_sweeps == 500)
         assert all(r > threshold for r in hist[1:-1])
+        assert tracer.calls["certificate"] == 1
         near = sum(r <= RESIDUAL_GATE * threshold for r in hist[1:])
         if max_sweeps == 4:
-            assert near == 0 and tracer.calls["residual"] == 2
+            assert near == 0 and tracer.calls["staged"] == 2
         else:
             assert hist[-1] <= threshold
-            assert 1 + near <= tracer.calls["residual"] < report.iterations // 4
+            assert 1 + near <= tracer.calls["staged"] < report.iterations // 4
+
+
+def staged_residual_cases(rng):
+    """(label, hier, diff, rhs, u) on random refined masks, on
+    `two_of_four_levels`, with no active node, with f = 0, and with an
+    active frame node (load zero there, as `RhsField` requires)."""
+    hier = build_hierarchy(5, 3)
+    nf = hier.n(2)
+
+    def data(masks, f_scale=1.0):
+        diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+        rhs = assemble_rhs(hier, f_scale * rng.normal(size=(nf, nf)))
+        return hier, diff, rhs, random_field(hier, masks, rng)
+
+    for draw in range(3):
+        yield (f"refined{draw}", *data(random_refined_masks(hier, rng, frac=0.5)))
+    yield ("two-of-four", *two_of_four_levels(rng))
+    yield ("no-dof", *data([empty_mask(hier, k) for k in range(3)]))
+    yield ("zero-load", *data(random_sparse_masks(hier, rng), f_scale=0.0))
+    masks = random_sparse_masks(hier, rng)
+    masks[1].active[0, 3] = masks[2].active[8, 16] = 1
+    yield ("frame-node", *data(masks))
+
+
+def test_staged_residual_equals_apply_stacked_bit_for_bit():
+    """`_StagedSweep.residual_norm` forms, from the staged ops, the vector
+    `_stacked_residual_norm` forms with `apply_stacked`, entry for entry: the
+    two norms are equal bit for bit before any sweep and after 1 and 7."""
+    rng = np.random.default_rng(127)
+    labels = []
+    for label, hier, diff, rhs, u in staged_residual_cases(rng):
+        labels.append(label)
+        staged = solver._StagedSweep(u, rhs, diff, choose_omega(diff, u.masks))
+        assert len(staged.stages) == occupied_depth(u.masks)
+        done = 0
+        for sweeps in (0, 1, 7):
+            for _ in range(sweeps - done):
+                staged.sweep()
+            done = sweeps
+            got, want = staged.residual_norm(), _stacked_residual_norm(u, rhs, diff)
+            assert got == want, (label, sweeps)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (label, sweeps)
+            assert (got == 0.0) == (label == "no-dof")
+    assert len(labels) == 7
+
+
+def test_staged_residual_leaves_the_sweeps_bit_for_bit():
+    """A staged residual between sweeps overwrites only images the next
+    sweep rewrites before reading: interleaved with `residual_norm` calls,
+    every later iterate and lagged norm keeps its bits."""
+    rng = np.random.default_rng(131)
+    for label, hier, diff, rhs, u in staged_residual_cases(rng):
+        sm = choose_omega(diff, u.masks)
+        ref = u.copy()
+        plain = solver._StagedSweep(ref, rhs, diff, sm)
+        probed = solver._StagedSweep(u, rhs, diff, sm)
+        for sweep in range(6):
+            probed.residual_norm()
+            if sweep % 2:
+                probed.residual_norm()
+            assert probed.sweep() == plain.sweep(), (label, sweep)
+            assert [a.tobytes() for a in u.values] == [b.tobytes() for b in ref.values]
+
+
+def test_solve_certifies_its_final_residual_with_apply_stacked():
+    """`llmg_solve` checks its final entry against `apply_stacked` once: a
+    staged section coefficient scaled by 1 + 1e-3 makes the staged residual
+    disagree, and the solve raises naming both values."""
+    hier = build_hierarchy(5, 3)
+    nf = hier.n(2)
+    rng = np.random.default_rng(137)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    masks = uniform_masks(hier)
+    sm = choose_omega(diff, masks)
+    u0 = random_field(hier, masks, rng)
+    _, report = llmg_solve(u0, rhs, diff, sm, max_sweeps=3)
+    assert report.iterations == 3
+    stage = solver._StagedSweep.__init__
+
+    def perturbed(self, *args):
+        stage(self, *args)
+        self.stages[-1].section.coef[0, 0] *= 1 + 1e-3
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._StagedSweep, "__init__", perturbed)
+        for max_sweeps in (0, 3):
+            with pytest.raises(ArithmeticError, match=r"staged stacked residual .* differs from apply_stacked's"):
+                llmg_solve(u0, rhs, diff, sm, max_sweeps=max_sweeps)
 
 
 def test_sweep_input_validation():
