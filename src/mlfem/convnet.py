@@ -12,13 +12,15 @@ Kernel/image conventions: channels-first `(C, n1, n2)` images, row-major,
 zero padding outside the lattice (the Dirichlet boundary carries zeros
 anyway).  Window offsets count from the kernel's centre tap, and strided
 modes align that tap with the coarse-coincident fine node `2i`.  Every
-layer reads its neighbours through `field.offset_views`, the shift
-primitive of the direct route too; it moves images and derives no weight,
-so the kernels stay an independent derivation.
+layer runs as one fixed-weight gather, `field.Taps`, the primitive the
+direct route stages its level ops with: it gathers each weight's input
+and sums the products, with the layer's own weights, and derives no
+weight, so the kernels stay an independent derivation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from .adapt import level_thresholds, warn_dropped_marks
 from .assembly import DiffusionField, RhsField, occupied_depth
 from .estimator import EstimatorField, closed_forms, on_leaves
-from .field import LevelMask, MultilevelField, make_mask, offset_views, zero_frame
+from .field import LevelMask, MultilevelField, Taps, make_mask, offset_views, zero_frame
 from .mesh import (
     NODE_TRIANGLES,
     TRI_CHILD_OFFSETS,
@@ -70,21 +72,28 @@ class ConvKernel:
     zero-dilated adjoint, so its weights keep the strided2 layout (first axis
     indexes the *input* of the transposed application).
 
-    The layer is staged once, at construction, in the form `conv_apply`
-    applies it: `taps` holds the weights at each nonzero window position and
-    `offsets` the lattice offset that tap reads its input at (the window
-    offset from the centre tap, mirrored for transpose-strided2).  A tap is
-    the (out, in) weight matrix; when the layer contracts one channel only
-    (in_channels == 1, or out_channels == 1 for transpose-strided2) it is
-    the emitted channels' weights shaped (emitted, 1, 1) for a broadcast
-    product.  The weights are read here only, so they must not change later.
+    The layer is staged once, at construction, as the terms of one
+    `field.Taps` gather (`_stage_layer`): each emitted channel's taps are
+    its nonzero window positions in row-major order, and a tap's terms are
+    the contracted channels with a nonzero weight there, in channel order.
+    `pattern` lists the terms as (channel, row offset, column offset) rows
+    in the gather's row order: the offset is the window offset from the
+    centre tap, mirrored for transpose-strided2, and channel -1 reads the
+    zero that `conv_apply` appends to its input (it pads emitted channels
+    with fewer taps).  `coef` holds the terms' weights and `channels` the
+    (emitted, taps) term counts.  Layers with equal weights and mode share
+    one staging and its gathers, so a layer built afresh for every call
+    (`conv_mark_refine`) stages nothing after the first.  The weights are
+    read here only, so they must not change later.
     """
 
     weights: np.ndarray
     bias: np.ndarray | None = None
     mode: str = "plain"
-    taps: tuple[np.ndarray, ...] = dc_field(init=False, repr=False)
-    offsets: tuple[tuple[int, int], ...] = dc_field(init=False, repr=False)
+    pattern: bytes = dc_field(init=False, repr=False)
+    coef: np.ndarray = dc_field(init=False, repr=False)
+    channels: np.ndarray = dc_field(init=False, repr=False)
+    _gathers: dict = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if self.weights.ndim != 4:
@@ -94,23 +103,13 @@ class ConvKernel:
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown conv mode {self.mode!r}")
         # a transposed layer emits in_channels channels (see conv_apply)
-        transposed = self.mode == "transpose-strided2"
-        emitted = self.in_channels if transposed else self.out_channels
+        emitted = self.in_channels if self.mode == "transpose-strided2" else self.out_channels
         if self.bias is not None and self.bias.shape != (emitted,):
             raise ConfigurationError("bias must have one entry per emitted channel")
-
-        single = (self.out_channels if transposed else self.in_channels) == 1
-        height, width = self.weights.shape[2:]
-        taps, offsets = [], []
-        for d1 in range(height):
-            for d2 in range(width):
-                tap = self.weights[:, :, d1, d2]
-                if tap.any():
-                    taps.append(tap.reshape(emitted, 1, 1) if single else tap)
-                    o1, o2 = d1 - (height - 1) // 2, d2 - (width - 1) // 2
-                    offsets.append((-o1, -o2) if transposed else (o1, o2))
-        object.__setattr__(self, "taps", tuple(taps))
-        object.__setattr__(self, "offsets", tuple(offsets))
+        w = self.weights
+        staged = _stage_layer(w.tobytes(), w.shape, w.dtype.str, self.mode)
+        for name, value in zip(("pattern", "coef", "channels", "_gathers"), staged):
+            object.__setattr__(self, name, value)
 
     @property
     def out_channels(self) -> int:
@@ -119,6 +118,88 @@ class ConvKernel:
     @property
     def in_channels(self) -> int:
         return self.weights.shape[1]
+
+    def gather(self, shape: tuple[int, int, int]) -> Taps:
+        """The layer's `field.Taps` on a (channels, n1, n2) input, built on
+        first use and kept; the index comes from `_gather_index`."""
+        taps = self._gathers.get(shape)
+        if taps is None:
+            index = _gather_index(self.pattern, self.mode, shape)
+            taps = self._gathers[shape] = Taps(index, self.coef, self.channels)
+        return taps
+
+
+@functools.lru_cache(maxsize=256)
+def _stage_layer(weights: bytes, shape: tuple, dtype: str, mode: str) -> tuple:
+    """(pattern, coef, channels, gathers) of `ConvKernel` for these weights.
+
+    Every layer with these weights and mode gets the same objects, the
+    gathers dict included: it fills as the layers meet new input shapes.
+    """
+    window = np.frombuffer(weights, dtype=dtype).reshape(shape)
+    transposed = mode == "transpose-strided2"
+    # nonzero weights in (emitted, row, column, contracted) order
+    window = window.transpose(1, 2, 3, 0) if transposed else window.transpose(0, 2, 3, 1)
+    nonzero = np.nonzero(window)
+    centre = [(size - 1) // 2 for size in window.shape[1:3]]
+    sign = -1 if transposed else 1
+    taps = [[] for _ in range(window.shape[0])]  # per emitted: [(position, terms)]
+    for e, d1, d2, c, w in zip(*(a.tolist() for a in nonzero), window[nonzero].tolist()):
+        if not taps[e] or taps[e][-1][0] != (d1, d2):
+            taps[e].append(((d1, d2), []))
+        taps[e][-1][1].append((c, sign * (d1 - centre[0]), sign * (d2 - centre[1]), w))
+    count = max(1, max(map(len, taps)))
+    terms = [t for row in taps for _, t in row + [(None, [(-1, 0, 0, 0.0)])] * (count - len(row))]
+    ranked = [t[rank] for rank in range(max(map(len, terms))) for t in terms if rank < len(t)]
+    pattern = np.array([row[:3] for row in ranked], dtype=np.intp)
+    coef = np.array([row[3:] for row in ranked], dtype=dtype)
+    coef.flags.writeable = False
+    channels = np.array([len(t) for t in terms]).reshape(len(taps), count)
+    channels.flags.writeable = False
+    return pattern.tobytes(), coef, channels, {}
+
+
+@functools.lru_cache(maxsize=256)
+def _gather_index(pattern: bytes, mode: str, shape: tuple[int, int, int]) -> np.ndarray:
+    """Flat source indices of a staged pattern on a (channels, n1, n2) input
+    with one zero appended (`conv_apply`): (terms, output nodes), row-major.
+
+    Each output node reads its term's channel at the node's source position
+    plus the term's offset: the node itself (plain), the fine node 2i
+    (strided2), or the zero-dilated image's node (transpose-strided2), whose
+    input node is half its position when both coordinates are even.  Reads
+    that leave the lattice, land between the dilated input nodes, or belong
+    to a padding term read the appended zero.  Keyed on the pattern, mode
+    and shape, not on the weights, so its size is bounded by the layers'
+    patterns and lattices, not by how many layers are built.
+    """
+    rows = np.frombuffer(pattern, dtype=np.intp).reshape(-1, 3)
+    chan, o1, o2 = (rows[:, i, None, None] for i in range(3))
+    cin, n1, n2 = shape
+    y1, y2 = np.indices(_lattice(mode, n1, n2), sparse=True)
+    if mode == "transpose-strided2":
+        z1, z2 = y1 + o1, y2 + o2
+        s1, s2 = z1 // 2, z2 // 2
+        reads = (z1 % 2 == 0) & (z2 % 2 == 0)
+    else:
+        step = 2 if mode == "strided2" else 1
+        s1, s2 = step * y1 + o1, step * y2 + o2
+        reads = True
+    reads = reads & (chan >= 0) & (s1 >= 0) & (s1 < n1) & (s2 >= 0) & (s2 < n2)
+    index = np.where(reads, (chan * n1 + s1) * n2 + s2, cin * n1 * n2).reshape(len(rows), -1)
+    index.flags.writeable = False
+    return index
+
+
+def _lattice(mode: str, n1: int, n2: int) -> tuple[int, int]:
+    """The output lattice of a layer of this mode on an (n1, n2) input."""
+    if mode == "transpose-strided2":
+        return 2 * n1 - 1, 2 * n2 - 1
+    step = 2 if mode == "strided2" else 1
+    return (n1 - 1) // step + 1, (n2 - 1) // step + 1
+
+
+_ZERO = np.zeros(1)
 
 
 def conv_apply(kernel: ConvKernel, image: np.ndarray) -> np.ndarray:
@@ -129,11 +210,16 @@ def conv_apply(kernel: ConvKernel, image: np.ndarray) -> np.ndarray:
     coarse lattice, the centre tap on the coincident fine node.
     transpose-strided2: exact adjoint of strided2, coarse in, fine out.
 
-    Every tap reads its neighbours through `field.offset_views` at the
-    kernel's staged offsets: strided2 is the plain conv read at every second
-    node, and transpose-strided2 is the plain conv of the zero-dilated input
-    with mirrored offsets.  A tap that contracts one channel is a broadcast
-    product, the others an `np.einsum` over the contracted channels.
+    The layer runs as its staged gather (`ConvKernel.gather`) on the image
+    with one zero appended, which every read off the lattice (or, for
+    transpose-strided2, between the zero-dilated input nodes) takes; then
+    the bias is added.  The sums run over the taps in row-major window
+    order and, within a tap, over the contracted channels in order, each
+    from +0.0: the bytes of a loop of per-tap `np.einsum` products over the
+    zero-padded (zero-dilated) image, for finite inputs.  A zero weight is
+    no term, so it reads no input: an inf input stays inf (or -inf) in
+    every output it reaches through nonzero weights, instead of turning
+    into NaN through 0 * inf elsewhere.
     """
     if image.ndim != 3:
         raise ConfigurationError(f"expected (channels, n1, n2) image, got {image.shape}")
@@ -147,24 +233,10 @@ def conv_apply(kernel: ConvKernel, image: np.ndarray) -> np.ndarray:
         raise ConfigurationError(
             f"strided2 needs an odd fine lattice (2n-1 layout), got {image.shape}"
         )
-
-    if kernel.mode == "transpose-strided2":
-        # out[c, 2i + offset] += w[o, c, tap] * in[o, i]
-        dilated = np.zeros((cin, 2 * n1 - 1, 2 * n2 - 1))
-        dilated[:, ::2, ::2] = image
-        out = np.zeros((kernel.in_channels,) + dilated.shape[1:])
-        for tap, view in zip(kernel.taps, offset_views(dilated, kernel.offsets)):
-            out += tap * view if cin == 1 else np.einsum("oc,oab->cab", tap, view)
-    else:
-        step = 2 if kernel.mode == "strided2" else 1
-        out = np.zeros((kernel.out_channels, (n1 - 1) // step + 1, (n2 - 1) // step + 1))
-        for tap, view in zip(kernel.taps, offset_views(image, kernel.offsets)):
-            view = view[:, ::step, ::step]
-            # (O, I) x (I, a, b) -> (O, a, b)
-            out += tap * view if cin == 1 else np.einsum("oc,cab->oab", tap, view)
+    out = kernel.gather(image.shape)(np.concatenate((image.reshape(-1), _ZERO)))
     if kernel.bias is not None:
-        out += kernel.bias[:, None, None]
-    return out
+        out += kernel.bias[:, None]
+    return out.reshape(out.shape[:1] + _lattice(kernel.mode, n1, n2))
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +439,8 @@ def conv_apply_A(
         raise ConfigurationError(
             f"stack {stack.shape} and upsilon {upsilon.shape} do not pair"
         )
-    sections = conv_apply(bank.operator, stack)
-    acc = np.zeros(stack.shape[1:])
-    for chan in range(6):
-        acc += upsilon[chan] * sections[chan]
+    # the channel sum from +0.0, in channel order
+    acc = np.add.reduce(upsilon * conv_apply(bank.operator, stack), axis=0)
     return zero_frame(acc * (2.0 / (h * h)))
 
 

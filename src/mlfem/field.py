@@ -18,6 +18,7 @@ from .mesh import GridHierarchy, hat_overlap_offsets
 __all__ = [
     "LevelMask",
     "MultilevelField",
+    "Taps",
     "offset_views",
     "shift",
     "zero_frame",
@@ -45,17 +46,75 @@ def offset_views(image: np.ndarray, offsets) -> list[np.ndarray]:
 
     All views read one zero-padded copy of `image`, so entries whose source
     index leaves the lattice are zero.  Leading axes are carried along; the
-    offsets act on the last two.  Both routes read their neighbours from such
-    views: every stencil of the direct route (stiffness action, its
-    transpose, load and Gershgorin sums, mask closure, Upsilon channels) and
-    every tap of `convnet.conv_apply`.  The padding radius is computed once
-    per offset set (keyed by its tuple of offsets) and looked up afterwards.
+    offsets act on the last two.  The unstaged stencils read their
+    neighbours from such views: the direct route's stiffness action, its
+    transpose, load and Gershgorin sums, mask closure and Upsilon channels,
+    and the conv route's Upsilon gates and refinement read-out.  Staged ops
+    (a solve's level steps, every conv layer) gather through `Taps`
+    instead.  The padding radius is computed once per offset set (keyed by
+    its tuple of offsets) and looked up afterwards.
     """
     r = _pad_radius(tuple(offsets))
     n1, n2 = image.shape[-2], image.shape[-1]
     padded = np.zeros(image.shape[:-2] + (n1 + 2 * r, n2 + 2 * r), dtype=image.dtype)
     padded[..., r : r + n1, r : r + n2] = image
     return [padded[..., r + d1 : r + d1 + n1, r + d2 : r + d2 + n2] for d1, d2 in offsets]
+
+
+class Taps:
+    """A fixed-weight gather: out[..., j] = sum_t coef[..., t, j] * src[index[..., t, j]].
+
+    `index` holds flat source indices, shape (..., T, m), and `coef`
+    broadcasts to it.  The sum over the tap axis is one `np.add.reduce`: it
+    starts from +0.0 and adds the taps in order, as an `out = zeros; out +=
+    w * view` loop does (numpy sums a single column pairwise from T = 8 on,
+    so an m = 1 gather keeps that order only for T <= 7).
+
+    With `channels`, an (E, T) array of positive counts, tap t of output e
+    contracts channels[e, t] terms, summed in order before the taps are.
+    `index` is then (R, m): rows 0..E*T-1 hold each tap's first term in
+    (e, t) order, and the rows after them each tap's further terms rank by
+    rank, the second term of every tap that has one, in tap order, then the
+    third, and so on.  The output is (E, m).  A tap's sum starts from its
+    first term rather than +0.0; only the sign of a zero sum differs, and
+    adding it to the tap sum from +0.0 erases that.
+    """
+
+    def __init__(self, index: np.ndarray, coef: np.ndarray, channels: np.ndarray | None = None):
+        self.index, self.coef = index, coef
+        # the gathered terms, overwritten by every call: a fresh (T, m) array
+        # per call made the allocator return and refault its pages
+        self.terms = np.empty(index.shape)
+        # (taps that receive the rank's terms, rows holding them), rank by rank
+        self.channel_sums: list[tuple] = []
+        if channels is None:
+            return
+        self.taps = channels.size
+        self.shape = channels.shape + index.shape[-1:]
+        counts, row = channels.ravel(), channels.size
+        for rank in range(1, int(counts.max())):
+            dst = np.flatnonzero(counts > rank)
+            rows = slice(row, row + dst.size)
+            step = dst[1] - dst[0] if dst.size > 1 else 1
+            if (np.diff(dst) == step).all():
+                dst = slice(dst[0], dst[-1] + 1, step)
+            self.channel_sums.append((dst, rows))
+            row = rows.stop
+        if not self.channel_sums:
+            self.index = index.reshape(self.shape)
+            self.coef = coef.reshape(channels.shape + coef.shape[-1:])
+            self.terms = self.terms.reshape(self.shape)
+
+    def __call__(self, src: np.ndarray) -> np.ndarray:
+        """The gather of a float64 `src`; the indices are in range by
+        construction, so `take` skips its bounds check (clip mode)."""
+        terms = src.take(self.index, out=self.terms, mode="clip")
+        terms *= self.coef
+        if self.channel_sums:
+            for dst, rows in self.channel_sums:
+                terms[dst] += terms[rows]
+            terms = terms[: self.taps].reshape(self.shape)
+        return np.add.reduce(terms, axis=-2)
 
 
 def shift(a: np.ndarray, d1: int, d2: int) -> np.ndarray:

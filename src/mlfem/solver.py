@@ -17,8 +17,8 @@ stay separately derived.
 
 A solve stages its sweep once (`_StagedSweep`): the masks, loads, stencil
 images and damping are fixed while it runs.  Each occupied level stages its
-four ops as fixed-weight gathers (`_Taps`): the section on its active rows,
-so a smoothing step's work follows the active set, and the transposed
+four ops as fixed-weight gathers (`field.Taps`): the section on its active
+rows, so a smoothing step's work follows the active set, and the transposed
 action, restriction and interpolation on full level interiors.  The
 carried-down chain is built once and kept current by the sweeps.  The
 iterates are those of the full-lattice loop over the level steps, bit for
@@ -42,7 +42,7 @@ from .assembly import (
     assemble_global,
     occupied_depth,
 )
-from .field import LevelMask, MultilevelField, offset_views, zero_field, zero_frame
+from .field import LevelMask, MultilevelField, Taps, offset_views, zero_field, zero_frame
 from .mesh import ConfigurationError, hat_overlap_offsets
 
 __all__ = [
@@ -166,28 +166,10 @@ def _square(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return i1.ravel(), i2.ravel()
 
 
-class _Taps:
-    """A fixed-weight gather: out[j] = sum_t coef[t, j] * src[index[t, j]].
-
-    `index` holds (T, m) flat source indices and `coef` broadcasts to them.
-    The axis-0 `np.add.reduce` starts from +0.0 and adds the taps in order,
-    as the `out = zeros; out += w * view` loops of `apply_stencil` do (numpy
-    sums a single column pairwise from T = 8 on; every op here has T <= 7).
-    """
-
-    def __init__(self, index: np.ndarray, coef: np.ndarray):
-        self.index, self.coef = index, coef
-
-    def __call__(self, src: np.ndarray) -> np.ndarray:
-        terms = src[self.index]
-        terms *= self.coef
-        return np.add.reduce(terms, axis=0)
-
-
 class _LevelStage:
     """The direct route's ops of occupied level k for `llmg_schedule`: what
     the level fixes for the sweeps of one solve, staged once.  Each op is
-    one `_Taps` over flat lattice indices of level k or its neighbour:
+    one `field.Taps` over flat lattice indices of level k or its neighbour:
     - `section`: the seven stencil neighbours of the active interior rows
       in a frame-zeroed copy of u_k + utilde_k, with the gathered weights;
     - `transposed` (levels > 0): the mirrored neighbours of the interior in
@@ -245,7 +227,7 @@ class _LevelStage:
         r1, r2 = r1 + 1, r2 + 1
         self.rows = r1 * n + r2
         self.loads = f.images[k][r1, r2]
-        self.section = _Taps((r1 + _D1) * n + r2 + _D2, weights[:, r1, r2])
+        self.section = Taps((r1 + _D1) * n + r2 + _D2, weights[:, r1, r2])
         self.residual = np.zeros(n * n)
 
         if k > 0:
@@ -253,11 +235,11 @@ class _LevelStage:
             self.interior = a1 * n + a2
             mirrored = (a1 - _D1) * n + a2 - _D2
             inner = zero_frame(weights).reshape(7, -1)
-            self.transposed = _Taps(mirrored, np.take_along_axis(inner, mirrored, axis=1))
+            self.transposed = Taps(mirrored, np.take_along_axis(inner, mirrored, axis=1))
             nc = hier.n(k - 1)
             c1, c2 = _square(1, nc - 1)
             neighbours = (2 * c1 + _D1 - 1) * (n - 2) + 2 * c2 + _D2 - 1
-            self.restriction = _Taps(neighbours, np.array([[1.0]] + [[0.5]] * 6))
+            self.restriction = Taps(neighbours, np.array([[1.0]] + [[0.5]] * 6))
             self.coarse_flat, self.coarse_interior = bar[k - 1].reshape(-1), c1 * nc + c2
 
         if k + 1 < len(tld):
@@ -265,7 +247,7 @@ class _LevelStage:
             f1, f2 = _square(1, nf - 1)
             self.next_flat, self.fine = tld[k + 1].reshape(-1), f1 * nf + f2
             lo, hi = (f1 // 2) * n + f2 // 2, ((f1 + 1) // 2) * n + (f2 + 1) // 2
-            self.interpolation = _Taps(np.array([lo, hi]), np.full((2, 1), 0.5))
+            self.interpolation = Taps(np.array([lo, hi]), np.full((2, 1), 0.5))
 
     def row_residual(self) -> np.ndarray:
         """loads - (scale * section + ubar_k) on the active rows, from the

@@ -34,6 +34,7 @@ from mlfem.convnet import (
 from mlfem.estimator import estimate
 from mlfem.field import (
     MultilevelField,
+    Taps,
     empty_mask,
     flatten_to_finest,
     offset_views,
@@ -262,48 +263,156 @@ def einsum_conv(kernel, image):
     return out
 
 
-@pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("mode", sorted(ORACLE_LATTICES))
-def test_single_channel_taps_give_the_einsum_bytes(mode, bias):
-    """A layer that contracts one channel applies each tap as a broadcast
-    product; the bytes are those of an `np.einsum` per tap, signed zeros
-    included."""
-    rng = np.random.default_rng(29)
-    transposed = mode == "transpose-strided2"
-    shape = (1, 3, 3, 3) if transposed else (3, 1, 3, 3)
-    weights = rng.normal(size=shape)
-    weights[..., 0, 2] = 0.0  # a zero tap is skipped
-    weights[0, 0, 1, 0] = -0.0
-    emitted = 3
-    kern = ConvKernel(weights, mode=mode, bias=rng.normal(size=emitted) if bias else None)
-    assert all(tap.shape == (emitted, 1, 1) for tap in kern.taps)
-    for lattice in ORACLE_LATTICES[mode]:
-        img = rng.normal(size=(1,) + lattice)
-        img[0, ::2, 1::3] = -0.0
-        got = conv_apply(kern, img)
-        want = einsum_conv(kern, img)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
-def test_bank_kernels_stage_a_fresh_scan_of_their_weights():
-    bank = build_stencil_bank(build_hierarchy(3, 2))
+def bank_kernels(bank):
     kernels = {
         name: getattr(bank, name)
         for name in ("operator", "operator_transpose", "upsilon", "prolong", "restrict",
                      "corner", "aggregate_r2", "aggregate_j2", "refine", "translate")
     }
     kernels.update((f"jump_{name}", k) for name, k in bank.jumps.items())
-    for name, kernel in kernels.items():
-        transposed = kernel.mode == "transpose-strided2"
-        contracted = kernel.out_channels if transposed else kernel.in_channels
-        scan = scanned_taps(kernel)
-        want_offsets = tuple((-o1, -o2) if transposed else (o1, o2) for (o1, o2), _ in scan)
-        assert kernel.offsets == want_offsets, name
-        assert len(kernel.taps) == len(scan), name
-        for tap, (_, matrix) in zip(kernel.taps, scan):
-            want = matrix.reshape(-1, 1, 1) if contracted == 1 else matrix
-            assert tap.shape == want.shape and np.array_equal(tap, want), name
+    return kernels
+
+
+def plant_zeros(rng, a, share=0.2):
+    """a with about `share` of its entries set to +0.0 or -0.0 at random."""
+    a = a.copy()
+    hit = rng.random(a.shape) < share
+    a[hit] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[hit]
+    return a
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("mode", sorted(ORACLE_LATTICES))
+def test_single_channel_taps_give_the_einsum_bytes(mode, bias):
+    """Every layer's staged gather gives the bytes of an `np.einsum` per
+    tap (`einsum_conv`), signed zeros included: single-channel layers,
+    random multi-channel layers with sparse and +-0.0 weights (and +-0.0
+    bias entries), on odd and even lattices with planted +-0.0 inputs, and
+    the bank's kernels of this mode at n = 5, 9 and 17."""
+    rng = np.random.default_rng(29)
+    transposed = mode == "transpose-strided2"
+    weights = rng.normal(size=(1, 3, 3, 3) if transposed else (3, 1, 3, 3))
+    weights[..., 0, 2] = 0.0  # a zero tap is skipped
+    weights[0, 0, 1, 0] = -0.0
+    layers = [weights]
+    for size in ((1, 1), (2, 2), (3, 3), (3, 5), (5, 3)):
+        for channels in ((2, 3), (4, 2), (1, 7), (6, 7), (3, 1)):
+            w = rng.normal(size=channels + size) * (rng.random(channels + size) < 0.5)
+            layers.append(plant_zeros(rng, w))
+    cases = []
+    for w in layers:
+        emitted = w.shape[1] if transposed else w.shape[0]
+        b = plant_zeros(rng, rng.normal(size=emitted), 0.4) if bias else None
+        kern = ConvKernel(w, mode=mode, bias=b)
+        cin = w.shape[0] if transposed else w.shape[1]
+        cases += [(kern, (cin,) + lattice) for lattice in ORACLE_LATTICES[mode]]
+    if not bias:
+        bank = build_stencil_bank(build_hierarchy(3, 2))
+        for kern in bank_kernels(bank).values():
+            if kern.mode == mode:
+                cin = kern.out_channels if transposed else kern.in_channels
+                cases += [(kern, (cin, n, n)) for n in (5, 9, 17)]
+    assert len(cases) >= 78
+    for kern, shape in cases:
+        img = plant_zeros(rng, rng.normal(size=shape))
+        got = conv_apply(kern, img)
+        want = einsum_conv(kern, img)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def staged_terms(kernel):
+    """A fresh scan of the weights into the staged gather's rows: per
+    emitted channel its nonzero window positions in row-major order, padded
+    with zero-reading taps to the longest, and per tap its (channel, offset
+    from the centre tap, mirrored for transpose-strided2, weight) terms in
+    channel order; the rows rank by rank, as `field.Taps` takes them."""
+    transposed = kernel.mode == "transpose-strided2"
+    w = kernel.weights.transpose(1, 0, 2, 3) if transposed else kernel.weights
+    taps = []
+    for e in range(w.shape[0]):
+        taps.append([])
+        for (o1, o2), matrix in scanned_taps(ConvKernel(w[e : e + 1])):
+            off = (-o1, -o2) if transposed else (o1, o2)
+            taps[-1].append([(c, off, matrix[0, c]) for c in range(w.shape[1]) if matrix[0, c]])
+    count = max(1, max(map(len, taps)))
+    flat = [tap for row in taps for tap in row + [[(-1, (0, 0), 0.0)]] * (count - len(row))]
+    rows = [tap[r] for r in range(max(map(len, flat))) for tap in flat if r < len(tap)]
+    return rows, np.array([len(tap) for tap in flat]).reshape(len(taps), count)
+
+
+def test_bank_kernels_stage_a_fresh_scan_of_their_weights():
+    """Each bank kernel stages the terms of a fresh scan of its weights:
+    the (channel, offset) pattern, the weights and the per-tap counts, with
+    no padding tap; its gather is a `field.Taps` on the pattern's index,
+    which layers with one pattern (the two aggregation kernels) share."""
+    bank = build_stencil_bank(build_hierarchy(3, 2))
+    for name, kernel in bank_kernels(bank).items():
+        rows, counts = staged_terms(kernel)
+        pattern = np.frombuffer(kernel.pattern, dtype=np.intp).reshape(-1, 3)
+        assert pattern.tolist() == [[c, o1, o2] for c, (o1, o2), _ in rows], name
+        assert kernel.coef.tolist() == [[w] for _, _, w in rows], name
+        assert np.array_equal(kernel.channels, counts), name
+        assert (pattern[:, 0] >= 0).all(), name
+        cin = kernel.out_channels if kernel.mode == "transpose-strided2" else kernel.in_channels
+        assert type(kernel.gather((cin, 5, 5))) is Taps, name
+    r2, j2 = bank.aggregate_r2.gather((2, 9, 9)), bank.aggregate_j2.gather((2, 9, 9))
+    assert r2.index is j2.index and r2.coef is not j2.coef
+
+
+def test_staging_pads_uneven_taps_and_skips_zero_weights():
+    """An emitted channel with fewer taps gets zero-reading taps, and a
+    zero or -0.0 weight is no term; the counts give each tap's terms."""
+    w = np.zeros((2, 3, 3, 3))
+    w[0, 1, 0, 0], w[0, 2, 0, 0], w[0, 0, 2, 2] = 1.0, 2.0, 3.0
+    w[1, 2, 1, 1], w[1, 0, 1, 1] = 4.0, -0.0
+    kern = ConvKernel(w)
+    pattern = np.frombuffer(kern.pattern, dtype=np.intp).reshape(-1, 3)
+    # first terms: output 0 at (-1, -1) and (1, 1), output 1 at the centre
+    # and its padding tap; then output 0's second term at (-1, -1)
+    assert pattern.tolist() == [[1, -1, -1], [0, 1, 1], [2, 0, 0], [-1, 0, 0], [2, -1, -1]]
+    assert kern.coef.ravel().tolist() == [1.0, 3.0, 4.0, 0.0, 2.0]
+    assert kern.channels.tolist() == [[2, 1], [1, 1]]
+    img = np.random.default_rng(31).normal(size=(3, 4, 5))
+    assert conv_apply(kern, img).tobytes() == einsum_conv(kern, img).tobytes()
+
+
+def test_zero_weights_read_no_input():
+    """A zero weight is no term of the gather: the one-hot translate layer
+    moves an inf to one node per channel and leaves +0.0 elsewhere, where an
+    einsum over every channel of each tap would give 0 * inf = NaN; a
+    multi-channel layer ignores an inf channel it does not weight."""
+    bank = build_stencil_bank(build_hierarchy(3, 2))
+    img = np.zeros((7, 7))
+    img[3, 4] = np.inf
+    stack = conv_apply(bank.translate, img[None])
+    assert np.array_equal(stack, np.stack(offset_views(img, hat_overlap_offsets())))
+    assert not np.isnan(stack).any() and np.isinf(stack).sum() == 7
+    pair = np.stack([np.ones((5, 5)), np.full((5, 5), -np.inf)])
+    first = ConvKernel(np.array([1.0, 0.0]).reshape(1, 2, 1, 1))
+    assert np.array_equal(conv_apply(first, pair), np.ones((1, 5, 5)))
+
+
+@pytest.mark.filterwarnings("ignore:dropping .* marked triangles:RuntimeWarning")
+def test_fresh_mark_layers_reuse_their_gather_index():
+    """`conv_mark_refine` builds fresh 1x1 layers on every call; their
+    staging is keyed on the weights and mode, and their gather index on the
+    pattern, mode and lattice, so calls after the first stage nothing."""
+    hier = build_hierarchy(5, 3)
+    bank = build_stencil_bank(hier)
+    rng = np.random.default_rng(37)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(17, 17)))
+    masks = random_masks(hier, rng)
+    est = estimate(random_field(hier, masks, rng), np.ones((17, 17)), diff, masks)
+    deltas = [0.3 * float(e.max()) + 1e-12 for e in est.eta2]
+    first = conv_mark_refine(bank, est, deltas, masks)
+    caches = (convnet._stage_layer, convnet._gather_index)
+    staged = [cache.cache_info().misses for cache in caches]
+    for scale in (0.5, 1.0, 2.0):
+        got = conv_mark_refine(bank, est, [scale * d for d in deltas], masks)
+        if scale == 1.0:
+            assert [m.active.tobytes() for m in got] == [m.active.tobytes() for m in first]
+    assert [cache.cache_info().misses for cache in caches] == staged
 
 
 # ---------------------------------------------------------------- stencil bank

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlfem import assembly, field, solver
+from mlfem import assembly, convnet, field, solver
 from mlfem.assembly import (
     STENCIL_COUPLINGS,
     apply_A_level,
@@ -519,10 +519,10 @@ def test_taps_add_in_tap_order():
     """A gather adds its terms in tap order, for one column and for several:
     (1e16, 1, -1e16) loses the 1, (1e16, -1e16, 1) keeps it."""
     src, ones = np.array([1e16, 1.0, -1e16]), np.ones((3, 1))
-    assert solver._Taps(np.array([[0], [1], [2]]), ones)(src).tolist() == [0.0]
-    assert solver._Taps(np.array([[0], [2], [1]]), ones)(src).tolist() == [1.0]
+    assert field.Taps(np.array([[0], [1], [2]]), ones)(src).tolist() == [0.0]
+    assert field.Taps(np.array([[0], [2], [1]]), ones)(src).tolist() == [1.0]
     # two columns, one in each order
-    assert solver._Taps(np.array([[0, 0], [1, 2], [2, 1]]), ones)(src).tolist() == [0.0, 1.0]
+    assert field.Taps(np.array([[0, 0], [1, 2], [2, 1]]), ones)(src).tolist() == [0.0, 1.0]
 
 
 def test_taps_sum_of_negative_zeros_is_positive_zero():
@@ -536,16 +536,32 @@ def test_taps_sum_of_negative_zeros_is_positive_zero():
         out = np.zeros(1)
         for term in terms:
             out += term
-        got = solver._Taps(index, coef)(src)
+        got = field.Taps(index, coef)(src)
         assert got.tobytes() == out.tobytes() == np.zeros(1).tobytes()
+
+
+def test_taps_sum_each_taps_channels_first():
+    """With `channels`, each tap's terms are summed in order before the
+    taps are: tap (0, 0) reads (1e16, 1, -1e16) and loses the 1, where one
+    sum over output 0's rows in their stored order would keep a 4.  Rows
+    are each tap's first term, then the further terms rank by rank; the
+    second case's rank-1 taps (0, 1, 3) are not evenly spaced."""
+    src = np.array([1e16, 1.0, -1e16, 3.0])
+    index = np.array([[0], [3], [1], [2], [1], [0], [2]])
+    got = field.Taps(index, np.ones((7, 1)), np.array([[3, 1], [1, 2]]))(src)
+    assert got.tolist() == [[3.0], [1.0]]
+    src = np.array([1.0, 2.0, 4.0, 8.0])
+    index = np.array([[0], [2], [3], [1], [1], [3], [0]])
+    got = field.Taps(index, np.ones((7, 1)), np.array([[2, 2], [1, 2]]))(src)
+    assert got.tolist() == [[15.0], [11.0]]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_every_level_op_is_one_gather(depth):
-    """Each stage's ops are `_Taps`: the section on every occupied level,
-    the transposed action and restriction on levels > 0, the interpolation
-    below the deepest occupied level; and the gathers' sum is written once,
-    in `_Taps.__call__`."""
+    """Each stage's ops are `field.Taps`: the section on every occupied
+    level, the transposed action and restriction on levels > 0, the
+    interpolation below the deepest occupied level; and the gathers' sum is
+    written once, in `field.Taps.__call__`, for the conv layers too."""
     hier = build_hierarchy(5, 4)
     nf = hier.n(3)
     rng = np.random.default_rng(107)
@@ -559,15 +575,17 @@ def test_every_level_op_is_one_gather(depth):
         ops = {op for op in names if hasattr(stage, op)}
         want = {"section"} | ({"transposed", "restriction"} if k > 0 else set())
         assert ops == want | ({"interpolation"} if k < depth - 1 else set())
-        assert all(type(getattr(stage, op)) is solver._Taps for op in ops)
-    tree = ast.parse(Path(solver.__file__).read_text(encoding="utf-8"))
-    owners = [
-        f"{cls.name}.{func.name}"
-        for cls in tree.body if isinstance(cls, ast.ClassDef)
-        for func in cls.body if isinstance(func, ast.FunctionDef)
-        for node in ast.walk(func) if isinstance(node, ast.Attribute) and node.attr == "reduce"
-    ]
-    assert owners == ["_Taps.__call__"]
+        assert all(type(getattr(stage, op)) is field.Taps for op in ops)
+    owners = []
+    for module in (field, solver, convnet):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        owners += [
+            f"{module.__name__}.{cls.name}.{func.name}"
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for func in cls.body if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func) if isinstance(node, ast.Attribute) and node.attr == "reduce"
+        ]
+    assert owners == ["mlfem.field.Taps.__call__", "mlfem.field.LevelMask.closure"]
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
