@@ -94,6 +94,34 @@ class RunConfig:
     count: int = 100
     out_dir: str = "afem-out"
 
+    def __post_init__(self):
+        """Reject settings no run can use, so no config (`dataclasses.replace`
+        included) holds them."""
+        n_ref = reference_nodes_per_side(build_hierarchy(self.coarse_nodes_per_side, self.levels))
+        if n_ref > MAX_NODES_PER_SIDE:
+            raise ConfigurationError(
+                f"the overkill reference would have {n_ref} nodes per side, more than "
+                f"{MAX_NODES_PER_SIDE}: lower hierarchy.levels or coarse_nodes_per_side"
+            )
+        if self.marking not in MARKING_STRATEGIES:
+            raise ConfigurationError(
+                f"afem.marking must be one of {MARKING_STRATEGIES}, got {self.marking!r}"
+            )
+        if not self.tol > 0.0:
+            raise ConfigurationError("solver.tol must be positive")
+        if self.max_sweeps < 1:
+            raise ConfigurationError("solver.max_sweeps must be >= 1")
+        if self.iterations < 1:
+            raise ConfigurationError("afem.iterations must be >= 1")
+        if not self.theta > 0.0:
+            raise ConfigurationError("afem.theta must be positive")
+        if self.marking == "doerfler" and not self.theta < 1.0:
+            raise ConfigurationError("afem.theta must lie in (0, 1) for doerfler marking")
+        if self.seed < 0:
+            raise ConfigurationError("sampling.seed must be >= 0")
+        if self.count < 1:
+            raise ConfigurationError("sampling.count must be >= 1")
+
 
 def _reject_unknown(given: dict, allowed, where: str) -> None:
     extra = sorted(set(given) - set(allowed))
@@ -148,36 +176,7 @@ def parse_config(raw: dict) -> RunConfig:
         for name, kinds in _SCHEMA.items()
         for key, kind in kinds.items()
     }
-    cfg = RunConfig(problem=problem, out_dir=out_dir, **values)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    n_ref = reference_nodes_per_side(build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels))
-    if n_ref > MAX_NODES_PER_SIDE:
-        raise ConfigurationError(
-            f"the overkill reference would have {n_ref} nodes per side, more than "
-            f"{MAX_NODES_PER_SIDE}: lower hierarchy.levels or coarse_nodes_per_side"
-        )
-    if cfg.marking not in MARKING_STRATEGIES:
-        raise ConfigurationError(
-            f"afem.marking must be one of {MARKING_STRATEGIES}, got {cfg.marking!r}"
-        )
-    if not cfg.tol > 0.0:
-        raise ConfigurationError("solver.tol must be positive")
-    if cfg.max_sweeps < 1:
-        raise ConfigurationError("solver.max_sweeps must be >= 1")
-    if cfg.iterations < 1:
-        raise ConfigurationError("afem.iterations must be >= 1")
-    if not cfg.theta > 0.0:
-        raise ConfigurationError("afem.theta must be positive")
-    if cfg.marking == "doerfler" and not cfg.theta < 1.0:
-        raise ConfigurationError("afem.theta must lie in (0, 1) for doerfler marking")
-    if cfg.seed < 0:
-        raise ConfigurationError("sampling.seed must be >= 0")
-    if cfg.count < 1:
-        raise ConfigurationError("sampling.count must be >= 1")
+    return RunConfig(problem=problem, out_dir=out_dir, **values)
 
 
 def load_config(path) -> RunConfig:
@@ -686,7 +685,6 @@ def main(argv=None) -> int:
         # verify writes nothing and runs one sample: it takes neither --out nor --workers
         if getattr(args, "out", None) is not None:
             cfg = replace(cfg, out_dir=args.out)
-        validate_config(cfg)
         workers = getattr(args, "workers", 1)
         if workers is None:
             workers = int(os.environ.get("AFEM_WORKERS", "1"))

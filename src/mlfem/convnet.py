@@ -20,7 +20,6 @@ weight, so the kernels stay an independent derivation.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
@@ -72,28 +71,26 @@ class ConvKernel:
     zero-dilated adjoint, so its weights keep the strided2 layout (first axis
     indexes the *input* of the transposed application).
 
-    The layer is staged once, at construction, as the terms of one
-    `field.Taps` gather (`_stage_layer`): each emitted channel's taps are
-    its nonzero window positions in row-major order, and a tap's terms are
-    the contracted channels with a nonzero weight there, in channel order.
-    `pattern` lists the terms as (channel, row offset, column offset) rows
-    in the gather's row order: the offset is the window offset from the
-    centre tap, mirrored for transpose-strided2, and channel -1 reads the
-    zero that `conv_apply` appends to its input (it pads emitted channels
-    with fewer taps).  `coef` holds the terms' weights and `channels` the
-    (emitted, taps) term counts.  Layers with equal weights and mode share
-    one staging and its gathers, so a layer built afresh for every call
-    (`conv_mark_refine`) stages nothing after the first.  The weights are
-    read here only, so they must not change later.
+    The layer keeps a read-only copy of the weights it is given and stages
+    it once, at construction, as the terms of one `field.Taps` gather: each
+    emitted channel's taps are its nonzero window positions in row-major
+    order, and a tap's terms are the contracted channels with a nonzero
+    weight there, in channel order.  `pattern` lists the terms as (R, 3)
+    (channel, row offset, column offset) rows in the gather's row order: the
+    offset is the window offset from the centre tap, mirrored for
+    transpose-strided2, and channel -1 reads the zero that `conv_apply`
+    appends to its input (it pads emitted channels with fewer taps).  `coef`
+    holds the terms' weights and `channels` the (emitted, taps) term counts.
+    The gather on each input lattice is built on the layer's first use of
+    it and kept by this layer alone.
     """
 
     weights: np.ndarray
-    bias: np.ndarray | None = None
     mode: str = "plain"
-    pattern: bytes = dc_field(init=False, repr=False)
+    pattern: np.ndarray = dc_field(init=False, repr=False)
     coef: np.ndarray = dc_field(init=False, repr=False)
     channels: np.ndarray = dc_field(init=False, repr=False)
-    _gathers: dict = dc_field(init=False, repr=False)
+    _gathers: dict = dc_field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.weights.ndim != 4:
@@ -102,13 +99,30 @@ class ConvKernel:
             )
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown conv mode {self.mode!r}")
-        # a transposed layer emits in_channels channels (see conv_apply)
-        emitted = self.in_channels if self.mode == "transpose-strided2" else self.out_channels
-        if self.bias is not None and self.bias.shape != (emitted,):
-            raise ConfigurationError("bias must have one entry per emitted channel")
-        w = self.weights
-        staged = _stage_layer(w.tobytes(), w.shape, w.dtype.str, self.mode)
-        for name, value in zip(("pattern", "coef", "channels", "_gathers"), staged):
+        weights = np.array(self.weights)
+        transposed = self.mode == "transpose-strided2"
+        # nonzero weights in (emitted, row, column, contracted) order
+        window = weights.transpose(1, 2, 3, 0) if transposed else weights.transpose(0, 2, 3, 1)
+        nonzero = np.nonzero(window)
+        centre = [(size - 1) // 2 for size in window.shape[1:3]]
+        sign = -1 if transposed else 1
+        taps = [[] for _ in range(window.shape[0])]  # per emitted: [(position, terms)]
+        for e, d1, d2, c, w in zip(*(a.tolist() for a in nonzero), window[nonzero].tolist()):
+            if not taps[e] or taps[e][-1][0] != (d1, d2):
+                taps[e].append(((d1, d2), []))
+            taps[e][-1][1].append((c, sign * (d1 - centre[0]), sign * (d2 - centre[1]), w))
+        count = max(1, max(map(len, taps)))
+        pad = [(None, [(-1, 0, 0, 0.0)])]
+        terms = [t for row in taps for _, t in row + pad * (count - len(row))]
+        ranked = [t[rank] for rank in range(max(map(len, terms))) for t in terms if rank < len(t)]
+        staged = {
+            "weights": weights,
+            "pattern": np.array([row[:3] for row in ranked], dtype=np.intp),
+            "coef": np.array([row[3:] for row in ranked], dtype=weights.dtype),
+            "channels": np.array([len(t) for t in terms]).reshape(len(taps), count),
+        }
+        for name, value in staged.items():
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
@@ -129,38 +143,7 @@ class ConvKernel:
         return taps
 
 
-@functools.lru_cache(maxsize=256)
-def _stage_layer(weights: bytes, shape: tuple, dtype: str, mode: str) -> tuple:
-    """(pattern, coef, channels, gathers) of `ConvKernel` for these weights.
-
-    Every layer with these weights and mode gets the same objects, the
-    gathers dict included: it fills as the layers meet new input shapes.
-    """
-    window = np.frombuffer(weights, dtype=dtype).reshape(shape)
-    transposed = mode == "transpose-strided2"
-    # nonzero weights in (emitted, row, column, contracted) order
-    window = window.transpose(1, 2, 3, 0) if transposed else window.transpose(0, 2, 3, 1)
-    nonzero = np.nonzero(window)
-    centre = [(size - 1) // 2 for size in window.shape[1:3]]
-    sign = -1 if transposed else 1
-    taps = [[] for _ in range(window.shape[0])]  # per emitted: [(position, terms)]
-    for e, d1, d2, c, w in zip(*(a.tolist() for a in nonzero), window[nonzero].tolist()):
-        if not taps[e] or taps[e][-1][0] != (d1, d2):
-            taps[e].append(((d1, d2), []))
-        taps[e][-1][1].append((c, sign * (d1 - centre[0]), sign * (d2 - centre[1]), w))
-    count = max(1, max(map(len, taps)))
-    terms = [t for row in taps for _, t in row + [(None, [(-1, 0, 0, 0.0)])] * (count - len(row))]
-    ranked = [t[rank] for rank in range(max(map(len, terms))) for t in terms if rank < len(t)]
-    pattern = np.array([row[:3] for row in ranked], dtype=np.intp)
-    coef = np.array([row[3:] for row in ranked], dtype=dtype)
-    coef.flags.writeable = False
-    channels = np.array([len(t) for t in terms]).reshape(len(taps), count)
-    channels.flags.writeable = False
-    return pattern.tobytes(), coef, channels, {}
-
-
-@functools.lru_cache(maxsize=256)
-def _gather_index(pattern: bytes, mode: str, shape: tuple[int, int, int]) -> np.ndarray:
+def _gather_index(rows: np.ndarray, mode: str, shape: tuple[int, int, int]) -> np.ndarray:
     """Flat source indices of a staged pattern on a (channels, n1, n2) input
     with one zero appended (`conv_apply`): (terms, output nodes), row-major.
 
@@ -169,11 +152,8 @@ def _gather_index(pattern: bytes, mode: str, shape: tuple[int, int, int]) -> np.
     (strided2), or the zero-dilated image's node (transpose-strided2), whose
     input node is half its position when both coordinates are even.  Reads
     that leave the lattice, land between the dilated input nodes, or belong
-    to a padding term read the appended zero.  Keyed on the pattern, mode
-    and shape, not on the weights, so its size is bounded by the layers'
-    patterns and lattices, not by how many layers are built.
+    to a padding term read the appended zero.
     """
-    rows = np.frombuffer(pattern, dtype=np.intp).reshape(-1, 3)
     chan, o1, o2 = (rows[:, i, None, None] for i in range(3))
     cin, n1, n2 = shape
     y1, y2 = np.indices(_lattice(mode, n1, n2), sparse=True)
@@ -212,14 +192,15 @@ def conv_apply(kernel: ConvKernel, image: np.ndarray) -> np.ndarray:
 
     The layer runs as its staged gather (`ConvKernel.gather`) on the image
     with one zero appended, which every read off the lattice (or, for
-    transpose-strided2, between the zero-dilated input nodes) takes; then
-    the bias is added.  The sums run over the taps in row-major window
-    order and, within a tap, over the contracted channels in order, each
-    from +0.0: the bytes of a loop of per-tap `np.einsum` products over the
-    zero-padded (zero-dilated) image, for finite inputs.  A zero weight is
-    no term, so it reads no input: an inf input stays inf (or -inf) in
-    every output it reaches through nonzero weights, instead of turning
-    into NaN through 0 * inf elsewhere.
+    transpose-strided2, between the zero-dilated input nodes) takes.  The
+    sums run over the taps in row-major window order and, within a tap,
+    over the contracted channels in order, each from +0.0: the bytes of a
+    loop of per-tap `np.einsum` products over the zero-padded
+    (zero-dilated) image, for finite inputs.  A zero weight is no term, so
+    it reads no input: an inf input stays inf (or -inf) in every output it
+    reaches through nonzero weights, instead of turning into NaN through
+    0 * inf elsewhere.  A threshold is no part of a layer: its caller
+    subtracts it from the output (`conv_mark_refine`).
     """
     if image.ndim != 3:
         raise ConfigurationError(f"expected (channels, n1, n2) image, got {image.shape}")
@@ -234,8 +215,6 @@ def conv_apply(kernel: ConvKernel, image: np.ndarray) -> np.ndarray:
             f"strided2 needs an odd fine lattice (2n-1 layout), got {image.shape}"
         )
     out = kernel.gather(image.shape)(np.concatenate((image.reshape(-1), _ZERO)))
-    if kernel.bias is not None:
-        out += kernel.bias[:, None]
     return out.reshape(out.shape[:1] + _lattice(kernel.mode, n1, n2))
 
 
@@ -624,6 +603,10 @@ def conv_estimator(
     return on_leaves(hier, raw_r2, raw_j2, masks)
 
 
+# the marking layer: one 1x1 identity per triangle channel
+_MARK = ConvKernel(np.eye(2).reshape(2, 2, 1, 1))
+
+
 def conv_mark_refine(
     bank: StencilBank,
     est: EstimatorField,
@@ -632,12 +615,14 @@ def conv_mark_refine(
 ) -> list[LevelMask]:
     """Threshold marking and refinement as a heaviside-of-conv cascade.
 
-    Per level: a 1x1 layer with bias -delta_k followed by the step function
-    gives the marked-triangle channels; the transpose-strided refinement
-    kernel lights every next-level node whose hat meets a marked triangle.
-    Its taps count from the triangle's owner node, one node before the
-    window centre, so its output is read one node on; the entries this
-    drops, in row and column 0, are boundary nodes.  A final step plus the interior
+    Per level: the fixed 1x1 marking layer `_MARK`, the threshold delta_k
+    subtracted from its output (the layer's bias, the one value that
+    changes from call to call) and the step function give the
+    marked-triangle channels; the transpose-strided refinement kernel
+    lights every next-level node whose hat meets a marked triangle.  Its
+    taps count from the triangle's owner node, one node before the window
+    centre, so its output is read one node on; the entries this drops, in
+    row and column 0, are boundary nodes.  A final step plus the interior
     gate reproduces adapt.refine bit for bit.
     """
     hier = est.hierarchy
@@ -647,8 +632,7 @@ def conv_mark_refine(
 
     new_active = [np.array(mk.active, dtype=np.uint8) for mk in masks]
     for k in range(hier.levels):
-        layer = ConvKernel(np.eye(2).reshape(2, 2, 1, 1), bias=np.array([-deltas[k], -deltas[k]]))
-        scores = conv_apply(layer, est.eta2[k])
+        scores = conv_apply(_MARK, est.eta2[k]) - deltas[k]
         marks = ((scores > 0.0).astype(np.uint8)) & est.tri_mask[k]
         if k == hier.levels - 1:
             warn_dropped_marks(marks, hier)

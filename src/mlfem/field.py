@@ -8,7 +8,6 @@ Dirichlet) and zero off the active set.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +34,6 @@ __all__ = [
 ]
 
 
-@functools.cache
-def _pad_radius(offsets: tuple) -> int:
-    """Largest |component| over an offset set: the zero padding its views need."""
-    return max((max(abs(d1), abs(d2)) for d1, d2 in offsets), default=0)
-
-
 def offset_views(image: np.ndarray, offsets) -> list[np.ndarray]:
     """Lattice-neighbour views: views[t][..., i] = image[..., i + offsets[t]].
 
@@ -51,10 +44,10 @@ def offset_views(image: np.ndarray, offsets) -> list[np.ndarray]:
     transpose, load and Gershgorin sums, mask closure and Upsilon channels,
     and the conv route's Upsilon gates and refinement read-out.  Staged ops
     (a solve's level steps, every conv layer) gather through `Taps`
-    instead.  The padding radius is computed once per offset set (keyed by
-    its tuple of offsets) and looked up afterwards.
+    instead.  The padding radius, the largest |component| over the
+    offsets, is computed on every call.
     """
-    r = _pad_radius(tuple(offsets))
+    r = max((max(abs(d1), abs(d2)) for d1, d2 in offsets), default=0)
     n1, n2 = image.shape[-2], image.shape[-1]
     padded = np.zeros(image.shape[:-2] + (n1 + 2 * r, n2 + 2 * r), dtype=image.dtype)
     padded[..., r : r + n1, r : r + n2] = image

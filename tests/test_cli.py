@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,15 @@ def test_value_validation():
             parse_config(bad)
     # the edge: 7 levels from 5 nodes have a 1025-node reference lattice
     assert parse_config({"hierarchy": {"levels": 7}}).levels == 7
+
+
+def test_replace_cannot_build_an_invalid_config():
+    # the checks live in the type, so an override (`--seed`, `--out`, the
+    # verify settings) is checked as a parsed config is
+    for bad in ({"theta": 0.0}, {"seed": -1}, {"max_sweeps": 0}, {"levels": 8}):
+        with pytest.raises(ConfigurationError):
+            replace(RunConfig(), **bad)
+    assert replace(RunConfig(), seed=3).seed == 3
 
 
 def test_three_disc_config_draws_three_parameters(tmp_path):

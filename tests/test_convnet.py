@@ -94,8 +94,6 @@ def loop_conv(kernel, image, cell_anchored=False):
                             if 0 <= s1 < n1 and 0 <= s2 < n2:
                                 acc += kernel.weights[o, c, d1, d2] * image[c, s1, s2]
                     out[o, i1, i2] = acc
-    if kernel.bias is not None:
-        out += kernel.bias[:, None, None]
     return out
 
 
@@ -114,7 +112,7 @@ def test_identity_kernel_preserves_input():
 
 def test_plain_conv_matches_loop_oracle():
     rng = np.random.default_rng(11)
-    kern = ConvKernel(rng.normal(size=(2, 3, 3, 3)), bias=rng.normal(size=2))
+    kern = ConvKernel(rng.normal(size=(2, 3, 3, 3)))
     img = rng.normal(size=(3, 7, 6))
     got = conv_apply(kern, img)
     want = loop_conv(kern, img)
@@ -154,9 +152,7 @@ def first_tap_conv(kernel, image):
 def test_conv_modes_match_loop_oracle(mode, cell_anchored, size):
     rng = np.random.default_rng(13)
     kh, kw = size
-    # a transposed layer emits in_channels channels, one bias entry each
-    bias = rng.normal(size=3 if mode == "transpose-strided2" else 2)
-    kern = ConvKernel(rng.normal(size=(2, 3, kh, kw)), bias=bias, mode=mode)
+    kern = ConvKernel(rng.normal(size=(2, 3, kh, kw)), mode=mode)
     cin = 2 if mode == "transpose-strided2" else 3
     for shape in ORACLE_LATTICES[mode]:
         img = rng.normal(size=(cin,) + shape)
@@ -205,15 +201,6 @@ def test_kernel_validation():
         with pytest.raises(ConfigurationError):
             ConvKernel(np.zeros(shape))
     with pytest.raises(ConfigurationError):
-        ConvKernel(np.zeros((2, 1, 1, 1)), bias=np.zeros(3))
-    # a transposed layer emits its in_channels (here 1), not its 3 out channels
-    w = np.zeros((3, 1, 3, 3))
-    with pytest.raises(ConfigurationError):
-        ConvKernel(w, bias=np.arange(3.0), mode="transpose-strided2")
-    with pytest.raises(ConfigurationError):
-        ConvKernel(np.zeros((1, 3, 3, 3)), bias=np.zeros(1), mode="transpose-strided2")
-    ConvKernel(w, bias=np.zeros(1), mode="transpose-strided2")
-    with pytest.raises(ConfigurationError):
         ConvKernel(np.zeros((1, 1, 1, 1)), mode="fancy")
     with pytest.raises(ConfigurationError):
         ConvKernel(np.zeros((1, 1, 3, 3)), mode="submanifold")
@@ -258,8 +245,6 @@ def einsum_conv(kernel, image):
         out = np.zeros((kernel.out_channels, (n1 - 1) // step + 1, (n2 - 1) // step + 1))
         for (_, tap), view in zip(scan, offset_views(image, [o for o, _ in scan])):
             out += np.einsum("oc,cab->oab", tap, view[:, ::step, ::step])
-    if kernel.bias is not None:
-        out += kernel.bias[:, None, None]
     return out
 
 
@@ -281,38 +266,36 @@ def plant_zeros(rng, a, share=0.2):
     return a
 
 
-@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("bank", [False, True])
 @pytest.mark.parametrize("mode", sorted(ORACLE_LATTICES))
-def test_single_channel_taps_give_the_einsum_bytes(mode, bias):
+def test_single_channel_taps_give_the_einsum_bytes(mode, bank):
     """Every layer's staged gather gives the bytes of an `np.einsum` per
-    tap (`einsum_conv`), signed zeros included: single-channel layers,
-    random multi-channel layers with sparse and +-0.0 weights (and +-0.0
-    bias entries), on odd and even lattices with planted +-0.0 inputs, and
-    the bank's kernels of this mode at n = 5, 9 and 17."""
+    tap (`einsum_conv`), signed zeros included, on inputs with planted
+    +-0.0: single-channel layers and random multi-channel layers with
+    sparse and +-0.0 weights on odd and even lattices, or (bank) the
+    bank's kernels of this mode at n = 5, 9 and 17."""
     rng = np.random.default_rng(29)
     transposed = mode == "transpose-strided2"
-    weights = rng.normal(size=(1, 3, 3, 3) if transposed else (3, 1, 3, 3))
-    weights[..., 0, 2] = 0.0  # a zero tap is skipped
-    weights[0, 0, 1, 0] = -0.0
-    layers = [weights]
-    for size in ((1, 1), (2, 2), (3, 3), (3, 5), (5, 3)):
-        for channels in ((2, 3), (4, 2), (1, 7), (6, 7), (3, 1)):
-            w = rng.normal(size=channels + size) * (rng.random(channels + size) < 0.5)
-            layers.append(plant_zeros(rng, w))
     cases = []
-    for w in layers:
-        emitted = w.shape[1] if transposed else w.shape[0]
-        b = plant_zeros(rng, rng.normal(size=emitted), 0.4) if bias else None
-        kern = ConvKernel(w, mode=mode, bias=b)
-        cin = w.shape[0] if transposed else w.shape[1]
-        cases += [(kern, (cin,) + lattice) for lattice in ORACLE_LATTICES[mode]]
-    if not bias:
-        bank = build_stencil_bank(build_hierarchy(3, 2))
-        for kern in bank_kernels(bank).values():
+    if bank:
+        for kern in bank_kernels(build_stencil_bank(build_hierarchy(3, 2))).values():
             if kern.mode == mode:
                 cin = kern.out_channels if transposed else kern.in_channels
                 cases += [(kern, (cin, n, n)) for n in (5, 9, 17)]
-    assert len(cases) >= 78
+    else:
+        weights = rng.normal(size=(1, 3, 3, 3) if transposed else (3, 1, 3, 3))
+        weights[..., 0, 2] = 0.0  # a zero tap is skipped
+        weights[0, 0, 1, 0] = -0.0
+        layers = [weights]
+        for size in ((1, 1), (2, 2), (3, 3), (3, 5), (5, 3)):
+            for channels in ((2, 3), (4, 2), (1, 7), (6, 7), (3, 1)):
+                w = rng.normal(size=channels + size) * (rng.random(channels + size) < 0.5)
+                layers.append(plant_zeros(rng, w))
+        for w in layers:
+            cin = w.shape[0] if transposed else w.shape[1]
+            kern = ConvKernel(w, mode=mode)
+            cases += [(kern, (cin,) + lattice) for lattice in ORACLE_LATTICES[mode]]
+    assert len(cases) >= (6 if bank else 78)
     for kern, shape in cases:
         img = plant_zeros(rng, rng.normal(size=shape))
         got = conv_apply(kern, img)
@@ -343,21 +326,44 @@ def staged_terms(kernel):
 
 def test_bank_kernels_stage_a_fresh_scan_of_their_weights():
     """Each bank kernel stages the terms of a fresh scan of its weights:
-    the (channel, offset) pattern, the weights and the per-tap counts, with
-    no padding tap; its gather is a `field.Taps` on the pattern's index,
-    which layers with one pattern (the two aggregation kernels) share."""
-    bank = build_stencil_bank(build_hierarchy(3, 2))
-    for name, kernel in bank_kernels(bank).items():
+    the (R, 3) (channel, offset) pattern, the weights and the per-tap
+    counts, with no padding tap; its gather is a `field.Taps`.  Every
+    kernel keeps its own gathers: two separately built banks share none,
+    and give equal bytes."""
+    first, second = (build_stencil_bank(build_hierarchy(3, 2)) for _ in range(2))
+    rng = np.random.default_rng(41)
+    for (name, kernel), other in zip(bank_kernels(first).items(), bank_kernels(second).values()):
         rows, counts = staged_terms(kernel)
-        pattern = np.frombuffer(kernel.pattern, dtype=np.intp).reshape(-1, 3)
-        assert pattern.tolist() == [[c, o1, o2] for c, (o1, o2), _ in rows], name
+        assert kernel.pattern.dtype == np.intp and kernel.pattern.shape == (len(rows), 3), name
+        assert kernel.pattern.tolist() == [[c, o1, o2] for c, (o1, o2), _ in rows], name
         assert kernel.coef.tolist() == [[w] for _, _, w in rows], name
         assert np.array_equal(kernel.channels, counts), name
-        assert (pattern[:, 0] >= 0).all(), name
+        assert (kernel.pattern[:, 0] >= 0).all(), name
         cin = kernel.out_channels if kernel.mode == "transpose-strided2" else kernel.in_channels
-        assert type(kernel.gather((cin, 5, 5))) is Taps, name
-    r2, j2 = bank.aggregate_r2.gather((2, 9, 9)), bank.aggregate_j2.gather((2, 9, 9))
-    assert r2.index is j2.index and r2.coef is not j2.coef
+        for n in (5, 9, 17):
+            img = rng.normal(size=(cin, n, n))
+            assert conv_apply(kernel, img).tobytes() == conv_apply(other, img).tobytes(), name
+            assert type(kernel.gather(img.shape)) is Taps, name
+            assert kernel.gather(img.shape) is not other.gather(img.shape), name
+        assert kernel._gathers is not other._gathers, name
+        assert set(kernel._gathers) == set(other._gathers), name
+
+
+def test_kernel_weights_are_a_read_only_copy():
+    """A kernel keeps a read-only copy of its weights: writing them raises,
+    and changing the caller's array changes neither the weights nor the
+    layer's output, so the exported bank is the network that runs."""
+    bank = build_stencil_bank(build_hierarchy(3, 2))
+    with pytest.raises(ValueError):
+        bank.translate.weights[:] = 0.0
+    w = np.random.default_rng(43).normal(size=(2, 3, 3, 3))
+    kern = ConvKernel(w)
+    img = np.random.default_rng(47).normal(size=(3, 5, 5))
+    before = conv_apply(kern, img)
+    saved = w.copy()
+    w[:] = 0.0
+    assert np.array_equal(kern.weights, saved)
+    assert conv_apply(kern, img).tobytes() == before.tobytes()
 
 
 def test_staging_pads_uneven_taps_and_skips_zero_weights():
@@ -367,10 +373,10 @@ def test_staging_pads_uneven_taps_and_skips_zero_weights():
     w[0, 1, 0, 0], w[0, 2, 0, 0], w[0, 0, 2, 2] = 1.0, 2.0, 3.0
     w[1, 2, 1, 1], w[1, 0, 1, 1] = 4.0, -0.0
     kern = ConvKernel(w)
-    pattern = np.frombuffer(kern.pattern, dtype=np.intp).reshape(-1, 3)
     # first terms: output 0 at (-1, -1) and (1, 1), output 1 at the centre
     # and its padding tap; then output 0's second term at (-1, -1)
-    assert pattern.tolist() == [[1, -1, -1], [0, 1, 1], [2, 0, 0], [-1, 0, 0], [2, -1, -1]]
+    rows = [[1, -1, -1], [0, 1, 1], [2, 0, 0], [-1, 0, 0], [2, -1, -1]]
+    assert kern.pattern.tolist() == rows
     assert kern.coef.ravel().tolist() == [1.0, 3.0, 4.0, 0.0, 2.0]
     assert kern.channels.tolist() == [[2, 1], [1, 1]]
     img = np.random.default_rng(31).normal(size=(3, 4, 5))
@@ -394,10 +400,11 @@ def test_zero_weights_read_no_input():
 
 
 @pytest.mark.filterwarnings("ignore:dropping .* marked triangles:RuntimeWarning")
-def test_fresh_mark_layers_reuse_their_gather_index():
-    """`conv_mark_refine` builds fresh 1x1 layers on every call; their
-    staging is keyed on the weights and mode, and their gather index on the
-    pattern, mode and lattice, so calls after the first stage nothing."""
+def test_mark_refine_builds_no_layer(monkeypatch):
+    """`conv_mark_refine` applies the fixed marking layer and subtracts the
+    threshold from its output: repeated calls construct no `ConvKernel`,
+    and their masks are the bytes of threshold marking plus refinement at
+    every threshold scale."""
     hier = build_hierarchy(5, 3)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(37)
@@ -405,14 +412,20 @@ def test_fresh_mark_layers_reuse_their_gather_index():
     masks = random_masks(hier, rng)
     est = estimate(random_field(hier, masks, rng), np.ones((17, 17)), diff, masks)
     deltas = [0.3 * float(e.max()) + 1e-12 for e in est.eta2]
-    first = conv_mark_refine(bank, est, deltas, masks)
-    caches = (convnet._stage_layer, convnet._gather_index)
-    staged = [cache.cache_info().misses for cache in caches]
+    built = []
+    real_post_init = ConvKernel.__post_init__
+
+    def counted_post_init(kernel):
+        built.append(kernel)
+        real_post_init(kernel)
+
+    monkeypatch.setattr(ConvKernel, "__post_init__", counted_post_init)
     for scale in (0.5, 1.0, 2.0):
-        got = conv_mark_refine(bank, est, [scale * d for d in deltas], masks)
-        if scale == 1.0:
-            assert [m.active.tobytes() for m in got] == [m.active.tobytes() for m in first]
-    assert [cache.cache_info().misses for cache in caches] == staged
+        scaled = [scale * d for d in deltas]
+        got = conv_mark_refine(bank, est, scaled, masks)
+        want = refine(masks, mark_threshold(est, scaled), hier)
+        assert [m.active.tobytes() for m in got] == [m.active.tobytes() for m in want]
+    assert built == []
 
 
 # ---------------------------------------------------------------- stencil bank
@@ -702,7 +715,7 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
         return real_apply(kernel, *args, **kwargs)
 
     def weights():
-        return sum(k.weights.size + (0 if k.bias is None else k.bias.size) for k in applied)
+        return sum(k.weights.size for k in applied)
 
     monkeypatch.setattr(convnet, "conv_apply", counted_apply)
     state = init_llmg_state(bank, u, rhs, diff, sm)

@@ -192,6 +192,20 @@ def test_package_binds_no_unread_module_names():
     assert unread_module_names(Path(mlfem.__file__).resolve().parent) == []
 
 
+def test_package_keeps_no_function_cache():
+    # a cache keyed on its arguments outlives the objects it was filled
+    # from; staged state belongs to the object that owns it
+    cached = []
+    for path in sorted(Path(mlfem.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    name = ast.unparse(deco.func if isinstance(deco, ast.Call) else deco)
+                    if name.split(".")[-1] in ("cache", "lru_cache", "cached_property"):
+                        cached.append(f"{path.name}:{node.name} @{name}")
+    assert cached == []
+
+
 # The tracer targets each workload never calls, as its traced smoke round
 # reports them.  A target that goes dead (say, a function the package stops
 # calling) reads 0 in the benchmark without failing it, so the sets are
