@@ -16,10 +16,18 @@ layer runs as one fixed-weight gather, `field.Taps`, the primitive the
 direct route stages its level ops with: it gathers each weight's input
 and sums the products, with the layer's own weights, and derives no
 weight, so the kernels stay an independent derivation.
+
+The sweep is staged once per state (`init_llmg_state`): one `_ConvLevel`
+per occupied level.  Its smoothing step culls the translate and stiffness
+layers to the level's active interior nodes, the rows the direct route
+smooths (a submanifold convolution: the layer's gather cut down to those
+output nodes), with the iterates of the full-lattice step, bit for bit;
+the carry layers run on the full lattice.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
@@ -82,7 +90,8 @@ class ConvKernel:
     appends to its input (it pads emitted channels with fewer taps).  `coef`
     holds the terms' weights and `channels` the (emitted, taps) term counts.
     The gather on each input lattice is built on the layer's first use of
-    it and kept by this layer alone.
+    it and kept by this layer alone; a gather cut down to some output nodes
+    (`gather(shape, nodes)`) is built for its caller and not kept.
     """
 
     weights: np.ndarray
@@ -133,9 +142,18 @@ class ConvKernel:
     def in_channels(self) -> int:
         return self.weights.shape[1]
 
-    def gather(self, shape: tuple[int, int, int]) -> Taps:
+    def gather(self, shape: tuple[int, int, int], nodes: np.ndarray | None = None) -> Taps:
         """The layer's `field.Taps` on a (channels, n1, n2) input, built on
-        first use and kept; the index comes from `_gather_index`."""
+        first use and kept; the index comes from `_gather_index`.
+
+        With `nodes`, flat indices into the output lattice, the gather emits
+        those output nodes only, in that order: a submanifold convolution
+        (Graham, Engelcke & van der Maaten, CVPR 2018).  Each emitted node
+        has the terms, in the order, of the full gather's, and the gather
+        belongs to its caller: it is built fresh and not kept."""
+        if nodes is not None:
+            index = _gather_index(self.pattern, self.mode, shape, nodes)
+            return Taps(index, self.coef, self.channels)
         taps = self._gathers.get(shape)
         if taps is None:
             index = _gather_index(self.pattern, self.mode, shape)
@@ -143,9 +161,12 @@ class ConvKernel:
         return taps
 
 
-def _gather_index(rows: np.ndarray, mode: str, shape: tuple[int, int, int]) -> np.ndarray:
+def _gather_index(
+    rows: np.ndarray, mode: str, shape: tuple[int, int, int], nodes: np.ndarray | None = None
+) -> np.ndarray:
     """Flat source indices of a staged pattern on a (channels, n1, n2) input
-    with one zero appended (`conv_apply`): (terms, output nodes), row-major.
+    with one zero appended (`conv_apply`): (terms, output nodes), for the
+    flat output `nodes` in their order, or every output node, row-major.
 
     Each output node reads its term's channel at the node's source position
     plus the term's offset: the node itself (plain), the fine node 2i
@@ -156,7 +177,8 @@ def _gather_index(rows: np.ndarray, mode: str, shape: tuple[int, int, int]) -> n
     """
     chan, o1, o2 = (rows[:, i, None, None] for i in range(3))
     cin, n1, n2 = shape
-    y1, y2 = np.indices(_lattice(mode, n1, n2), sparse=True)
+    out = _lattice(mode, n1, n2)
+    y1, y2 = np.indices(out, sparse=True) if nodes is None else np.divmod(nodes, out[1])
     if mode == "transpose-strided2":
         z1, z2 = y1 + o1, y2 + o2
         s1, s2 = z1 // 2, z2 // 2
@@ -446,18 +468,20 @@ def conv_restrict(bank: StencilBank, fine: np.ndarray) -> np.ndarray:
     return zero_frame(conv_apply(bank.restrict, fine[None, :, :])[0])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConvLlmgState:
-    """The sweep's images and the objects they were staged from.
+    """The sweep's images, the objects they were staged from, and the
+    staged level ops.
 
     u holds the iterate, one (n, n) image per level, +0.0 off the active
     sets, on the caller's masks; utld and ubar hold the carried-down and
     carried-up contents on the full lattice, and utld[0] and ubar[-1] stay
-    zero.  f, diffusion and smoother are the objects passed to
-    `init_llmg_state`.  Only the smoothing step builds a translation stack
-    (of u + utld, gated by the active mask).  A sweep never reads or writes a
-    level at or beyond the occupied depth D (`assembly.occupied_depth`), so
-    u, utld and ubar stay +0.0 there.
+    zero.  f, diffusion, smoother and bank are the objects passed to
+    `init_llmg_state`.  `levels` holds one `_ConvLevel` per occupied level
+    0..D-1 (`assembly.occupied_depth`), staged once on these images, which
+    the sweeps update in place; a sweep never reads or writes a level at or
+    beyond D, so u, utld and ubar stay +0.0 there.  `conv_llmg_sweep`
+    refuses a state whose images or masks were swapped after staging.
     """
 
     u: MultilevelField
@@ -466,10 +490,21 @@ class ConvLlmgState:
     smoother: SmootherConfig
     utld: list[np.ndarray]
     ubar: list[np.ndarray]
+    bank: StencilBank
+    levels: list = dc_field(repr=False)
+    _staged: tuple = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_staged", self.images())
 
     def solution_images(self) -> list[np.ndarray]:
         """Copies of each level's iterate image."""
         return [v.copy() for v in self.u.values]
+
+    def images(self) -> tuple:
+        """The arrays the staged levels read and write, in a fixed order."""
+        actives = [m.active for m in self.u.masks]
+        return (*self.u.values, *self.utld, *self.ubar, *self.f.images, *actives)
 
 
 def init_llmg_state(
@@ -479,78 +514,124 @@ def init_llmg_state(
     diffusion: DiffusionField,
     smoother: SmootherConfig,
 ) -> ConvLlmgState:
-    """Stage the sweep images from field-side objects.
+    """Stage the sweep: its images and one `_ConvLevel` per occupied level.
 
-    The iterate is u on the active sets and +0.0 elsewhere.  The
-    carried-down chain utld is built here once, on the full lattice of the
-    occupied levels, by `solver.carry_down_chain` over the conv level ops,
-    and each sweep's upward half keeps it current afterwards.
+    The iterate is u on the active sets and +0.0 elsewhere.  Staging checks
+    the iterate, masks and loads against the hierarchy, and rejects a
+    nonzero load at an active frame node (loads are zero on the frame,
+    `RhsField`, and the smoothing step has no row there).  The carried-down
+    chain utld is built here once, on the full lattice of the occupied
+    levels, by `solver.carry_down_chain` over the staged levels, and each
+    sweep's upward half keeps it current afterwards.
     """
     hier = u.hierarchy
     if len(smoother.omegas) != hier.levels:
         raise ConfigurationError("smoother has wrong number of levels")
+    groups = {"u": u.values, "masks": [m.active for m in u.masks], "f": f.images}
+    for name, group in groups.items():
+        if len(group) != hier.levels or any(
+            group[k].shape != (hier.n(k), hier.n(k)) for k in range(hier.levels)
+        ):
+            raise ConfigurationError(f"state group {name} does not match the hierarchy")
     levels = range(hier.levels)
-    state = ConvLlmgState(
-        u=MultilevelField(
-            hier, [np.where(u.masks[k].active, u.values[k], 0.0) for k in levels], u.masks
-        ),
-        f=f,
-        diffusion=diffusion,
-        smoother=smoother,
-        utld=[np.zeros((hier.n(k), hier.n(k))) for k in levels],
-        ubar=[np.zeros((hier.n(k), hier.n(k))) for k in levels],
-    )
-    carry_down_chain(_conv_levels(state, bank))
+    values = [np.where(u.masks[k].active, u.values[k], 0.0) for k in levels]
+    utld = [np.zeros((hier.n(k), hier.n(k))) for k in levels]
+    ubar = [np.zeros((hier.n(k), hier.n(k))) for k in levels]
+    iterate = MultilevelField(hier, values, u.masks)
+    ops = [
+        _ConvLevel(bank, iterate, f, diffusion, smoother.omegas[k], k, utld, ubar)
+        for k in range(occupied_depth(u.masks))
+    ]
+    state = ConvLlmgState(iterate, f, diffusion, smoother, utld, ubar, bank, ops)
+    carry_down_chain(ops)
     return state
 
 
 class _ConvLevel:
-    """The conv route's ops of level k for `solver.llmg_schedule`, on the
-    images of `state`."""
+    """The conv route's ops of occupied level k for `solver.llmg_schedule`,
+    staged once per state (`init_llmg_state`) on the state's images, which
+    they update in place.
 
-    def __init__(self, state: ConvLlmgState, bank: StencilBank, k: int):
-        self.state, self.bank, self.k = state, bank, k
+    `smooth` works on the active interior nodes only (`rows`, the rows of
+    `solver._LevelStage`), as a submanifold convolution: the translate
+    layer's gather cut down to those output nodes, the 1x1 stiffness layer
+    on their (7, m) stack, then the Upsilon channel sum (a gather of the
+    six channels at each node with its Upsilon weights, summed from +0.0
+    in channel order as `conv_apply_A` sums them), the 2/h^2 scale, ubar,
+    the load and the damped update at those nodes.  Node for node that is
+    the full-lattice step (the stack of u_k + utilde_k gated by the active
+    mask, `conv_apply_A`, the update times the 0/1 mask), whose update adds
+    x * 0 off the rows; so for finite loads and carried images every entry
+    keeps its bits, except a -0.0 iterate at an active frame node, which
+    the full-lattice step turns into +0.0 and the cull skips (as
+    `_LevelStage` does).  `carry_up` (levels > 0: the transposed stiffness
+    layer and a restriction) and `carry_down` (all but the deepest level: a
+    prolongation) run on the full lattice.
+    """
+
+    def __init__(self, bank, u, f, diffusion, omega, k, utld, ubar):
+        n, h = u.hierarchy.n(k), u.hierarchy.h(k)
+        active, load = u.masks[k].active != 0, f.images[k]
+        edge = active.copy()
+        edge[1:-1, 1:-1] = False
+        if load[edge].any():
+            raise ConfigurationError(f"load image of level {k} is nonzero at an active frame node")
+        self.bank, self.upsilon, self.h = bank, diffusion.upsilon[k], h
+        self.values, self.tld, self.bar = u.values[k], utld[k], ubar[k]
+        self.values_flat, self.bar_flat = self.values.reshape(-1), self.bar.reshape(-1)
+        self.coarse = ubar[k - 1] if k > 0 else None
+        self.fine = utld[k + 1] if k + 1 < len(utld) else None
+        r1, r2 = np.nonzero(active[1:-1, 1:-1])
+        r1, r2 = r1 + 1, r2 + 1
+        self.rows = r1 * n + r2
+        self.loads = load[r1, r2]
+        self.omega, self.scale = omega, 2.0 / (h * h)
+        # u_k + utilde_k, with the zero `conv_apply` appends
+        self.source = np.zeros(n * n + 1)
+        self.source_image = self.source[:-1].reshape(n, n)
+        self.translate = bank.translate.gather((1, n, n), self.rows)
+        # the 1x1 layer reads the stack as a (7, 1, m) image, with the zero
+        # `conv_apply` appends
+        m = self.rows.size
+        self.stack = np.zeros(7 * m + 1)
+        self.stack_image = self.stack[:-1].reshape(7, m)
+        self.operator = bank.operator.gather((7, 1, m), np.arange(m))
+        # the Upsilon channel sum: channel l of node j times upsilon_l at j
+        self.channel_sum = Taps(np.arange(6 * m).reshape(6, m), self.upsilon[:, r1, r2])
 
     def smooth(self) -> None:
-        state, bank, k = self.state, self.bank, self.k
-        v, act = state.u.values, state.u.masks[k].active
-        stack = conv_translate(bank, v[k] + state.utld[k], act)
-        section = conv_apply_A(bank, stack, state.diffusion.upsilon[k], state.u.hierarchy.h(k))
-        section = section + state.ubar[k]
-        v[k] = v[k] + state.smoother.omegas[k] * (state.f.images[k] - section) * act
+        np.add(self.values, self.tld, out=self.source_image)
+        self.translate(self.source, out=self.stack_image)
+        terms = self.operator(self.stack)
+        section = self.channel_sum(terms.reshape(-1))
+        section *= self.scale
+        section += self.bar_flat[self.rows]
+        step = self.omega * (self.loads - section)
+        self.values_flat[self.rows] = self.values_flat[self.rows] + step
 
     def carry_up(self) -> None:
-        state, bank, k = self.state, self.bank, self.k
-        upsilon, h = state.diffusion.upsilon[k], state.u.hierarchy.h(k)
-        lifted = state.ubar[k] + conv_apply_A_transpose(bank, state.u.values[k], upsilon, h)
-        state.ubar[k - 1] = conv_restrict(bank, lifted)
+        lifted = self.bar + conv_apply_A_transpose(self.bank, self.values, self.upsilon, self.h)
+        self.coarse[...] = conv_restrict(self.bank, lifted)
 
     def carry_down(self) -> None:
-        state, k = self.state, self.k
-        state.utld[k + 1] = conv_prolongate(self.bank, state.utld[k] + state.u.values[k])
-
-
-def _conv_levels(state: ConvLlmgState, bank: StencilBank) -> list[_ConvLevel]:
-    """The ops of the occupied levels 0..D-1 (`assembly.occupied_depth`)."""
-    return [_ConvLevel(state, bank, k) for k in range(occupied_depth(state.u.masks))]
+        self.fine[...] = conv_prolongate(self.bank, self.tld + self.values)
 
 
 def conv_llmg_sweep(state: ConvLlmgState, bank: StencilBank) -> ConvLlmgState:
     """One multigrid sweep on the image state, in place.
 
     Computes what solver.llmg_sweep computes: `solver.llmg_schedule` over the
-    conv level ops (`_ConvLevel`), on the occupied levels 0..D-1 only.  Per
-    level that is two translation stacks, and one restriction and one
-    prolongation per link.
+    state's staged level ops (`_ConvLevel`), on the occupied levels 0..D-1
+    only.  Per level that is two culled smoothing steps, and one
+    restriction and one prolongation per link.  The state must be staged
+    with `bank`, and hold the images and masks it was staged on.
     """
-    hier = state.u.hierarchy
-    groups = {"u": state.u.values, "utld": state.utld, "ubar": state.ubar, "f": state.f.images}
-    for name, group in groups.items():
-        if len(group) != hier.levels or any(
-            group[k].shape != (hier.n(k), hier.n(k)) for k in range(hier.levels)
-        ):
-            raise ConfigurationError(f"state group {name} does not match the hierarchy")
-    llmg_schedule(_conv_levels(state, bank))
+    if bank is not state.bank:
+        raise ConfigurationError("state was staged with another stencil bank")
+    now = state.images()
+    if len(now) != len(state._staged) or not all(map(operator.is_, now, state._staged)):
+        raise ConfigurationError("state images were replaced after staging")
+    llmg_schedule(state.levels)
     return state
 
 
@@ -656,7 +737,11 @@ def parameter_count(levels: int, sweeps: int) -> dict:
     This books the full-depth network, every one of `levels` levels in each
     sweep.  A sweep on adaptive masks runs only the occupied levels 0..D-1
     (`assembly.occupied_depth`), so it applies the per-sweep layers of
-    `parameter_count(D, 1)`; the fixed part still spans all levels.
+    `parameter_count(D, 1)`; the fixed part still spans all levels.  The
+    count is of weights, not of the nodes they are applied at: a smoothing
+    step applies the same translate and stiffness weights at its level's
+    active interior nodes only (`_ConvLevel`), so the counts, and check 09,
+    do not change with the cull.
 
     Counts use the stored tensor sizes (the 6x7x1x1 operator kernel is 42
     weights per level).  Layers are counted once per application, so the

@@ -98,16 +98,17 @@ class Taps:
             self.coef = coef.reshape(channels.shape + coef.shape[-1:])
             self.terms = self.terms.reshape(self.shape)
 
-    def __call__(self, src: np.ndarray) -> np.ndarray:
-        """The gather of a float64 `src`; the indices are in range by
-        construction, so `take` skips its bounds check (clip mode)."""
+    def __call__(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The gather of a float64 `src`, into `out` if given; the indices
+        are in range by construction, so `take` skips its bounds check (clip
+        mode)."""
         terms = src.take(self.index, out=self.terms, mode="clip")
         terms *= self.coef
         if self.channel_sums:
             for dst, rows in self.channel_sums:
                 terms[dst] += terms[rows]
             terms = terms[: self.taps].reshape(self.shape)
-        return np.add.reduce(terms, axis=-2)
+        return np.add.reduce(terms, axis=-2, out=out)
 
 
 def shift(a: np.ndarray, d1: int, d2: int) -> np.ndarray:

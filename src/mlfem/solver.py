@@ -11,9 +11,10 @@ iteration for that stacked operator, on any masks.  Like `apply_stacked`, a
 sweep visits only the occupied levels 0..D-1 (`assembly.occupied_depth`).
 
 The level order is written once, in `llmg_schedule`, and the chain build
-once, in `carry_down_chain`.  Both routes run them over per-level ops:
-`_LevelStage` here, `convnet._ConvLevel` on the conv route, whose kernels
-stay separately derived.
+once, in `carry_down_chain`.  Both routes run them over per-level ops
+staged once: `_LevelStage` here, once per solve, and `convnet._ConvLevel`
+on the conv route, once per sweep state, whose kernels stay separately
+derived.  Both smooth only a level's active interior rows.
 
 A solve stages its sweep once (`_StagedSweep`): the masks, loads, stencil
 images and damping are fixed while it runs.  Each occupied level stages its
@@ -441,10 +442,11 @@ def reference_solve(
 ) -> MultilevelField:
     """Direct/Krylov solve of the assembled stacked system (verification oracle).
 
-    Sparse direct for a single level, dense minimum-norm for small stacked
-    systems (they are positive semidefinite but can be rank-deficient when
-    coarse hats are resolved exactly by finer active sets), conjugate
-    gradients at relative residual 1e-12 beyond 2000 unknowns.
+    Sparse direct for a single level (SuperLU with the minimum-degree order
+    of A^T + A), dense minimum-norm for small stacked systems (they are
+    positive semidefinite but can be rank-deficient when coarse hats are
+    resolved exactly by finer active sets), conjugate gradients at relative
+    residual 1e-12 beyond 2000 unknowns.
     """
     import scipy.sparse.linalg as spla
 
@@ -455,7 +457,8 @@ def reference_solve(
     if b.size == 0:
         return u
     if hier.levels == 1:
-        x = spla.spsolve(matrix.tocsc(), b)
+        # a symmetric fill-reducing order: the matrix is symmetric positive definite
+        x = spla.spsolve(matrix.tocsc(), b, permc_spec="MMD_AT_PLUS_A")
     elif b.size <= 2000:
         x, *_ = np.linalg.lstsq(matrix.toarray(), b, rcond=None)
     else:

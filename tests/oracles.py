@@ -21,7 +21,9 @@ sets.  The reference sweeps (`ssc_sweep`, `lmg_sweep`) recompute the
 stacked action fresh on every level visit, to define the level-order
 iteration that the fused `solver.llmg_sweep` must reproduce;
 `full_depth_sweep` is the unstaged full-lattice loop over `assembly`'s
-level steps, which the staged sweep must reproduce bit for bit.
+level steps, which the staged sweep must reproduce bit for bit, and
+`full_lattice_conv_sweep` the conv sweep with the full-lattice smoothing
+step that `convnet._ConvLevel` culls to the active rows.
 `power_lambda_max` estimates a level operator's largest eigenvalue, and
 `solve_energy_history` records the A-norm errors of `solver.llmg_solve`'s
 own iterates against a known solution.
@@ -39,6 +41,7 @@ import numpy as np
 from mlfem import solver
 from mlfem.adapt import initial_masks, refine
 from mlfem.assembly import apply_A_level, apply_stacked, carry_down, carry_up, level_section
+from mlfem.convnet import conv_apply_A, conv_translate
 from mlfem.estimator import estimate, leaf_triangle_masks
 from mlfem.field import MultilevelField, flatten_to_finest, make_mask
 from mlfem.mesh import NODE_TRIANGLES, TRI_CHILD_OFFSETS, ConfigurationError
@@ -474,6 +477,40 @@ def full_depth_sweep(u, f, diff, sm):
         if k < nlev - 1:
             tld[k + 1] = carry_down(tld[k], u.values[k])
     return float(np.sqrt(sum(lagged2)))
+
+
+class _FullLatticeConvLevel:
+    """A staged conv level whose smoothing step runs on the full lattice."""
+
+    def __init__(self, state, level, k):
+        self.state, self.level, self.k = state, level, k
+
+    def smooth(self):
+        """The stack of u_k + utilde_k on every node, gated by the active
+        mask (`conv_translate`), the stiffness action on the whole lattice
+        (`conv_apply_A`), and the update times the 0/1 mask, written into the
+        state's iterate image."""
+        state, k = self.state, self.k
+        v, act = state.u.values[k], state.u.masks[k].active
+        stack = conv_translate(state.bank, v + state.utld[k], act)
+        upsilon, h = state.diffusion.upsilon[k], state.u.hierarchy.h(k)
+        section = conv_apply_A(state.bank, stack, upsilon, h)
+        section = section + state.ubar[k]
+        v[...] = v + state.smoother.omegas[k] * (state.f.images[k] - section) * act
+
+    def carry_up(self):
+        self.level.carry_up()
+
+    def carry_down(self):
+        self.level.carry_down()
+
+
+def full_lattice_conv_sweep(state):
+    """`convnet.conv_llmg_sweep` with every smoothing step on the full
+    lattice of its level (`_FullLatticeConvLevel`), in place; the carry
+    layers are the state's own staged ones."""
+    levels = [_FullLatticeConvLevel(state, level, k) for k, level in enumerate(state.levels)]
+    solver.llmg_schedule(levels)
 
 
 def power_lambda_max(diffusion, k, iterations=50):

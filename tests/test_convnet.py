@@ -1,13 +1,15 @@
 """Convolutional twins: kernels, stencil bank, sweep, estimator, marking."""
 
+import dataclasses
 import hashlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlfem import convnet
-from mlfem.adapt import mark_threshold, refine
+from mlfem.adapt import initial_masks, mark_threshold, refine
 from mlfem.assembly import (
     apply_A_level,
     apply_A_level_transpose,
@@ -31,12 +33,13 @@ from mlfem.convnet import (
     init_llmg_state,
     parameter_count,
 )
-from mlfem.estimator import estimate
+from mlfem.estimator import estimate, leaf_triangle_masks
 from mlfem.field import (
     MultilevelField,
     Taps,
     empty_mask,
     flatten_to_finest,
+    make_mask,
     offset_views,
     prolongate_uniform,
     restrict_uniform,
@@ -53,7 +56,13 @@ from mlfem.mesh import (
 from mlfem.problems import CookieProblem, SampleRng, discretize_kappa, load_image
 from mlfem.solver import SmootherConfig, choose_omega, llmg_sweep
 
-from oracles import random_field, random_mask, random_masks, sample_parameters
+from oracles import (
+    full_lattice_conv_sweep,
+    random_field,
+    random_mask,
+    random_masks,
+    sample_parameters,
+)
 
 
 def loop_conv(kernel, image, cell_anchored=False):
@@ -273,7 +282,9 @@ def test_single_channel_taps_give_the_einsum_bytes(mode, bank):
     tap (`einsum_conv`), signed zeros included, on inputs with planted
     +-0.0: single-channel layers and random multi-channel layers with
     sparse and +-0.0 weights on odd and even lattices, or (bank) the
-    bank's kernels of this mode at n = 5, 9 and 17."""
+    bank's kernels of this mode at n = 5, 9 and 17.  The layer's gather cut
+    down to a random subset of output nodes, in random order
+    (`gather(shape, nodes)`), gives those nodes' bytes."""
     rng = np.random.default_rng(29)
     transposed = mode == "transpose-strided2"
     cases = []
@@ -302,6 +313,9 @@ def test_single_channel_taps_give_the_einsum_bytes(mode, bank):
         want = einsum_conv(kern, img)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        nodes = rng.permutation(got[0].size)[: max(1, got[0].size // 3)]
+        cut = kern.gather(shape, nodes)(np.append(img, 0.0))
+        assert cut.tobytes() == got.reshape(len(got), -1)[:, nodes].tobytes()
 
 
 def staged_terms(kernel):
@@ -666,27 +680,68 @@ def test_solution_images_copy_the_iterate():
 
 
 def test_sweep_state_validation():
+    """The state is checked when it is staged; a sweep then refuses a state
+    whose images or masks were replaced, or another bank."""
     hier = build_hierarchy(5, 2)
     bank = build_stencil_bank(hier)
     diff = compute_upsilon(hier, np.ones((9, 9)))
-    rhs = assemble_rhs(hier, np.ones((9, 9)))
     masks = uniform_masks(hier)
+
+    def rhs():
+        return assemble_rhs(hier, np.ones((9, 9)))
+
     with pytest.raises(ConfigurationError):
         init_llmg_state(
-            bank, zero_field(hier, masks), rhs, diff,
+            bank, zero_field(hier, masks), rhs(), diff,
             SmootherConfig(omegas=(0.1,)),
         )
     sm = choose_omega(diff, masks)
-    for group in (lambda s: s.u.values, lambda s: s.utld, lambda s: s.ubar):
-        for wrong in (np.zeros((7, 9, 9)), np.zeros((5, 5))):
-            state = init_llmg_state(bank, zero_field(hier, masks), rhs, diff, sm)
-            group(state)[1] = wrong
-            with pytest.raises(ConfigurationError):
-                conv_llmg_sweep(state, bank)
-    state = init_llmg_state(bank, zero_field(hier, masks), rhs, diff, sm)
-    state.u.values.pop()
-    with pytest.raises(ConfigurationError):
+    for wrong in (np.zeros((7, 9, 9)), np.zeros((5, 5))):
+        u = zero_field(hier, masks)
+        u.values[1] = wrong
+        with pytest.raises(ConfigurationError, match="group u"):
+            init_llmg_state(bank, u, rhs(), diff, sm)
+        f = rhs()
+        f.images[1] = wrong
+        with pytest.raises(ConfigurationError, match="group f"):
+            init_llmg_state(bank, zero_field(hier, masks), f, diff, sm)
+    for shape in ((5, 5), (9, 7)):
+        bad = [masks[0], make_mask(np.ones(shape))]
+        with pytest.raises(ConfigurationError, match="group masks"):
+            init_llmg_state(bank, zero_field(hier, bad), rhs(), diff, sm)
+    u = zero_field(hier, masks)
+    u.values.pop()
+    with pytest.raises(ConfigurationError, match="group u"):
+        init_llmg_state(bank, u, rhs(), diff, sm)
+    framed = [make_mask(np.ones((hier.n(k), hier.n(k)))) for k in range(2)]
+    f = rhs()
+    f.images[1][0, 3] = 1.0
+    with pytest.raises(ConfigurationError, match="active frame node"):
+        init_llmg_state(bank, zero_field(hier, framed), f, diff, sm)
+
+    # images of the right shape swapped in after staging are refused too:
+    # the staged levels keep updating the arrays they were staged on
+    swaps = (
+        lambda s: s.u.values, lambda s: s.utld, lambda s: s.ubar, lambda s: s.f.images,
+    )
+    for group in swaps:
+        state = init_llmg_state(bank, zero_field(hier, masks), rhs(), diff, sm)
+        group(state)[1] = group(state)[1].copy()
+        with pytest.raises(ConfigurationError, match="replaced"):
+            conv_llmg_sweep(state, bank)
+    state = init_llmg_state(bank, zero_field(hier, masks), rhs(), diff, sm)
+    state.u.masks[1].active = state.u.masks[1].active.copy()
+    with pytest.raises(ConfigurationError, match="replaced"):
         conv_llmg_sweep(state, bank)
+    state = init_llmg_state(bank, zero_field(hier, masks), rhs(), diff, sm)
+    state.u.values.pop()
+    with pytest.raises(ConfigurationError, match="replaced"):
+        conv_llmg_sweep(state, bank)
+    state = init_llmg_state(bank, zero_field(hier, masks), rhs(), diff, sm)
+    with pytest.raises(ConfigurationError, match="another stencil bank"):
+        conv_llmg_sweep(state, build_stencil_bank(hier))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.u = zero_field(hier, masks)
 
 
 @pytest.mark.parametrize(
@@ -695,8 +750,10 @@ def test_sweep_state_validation():
 )
 def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     """The layers one sweep and the state setup apply are the ones
-    parameter_count books for the occupied depth: no stack or chain is built
-    and left unread, and no level without dofs is visited."""
+    parameter_count books for the occupied depth, counted on the gathers
+    they run: no stack or chain is built and left unread, and no level
+    without dofs is visited.  Each smoothing gather emits exactly its
+    level's active interior rows."""
     hier = build_hierarchy(5, levels)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(59)
@@ -707,28 +764,177 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     sm = choose_omega(diff, masks)
     u = random_field(hier, masks, rng)
 
-    applied = []
-    real_apply = convnet.conv_apply
+    called = []
+    real_call = Taps.__call__
 
-    def counted_apply(kernel, *args, **kwargs):
-        applied.append(kernel)
-        return real_apply(kernel, *args, **kwargs)
+    def counted_call(taps, src, out=None):
+        out = real_call(taps, src, out)
+        called.append((taps, out.shape))
+        return out
 
-    def weights():
-        return sum(k.weights.size for k in applied)
-
-    monkeypatch.setattr(convnet, "conv_apply", counted_apply)
+    monkeypatch.setattr(Taps, "__call__", counted_call)
     state = init_llmg_state(bank, u, rhs, diff, sm)
-    assert weights() == (depth - 1) * 9
-    applied.clear()
+    init_calls = called[:]
+    called.clear()
     conv_llmg_sweep(state, bank)
+
+    # each gather's layer: a bank kernel's kept full-lattice gathers, and
+    # the smoothing gathers the staged levels own
+    entries = [getattr(bank, f.name) for f in dataclasses.fields(bank)]
+    kernels = [k for e in entries for k in (e.values() if isinstance(e, dict) else [e])]
+    layer = {id(t): k for k in kernels for t in k._gathers.values()}
+    for level in state.levels:
+        layer[id(level.translate)], layer[id(level.operator)] = bank.translate, bank.operator
+        # the Upsilon channel sum weighs by data, as conv_apply_A's product does
+        layer[id(level.channel_sum)] = None
+
+    def applied(calls):
+        return [layer[id(taps)] for taps, _ in calls if layer[id(taps)] is not None]
+
+    assert sum(k.weights.size for k in applied(init_calls)) == (depth - 1) * 9
     # every smoothing step also multiplies by its damping factor, which no
     # kernel applies: one weight per step, two steps per level
-    assert weights() == parameter_count(depth, 1)["per_sweep"] - 2 * depth
+    weights = sum(k.weights.size for k in applied(called))
+    assert weights == parameter_count(depth, 1)["per_sweep"] - 2 * depth
     # one smoothing step is one stack and one stiffness layer
     layers = (bank.translate, bank.operator, bank.prolong, bank.restrict)
-    uses = [sum(k is layer for k in applied) for layer in layers]
+    uses = [sum(k is layer for k in applied(called)) for layer in layers]
     assert uses == [2 * depth, 2 * depth, depth - 1, depth - 1]
+    assert len(state.levels) == depth
+    for k, level in enumerate(state.levels):
+        interior = zero_frame(masks[k].active)
+        rows = np.flatnonzero(interior)
+        assert np.array_equal(level.rows, rows)
+        smoothing = ((level.translate, (7,)), (level.operator, (6,)), (level.channel_sum, ()))
+        for gather, channels in smoothing:
+            shapes = [out for taps, out in called if taps is gather]
+            assert shapes == [channels + (rows.size,)] * 2
+
+
+def sweep_pair(bank, u, rhs, diff, sm, sweeps):
+    """Two states staged from u, one swept by `conv_llmg_sweep` and one by
+    the full-lattice oracle, `sweeps` times each."""
+    culled = init_llmg_state(bank, u, rhs, diff, sm)
+    full = init_llmg_state(bank, u, rhs, diff, sm)
+    for _ in range(sweeps):
+        conv_llmg_sweep(culled, bank)
+        full_lattice_conv_sweep(full)
+    return culled, full
+
+
+def state_bytes(state):
+    return [a.tobytes() for group in (state.u.values, state.utld, state.ubar) for a in group]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_culled_sweep_gives_the_full_lattice_bytes(depth):
+    """On random masks of occupied depth 1-4, the sweep that smooths only
+    the active interior rows leaves the iterate and both carried images
+    with the bytes of the full-lattice smoothing step (`oracles`)."""
+    hier = build_hierarchy(5, 4)
+    bank = build_stencil_bank(hier)
+    rng = np.random.default_rng(61 + depth)
+    nf = hier.n(3)
+    for _ in range(3):
+        diff = compute_upsilon(hier, rng.uniform(0.5, 3.0, size=(nf, nf)))
+        rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+        masks = occupied_masks(hier, depth, rng)
+        u = random_field(hier, masks, rng)
+        culled, full = sweep_pair(bank, u, rhs, diff, choose_omega(diff, masks), 3)
+        assert state_bytes(culled) == state_bytes(full)
+        assert any(v.any() for v in culled.u.values)
+
+
+def test_culled_sweep_edge_cases():
+    """Planted -0.0 and active frame nodes, against the full-lattice step.
+
+    - -0.0 planted in the iterate off the active sets is staged as +0.0, and
+      -0.0 planted at active interior nodes is smoothed like any value: the
+      bytes are the full-lattice step's.
+    - Active frame nodes are no rows, as in `solver._LevelStage`, so the
+      cull never moves them.  The full-lattice step adds omega * (0 - 0) =
+      +0.0 there (the load and the carried-up content are zero on the
+      frame), so a nonzero value keeps its bits on both routes, and every
+      other entry matches too; only a -0.0 at an active frame node differs,
+      kept by the cull and turned into +0.0 by the full-lattice step.
+    """
+    hier = build_hierarchy(5, 3)
+    bank = build_stencil_bank(hier)
+    rng = np.random.default_rng(67)
+    nf = hier.n(2)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 3.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    masks, values, negative_frame = [], [], []
+    for k in range(hier.levels):
+        n = hier.n(k)
+        active = random_mask(hier, k, rng).active
+        frame = np.zeros((n, n), dtype=bool)
+        frame[[0, 0, n - 1, 2, n - 3], [1, n - 2, 2, 0, n - 1]] = True
+        active[frame] = 1
+        v = rng.normal(size=(n, n))
+        plant = rng.random((n, n)) < 0.3
+        v[plant] = -0.0
+        negative = frame & plant
+        masks.append(make_mask(active))
+        values.append(v)
+        negative_frame.append(negative)
+        assert (plant & (active == 0)).any() and (plant & (active == 1)).any()
+    assert any(neg.any() for neg in negative_frame)
+    u = MultilevelField(hier, values, masks)
+    culled, full = sweep_pair(bank, u, rhs, diff, choose_omega(diff, masks), 3)
+    assert state_bytes(culled)[hier.levels:] == state_bytes(full)[hier.levels:]
+    for k in range(hier.levels):
+        got, want = culled.u.values[k], full.u.values[k]
+        neg = negative_frame[k]
+        assert np.signbit(got[neg]).all() and not got[neg].any()
+        assert not np.signbit(want[neg]).any() and not want[neg].any()
+        assert got[~neg].tobytes() == want[~neg].tobytes()
+        frame = (masks[k].active == 1) & (zero_frame(np.ones_like(got)) == 0)
+        assert got[frame].tobytes() == values[k][frame].tobytes()
+    # a level whose only active node is on the frame has no rows at all;
+    # with no -0.0 at an active frame node, every byte matches
+    masks[2] = make_mask(np.pad(np.ones((1, 1)), ((0, 16), (4, 12))))
+    values = [np.where(neg, 1.0, v) for v, neg in zip(values, negative_frame)]
+    u = MultilevelField(hier, values, masks)
+    culled, full = sweep_pair(bank, u, rhs, diff, choose_omega(diff, masks), 2)
+    assert culled.levels[2].rows.size == 0
+    assert state_bytes(culled) == state_bytes(full)
+
+
+@st.composite
+def refined_sweep_inputs(draw):
+    """A hierarchy, masks reached by random mark-and-refine steps from the
+    initial ones, and a random iterate, load and coefficient, with -0.0
+    planted in the iterate on and off the active sets."""
+    hier = build_hierarchy(draw(st.integers(3, 6)), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = initial_masks(hier)
+    for _ in range(draw(st.integers(0, hier.levels - 1))):
+        frac = draw(st.floats(0.05, 0.6))
+        leaves = leaf_triangle_masks(hier, masks)
+        marks = [(rng.random(leaf.shape) < frac).astype(np.uint8) & leaf for leaf in leaves]
+        marks[-1][...] = 0
+        masks = refine(masks, marks, hier)
+    values = []
+    for k in range(hier.levels):
+        v = rng.normal(size=(hier.n(k), hier.n(k)))
+        v[rng.random(v.shape) < 0.2] = -0.0
+        values.append(v)
+    nf = hier.n(hier.levels - 1)
+    diff = compute_upsilon(hier, rng.uniform(0.1, 3.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    return MultilevelField(hier, values, masks), rhs, diff
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(refined_sweep_inputs())
+def test_culled_sweep_property(inputs):
+    """The culled sweep gives the full-lattice step's bytes on every mask
+    the adaptive loop can reach (no active frame nodes)."""
+    u, rhs, diff = inputs
+    bank = build_stencil_bank(u.hierarchy)
+    culled, full = sweep_pair(bank, u, rhs, diff, choose_omega(diff, u.masks), 2)
+    assert state_bytes(culled) == state_bytes(full)
 
 
 # ---------------------------------------------------------------- estimator

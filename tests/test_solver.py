@@ -527,7 +527,8 @@ def test_taps_add_in_tap_order():
 
 def test_taps_sum_of_negative_zeros_is_positive_zero():
     """The sum starts from +0.0, as `apply_stencil`'s `out = zeros; out +=
-    w * view` loop does, so -0.0 terms (a -0.0 read or a -0.0 weight) give +0.0."""
+    w * view` loop does, so -0.0 terms (a -0.0 read or a -0.0 weight) give
+    +0.0; also when it is written into an `out` array, whatever that held."""
     src = np.array([-0.0, 0.0])
     for index, coef in (([0, 0, 1], [1.0, 2.0, -1.0]), ([1] * 7, [-1.0] * 7)):
         index, coef = np.array(index)[:, None], np.array(coef)[:, None]
@@ -538,6 +539,9 @@ def test_taps_sum_of_negative_zeros_is_positive_zero():
             out += term
         got = field.Taps(index, coef)(src)
         assert got.tobytes() == out.tobytes() == np.zeros(1).tobytes()
+        into = np.full(1, -0.0)
+        assert field.Taps(index, coef)(src, out=into) is into
+        assert into.tobytes() == out.tobytes()
 
 
 def test_taps_sum_each_taps_channels_first():
