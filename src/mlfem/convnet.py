@@ -18,11 +18,12 @@ and sums the products, with the layer's own weights, and derives no
 weight, so the kernels stay an independent derivation.
 
 The sweep is staged once per state (`init_llmg_state`): one `_ConvLevel`
-per occupied level.  Its smoothing step culls the translate and stiffness
-layers to the level's active interior nodes, the rows the direct route
-smooths (a submanifold convolution: the layer's gather cut down to those
-output nodes), with the iterates of the full-lattice step, bit for bit;
-the carry layers run on the full lattice.
+per occupied level, whose ops run the layers' kept gathers.  Its smoothing
+step is one gather that fuses the translate and stiffness layers, cut down
+to the level's active interior nodes, the rows the direct route smooths (a
+submanifold convolution), with the iterates of the full-lattice step, bit
+for bit; the carry layers run their kept gathers on the full lattice, with
+the bytes of the per-call wrappers.
 """
 
 from __future__ import annotations
@@ -90,8 +91,7 @@ class ConvKernel:
     appends to its input (it pads emitted channels with fewer taps).  `coef`
     holds the terms' weights and `channels` the (emitted, taps) term counts.
     The gather on each input lattice is built on the layer's first use of
-    it and kept by this layer alone; a gather cut down to some output nodes
-    (`gather(shape, nodes)`) is built for its caller and not kept.
+    it and kept by this layer alone (`gather`).
     """
 
     weights: np.ndarray
@@ -142,18 +142,11 @@ class ConvKernel:
     def in_channels(self) -> int:
         return self.weights.shape[1]
 
-    def gather(self, shape: tuple[int, int, int], nodes: np.ndarray | None = None) -> Taps:
+    def gather(self, shape: tuple[int, int, int]) -> Taps:
         """The layer's `field.Taps` on a (channels, n1, n2) input, built on
-        first use and kept; the index comes from `_gather_index`.
-
-        With `nodes`, flat indices into the output lattice, the gather emits
-        those output nodes only, in that order: a submanifold convolution
-        (Graham, Engelcke & van der Maaten, CVPR 2018).  Each emitted node
-        has the terms, in the order, of the full gather's, and the gather
-        belongs to its caller: it is built fresh and not kept."""
-        if nodes is not None:
-            index = _gather_index(self.pattern, self.mode, shape, nodes)
-            return Taps(index, self.coef, self.channels)
+        first use (`_gather_index`) and kept by this layer; its callers read
+        it, and may cut its index down to some output nodes, but never
+        change it."""
         taps = self._gathers.get(shape)
         if taps is None:
             index = _gather_index(self.pattern, self.mode, shape)
@@ -161,12 +154,10 @@ class ConvKernel:
         return taps
 
 
-def _gather_index(
-    rows: np.ndarray, mode: str, shape: tuple[int, int, int], nodes: np.ndarray | None = None
-) -> np.ndarray:
+def _gather_index(rows: np.ndarray, mode: str, shape: tuple[int, int, int]) -> np.ndarray:
     """Flat source indices of a staged pattern on a (channels, n1, n2) input
-    with one zero appended (`conv_apply`): (terms, output nodes), for the
-    flat output `nodes` in their order, or every output node, row-major.
+    with one zero appended (`conv_apply`): (terms, output nodes), the output
+    nodes row-major.
 
     Each output node reads its term's channel at the node's source position
     plus the term's offset: the node itself (plain), the fine node 2i
@@ -177,8 +168,7 @@ def _gather_index(
     """
     chan, o1, o2 = (rows[:, i, None, None] for i in range(3))
     cin, n1, n2 = shape
-    out = _lattice(mode, n1, n2)
-    y1, y2 = np.indices(out, sparse=True) if nodes is None else np.divmod(nodes, out[1])
+    y1, y2 = np.indices(_lattice(mode, n1, n2), sparse=True)
     if mode == "transpose-strided2":
         z1, z2 = y1 + o1, y2 + o2
         s1, s2 = z1 // 2, z2 // 2
@@ -538,9 +528,10 @@ def init_llmg_state(
     utld = [np.zeros((hier.n(k), hier.n(k))) for k in levels]
     ubar = [np.zeros((hier.n(k), hier.n(k))) for k in levels]
     iterate = MultilevelField(hier, values, u.masks)
+    depth = occupied_depth(u.masks)
     ops = [
-        _ConvLevel(bank, iterate, f, diffusion, smoother.omegas[k], k, utld, ubar)
-        for k in range(occupied_depth(u.masks))
+        _ConvLevel(bank, iterate, f, diffusion, smoother.omegas[k], k, utld[:depth], ubar)
+        for k in range(depth)
     ]
     state = ConvLlmgState(iterate, f, diffusion, smoother, utld, ubar, bank, ops)
     carry_down_chain(ops)
@@ -550,23 +541,34 @@ def init_llmg_state(
 class _ConvLevel:
     """The conv route's ops of occupied level k for `solver.llmg_schedule`,
     staged once per state (`init_llmg_state`) on the state's images, which
-    they update in place.
+    they update in place.  Every op applies bank layers through the gathers
+    the layers keep (`ConvKernel.gather`), reading a level-owned source
+    with the zero appended: staging builds no gather index once the bank
+    has met the level's lattice, and a sweep calls no `conv_apply`.
 
     `smooth` works on the active interior nodes only (`rows`, the rows of
-    `solver._LevelStage`), as a submanifold convolution: the translate
-    layer's gather cut down to those output nodes, the 1x1 stiffness layer
-    on their (7, m) stack, then the Upsilon channel sum (a gather of the
-    six channels at each node with its Upsilon weights, summed from +0.0
-    in channel order as `conv_apply_A` sums them), the 2/h^2 scale, ubar,
-    the load and the damped update at those nodes.  Node for node that is
-    the full-lattice step (the stack of u_k + utilde_k gated by the active
-    mask, `conv_apply_A`, the update times the 0/1 mask), whose update adds
-    x * 0 off the rows; so for finite loads and carried images every entry
-    keeps its bits, except a -0.0 iterate at an active frame node, which
-    the full-lattice step turns into +0.0 and the cull skips (as
-    `_LevelStage` does).  `carry_up` (levels > 0: the transposed stiffness
-    layer and a restriction) and `carry_down` (all but the deepest level: a
-    prolongation) run on the full lattice.
+    `solver._LevelStage`), as a submanifold convolution.  One gather
+    (`smoothing`) runs the translate and 1x1 stiffness layers from u_k +
+    utilde_k: each stiffness term reads the translate layer's kept gather
+    of its stack channel (one term of weight 1) at the rows, which gives
+    the two layers' bytes, since their tap sums start from +0.0.  Then the
+    Upsilon channel sum (a gather summed from +0.0 in channel order, as
+    `conv_apply_A` sums), the 2/h^2 scale, ubar, the load and the damped
+    update at the rows.  Node for node that is the full-lattice step (the
+    stack gated by the active mask, `conv_apply_A`, the update times the
+    0/1 mask), whose update adds x * 0 off the rows; so for finite loads
+    and carried images every entry keeps its bits, except a -0.0 iterate
+    at an active frame node, which the full-lattice step turns into +0.0
+    and the cull skips (as `_LevelStage` does).
+
+    The carries run on the full lattice with the terms, in the order, of
+    the public wrappers, so with their bytes.  `carry_up` (levels > 0):
+    Upsilon times the frame-zeroed u_k, the transposed stiffness layer,
+    2/h^2 and ubar_k (`conv_apply_A_transpose`), then the restriction with
+    its frame zeroed (`conv_restrict`), into ubar_{k-1}; the transposed
+    action's frame reaches only the coarse frame, so it is not zeroed.
+    `carry_down` (all but the deepest occupied level): the prolongation of
+    utilde_k + u_k into utilde_{k+1} (`conv_prolongate`).
     """
 
     def __init__(self, bank, u, f, diffusion, omega, k, utld, ubar):
@@ -576,45 +578,60 @@ class _ConvLevel:
         edge[1:-1, 1:-1] = False
         if load[edge].any():
             raise ConfigurationError(f"load image of level {k} is nonzero at an active frame node")
-        self.bank, self.upsilon, self.h = bank, diffusion.upsilon[k], h
-        self.values, self.tld, self.bar = u.values[k], utld[k], ubar[k]
-        self.values_flat, self.bar_flat = self.values.reshape(-1), self.bar.reshape(-1)
-        self.coarse = ubar[k - 1] if k > 0 else None
-        self.fine = utld[k + 1] if k + 1 < len(utld) else None
-        r1, r2 = np.nonzero(active[1:-1, 1:-1])
-        r1, r2 = r1 + 1, r2 + 1
-        self.rows = r1 * n + r2
-        self.loads = load[r1, r2]
+        self.upsilon, self.values, self.tld = diffusion.upsilon[k], u.values[k], utld[k]
+        self.values_flat, self.bar_flat = self.values.reshape(-1), ubar[k].reshape(-1)
+        self.rows = np.flatnonzero(active & ~edge)
+        self.loads = load.take(self.rows)
         self.omega, self.scale = omega, 2.0 / (h * h)
-        # u_k + utilde_k, with the zero `conv_apply` appends
+        # the input of the level's next gather, with the zero its reads off
+        # the lattice take; each op writes it before its gather reads it
         self.source = np.zeros(n * n + 1)
-        self.source_image = self.source[:-1].reshape(n, n)
-        self.translate = bank.translate.gather((1, n, n), self.rows)
-        # the 1x1 layer reads the stack as a (7, 1, m) image, with the zero
-        # `conv_apply` appends
+        self.source_image, self.source_row = self.source[:-1].reshape(n, n), self.source[None, :-1]
+
+        stack = bank.translate.gather((1, n, n)).index.reshape(len(bank.translate.pattern), -1)
+        index = stack.take(self.rows, axis=1)[bank.operator.pattern[:, 0]]
+        self.smoothing = Taps(index, bank.operator.coef, bank.operator.channels)
         m = self.rows.size
-        self.stack = np.zeros(7 * m + 1)
-        self.stack_image = self.stack[:-1].reshape(7, m)
-        self.operator = bank.operator.gather((7, 1, m), np.arange(m))
-        # the Upsilon channel sum: channel l of node j times upsilon_l at j
-        self.channel_sum = Taps(np.arange(6 * m).reshape(6, m), self.upsilon[:, r1, r2])
+        weights = self.upsilon.reshape(6, -1).take(self.rows, axis=1)
+        self.channel_sum = Taps(np.arange(6 * m).reshape(6, m), weights)
+        self.terms, self.section = np.empty((6, m)), np.empty(m)
+
+        if k > 0:
+            self.framed = np.zeros((n, n))
+            self.weighted = np.zeros(6 * n * n + 1)
+            self.weighted_image = self.weighted[:-1].reshape(6, n, n)
+            self.transposed = bank.operator_transpose.gather((6, n, n))
+            self.restriction = bank.restrict.gather((1, n, n))
+            self.coarse = ubar[k - 1]
+            self.coarse_row = self.coarse.reshape(1, -1)
+        if k + 1 < len(utld):
+            self.interpolation = bank.prolong.gather((1, n, n))
+            self.fine_row = utld[k + 1].reshape(1, -1)
 
     def smooth(self) -> None:
         np.add(self.values, self.tld, out=self.source_image)
-        self.translate(self.source, out=self.stack_image)
-        terms = self.operator(self.stack)
-        section = self.channel_sum(terms.reshape(-1))
+        self.smoothing(self.source, out=self.terms)
+        section = self.channel_sum(self.terms.reshape(-1), out=self.section)
         section *= self.scale
         section += self.bar_flat[self.rows]
-        step = self.omega * (self.loads - section)
-        self.values_flat[self.rows] = self.values_flat[self.rows] + step
+        np.subtract(self.loads, section, out=section)
+        section *= self.omega
+        self.values_flat[self.rows] += section
 
     def carry_up(self) -> None:
-        lifted = self.bar + conv_apply_A_transpose(self.bank, self.values, self.upsilon, self.h)
-        self.coarse[...] = conv_restrict(self.bank, lifted)
+        self.framed[1:-1, 1:-1] = self.values[1:-1, 1:-1]
+        np.multiply(self.upsilon, self.framed, out=self.weighted_image)
+        lifted = self.transposed(self.weighted, out=self.source_row)
+        lifted *= self.scale
+        lifted += self.bar_flat
+        self.restriction(self.source, out=self.coarse_row)
+        coarse = self.coarse
+        coarse[0] = coarse[-1] = 0.0
+        coarse[:, 0] = coarse[:, -1] = 0.0
 
     def carry_down(self) -> None:
-        self.fine[...] = conv_prolongate(self.bank, self.tld + self.values)
+        np.add(self.tld, self.values, out=self.source_image)
+        self.interpolation(self.source, out=self.fine_row)
 
 
 def conv_llmg_sweep(state: ConvLlmgState, bank: StencilBank) -> ConvLlmgState:

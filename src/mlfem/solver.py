@@ -13,8 +13,9 @@ sweep visits only the occupied levels 0..D-1 (`assembly.occupied_depth`).
 The level order is written once, in `llmg_schedule`, and the chain build
 once, in `carry_down_chain`.  Both routes run them over per-level ops
 staged once: `_LevelStage` here, once per solve, and `convnet._ConvLevel`
-on the conv route, once per sweep state, whose kernels stay separately
-derived.  Both smooth only a level's active interior rows.
+on the conv route, once per sweep state, from the gathers its separately
+derived kernels keep.  Both smooth only a level's active interior rows and
+carry on full level lattices.
 
 A solve stages its sweep once (`_StagedSweep`): the masks, loads, stencil
 images and damping are fixed while it runs.  Each occupied level stages its

@@ -23,28 +23,45 @@ iteration that the fused `solver.llmg_sweep` must reproduce;
 `full_depth_sweep` is the unstaged full-lattice loop over `assembly`'s
 level steps, which the staged sweep must reproduce bit for bit, and
 `full_lattice_conv_sweep` the conv sweep with the full-lattice smoothing
-step that `convnet._ConvLevel` culls to the active rows.
+step that `convnet._ConvLevel` culls to the active rows and the per-call
+carry layers that it stages.
 `power_lambda_max` estimates a level operator's largest eigenvalue, and
 `solve_energy_history` records the A-norm errors of `solver.llmg_solve`'s
 own iterates against a known solution.
 
 The random fixtures at the very end (`random_mask`, `random_masks`,
 `random_field`, `random_refined_masks`) draw the masks and fields the test
-modules share, so a given generator state gives every test the same data.
+modules share, so a given generator state gives every test the same data;
+`refined_inputs` is the hypothesis strategy of the property tests.
 """
 
 import math
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
 from mlfem import solver
 from mlfem.adapt import initial_masks, refine
-from mlfem.assembly import apply_A_level, apply_stacked, carry_down, carry_up, level_section
-from mlfem.convnet import conv_apply_A, conv_translate
+from mlfem.assembly import (
+    apply_A_level,
+    apply_stacked,
+    assemble_rhs,
+    carry_down,
+    carry_up,
+    compute_upsilon,
+    level_section,
+)
+from mlfem.convnet import (
+    conv_apply_A,
+    conv_apply_A_transpose,
+    conv_prolongate,
+    conv_restrict,
+    conv_translate,
+)
 from mlfem.estimator import estimate, leaf_triangle_masks
 from mlfem.field import MultilevelField, flatten_to_finest, make_mask
-from mlfem.mesh import NODE_TRIANGLES, TRI_CHILD_OFFSETS, ConfigurationError
+from mlfem.mesh import NODE_TRIANGLES, TRI_CHILD_OFFSETS, ConfigurationError, build_hierarchy
 from mlfem.problems import CookieProblem, reference_error
 
 # vertex index offsets of the two triangles owned by node i
@@ -480,10 +497,13 @@ def full_depth_sweep(u, f, diff, sm):
 
 
 class _FullLatticeConvLevel:
-    """A staged conv level whose smoothing step runs on the full lattice."""
+    """A conv level run by the public per-call layers on the full lattice
+    of level k, on a staged state's images: the steps the staged
+    `convnet._ConvLevel` replaces, with none of its staging."""
 
-    def __init__(self, state, level, k):
-        self.state, self.level, self.k = state, level, k
+    def __init__(self, state, k):
+        self.state, self.k = state, k
+        self.upsilon, self.h = state.diffusion.upsilon[k], state.u.hierarchy.h(k)
 
     def smooth(self):
         """The stack of u_k + utilde_k on every node, gated by the active
@@ -493,23 +513,30 @@ class _FullLatticeConvLevel:
         state, k = self.state, self.k
         v, act = state.u.values[k], state.u.masks[k].active
         stack = conv_translate(state.bank, v + state.utld[k], act)
-        upsilon, h = state.diffusion.upsilon[k], state.u.hierarchy.h(k)
-        section = conv_apply_A(state.bank, stack, upsilon, h)
+        section = conv_apply_A(state.bank, stack, self.upsilon, self.h)
         section = section + state.ubar[k]
         v[...] = v + state.smoother.omegas[k] * (state.f.images[k] - section) * act
 
     def carry_up(self):
-        self.level.carry_up()
+        """ubar_{k-1} = restrict(ubar_k + A_k^T u_k): `conv_apply_A_transpose`
+        and `conv_restrict`."""
+        state, k = self.state, self.k
+        lifted = state.ubar[k] + conv_apply_A_transpose(
+            state.bank, state.u.values[k], self.upsilon, self.h
+        )
+        state.ubar[k - 1][...] = conv_restrict(state.bank, lifted)
 
     def carry_down(self):
-        self.level.carry_down()
+        """utilde_{k+1} = prolong(utilde_k + u_k): `conv_prolongate`."""
+        state, k = self.state, self.k
+        state.utld[k + 1][...] = conv_prolongate(state.bank, state.utld[k] + state.u.values[k])
 
 
 def full_lattice_conv_sweep(state):
-    """`convnet.conv_llmg_sweep` with every smoothing step on the full
-    lattice of its level (`_FullLatticeConvLevel`), in place; the carry
-    layers are the state's own staged ones."""
-    levels = [_FullLatticeConvLevel(state, level, k) for k, level in enumerate(state.levels)]
+    """`convnet.conv_llmg_sweep` with every level run by the public per-call
+    layers on its full lattice (`_FullLatticeConvLevel`), in place, on the
+    state's occupied levels."""
+    levels = [_FullLatticeConvLevel(state, k) for k in range(len(state.levels))]
     solver.llmg_schedule(levels)
 
 
@@ -617,3 +644,28 @@ def random_refined_masks(hier, rng, frac=0.35):
                     break
         masks = refine(masks, ms, hier)
     return masks
+
+
+@st.composite
+def refined_inputs(draw):
+    """A hierarchy, masks reached by random mark-and-refine steps from the
+    initial ones, and a random iterate, load and coefficient, with -0.0
+    planted in the iterate on and off the active sets."""
+    hier = build_hierarchy(draw(st.integers(3, 6)), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = initial_masks(hier)
+    for _ in range(draw(st.integers(0, hier.levels - 1))):
+        frac = draw(st.floats(0.05, 0.6))
+        leaves = leaf_triangle_masks(hier, masks)
+        marks = [(rng.random(leaf.shape) < frac).astype(np.uint8) & leaf for leaf in leaves]
+        marks[-1][...] = 0
+        masks = refine(masks, marks, hier)
+    values = []
+    for k in range(hier.levels):
+        v = rng.normal(size=(hier.n(k), hier.n(k)))
+        v[rng.random(v.shape) < 0.2] = -0.0
+        values.append(v)
+    nf = hier.n(hier.levels - 1)
+    diff = compute_upsilon(hier, rng.uniform(0.1, 3.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    return MultilevelField(hier, values, masks), rhs, diff

@@ -6,10 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from mlfem import convnet
-from mlfem.adapt import initial_masks, mark_threshold, refine
+from mlfem.adapt import mark_threshold, refine
 from mlfem.assembly import (
     apply_A_level,
     apply_A_level_transpose,
@@ -33,7 +33,7 @@ from mlfem.convnet import (
     init_llmg_state,
     parameter_count,
 )
-from mlfem.estimator import estimate, leaf_triangle_masks
+from mlfem.estimator import estimate
 from mlfem.field import (
     MultilevelField,
     Taps,
@@ -58,6 +58,7 @@ from mlfem.solver import SmootherConfig, choose_omega, llmg_sweep
 
 from oracles import (
     full_lattice_conv_sweep,
+    refined_inputs,
     random_field,
     random_mask,
     random_masks,
@@ -282,9 +283,9 @@ def test_single_channel_taps_give_the_einsum_bytes(mode, bank):
     tap (`einsum_conv`), signed zeros included, on inputs with planted
     +-0.0: single-channel layers and random multi-channel layers with
     sparse and +-0.0 weights on odd and even lattices, or (bank) the
-    bank's kernels of this mode at n = 5, 9 and 17.  The layer's gather cut
-    down to a random subset of output nodes, in random order
-    (`gather(shape, nodes)`), gives those nodes' bytes."""
+    bank's kernels of this mode at n = 5, 9 and 17.  The layer's kept
+    gather with its index cut down to the columns of a random subset of
+    output nodes, in random order, gives those nodes' bytes."""
     rng = np.random.default_rng(29)
     transposed = mode == "transpose-strided2"
     cases = []
@@ -314,7 +315,9 @@ def test_single_channel_taps_give_the_einsum_bytes(mode, bank):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         nodes = rng.permutation(got[0].size)[: max(1, got[0].size // 3)]
-        cut = kern.gather(shape, nodes)(np.append(img, 0.0))
+        index = kern.gather(shape).index
+        cut = Taps(index.reshape(-1, index.shape[-1])[:, nodes], kern.coef, kern.channels)
+        cut = cut(np.append(img, 0.0))
         assert cut.tobytes() == got.reshape(len(got), -1)[:, nodes].tobytes()
 
 
@@ -751,7 +754,9 @@ def test_sweep_state_validation():
 def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     """The layers one sweep and the state setup apply are the ones
     parameter_count books for the occupied depth, counted on the gathers
-    they run: no stack or chain is built and left unread, and no level
+    they run: a level's smoothing gather counts as the translate and
+    stiffness layers it fuses, and each carry gather is its bank kernel's
+    kept one.  No stack or chain is built and left unread, and no level
     without dofs is visited.  Each smoothing gather emits exactly its
     level's active interior rows."""
     hier = build_hierarchy(5, levels)
@@ -778,18 +783,19 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     called.clear()
     conv_llmg_sweep(state, bank)
 
-    # each gather's layer: a bank kernel's kept full-lattice gathers, and
-    # the smoothing gathers the staged levels own
+    # each gather's layers: a bank kernel's kept full-lattice gathers (the
+    # carries), and the smoothing gather each staged level owns, which runs
+    # the translate and stiffness layers as one
     entries = [getattr(bank, f.name) for f in dataclasses.fields(bank)]
     kernels = [k for e in entries for k in (e.values() if isinstance(e, dict) else [e])]
-    layer = {id(t): k for k in kernels for t in k._gathers.values()}
+    layers = {id(t): (k,) for k in kernels for t in k._gathers.values()}
     for level in state.levels:
-        layer[id(level.translate)], layer[id(level.operator)] = bank.translate, bank.operator
+        layers[id(level.smoothing)] = (bank.translate, bank.operator)
         # the Upsilon channel sum weighs by data, as conv_apply_A's product does
-        layer[id(level.channel_sum)] = None
+        layers[id(level.channel_sum)] = ()
 
     def applied(calls):
-        return [layer[id(taps)] for taps, _ in calls if layer[id(taps)] is not None]
+        return [k for taps, _ in calls for k in layers[id(taps)]]
 
     assert sum(k.weights.size for k in applied(init_calls)) == (depth - 1) * 9
     # every smoothing step also multiplies by its damping factor, which no
@@ -797,18 +803,56 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     weights = sum(k.weights.size for k in applied(called))
     assert weights == parameter_count(depth, 1)["per_sweep"] - 2 * depth
     # one smoothing step is one stack and one stiffness layer
-    layers = (bank.translate, bank.operator, bank.prolong, bank.restrict)
-    uses = [sum(k is layer for k in applied(called)) for layer in layers]
+    counted = (bank.translate, bank.operator, bank.prolong, bank.restrict)
+    uses = [sum(k is layer for k in applied(called)) for layer in counted]
     assert uses == [2 * depth, 2 * depth, depth - 1, depth - 1]
     assert len(state.levels) == depth
     for k, level in enumerate(state.levels):
         interior = zero_frame(masks[k].active)
         rows = np.flatnonzero(interior)
         assert np.array_equal(level.rows, rows)
-        smoothing = ((level.translate, (7,)), (level.operator, (6,)), (level.channel_sum, ()))
-        for gather, channels in smoothing:
+        for gather, channels in ((level.smoothing, (6,)), (level.channel_sum, ())):
             shapes = [out for taps, out in called if taps is gather]
             assert shapes == [channels + (rows.size,)] * 2
+
+
+def test_warm_bank_stages_a_state_with_no_index_build(monkeypatch):
+    """Once the bank has met a level's lattice, staging a state builds no
+    gather index: each level's carry gathers are its bank kernels' kept
+    ones, and the smoothing gather is cut from the translate layer's."""
+    hier = build_hierarchy(5, 4)
+    bank = build_stencil_bank(hier)
+    rng = np.random.default_rng(71)
+    nf = hier.n(3)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 3.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    sm = choose_omega(diff, uniform_masks(hier))
+    init_llmg_state(bank, zero_field(hier, uniform_masks(hier)), rhs, diff, sm)
+
+    builds = []
+    real_index = convnet._gather_index
+
+    def counted_index(*args):
+        builds.append(args)
+        return real_index(*args)
+
+    monkeypatch.setattr(convnet, "_gather_index", counted_index)
+    masks = occupied_masks(hier, 3, rng)
+    state = init_llmg_state(bank, random_field(hier, masks, rng), rhs, diff, sm)
+    conv_llmg_sweep(state, bank)
+    assert builds == []
+    assert len(state.levels) == 3
+    for k, level in enumerate(state.levels):
+        n = hier.n(k)
+        if k > 0:
+            assert level.transposed is bank.operator_transpose.gather((6, n, n))
+            assert level.restriction is bank.restrict.gather((1, n, n))
+        else:
+            assert not hasattr(level, "transposed") and not hasattr(level, "restriction")
+        if k < 2:
+            assert level.interpolation is bank.prolong.gather((1, n, n))
+        else:
+            assert not hasattr(level, "interpolation")
 
 
 def sweep_pair(bank, u, rhs, diff, sm, sweeps):
@@ -828,9 +872,10 @@ def state_bytes(state):
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_culled_sweep_gives_the_full_lattice_bytes(depth):
-    """On random masks of occupied depth 1-4, the sweep that smooths only
-    the active interior rows leaves the iterate and both carried images
-    with the bytes of the full-lattice smoothing step (`oracles`)."""
+    """On random masks of occupied depth 1-4, the staged sweep, which
+    smooths only the active interior rows, leaves the iterate and both
+    carried images with the bytes of the full-lattice smoothing step and
+    the per-call carry layers (`oracles`)."""
     hier = build_hierarchy(5, 4)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(61 + depth)
@@ -846,7 +891,8 @@ def test_culled_sweep_gives_the_full_lattice_bytes(depth):
 
 
 def test_culled_sweep_edge_cases():
-    """Planted -0.0 and active frame nodes, against the full-lattice step.
+    """Planted -0.0 and active frame nodes, against the full-lattice step
+    and the per-call carries.
 
     - -0.0 planted in the iterate off the active sets is staged as +0.0, and
       -0.0 planted at active interior nodes is smoothed like any value: the
@@ -901,36 +947,12 @@ def test_culled_sweep_edge_cases():
     assert state_bytes(culled) == state_bytes(full)
 
 
-@st.composite
-def refined_sweep_inputs(draw):
-    """A hierarchy, masks reached by random mark-and-refine steps from the
-    initial ones, and a random iterate, load and coefficient, with -0.0
-    planted in the iterate on and off the active sets."""
-    hier = build_hierarchy(draw(st.integers(3, 6)), draw(st.integers(1, 4)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    masks = initial_masks(hier)
-    for _ in range(draw(st.integers(0, hier.levels - 1))):
-        frac = draw(st.floats(0.05, 0.6))
-        leaves = leaf_triangle_masks(hier, masks)
-        marks = [(rng.random(leaf.shape) < frac).astype(np.uint8) & leaf for leaf in leaves]
-        marks[-1][...] = 0
-        masks = refine(masks, marks, hier)
-    values = []
-    for k in range(hier.levels):
-        v = rng.normal(size=(hier.n(k), hier.n(k)))
-        v[rng.random(v.shape) < 0.2] = -0.0
-        values.append(v)
-    nf = hier.n(hier.levels - 1)
-    diff = compute_upsilon(hier, rng.uniform(0.1, 3.0, size=(nf, nf)))
-    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
-    return MultilevelField(hier, values, masks), rhs, diff
-
-
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(refined_sweep_inputs())
+@given(refined_inputs())
 def test_culled_sweep_property(inputs):
-    """The culled sweep gives the full-lattice step's bytes on every mask
-    the adaptive loop can reach (no active frame nodes)."""
+    """The staged sweep gives the bytes of the full-lattice step and the
+    per-call carries on every mask the adaptive loop can reach (no active
+    frame nodes)."""
     u, rhs, diff = inputs
     bank = build_stencil_bank(u.hierarchy)
     culled, full = sweep_pair(bank, u, rhs, diff, choose_omega(diff, u.masks), 2)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mlfem import assembly, convnet, field, solver
 from mlfem.assembly import (
@@ -54,6 +55,7 @@ from oracles import (
     random_field,
     random_mask,
     random_refined_masks,
+    refined_inputs,
     solve_energy_history,
     ssc_sweep,
 )
@@ -818,6 +820,24 @@ def test_staged_residual_equals_apply_stacked_bit_for_bit():
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (label, sweeps)
             assert (got == 0.0) == (label == "no-dof")
     assert len(labels) == 7
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(refined_inputs())
+def test_staged_residual_property(inputs):
+    """On every mask the adaptive loop can reach, with -0.0 planted in the
+    iterate on and off the active sets, the staged residual equals
+    `_stacked_residual_norm`'s bit for bit, before any sweep and after 1
+    and 3."""
+    u, rhs, diff = inputs
+    values = [v * m.active for v, m in zip(u.values, u.masks)]
+    u = field.MultilevelField(u.hierarchy, values, u.masks)
+    staged = solver._StagedSweep(u, rhs, diff, choose_omega(diff, u.masks))
+    for sweeps in (0, 1, 2):
+        for _ in range(sweeps):
+            staged.sweep()
+        got, want = staged.residual_norm(), _stacked_residual_norm(u, rhs, diff)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), sweeps
 
 
 def test_staged_residual_leaves_the_sweeps_bit_for_bit():
