@@ -18,12 +18,14 @@ and sums the products, with the layer's own weights, and derives no
 weight, so the kernels stay an independent derivation.
 
 The sweep is staged once per state (`init_llmg_state`): one `_ConvLevel`
-per occupied level, whose ops run the layers' kept gathers.  Its smoothing
-step is one gather that fuses the translate and stiffness layers, cut down
-to the level's active interior nodes, the rows the direct route smooths (a
-submanifold convolution), with the iterates of the full-lattice step, bit
-for bit; the carry layers run their kept gathers on the full lattice, with
-the bytes of the per-call wrappers.
+per occupied level, whose ops run blocks of the layers' kept gathers.  Its
+smoothing step is one gather that fuses the translate and stiffness
+layers, cut down to the level's active interior nodes, the rows the direct
+route smooths (a submanifold convolution), with the iterates of the
+full-lattice step, bit for bit.  Its carry-up is culled to the nodes those
+rows reach, and its carry-down runs the prolongation's kept gather on the
+full lattice; both carried images have the bytes of the per-call
+wrappers.
 """
 
 from __future__ import annotations
@@ -81,15 +83,16 @@ class ConvKernel:
     indexes the *input* of the transposed application).
 
     The layer keeps a read-only copy of the weights it is given and stages
-    it once, at construction, as the terms of one `field.Taps` gather: each
-    emitted channel's taps are its nonzero window positions in row-major
-    order, and a tap's terms are the contracted channels with a nonzero
-    weight there, in channel order.  `pattern` lists the terms as (R, 3)
-    (channel, row offset, column offset) rows in the gather's row order: the
-    offset is the window offset from the centre tap, mirrored for
+    it once, at construction, as one dense padded block of a `field.Taps`
+    gather: each emitted channel's taps are its nonzero window positions in
+    row-major order, and a tap's terms are the contracted channels with a
+    nonzero weight there, in channel order.  `pattern`, shape (emitted,
+    taps, ranks, 3), holds each term's (channel, row offset, column offset):
+    the offset is the window offset from the centre tap, mirrored for
     transpose-strided2, and channel -1 reads the zero that `conv_apply`
-    appends to its input (it pads emitted channels with fewer taps).  `coef`
-    holds the terms' weights and `channels` the (emitted, taps) term counts.
+    appends to its input.  Such terms pad the taps with fewer terms, and
+    the emitted channels with fewer taps, to the block; `coef`, shape
+    (emitted, taps, ranks, 1), holds the terms' weights, +0.0 for the pads.
     The gather on each input lattice is built on the layer's first use of
     it and kept by this layer alone (`gather`).
     """
@@ -98,7 +101,6 @@ class ConvKernel:
     mode: str = "plain"
     pattern: np.ndarray = dc_field(init=False, repr=False)
     coef: np.ndarray = dc_field(init=False, repr=False)
-    channels: np.ndarray = dc_field(init=False, repr=False)
     _gathers: dict = dc_field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -121,14 +123,17 @@ class ConvKernel:
                 taps[e].append(((d1, d2), []))
             taps[e][-1][1].append((c, sign * (d1 - centre[0]), sign * (d2 - centre[1]), w))
         count = max(1, max(map(len, taps)))
-        pad = [(None, [(-1, 0, 0, 0.0)])]
-        terms = [t for row in taps for _, t in row + pad * (count - len(row))]
-        ranked = [t[rank] for rank in range(max(map(len, terms))) for t in terms if rank < len(t)]
+        ranks = max([1] + [len(terms) for row in taps for _, terms in row])
+        pad = (-1, 0, 0, 0.0)
+        block = [
+            [terms + [pad] * (ranks - len(terms)) for _, terms in row]
+            + [[pad] * ranks] * (count - len(row))
+            for row in taps
+        ]
         staged = {
             "weights": weights,
-            "pattern": np.array([row[:3] for row in ranked], dtype=np.intp),
-            "coef": np.array([row[3:] for row in ranked], dtype=weights.dtype),
-            "channels": np.array([len(t) for t in terms]).reshape(len(taps), count),
+            "pattern": np.array([[[t[:3] for t in tap] for tap in row] for row in block], dtype=np.intp),
+            "coef": np.array([[[t[3:] for t in tap] for tap in row] for row in block], dtype=weights.dtype),
         }
         for name, value in staged.items():
             value.flags.writeable = False
@@ -143,21 +148,21 @@ class ConvKernel:
         return self.weights.shape[1]
 
     def gather(self, shape: tuple[int, int, int]) -> Taps:
-        """The layer's `field.Taps` on a (channels, n1, n2) input, built on
-        first use (`_gather_index`) and kept by this layer; its callers read
-        it, and may cut its index down to some output nodes, but never
-        change it."""
+        """The layer's `field.Taps` block on a (channels, n1, n2) input,
+        built on first use (`_gather_index`) and kept by this layer; its
+        callers read it, and may cut its index down to some output nodes,
+        but never change it."""
         taps = self._gathers.get(shape)
         if taps is None:
             index = _gather_index(self.pattern, self.mode, shape)
-            taps = self._gathers[shape] = Taps(index, self.coef, self.channels)
+            taps = self._gathers[shape] = Taps(index, self.coef)
         return taps
 
 
-def _gather_index(rows: np.ndarray, mode: str, shape: tuple[int, int, int]) -> np.ndarray:
-    """Flat source indices of a staged pattern on a (channels, n1, n2) input
-    with one zero appended (`conv_apply`): (terms, output nodes), the output
-    nodes row-major.
+def _gather_index(pattern: np.ndarray, mode: str, shape: tuple[int, int, int]) -> np.ndarray:
+    """Flat source indices of a staged (emitted, taps, ranks, 3) pattern on
+    a (channels, n1, n2) input with one zero appended (`conv_apply`): the
+    block (emitted, taps, ranks, output nodes), the output nodes row-major.
 
     Each output node reads its term's channel at the node's source position
     plus the term's offset: the node itself (plain), the fine node 2i
@@ -166,7 +171,7 @@ def _gather_index(rows: np.ndarray, mode: str, shape: tuple[int, int, int]) -> n
     that leave the lattice, land between the dilated input nodes, or belong
     to a padding term read the appended zero.
     """
-    chan, o1, o2 = (rows[:, i, None, None] for i in range(3))
+    chan, o1, o2 = (pattern[..., i, None, None] for i in range(3))
     cin, n1, n2 = shape
     y1, y2 = np.indices(_lattice(mode, n1, n2), sparse=True)
     if mode == "transpose-strided2":
@@ -178,7 +183,8 @@ def _gather_index(rows: np.ndarray, mode: str, shape: tuple[int, int, int]) -> n
         s1, s2 = step * y1 + o1, step * y2 + o2
         reads = True
     reads = reads & (chan >= 0) & (s1 >= 0) & (s1 < n1) & (s2 >= 0) & (s2 < n2)
-    index = np.where(reads, (chan * n1 + s1) * n2 + s2, cin * n1 * n2).reshape(len(rows), -1)
+    index = np.where(reads, (chan * n1 + s1) * n2 + s2, cin * n1 * n2)
+    index = index.reshape(pattern.shape[:-1] + (-1,))
     index.flags.writeable = False
     return index
 
@@ -541,10 +547,11 @@ def init_llmg_state(
 class _ConvLevel:
     """The conv route's ops of occupied level k for `solver.llmg_schedule`,
     staged once per state (`init_llmg_state`) on the state's images, which
-    they update in place.  Every op applies bank layers through the gathers
-    the layers keep (`ConvKernel.gather`), reading a level-owned source
-    with the zero appended: staging builds no gather index once the bank
-    has met the level's lattice, and a sweep calls no `conv_apply`.
+    they update in place.  Every op applies bank layers through blocks cut
+    from the gathers the layers keep (`ConvKernel.gather`), reading a
+    level-owned source with the zero appended: staging builds no gather
+    index once the bank has met the level's lattice, and a sweep calls no
+    `conv_apply`.
 
     `smooth` works on the active interior nodes only (`rows`, the rows of
     `solver._LevelStage`), as a submanifold convolution.  One gather
@@ -552,23 +559,30 @@ class _ConvLevel:
     utilde_k: each stiffness term reads the translate layer's kept gather
     of its stack channel (one term of weight 1) at the rows, which gives
     the two layers' bytes, since their tap sums start from +0.0.  Then the
-    Upsilon channel sum (a gather summed from +0.0 in channel order, as
-    `conv_apply_A` sums), the 2/h^2 scale, ubar, the load and the damped
-    update at the rows.  Node for node that is the full-lattice step (the
-    stack gated by the active mask, `conv_apply_A`, the update times the
-    0/1 mask), whose update adds x * 0 off the rows; so for finite loads
-    and carried images every entry keeps its bits, except a -0.0 iterate
-    at an active frame node, which the full-lattice step turns into +0.0
-    and the cull skips (as `_LevelStage` does).
+    six stiffness channels times the Upsilon channels at the rows, summed
+    from +0.0 in channel order (as `conv_apply_A` sums), the 2/h^2 scale,
+    ubar, the load and the damped update at the rows.  Node for node that
+    is the full-lattice step (the stack gated by the active mask,
+    `conv_apply_A`, the update times the 0/1 mask), whose update adds x * 0
+    off the rows; so for finite loads and carried images every entry keeps
+    its bits, except a -0.0 iterate at an active frame node, which the
+    full-lattice step turns into +0.0 and the cull skips (as `_LevelStage`
+    does).
 
-    The carries run on the full lattice with the terms, in the order, of
-    the public wrappers, so with their bytes.  `carry_up` (levels > 0):
-    Upsilon times the frame-zeroed u_k, the transposed stiffness layer,
-    2/h^2 and ubar_k (`conv_apply_A_transpose`), then the restriction with
-    its frame zeroed (`conv_restrict`), into ubar_{k-1}; the transposed
-    action's frame reaches only the coarse frame, so it is not zeroed.
-    `carry_down` (all but the deepest occupied level): the prolongation of
-    utilde_k + u_k into utilde_{k+1} (`conv_prolongate`).
+    `carry_up` (levels > 0) is culled too.  The transposed stiffness layer
+    runs only at the interior nodes (`reach`) whose mirrored taps read an
+    active interior row, from a compact source: Upsilon times u_k at the
+    rows, 6 m entries, and the zero.  Its 2/h^2 multiple is added to a copy
+    of ubar_k, and the restriction, cut to the coarse interior, writes
+    ubar_{k-1} there.  The full-lattice carry (`conv_apply_A_transpose` and
+    `conv_restrict`) reads u_k framed and +0.0 off the rows, so off `reach`
+    its transposed action only sums w * (+0.0) terms from +0.0, and adds
+    +0.0 to ubar_k, which is never -0.0; its fine frame reaches only the
+    coarse frame, which it zeroes and the cull never writes, so that keeps
+    the +0.0 it was staged with.  The carried image is the wrappers'
+    bytes, for finite Upsilon channels.  `carry_down` (all but the deepest
+    occupied level) runs on the full lattice: the prolongation of utilde_k
+    + u_k into utilde_{k+1} (`conv_prolongate`).
     """
 
     def __init__(self, bank, u, f, diffusion, omega, k, utld, ubar):
@@ -578,40 +592,57 @@ class _ConvLevel:
         edge[1:-1, 1:-1] = False
         if load[edge].any():
             raise ConfigurationError(f"load image of level {k} is nonzero at an active frame node")
-        self.upsilon, self.values, self.tld = diffusion.upsilon[k], u.values[k], utld[k]
+        self.values, self.tld, self.bar = u.values[k], utld[k], ubar[k]
         self.values_flat, self.bar_flat = self.values.reshape(-1), ubar[k].reshape(-1)
         self.rows = np.flatnonzero(active & ~edge)
+        m = self.rows.size
         self.loads = load.take(self.rows)
         self.omega, self.scale = omega, 2.0 / (h * h)
+        # the Upsilon channels at the rows, (6, m)
+        self.weights = diffusion.upsilon[k].reshape(6, -1).take(self.rows, axis=1)
         # the input of the level's next gather, with the zero its reads off
         # the lattice take; each op writes it before its gather reads it
         self.source = np.zeros(n * n + 1)
-        self.source_image, self.source_row = self.source[:-1].reshape(n, n), self.source[None, :-1]
+        self.source_image = self.source[:-1].reshape(n, n)
 
-        stack = bank.translate.gather((1, n, n)).index.reshape(len(bank.translate.pattern), -1)
-        index = stack.take(self.rows, axis=1)[bank.operator.pattern[:, 0]]
-        self.smoothing = Taps(index, bank.operator.coef, bank.operator.channels)
-        m = self.rows.size
-        weights = self.upsilon.reshape(6, -1).take(self.rows, axis=1)
-        self.channel_sum = Taps(np.arange(6 * m).reshape(6, m), weights)
+        # each stiffness term reads its stack channel's translate read at the
+        # rows; the padding terms (channel -1) read the zero
+        stack = bank.translate.gather((1, n, n)).index.reshape(-1, n * n)
+        chan = bank.operator.pattern[..., :1]
+        self.smoothing = Taps(np.where(chan >= 0, stack[chan, self.rows], n * n), bank.operator.coef)
         self.terms, self.section = np.empty((6, m)), np.empty(m)
 
         if k > 0:
-            self.framed = np.zeros((n, n))
-            self.weighted = np.zeros(6 * n * n + 1)
-            self.weighted_image = self.weighted[:-1].reshape(6, n, n)
-            self.transposed = bank.operator_transpose.gather((6, n, n))
-            self.restriction = bank.restrict.gather((1, n, n))
-            self.coarse = ubar[k - 1]
-            self.coarse_row = self.coarse.reshape(1, -1)
+            layer = bank.operator_transpose
+            # the interior nodes whose mirrored taps read a row
+            taps = layer.pattern[..., 0, :][layer.pattern[..., 0, 0] >= 0]
+            r1, r2 = np.divmod(self.rows, n)
+            reach = np.zeros((n, n), dtype=bool)
+            reach[r1 - taps[:, 1, None], r2 - taps[:, 2, None]] = True
+            reach[[0, -1]] = reach[:, [0, -1]] = False
+            self.reach = np.flatnonzero(reach)
+            # source entry c * n * n + rows[i] -> compact entry c * m + i
+            compact = np.full(6 * n * n + 1, 6 * m)
+            compact[np.add.outer(np.arange(6) * n * n, self.rows)] = np.arange(6 * m).reshape(6, m)
+            index = layer.gather((6, n, n)).index.take(self.reach, axis=-1)
+            self.transposed = Taps(compact.take(index), layer.coef)
+            self.weighted = np.zeros(6 * m + 1)
+            self.weighted_rows = self.weighted[:-1].reshape(6, m)
+            self.lifted = np.empty((1, self.reach.size))
+            nc = u.hierarchy.n(k - 1)
+            layer = bank.restrict
+            index = layer.gather((1, n, n)).index.reshape(layer.pattern.shape[:3] + (nc, nc))
+            self.restriction = Taps(index[..., 1:-1, 1:-1], layer.coef[..., None])
+            self.coarse = ubar[k - 1][None, 1:-1, 1:-1]
         if k + 1 < len(utld):
             self.interpolation = bank.prolong.gather((1, n, n))
             self.fine_row = utld[k + 1].reshape(1, -1)
 
     def smooth(self) -> None:
         np.add(self.values, self.tld, out=self.source_image)
-        self.smoothing(self.source, out=self.terms)
-        section = self.channel_sum(self.terms.reshape(-1), out=self.section)
+        terms = self.smoothing(self.source, out=self.terms)
+        terms *= self.weights
+        section = np.add.reduce(terms, axis=0, out=self.section)
         section *= self.scale
         section += self.bar_flat[self.rows]
         np.subtract(self.loads, section, out=section)
@@ -619,15 +650,12 @@ class _ConvLevel:
         self.values_flat[self.rows] += section
 
     def carry_up(self) -> None:
-        self.framed[1:-1, 1:-1] = self.values[1:-1, 1:-1]
-        np.multiply(self.upsilon, self.framed, out=self.weighted_image)
-        lifted = self.transposed(self.weighted, out=self.source_row)
+        np.copyto(self.source_image, self.bar)
+        np.multiply(self.weights, self.values_flat[self.rows], out=self.weighted_rows)
+        lifted = self.transposed(self.weighted, out=self.lifted)[0]
         lifted *= self.scale
-        lifted += self.bar_flat
-        self.restriction(self.source, out=self.coarse_row)
-        coarse = self.coarse
-        coarse[0] = coarse[-1] = 0.0
-        coarse[:, 0] = coarse[:, -1] = 0.0
+        self.source[self.reach] += lifted
+        self.restriction(self.source, out=self.coarse)
 
     def carry_down(self) -> None:
         np.add(self.tld, self.values, out=self.source_image)
@@ -721,7 +749,8 @@ def conv_mark_refine(
     taps count from the triangle's owner node, one node before the window
     centre, so its output is read one node on; the entries this drops, in
     row and column 0, are boundary nodes.  A final step plus the interior
-    gate reproduces adapt.refine bit for bit.
+    gate reproduces adapt.refine bit for bit.  A level whose triangle mask
+    holds no leaf is skipped: its marks would all be zero.
     """
     hier = est.hierarchy
     deltas = level_thresholds(thresholds, hier)
@@ -730,6 +759,8 @@ def conv_mark_refine(
 
     new_active = [np.array(mk.active, dtype=np.uint8) for mk in masks]
     for k in range(hier.levels):
+        if not est.tri_mask[k].any():
+            continue
         scores = conv_apply(_MARK, est.eta2[k]) - deltas[k]
         marks = ((scores > 0.0).astype(np.uint8)) & est.tri_mask[k]
         if k == hier.levels - 1:

@@ -55,60 +55,61 @@ def offset_views(image: np.ndarray, offsets) -> list[np.ndarray]:
 
 
 class Taps:
-    """A fixed-weight gather: out[..., j] = sum_t coef[..., t, j] * src[index[..., t, j]].
+    """A fixed-weight gather: out[j] = sum_t coef[t, j] * src[index[t, j]].
 
-    `index` holds flat source indices, shape (..., T, m), and `coef`
-    broadcasts to it.  The sum over the tap axis is one `np.add.reduce`: it
-    starts from +0.0 and adds the taps in order, as an `out = zeros; out +=
-    w * view` loop does (numpy sums a single column pairwise from T = 8 on,
-    so an m = 1 gather keeps that order only for T <= 7).
+    `index` holds flat source indices, shape (T, m), and `coef` broadcasts
+    to it.  The sum over the tap axis is one `np.add.reduce`: it starts from
+    +0.0 and adds the taps in order, as an `out = zeros; out += w * view`
+    loop does (numpy sums a single column pairwise from 8 terms on, so an
+    m = 1 gather keeps that order only for T <= 7, and a block for T and R
+    <= 7).
 
-    With `channels`, an (E, T) array of positive counts, tap t of output e
-    contracts channels[e, t] terms, summed in order before the taps are.
-    `index` is then (R, m): rows 0..E*T-1 hold each tap's first term in
-    (e, t) order, and the rows after them each tap's further terms rank by
-    rank, the second term of every tap that has one, in tap order, then the
-    third, and so on.  The output is (E, m).  A tap's sum starts from its
-    first term rather than +0.0; only the sign of a zero sum differs, and
-    adding it to the tap sum from +0.0 erases that.
+    An index of four or more axes is a block, (E, T, R, nodes...): output
+    e's tap t contracts R terms, summed in order from +0.0 before the taps
+    are, one `np.add.reduce` per axis; the output is (E, nodes...).  A tap
+    with fewer terms is padded with +0.0-weighted reads of a zero, which
+    leave its sum as it is (x + +0.0 is x, and a sum from +0.0 is never
+    -0.0).  A block of one rank has no rank sum, and one of one tap no tap
+    sum: a single term or tap adds to +0.0 as itself, but for a -0.0, which
+    the other sum from +0.0 erases.  A block is kept with its ranks leading
+    in memory and its weights spread over the nodes (`index` and `coef` are
+    views of that copy), so each product and sum runs over contiguous slabs:
+    on the few nodes of a culled level, a broadcast product or a sum over a
+    middle axis costs up to twice as much.
     """
 
-    def __init__(self, index: np.ndarray, coef: np.ndarray, channels: np.ndarray | None = None):
-        self.index, self.coef = index, coef
+    def __init__(self, index: np.ndarray, coef: np.ndarray):
+        self.index, self.coef = self.gathered, self.weights = index, coef
+        self.ranks, self.axis = None, 0
+        block = index.ndim >= 4
+        if block:
+            nodes = tuple(range(3, index.ndim))
+            self.gathered = np.ascontiguousarray(index.transpose((2, 0, 1) + nodes))
+            self.weights = np.empty(self.gathered.shape)
+            self.weights[...] = coef.transpose((2, 0, 1) + nodes)
+            self.index, self.coef = (a.transpose((1, 2, 0) + nodes) for a in (self.gathered, self.weights))
         # the gathered terms, overwritten by every call: a fresh (T, m) array
         # per call made the allocator return and refault its pages
-        self.terms = np.empty(index.shape)
-        # (taps that receive the rank's terms, rows holding them), rank by rank
-        self.channel_sums: list[tuple] = []
-        if channels is None:
-            return
-        self.taps = channels.size
-        self.shape = channels.shape + index.shape[-1:]
-        counts, row = channels.ravel(), channels.size
-        for rank in range(1, int(counts.max())):
-            dst = np.flatnonzero(counts > rank)
-            rows = slice(row, row + dst.size)
-            step = dst[1] - dst[0] if dst.size > 1 else 1
-            if (np.diff(dst) == step).all():
-                dst = slice(dst[0], dst[-1] + 1, step)
-            self.channel_sums.append((dst, rows))
-            row = rows.stop
-        if not self.channel_sums:
-            self.index = index.reshape(self.shape)
-            self.coef = coef.reshape(channels.shape + coef.shape[-1:])
-            self.terms = self.terms.reshape(self.shape)
+        self.terms = self.summed = np.empty(self.gathered.shape)
+        if block:
+            ranks, _, taps = self.gathered.shape[:3]
+            if taps == 1:  # the rank sums are the output
+                self.summed = self.terms[:, :, 0]
+            elif ranks == 1:  # the terms are the tap sums
+                self.summed, self.axis = self.terms[0], 1
+            else:
+                self.ranks = self.summed = np.empty(self.gathered.shape[1:])
+                self.axis = 1
 
     def __call__(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The gather of a float64 `src`, into `out` if given; the indices
         are in range by construction, so `take` skips its bounds check (clip
         mode)."""
-        terms = src.take(self.index, out=self.terms, mode="clip")
-        terms *= self.coef
-        if self.channel_sums:
-            for dst, rows in self.channel_sums:
-                terms[dst] += terms[rows]
-            terms = terms[: self.taps].reshape(self.shape)
-        return np.add.reduce(terms, axis=-2, out=out)
+        terms = src.take(self.gathered, out=self.terms, mode="clip")
+        terms *= self.weights
+        if self.ranks is not None:
+            np.add.reduce(terms, axis=0, out=self.ranks)
+        return np.add.reduce(self.summed, axis=self.axis, out=out)
 
 
 def shift(a: np.ndarray, d1: int, d2: int) -> np.ndarray:

@@ -59,10 +59,10 @@ TRI_FOOTPRINT_OFFSETS = {
 
 # Nodes per side of the largest lattice `build_hierarchy` builds, overkill
 # references included.  1025 admits the reference of 7 levels from 5 nodes:
-# on 2 cores and 8 GB that sparse solve took 21 s and 2.5 GB peak RSS (it
-# failed under a 3.5 GB address-space limit, ran under 4 GB).  The next
-# lattice, 2049, needs about 4x that.  A fixed cap keeps a config valid on
-# every host or on none.
+# on 2 cores and 8 GB that sparse solve, ordered by minimum degree on
+# A^T + A, took 8.6 s and 1.5 GB peak RSS (it failed under a 4.5 GB
+# address-space limit, ran under 5.5 GB).  The next lattice, 2049, needs
+# about 4x that.  A fixed cap keeps a config valid on every host or on none.
 MAX_NODES_PER_SIDE = 1025
 
 

@@ -14,8 +14,9 @@ The level order is written once, in `llmg_schedule`, and the chain build
 once, in `carry_down_chain`.  Both routes run them over per-level ops
 staged once: `_LevelStage` here, once per solve, and `convnet._ConvLevel`
 on the conv route, once per sweep state, from the gathers its separately
-derived kernels keep.  Both smooth only a level's active interior rows and
-carry on full level lattices.
+derived kernels keep.  Both smooth only a level's active interior rows;
+the direct route carries on full level interiors, the conv route's
+carry-up only where the active rows reach.
 
 A solve stages its sweep once (`_StagedSweep`): the masks, loads, stencil
 images and damping are fixed while it runs.  Each occupied level stages its
@@ -109,9 +110,10 @@ def _gershgorin_omega(diffusion: DiffusionField, k: int) -> float:
     h = diffusion.hierarchy.h(k)
     interior = diffusion.hierarchy.interior_mask(k)
     weights = diffusion.stencil(k) * (2.0 / (h * h))
-    row_sums = np.zeros(interior.shape)
-    for w, view in zip(weights, offset_views(interior, hat_overlap_offsets())):
-        row_sums += np.abs(w) * view
+    # the seven |w| * view products, summed in order from +0.0
+    products = np.abs(weights, out=weights)
+    products *= offset_views(interior, hat_overlap_offsets())
+    row_sums = np.add.reduce(products, axis=0)
     bound = float((row_sums * interior).max())
     if bound <= 0.0:
         raise ConfigurationError("level operator has empty interior")

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlfem import convnet
 from mlfem.adapt import mark_threshold, refine
@@ -284,7 +285,7 @@ def test_single_channel_taps_give_the_einsum_bytes(mode, bank):
     +-0.0: single-channel layers and random multi-channel layers with
     sparse and +-0.0 weights on odd and even lattices, or (bank) the
     bank's kernels of this mode at n = 5, 9 and 17.  The layer's kept
-    gather with its index cut down to the columns of a random subset of
+    block with its index cut down to the columns of a random subset of
     output nodes, in random order, gives those nodes' bytes."""
     rng = np.random.default_rng(29)
     transposed = mode == "transpose-strided2"
@@ -315,18 +316,18 @@ def test_single_channel_taps_give_the_einsum_bytes(mode, bank):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         nodes = rng.permutation(got[0].size)[: max(1, got[0].size // 3)]
-        index = kern.gather(shape).index
-        cut = Taps(index.reshape(-1, index.shape[-1])[:, nodes], kern.coef, kern.channels)
-        cut = cut(np.append(img, 0.0))
+        kept = kern.gather(shape)
+        cut = Taps(kept.index[..., nodes], kern.coef)(np.append(img, 0.0))
         assert cut.tobytes() == got.reshape(len(got), -1)[:, nodes].tobytes()
 
 
 def staged_terms(kernel):
-    """A fresh scan of the weights into the staged gather's rows: per
-    emitted channel its nonzero window positions in row-major order, padded
-    with zero-reading taps to the longest, and per tap its (channel, offset
-    from the centre tap, mirrored for transpose-strided2, weight) terms in
-    channel order; the rows rank by rank, as `field.Taps` takes them."""
+    """A fresh scan of the weights into the staged block, (emitted, taps,
+    ranks): per emitted channel its nonzero window positions in row-major
+    order, and per tap its (channel, offset from the centre tap, mirrored
+    for transpose-strided2, weight) terms in channel order; shorter taps,
+    and emitted channels with fewer taps, padded to the block with
+    zero-reading (-1, (0, 0), 0.0) terms."""
     transposed = kernel.mode == "transpose-strided2"
     w = kernel.weights.transpose(1, 0, 2, 3) if transposed else kernel.weights
     taps = []
@@ -336,26 +337,44 @@ def staged_terms(kernel):
             off = (-o1, -o2) if transposed else (o1, o2)
             taps[-1].append([(c, off, matrix[0, c]) for c in range(w.shape[1]) if matrix[0, c]])
     count = max(1, max(map(len, taps)))
-    flat = [tap for row in taps for tap in row + [[(-1, (0, 0), 0.0)]] * (count - len(row))]
-    rows = [tap[r] for r in range(max(map(len, flat))) for tap in flat if r < len(tap)]
-    return rows, np.array([len(tap) for tap in flat]).reshape(len(taps), count)
+    ranks = max([1] + [len(tap) for row in taps for tap in row])
+    pad = (-1, (0, 0), 0.0)
+    return [
+        [tap + [pad] * (ranks - len(tap)) for tap in row] + [[pad] * ranks] * (count - len(row))
+        for row in taps
+    ]
+
+
+# (terms, block size) of the bank kernels whose ranks are unbalanced, so
+# that padding adds terms; every other kernel's block has no padding term
+PADDED = {
+    "operator": (14, 18),
+    "operator_transpose": (14, 30),
+    "aggregate_r2": (8, 12),
+    "aggregate_j2": (8, 12),
+    "refine": (12, 18),
+}
 
 
 def test_bank_kernels_stage_a_fresh_scan_of_their_weights():
-    """Each bank kernel stages the terms of a fresh scan of its weights:
-    the (R, 3) (channel, offset) pattern, the weights and the per-tap
-    counts, with no padding tap; its gather is a `field.Taps`.  Every
+    """Each bank kernel stages the block of a fresh scan of its weights:
+    the (emitted, taps, ranks, 3) (channel, offset) pattern and the
+    (emitted, taps, ranks, 1) weights, padded only where its ranks or tap
+    counts are unbalanced (`PADDED`); its gather is a `field.Taps`.  Every
     kernel keeps its own gathers: two separately built banks share none,
     and give equal bytes."""
     first, second = (build_stencil_bank(build_hierarchy(3, 2)) for _ in range(2))
     rng = np.random.default_rng(41)
     for (name, kernel), other in zip(bank_kernels(first).items(), bank_kernels(second).values()):
-        rows, counts = staged_terms(kernel)
-        assert kernel.pattern.dtype == np.intp and kernel.pattern.shape == (len(rows), 3), name
-        assert kernel.pattern.tolist() == [[c, o1, o2] for c, (o1, o2), _ in rows], name
-        assert kernel.coef.tolist() == [[w] for _, _, w in rows], name
-        assert np.array_equal(kernel.channels, counts), name
-        assert (kernel.pattern[:, 0] >= 0).all(), name
+        block = staged_terms(kernel)
+        assert kernel.pattern.dtype == np.intp, name
+        assert kernel.pattern.tolist() == [
+            [[[c, o1, o2] for c, (o1, o2), _ in tap] for tap in row] for row in block
+        ], name
+        assert kernel.coef.tolist() == [[[[w] for _, _, w in tap] for tap in row] for row in block], name
+        terms = np.count_nonzero(kernel.weights)
+        assert np.count_nonzero(kernel.pattern[..., 0] >= 0) == np.count_nonzero(kernel.coef) == terms
+        assert (terms, kernel.coef.size) == PADDED.get(name, (terms, terms)), name
         cin = kernel.out_channels if kernel.mode == "transpose-strided2" else kernel.in_channels
         for n in (5, 9, 17):
             img = rng.normal(size=(cin, n, n))
@@ -383,19 +402,60 @@ def test_kernel_weights_are_a_read_only_copy():
     assert conv_apply(kern, img).tobytes() == before.tobytes()
 
 
+@st.composite
+def conv_layers(draw):
+    """A layer of any mode, 1-4 emitted and 1-5 contracted channels and a
+    window of up to 3x3, whose weights are sparse with a keep rate drawn per
+    window position (so the taps' channel counts are unbalanced) and +-0.0
+    planted; an input on an odd or even lattice (odd for strided2) with
+    +-0.0 planted; and a random cut of its output nodes, in random order,
+    of at least two nodes where there are two (a single column sums 8 or
+    more taps pairwise, `field.Taps`)."""
+    mode = draw(st.sampled_from(convnet.MODES))
+    shape = tuple(draw(st.integers(1, top)) for top in (4, 5, 3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random(shape) < rng.random((1, 1) + shape[2:])
+    kern = ConvKernel(plant_zeros(rng, rng.normal(size=shape) * keep), mode=mode)
+    lattice = [draw(st.integers(1, 6)) for _ in range(2)]
+    if mode == "strided2":
+        lattice = [2 * n - 1 for n in lattice]
+    channels = shape[0] if mode == "transpose-strided2" else shape[1]
+    img = plant_zeros(rng, rng.normal(size=(channels, *lattice)))
+    nodes = int(np.prod(convnet._lattice(mode, *lattice)))
+    cut = rng.permutation(nodes)[: draw(st.integers(min(2, nodes), nodes))]
+    return kern, img, cut
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(conv_layers())
+def test_conv_apply_gives_the_einsum_bytes_property(layer):
+    """`conv_apply` gives `einsum_conv`'s bytes, and the layer's kept block
+    cut to some output nodes gives those nodes' bytes."""
+    kern, img, cut = layer
+    got = conv_apply(kern, img)
+    assert got.tobytes() == einsum_conv(kern, img).tobytes()
+    kept = kern.gather(img.shape)
+    part = Taps(kept.index[..., cut], kern.coef)(np.append(img, 0.0))
+    assert part.tobytes() == got.reshape(len(got), -1)[:, cut].tobytes()
+
+
 def test_staging_pads_uneven_taps_and_skips_zero_weights():
-    """An emitted channel with fewer taps gets zero-reading taps, and a
-    zero or -0.0 weight is no term; the counts give each tap's terms."""
+    """An emitted channel with fewer taps gets zero-reading taps, a tap
+    with fewer terms zero-reading terms, and a zero or -0.0 weight is no
+    term; the block is (emitted, taps, ranks)."""
     w = np.zeros((2, 3, 3, 3))
     w[0, 1, 0, 0], w[0, 2, 0, 0], w[0, 0, 2, 2] = 1.0, 2.0, 3.0
     w[1, 2, 1, 1], w[1, 0, 1, 1] = 4.0, -0.0
     kern = ConvKernel(w)
-    # first terms: output 0 at (-1, -1) and (1, 1), output 1 at the centre
-    # and its padding tap; then output 0's second term at (-1, -1)
-    rows = [[1, -1, -1], [0, 1, 1], [2, 0, 0], [-1, 0, 0], [2, -1, -1]]
-    assert kern.pattern.tolist() == rows
-    assert kern.coef.ravel().tolist() == [1.0, 3.0, 4.0, 0.0, 2.0]
-    assert kern.channels.tolist() == [[2, 1], [1, 1]]
+    pad = [-1, 0, 0]
+    # output 0 at (-1, -1) (two terms) and (1, 1); output 1 at the centre
+    # and a padding tap
+    assert kern.pattern.tolist() == [
+        [[[1, -1, -1], [2, -1, -1]], [[0, 1, 1], pad]],
+        [[[2, 0, 0], pad], [pad, pad]],
+    ]
+    assert kern.coef.ravel().tolist() == [1.0, 2.0, 3.0, 0.0, 4.0, 0.0, 0.0, 0.0]
+    assert kern.coef.shape == (2, 2, 2, 1)
     img = np.random.default_rng(31).normal(size=(3, 4, 5))
     assert conv_apply(kern, img).tobytes() == einsum_conv(kern, img).tobytes()
 
@@ -755,10 +815,13 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     """The layers one sweep and the state setup apply are the ones
     parameter_count books for the occupied depth, counted on the gathers
     they run: a level's smoothing gather counts as the translate and
-    stiffness layers it fuses, and each carry gather is its bank kernel's
-    kept one.  No stack or chain is built and left unread, and no level
-    without dofs is visited.  Each smoothing gather emits exactly its
-    level's active interior rows."""
+    stiffness layers it fuses, its carry-up gathers as the transposed
+    stiffness and restriction layers, and its carry-down gather is the
+    prolongation's kept one.  No stack or chain is built and left unread,
+    and no level without dofs is visited.  Each smoothing gather emits
+    exactly its level's active interior rows, each transposed gather the
+    interior nodes a positive-weight copy of the layer lights from those
+    rows, and each restriction the coarse interior."""
     hier = build_hierarchy(5, levels)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(59)
@@ -791,8 +854,9 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     layers = {id(t): (k,) for k in kernels for t in k._gathers.values()}
     for level in state.levels:
         layers[id(level.smoothing)] = (bank.translate, bank.operator)
-        # the Upsilon channel sum weighs by data, as conv_apply_A's product does
-        layers[id(level.channel_sum)] = ()
+        if hasattr(level, "transposed"):
+            layers[id(level.transposed)] = (bank.operator_transpose,)
+            layers[id(level.restriction)] = (bank.restrict,)
 
     def applied(calls):
         return [k for taps, _ in calls for k in layers[id(taps)]]
@@ -807,19 +871,31 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     uses = [sum(k is layer for k in applied(called)) for layer in counted]
     assert uses == [2 * depth, 2 * depth, depth - 1, depth - 1]
     assert len(state.levels) == depth
+    reach_layer = ConvKernel(np.abs(bank.operator_transpose.weights))
     for k, level in enumerate(state.levels):
         interior = zero_frame(masks[k].active)
         rows = np.flatnonzero(interior)
         assert np.array_equal(level.rows, rows)
-        for gather, channels in ((level.smoothing, (6,)), (level.channel_sum, ())):
-            shapes = [out for taps, out in called if taps is gather]
-            assert shapes == [channels + (rows.size,)] * 2
+        shapes = [out for taps, out in called if taps is level.smoothing]
+        assert shapes == [(6, rows.size)] * 2
+        if k == 0:
+            continue
+        lit = conv_apply(reach_layer, np.repeat(interior[None].astype(float), 6, axis=0))[0]
+        reach = np.flatnonzero(zero_frame(lit) > 0.0)
+        assert np.array_equal(level.reach, reach)
+        nc = hier.n(k - 1)
+        for gather, shape in ((level.transposed, (1, reach.size)), (level.restriction, (1, nc - 2, nc - 2))):
+            assert [out for taps, out in called if taps is gather] == [shape]
+    # the carry-up is culled: some level's transposed gather skips interior nodes
+    assert any(level.reach.size < (hier.n(k) - 2) ** 2 for k, level in enumerate(state.levels) if k)
 
 
 def test_warm_bank_stages_a_state_with_no_index_build(monkeypatch):
     """Once the bank has met a level's lattice, staging a state builds no
-    gather index: each level's carry gathers are its bank kernels' kept
-    ones, and the smoothing gather is cut from the translate layer's."""
+    gather index and no channel layout: every gather it builds is a level's
+    block cut from its layers' kept gathers, in the layer's (emitted, taps,
+    ranks) block layout, and the carry-down runs the prolongation's kept
+    gather itself."""
     hier = build_hierarchy(5, 4)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(71)
@@ -829,41 +905,58 @@ def test_warm_bank_stages_a_state_with_no_index_build(monkeypatch):
     sm = choose_omega(diff, uniform_masks(hier))
     init_llmg_state(bank, zero_field(hier, uniform_masks(hier)), rhs, diff, sm)
 
-    builds = []
-    real_index = convnet._gather_index
+    builds, kernels, gathers = [], [], []
+    real_index, real_post_init, real_taps = convnet._gather_index, ConvKernel.__post_init__, Taps.__init__
 
     def counted_index(*args):
         builds.append(args)
         return real_index(*args)
 
+    def counted_post_init(kernel):
+        kernels.append(kernel)
+        real_post_init(kernel)
+
+    def counted_taps(taps, index, coef):
+        gathers.append(taps)
+        real_taps(taps, index, coef)
+
     monkeypatch.setattr(convnet, "_gather_index", counted_index)
+    monkeypatch.setattr(ConvKernel, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Taps, "__init__", counted_taps)
     masks = occupied_masks(hier, 3, rng)
     state = init_llmg_state(bank, random_field(hier, masks, rng), rhs, diff, sm)
     conv_llmg_sweep(state, bank)
-    assert builds == []
+    assert builds == [] and kernels == []
     assert len(state.levels) == 3
+    cut = []
     for k, level in enumerate(state.levels):
         n = hier.n(k)
+        cut.append(level.smoothing)
+        assert level.smoothing.index.shape == bank.operator.pattern.shape[:3] + (level.rows.size,)
         if k > 0:
-            assert level.transposed is bank.operator_transpose.gather((6, n, n))
-            assert level.restriction is bank.restrict.gather((1, n, n))
+            cut += [level.transposed, level.restriction]
+            layer, nc = bank.operator_transpose, hier.n(k - 1)
+            assert level.transposed.index.shape == layer.pattern.shape[:3] + (level.reach.size,)
+            kept = bank.restrict.gather((1, n, n)).index.reshape(1, 7, 1, nc, nc)
+            assert np.array_equal(level.restriction.index, kept[..., 1:-1, 1:-1])
         else:
             assert not hasattr(level, "transposed") and not hasattr(level, "restriction")
         if k < 2:
             assert level.interpolation is bank.prolong.gather((1, n, n))
         else:
             assert not hasattr(level, "interpolation")
+    assert gathers == cut
 
 
-def sweep_pair(bank, u, rhs, diff, sm, sweeps):
+def sweep_pairs(bank, u, rhs, diff, sm, sweeps):
     """Two states staged from u, one swept by `conv_llmg_sweep` and one by
-    the full-lattice oracle, `sweeps` times each."""
+    the full-lattice oracle: both after each of `sweeps` sweeps."""
     culled = init_llmg_state(bank, u, rhs, diff, sm)
     full = init_llmg_state(bank, u, rhs, diff, sm)
     for _ in range(sweeps):
         conv_llmg_sweep(culled, bank)
         full_lattice_conv_sweep(full)
-    return culled, full
+        yield culled, full
 
 
 def state_bytes(state):
@@ -873,9 +966,10 @@ def state_bytes(state):
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_culled_sweep_gives_the_full_lattice_bytes(depth):
     """On random masks of occupied depth 1-4, the staged sweep, which
-    smooths only the active interior rows, leaves the iterate and both
-    carried images with the bytes of the full-lattice smoothing step and
-    the per-call carry layers (`oracles`)."""
+    smooths only the active interior rows and culls the carry-up, leaves
+    the iterate and both carried images with the bytes of the full-lattice
+    smoothing step and the per-call carry layers (`oracles`), after each
+    of 3 sweeps."""
     hier = build_hierarchy(5, 4)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(61 + depth)
@@ -885,18 +979,22 @@ def test_culled_sweep_gives_the_full_lattice_bytes(depth):
         rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
         masks = occupied_masks(hier, depth, rng)
         u = random_field(hier, masks, rng)
-        culled, full = sweep_pair(bank, u, rhs, diff, choose_omega(diff, masks), 3)
-        assert state_bytes(culled) == state_bytes(full)
+        for culled, full in sweep_pairs(bank, u, rhs, diff, choose_omega(diff, masks), 3):
+            assert state_bytes(culled) == state_bytes(full)
         assert any(v.any() for v in culled.u.values)
 
 
 def test_culled_sweep_edge_cases():
-    """Planted -0.0 and active frame nodes, against the full-lattice step
-    and the per-call carries.
+    """Planted -0.0, active frame nodes and active rows next to the frame,
+    against the full-lattice step and the per-call carries, after each of 3
+    sweeps.
 
     - -0.0 planted in the iterate off the active sets is staged as +0.0, and
       -0.0 planted at active interior nodes is smoothed like any value: the
       bytes are the full-lattice step's.
+    - The culled carry-up's transposed layer reaches the frame-adjacent
+      nodes from the rows next to the frame, and gives the per-call
+      carries' bytes of both carried images.
     - Active frame nodes are no rows, as in `solver._LevelStage`, so the
       cull never moves them.  The full-lattice step adds omega * (0 - 0) =
       +0.0 there (the load and the carried-up content are zero on the
@@ -917,6 +1015,7 @@ def test_culled_sweep_edge_cases():
         frame = np.zeros((n, n), dtype=bool)
         frame[[0, 0, n - 1, 2, n - 3], [1, n - 2, 2, 0, n - 1]] = True
         active[frame] = 1
+        active[[1, n - 2, 2, n - 3], [2, 1, n - 2, 1]] = 1  # rows next to the frame
         v = rng.normal(size=(n, n))
         plant = rng.random((n, n)) < 0.3
         v[plant] = -0.0
@@ -927,36 +1026,46 @@ def test_culled_sweep_edge_cases():
         assert (plant & (active == 0)).any() and (plant & (active == 1)).any()
     assert any(neg.any() for neg in negative_frame)
     u = MultilevelField(hier, values, masks)
-    culled, full = sweep_pair(bank, u, rhs, diff, choose_omega(diff, masks), 3)
-    assert state_bytes(culled)[hier.levels:] == state_bytes(full)[hier.levels:]
-    for k in range(hier.levels):
-        got, want = culled.u.values[k], full.u.values[k]
-        neg = negative_frame[k]
-        assert np.signbit(got[neg]).all() and not got[neg].any()
-        assert not np.signbit(want[neg]).any() and not want[neg].any()
-        assert got[~neg].tobytes() == want[~neg].tobytes()
-        frame = (masks[k].active == 1) & (zero_frame(np.ones_like(got)) == 0)
-        assert got[frame].tobytes() == values[k][frame].tobytes()
+    for culled, full in sweep_pairs(bank, u, rhs, diff, choose_omega(diff, masks), 3):
+        assert state_bytes(culled)[hier.levels:] == state_bytes(full)[hier.levels:]
+        for k in range(hier.levels):
+            got, want = culled.u.values[k], full.u.values[k]
+            neg = negative_frame[k]
+            assert np.signbit(got[neg]).all() and not got[neg].any()
+            assert not np.signbit(want[neg]).any() and not want[neg].any()
+            assert got[~neg].tobytes() == want[~neg].tobytes()
+            frame = (masks[k].active == 1) & (zero_frame(np.ones_like(got)) == 0)
+            assert got[frame].tobytes() == values[k][frame].tobytes()
+    skipped = []
+    for k, level in enumerate(culled.levels[1:], start=1):
+        n = hier.n(k)
+        near = np.unravel_index(level.reach, (n, n))
+        assert (np.minimum(near[0], near[1]) == 1).any()
+        skipped.append((n - 2) ** 2 - level.reach.size)
+    assert max(skipped) > 0
     # a level whose only active node is on the frame has no rows at all;
     # with no -0.0 at an active frame node, every byte matches
     masks[2] = make_mask(np.pad(np.ones((1, 1)), ((0, 16), (4, 12))))
     values = [np.where(neg, 1.0, v) for v, neg in zip(values, negative_frame)]
     u = MultilevelField(hier, values, masks)
-    culled, full = sweep_pair(bank, u, rhs, diff, choose_omega(diff, masks), 2)
-    assert culled.levels[2].rows.size == 0
-    assert state_bytes(culled) == state_bytes(full)
+    for culled, full in sweep_pairs(bank, u, rhs, diff, choose_omega(diff, masks), 2):
+        assert state_bytes(culled) == state_bytes(full)
+    assert culled.levels[2].rows.size == culled.levels[2].reach.size == 0
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(refined_inputs())
 def test_culled_sweep_property(inputs):
-    """The staged sweep gives the bytes of the full-lattice step and the
-    per-call carries on every mask the adaptive loop can reach (no active
-    frame nodes)."""
+    """The staged sweep gives the bytes of the iterate and both carried
+    images of the full-lattice step and the per-call carries, after 1 and 3
+    sweeps, on every mask the adaptive loop can reach (no active frame
+    nodes; level 0's rows next to the frame)."""
     u, rhs, diff = inputs
     bank = build_stencil_bank(u.hierarchy)
-    culled, full = sweep_pair(bank, u, rhs, diff, choose_omega(diff, u.masks), 2)
-    assert state_bytes(culled) == state_bytes(full)
+    pairs = sweep_pairs(bank, u, rhs, diff, choose_omega(diff, u.masks), 3)
+    for sweeps, (culled, full) in enumerate(pairs, start=1):
+        if sweeps in (1, 3):
+            assert state_bytes(culled) == state_bytes(full)
 
 
 # ---------------------------------------------------------------- estimator

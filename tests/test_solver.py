@@ -547,27 +547,37 @@ def test_taps_sum_of_negative_zeros_is_positive_zero():
 
 
 def test_taps_sum_each_taps_channels_first():
-    """With `channels`, each tap's terms are summed in order before the
-    taps are: tap (0, 0) reads (1e16, 1, -1e16) and loses the 1, where one
-    sum over output 0's rows in their stored order would keep a 4.  Rows
-    are each tap's first term, then the further terms rank by rank; the
-    second case's rank-1 taps (0, 1, 3) are not evenly spaced."""
-    src = np.array([1e16, 1.0, -1e16, 3.0])
-    index = np.array([[0], [3], [1], [2], [1], [0], [2]])
-    got = field.Taps(index, np.ones((7, 1)), np.array([[3, 1], [1, 2]]))(src)
+    """A block sums each tap's terms in order before the taps: tap (0, 0)
+    reads (1e16, 1, -1e16) and loses the 1, where adding tap (0, 1)'s 3
+    before the -1e16 would keep a 4.  The block is (emitted, taps, ranks,
+    nodes), its shorter taps padded with +0.0-weighted reads of the zero at
+    the end of `src`; in the second case a padded tap sits between full
+    ones."""
+    src = np.array([1e16, 1.0, -1e16, 3.0, 0.0])
+    index = np.array([[[0, 1, 2], [3, 4, 4]], [[1, 4, 4], [0, 2, 4]]])[..., None]
+    coef = (index != 4).astype(float)
+    got = field.Taps(index, coef)(src)
     assert got.tolist() == [[3.0], [1.0]]
-    src = np.array([1.0, 2.0, 4.0, 8.0])
-    index = np.array([[0], [2], [3], [1], [1], [3], [0]])
-    got = field.Taps(index, np.ones((7, 1)), np.array([[2, 2], [1, 2]]))(src)
+    src = np.array([1.0, 2.0, 4.0, 8.0, 0.0])
+    index = np.array([[[0, 1], [2, 3]], [[3, 4], [1, 0]]])[..., None]
+    got = field.Taps(index, (index != 4).astype(float))(src)
     assert got.tolist() == [[15.0], [11.0]]
+    # two nodes, and a padded term whose +0.0 weight meets an inf: the pads
+    # read the zero, never a value
+    src = np.array([1e16, 1.0, -1e16, np.inf, 0.0])
+    index = np.array([[[0, 1, 2], [1, 4, 4]], [[2, 0, 1], [3, 4, 4]]]).transpose(1, 2, 0)[None]
+    got = field.Taps(index, (index != 4).astype(float))(src)
+    assert got.tolist() == [[1.0, np.inf]]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_every_level_op_is_one_gather(depth):
     """Each stage's ops are `field.Taps`: the section on every occupied
     level, the transposed action and restriction on levels > 0, the
-    interpolation below the deepest occupied level; and the gathers' sum is
-    written once, in `field.Taps.__call__`, for the conv layers too."""
+    interpolation below the deepest occupied level; and the gathers' sums
+    are written in `field.Taps.__call__` alone, for the conv layers too (its
+    rank and tap sums), next to the mask closure's and the one sum of a
+    conv smoothing step that weighs by data, the Upsilon channel sum."""
     hier = build_hierarchy(5, 4)
     nf = hier.n(3)
     rng = np.random.default_rng(107)
@@ -591,7 +601,12 @@ def test_every_level_op_is_one_gather(depth):
             for func in cls.body if isinstance(func, ast.FunctionDef)
             for node in ast.walk(func) if isinstance(node, ast.Attribute) and node.attr == "reduce"
         ]
-    assert owners == ["mlfem.field.Taps.__call__", "mlfem.field.LevelMask.closure"]
+    assert owners == [
+        "mlfem.field.Taps.__call__",
+        "mlfem.field.Taps.__call__",
+        "mlfem.field.LevelMask.closure",
+        "mlfem.convnet._ConvLevel.smooth",
+    ]
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
