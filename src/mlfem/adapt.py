@@ -14,7 +14,6 @@ from .field import (
     MultilevelField,
     empty_mask,
     full_mask,
-    make_mask,
     zero_field,
 )
 from .mesh import TRI_FOOTPRINT_OFFSETS, ConfigurationError, GridHierarchy
@@ -140,7 +139,7 @@ def refine(
                 add[d1 : d1 + 2 * m - 1 : 2, d2 : d2 + 2 * m - 1 : 2] |= owners
         add &= hierarchy.interior_mask(k + 1)
         new_active[k + 1] |= add
-    return [make_mask(a) for a in new_active]
+    return [LevelMask(a) for a in new_active]
 
 
 def initial_masks(hierarchy: GridHierarchy) -> list[LevelMask]:

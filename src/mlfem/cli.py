@@ -40,11 +40,11 @@ from .convnet import (
 )
 from .estimator import estimate
 from .field import (
+    LevelMask,
     MultilevelField,
     empty_mask,
     flatten_to_finest,
     full_mask,
-    make_mask,
     prolongate_uniform,
     restrict_uniform,
     uniform_masks,
@@ -511,7 +511,7 @@ def _verify_masks(hier, level: int, rng) -> list:
     n = hier.n(level)
     act = np.zeros((n, n), dtype=np.uint8)
     act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < 0.6
-    return [make_mask(act), empty_mask(hier, level), full_mask(hier, level)]
+    return [LevelMask(act), empty_mask(hier, level), full_mask(hier, level)]
 
 
 def verify_rows(cfg: RunConfig) -> list[tuple[str, float]]:

@@ -38,7 +38,7 @@ import numpy as np
 from .adapt import level_thresholds, warn_dropped_marks
 from .assembly import DiffusionField, RhsField, occupied_depth
 from .estimator import EstimatorField, closed_forms, on_leaves
-from .field import LevelMask, MultilevelField, Taps, make_mask, offset_views, zero_frame
+from .field import LevelMask, MultilevelField, Taps, offset_views, zero_frame
 from .mesh import (
     NODE_TRIANGLES,
     TRI_CHILD_OFFSETS,
@@ -513,12 +513,12 @@ def init_llmg_state(
     """Stage the sweep: its images and one `_ConvLevel` per occupied level.
 
     The iterate is u on the active sets and +0.0 elsewhere.  Staging checks
-    the iterate, masks and loads against the hierarchy, and rejects a
-    nonzero load at an active frame node (loads are zero on the frame,
-    `RhsField`, and the smoothing step has no row there).  The carried-down
-    chain utld is built here once, on the full lattice of the occupied
-    levels, by `solver.carry_down_chain` over the staged levels, and each
-    sweep's upward half keeps it current afterwards.
+    the iterate, masks and loads against the hierarchy, and rejects an
+    iterate or load that is not finite on an active set with the direct
+    route's wording (a `ConfigurationError`).  The carried-down chain utld
+    is built here once, on the full lattice of the occupied levels, by
+    `solver.carry_down_chain` over the staged levels, and each sweep's
+    upward half keeps it current afterwards.
     """
     hier = u.hierarchy
     if len(smoother.omegas) != hier.levels:
@@ -553,7 +553,7 @@ class _ConvLevel:
     index once the bank has met the level's lattice, and a sweep calls no
     `conv_apply`.
 
-    `smooth` works on the active interior nodes only (`rows`, the rows of
+    `smooth` works on the active nodes only (`rows`, the rows of
     `solver._LevelStage`), as a submanifold convolution.  One gather
     (`smoothing`) runs the translate and 1x1 stiffness layers from u_k +
     utilde_k: each stiffness term reads the translate layer's kept gather
@@ -565,9 +565,7 @@ class _ConvLevel:
     is the full-lattice step (the stack gated by the active mask,
     `conv_apply_A`, the update times the 0/1 mask), whose update adds x * 0
     off the rows; so for finite loads and carried images every entry keeps
-    its bits, except a -0.0 iterate at an active frame node, which the
-    full-lattice step turns into +0.0 and the cull skips (as `_LevelStage`
-    does).
+    its bits.
 
     `carry_up` (levels > 0) is culled too.  The transposed stiffness layer
     runs only at the interior nodes (`reach`) whose mirrored taps read an
@@ -587,16 +585,14 @@ class _ConvLevel:
 
     def __init__(self, bank, u, f, diffusion, omega, k, utld, ubar):
         n, h = u.hierarchy.n(k), u.hierarchy.h(k)
-        active, load = u.masks[k].active != 0, f.images[k]
-        edge = active.copy()
-        edge[1:-1, 1:-1] = False
-        if load[edge].any():
-            raise ConfigurationError(f"load image of level {k} is nonzero at an active frame node")
         self.values, self.tld, self.bar = u.values[k], utld[k], ubar[k]
         self.values_flat, self.bar_flat = self.values.reshape(-1), ubar[k].reshape(-1)
-        self.rows = np.flatnonzero(active & ~edge)
+        self.rows = np.flatnonzero(u.masks[k].active)
         m = self.rows.size
-        self.loads = load.take(self.rows)
+        self.loads = f.images[k].take(self.rows)
+        for name, image in (("iterate", self.values_flat.take(self.rows)), ("load", self.loads)):
+            if not np.isfinite(image).all():
+                raise ConfigurationError(f"{name} image of level {k} is not finite on its active set")
         self.omega, self.scale = omega, 2.0 / (h * h)
         # the Upsilon channels at the rows, (6, m)
         self.weights = diffusion.upsilon[k].reshape(6, -1).take(self.rows, axis=1)
@@ -772,7 +768,7 @@ def conv_mark_refine(
         lit = offset_views(lit, [(-1, -1)])[0]
         add = (lit > 0.0).astype(np.uint8) & hier.interior_mask(k + 1)
         new_active[k + 1] |= add
-    return [make_mask(a) for a in new_active]
+    return [LevelMask(a) for a in new_active]
 
 
 # ---------------------------------------------------------------------------

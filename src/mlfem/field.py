@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import GridHierarchy, hat_overlap_offsets
+from .mesh import ConfigurationError, GridHierarchy, hat_overlap_offsets
 
 __all__ = [
     "LevelMask",
@@ -21,7 +21,6 @@ __all__ = [
     "offset_views",
     "shift",
     "zero_frame",
-    "make_mask",
     "full_mask",
     "empty_mask",
     "uniform_masks",
@@ -129,7 +128,13 @@ def zero_frame(image: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LevelMask:
-    """Active set on one level, as a 0/1 uint8 image.
+    """Active set on one level: a 0/1 uint8 image of interior nodes.
+
+    The stacked system acts on interior hats only (the boundary is
+    homogeneous Dirichlet), and construction is where a mask is checked: it
+    raises `ConfigurationError` for an image that is not 2-D, an entry other
+    than 0 or 1 (NaN included) or an active node on the frame, and keeps
+    the image as C-contiguous uint8.  Nothing writes to a mask after making it.
 
     `closure`, computed when read, is the active set dilated by the hat-overlap
     stencil, clipped to the lattice; it may contain boundary lattice entries.
@@ -138,6 +143,16 @@ class LevelMask:
     """
 
     active: np.ndarray
+
+    def __post_init__(self):
+        raw = np.asarray(self.active)
+        if raw.ndim != 2:
+            raise ConfigurationError(f"a mask is a 2-D image, got shape {raw.shape}")
+        if not ((raw == 0) | (raw == 1)).all():
+            raise ConfigurationError(f"mask entries must be 0 or 1, got values {np.unique(raw)}")
+        if np.count_nonzero(raw) != np.count_nonzero(raw[1:-1, 1:-1]):
+            raise ConfigurationError("mask has an active node on the boundary frame")
+        self.active = np.ascontiguousarray(raw, dtype=np.uint8)
 
     @property
     def n(self) -> int:
@@ -151,17 +166,9 @@ class LevelMask:
         """closure with the boundary frame zeroed: where operators may write."""
         return zero_frame(self.closure)
 
-    def copy(self) -> "LevelMask":
-        return LevelMask(self.active.copy())
-
-
-def make_mask(active: np.ndarray) -> LevelMask:
-    """Build a LevelMask from an active 0/1 image."""
-    return LevelMask(np.ascontiguousarray(active, dtype=np.uint8))
-
 
 def full_mask(hierarchy: GridHierarchy, level: int) -> LevelMask:
-    return make_mask(hierarchy.interior_mask(level))
+    return LevelMask(hierarchy.interior_mask(level))
 
 
 def empty_mask(hierarchy: GridHierarchy, level: int) -> LevelMask:

@@ -7,16 +7,17 @@ components interpolated up) and the carried-up content (finer residual
 actions restricted down) up to date, with the arithmetic of the level steps
 that define `apply_stacked` (`assembly.carry_down`, `carry_up` and
 `level_section`).  It is therefore the successive-subspace-correction
-iteration for that stacked operator, on any masks.  Like `apply_stacked`, a
+iteration for that stacked operator, `assemble_global`'s matrix, on any
+masks (of interior nodes, `field.LevelMask`).  Like `apply_stacked`, a
 sweep visits only the occupied levels 0..D-1 (`assembly.occupied_depth`).
 
 The level order is written once, in `llmg_schedule`, and the chain build
 once, in `carry_down_chain`.  Both routes run them over per-level ops
 staged once: `_LevelStage` here, once per solve, and `convnet._ConvLevel`
 on the conv route, once per sweep state, from the gathers its separately
-derived kernels keep.  Both smooth only a level's active interior rows;
-the direct route carries on full level interiors, the conv route's
-carry-up only where the active rows reach.
+derived kernels keep.  Both smooth only a level's active rows; the
+direct route carries on full level interiors, the conv route's carry-up
+only where the active rows reach.
 
 A solve stages its sweep once (`_StagedSweep`): the masks, loads, stencil
 images and damping are fixed while it runs.  Each occupied level stages its
@@ -45,7 +46,7 @@ from .assembly import (
     assemble_global,
     occupied_depth,
 )
-from .field import LevelMask, MultilevelField, Taps, offset_views, zero_field, zero_frame
+from .field import LevelMask, MultilevelField, Taps, offset_views, zero_field
 from .mesh import ConfigurationError, hat_overlap_offsets
 
 __all__ = [
@@ -174,20 +175,18 @@ class _LevelStage:
     """The direct route's ops of occupied level k for `llmg_schedule`: what
     the level fixes for the sweeps of one solve, staged once.  Each op is
     one `field.Taps` over flat lattice indices of level k or its neighbour:
-    - `section`: the seven stencil neighbours of the active interior rows
-      in a frame-zeroed copy of u_k + utilde_k, with the gathered weights;
+    - `section`: the seven stencil neighbours of the active rows in u_k +
+      utilde_k (`source`), with the gathered weights;
     - `transposed` (levels > 0): the mirrored neighbours of the interior in
-      a frame-zeroed copy of u_k, with the weight images there, zeroed off
-      the interior, so a frame term is +0.0 * +0.0;
+      u_k, with the weight images there;
     - `restriction` (levels > 0): the coarse interior from ubar_k + A_k^T
       u_k, in `restrict_uniform`'s order, with coefficients [1, 1/2 x 6];
     - `interpolation` (all but the deepest level): the next interior from
-      utilde_k + u_k at its coarse neighbours lo and hi (one node twice
-      where they coincide), with coefficients 1/2.
+      utilde_k + u_k (`source`) at its coarse neighbours lo and hi (one
+      node twice where they coincide), with coefficients 1/2.
     It also keeps the loads at its rows, the residual of its last smoothing
     step (`r`), and a full-size residual image, zero off the rows, for the
-    lagged norm and the stacked residual.  The iterate and carried images
-    are updated in place.
+    lagged norm.  The iterate and carried images are updated in place.
 
     Each entry has the bits of `assembly.level_section`, `carry_up` and
     `carry_down`: the same terms in the same order (`restrict_uniform`
@@ -195,11 +194,10 @@ class _LevelStage:
     1/2 b is `prolongate_uniform`'s 1/2 (a + b), and 1/2 a + 1/2 a its copy
     a, unless a value is subnormal, near overflow or -0.0.  No carried value
     is -0.0: the chain starts at +0.0, utilde_k + u_k is -0.0 only if both
-    terms are, and a sum from +0.0 never is.  Frames need no zeroing: an
-    active frame node is not a row (its load and carried-up content are
-    zero, so its step never moves it); the fine frame of the transposed
-    action reaches only the coarse frame, which carry_up zeroes; and the
-    carried-down frames stay the +0.0 of the zero chain.
+    terms are, and a sum from +0.0 never is.  Frames need no zeroing: the
+    rows are interior (`field.LevelMask`), u_k is +-0.0 on the frame and
+    utilde_k the +0.0 of the zero chain, so a frame term of any gather is
+    w * (+-0.0), which changes no sum from +0.0.
     """
 
     def __init__(self, u, f, diffusion, omega, k, tld, bar):
@@ -214,22 +212,16 @@ class _LevelStage:
         for name, image in (("iterate", values), ("load", f.images[k])):
             if not np.isfinite(image[active]).all():
                 raise ValueError(f"{name} image of level {k} is not finite on its active set")
-        edge = active.copy()
-        edge[1:-1, 1:-1] = False
-        if f.images[k][edge].any():
-            raise ValueError(f"load image of level {k} is nonzero at an active frame node")
         self.values, self.values_flat = values, values.reshape(-1)
-        self.values_interior = values[1:-1, 1:-1]
-        self.tld, self.tld_interior = tld[k], tld[k][1:-1, 1:-1]
-        self.bar_flat = bar[k].reshape(-1)
+        self.tld, self.bar_flat = tld[k], bar[k].reshape(-1)
         self.omega, self.scale = omega, 2.0 / (h * h)
         weights = diffusion.stencil(k)
-        framed = np.zeros((n, n))
-        self.framed_flat, self.framed_interior = framed.reshape(-1), framed[1:-1, 1:-1]
+        # u_k + utilde_k, written by each op before its gather reads it
+        self.source = np.empty((n, n))
+        self.source_flat = self.source.reshape(-1)
 
-        r1, r2 = np.nonzero(u.masks[k].active[1:-1, 1:-1])
-        r1, r2 = r1 + 1, r2 + 1
-        self.rows = r1 * n + r2
+        self.rows = np.flatnonzero(active)
+        r1, r2 = np.divmod(self.rows, n)
         self.loads = f.images[k][r1, r2]
         self.section = Taps((r1 + _D1) * n + r2 + _D2, weights[:, r1, r2])
         self.residual = np.zeros(n * n)
@@ -238,7 +230,7 @@ class _LevelStage:
             a1, a2 = _square(1, n - 1)
             self.interior = a1 * n + a2
             mirrored = (a1 - _D1) * n + a2 - _D2
-            inner = zero_frame(weights).reshape(7, -1)
+            inner = weights.reshape(7, -1)
             self.transposed = Taps(mirrored, np.take_along_axis(inner, mirrored, axis=1))
             nc = hier.n(k - 1)
             c1, c2 = _square(1, nc - 1)
@@ -256,8 +248,8 @@ class _LevelStage:
     def row_residual(self) -> np.ndarray:
         """loads - (scale * section + ubar_k) on the active rows, from the
         current iterate and carried images."""
-        np.add(self.values_interior, self.tld_interior, out=self.framed_interior)
-        section = self.section(self.framed_flat)
+        np.add(self.values, self.tld, out=self.source)
+        section = self.section(self.source_flat)
         section *= self.scale
         section += self.bar_flat[self.rows]
         return self.loads - section
@@ -269,15 +261,15 @@ class _LevelStage:
 
     def carry_up(self) -> None:
         """ubar_{k-1} = restrict(ubar_k + A_k^T u_k), on the coarse interior."""
-        np.copyto(self.framed_interior, self.values_interior)
-        lifted = self.transposed(self.framed_flat)
+        lifted = self.transposed(self.values_flat)
         lifted *= self.scale
         lifted += self.bar_flat[self.interior]
         self.coarse_flat[self.coarse_interior] = self.restriction(lifted)
 
     def carry_down(self) -> None:
         """utilde_{k+1} = interp(utilde_k + u_k), on the next level's interior."""
-        self.next_flat[self.fine] = self.interpolation((self.tld + self.values).reshape(-1))
+        np.add(self.values, self.tld, out=self.source)
+        self.next_flat[self.fine] = self.interpolation(self.source_flat)
 
 
 class _StagedSweep:
@@ -291,9 +283,9 @@ class _StagedSweep:
     staging rejects an iterate that is nonzero off its active sets (-0.0
     passes: u * 0 keeps the sign of u's zero).  The kept chain then equals
     `compute_utilde`'s, bit for bit.  Staging also rejects, before any work,
-    an iterate or load that is not finite on an active set, and a nonzero
-    load at an active frame node: loads are zero on the frame (`RhsField`),
-    and neither the sweep nor the residual has a row there.
+    an iterate or load that is not finite on an active set.  The masks
+    need no check here: each holds interior nodes only (`field.LevelMask`),
+    so every active node is a row of the sweep and of the residual.
     """
 
     def __init__(self, u, f, diffusion, smoother):
@@ -311,18 +303,16 @@ class _StagedSweep:
         """The stacked residual ||f - A u||_2 of the current iterate, from the stages.
 
         A fresh carried-up chain (`carry_up()` of levels D-1..1), then each
-        level's `row_residual()` written into its residual image: entry for
-        entry the vector `_stacked_residual_norm` forms, so the same norm bit
-        for bit.  It overwrites only the carried-up and residual images,
-        which the next sweep rewrites before reading them (the chain in its
-        downward half, the residual images for its lagged norm).
+        level's `row_residual()`, concatenated: the rows are the active
+        nodes in row-major order, so this is the vector `stack_vector`
+        gathers for `_stacked_residual_norm`, and the same norm bit for bit.
+        It overwrites only the carried-up images and the stages' sources,
+        which the next sweep rewrites before reading them.
         """
         for stage in reversed(self.stages[1:]):
             stage.carry_up()
-        for stage in self.stages:
-            stage.residual[stage.rows] = stage.row_residual()
-        images = [stage.residual for stage in self.stages]
-        return float(np.linalg.norm(stack_vector(images, self.u.masks[: len(images)])))
+        rows = [stage.row_residual() for stage in self.stages]
+        return float(np.linalg.norm(np.concatenate(rows))) if rows else 0.0
 
     def sweep(self) -> float:
         """One sweep of the iterate in place; returns `llmg_sweep`'s lagged norm."""

@@ -60,7 +60,7 @@ from mlfem.convnet import (
     conv_translate,
 )
 from mlfem.estimator import estimate, leaf_triangle_masks
-from mlfem.field import MultilevelField, flatten_to_finest, make_mask
+from mlfem.field import LevelMask, MultilevelField, flatten_to_finest
 from mlfem.mesh import NODE_TRIANGLES, TRI_CHILD_OFFSETS, ConfigurationError, build_hierarchy
 from mlfem.problems import CookieProblem, reference_error
 
@@ -600,7 +600,7 @@ def random_mask(hier, level, rng, density=0.6):
     n = hier.n(level)
     act = np.zeros((n, n), dtype=np.uint8)
     act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < density
-    return make_mask(act)
+    return LevelMask(act)
 
 
 def random_masks(hier, rng, density=0.6):

@@ -52,8 +52,8 @@ from mlfem.convnet import (
 )
 from mlfem.estimator import aggregate_to_level, estimate
 from mlfem.field import (
+    LevelMask,
     MultilevelField,
-    make_mask,
     prolongate_uniform,
     restrict_uniform,
     uniform_masks,
@@ -105,7 +105,7 @@ def masks_to_depth(hier, depth):
             out.append(full[k])
         else:
             n = hier.n(k)
-            out.append(make_mask(np.zeros((n, n), dtype=np.uint8)))
+            out.append(LevelMask(np.zeros((n, n), dtype=np.uint8)))
     return out
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlfem import assembly
 from mlfem.assembly import (
@@ -45,6 +47,8 @@ from oracles import (
     point_in_triangle,
     random_field,
     random_mask,
+    random_masks,
+    refined_inputs,
     triangle_verts,
     weighted_h1_seminorm,
 )
@@ -413,6 +417,26 @@ def test_global_matches_apply_stacked():
         want = mat @ x
         got = stack_vector(apply_stacked(u, diff), masks)
         assert np.allclose(got, want, rtol=1e-11, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(refined_inputs(), st.integers(0, 2**32 - 1))
+def test_one_stacked_system(inputs, seed):
+    """The assembled matrix and the levelwise action are one operator: on
+    the masks the adaptive loop reaches and on independent random ones,
+    `assemble_global(...) @ x` equals `apply_stacked`'s blocks at the
+    active nodes to 1e-12 relative.  A mask holds interior nodes only
+    (`LevelMask`), so neither has a row the other lacks."""
+    u, _, diff = inputs
+    hier = u.hierarchy
+    for masks in (u.masks, random_masks(hier, np.random.default_rng(seed))):
+        field = MultilevelField(hier, u.values, masks)
+        mat, _ = assemble_global(hier, masks, diff)
+        want = mat @ stack_vector(u.values, masks)
+        got = stack_vector(apply_stacked(field, diff), masks)
+        assert got.shape == want.shape
+        if want.size:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_global_symmetric_positive_semidefinite():

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from mlfem.field import (
+    LevelMask,
     MultilevelField,
     empty_mask,
     flatten_to_finest,
@@ -13,7 +15,7 @@ from mlfem.field import (
     uniform_masks,
     zero_field,
 )
-from mlfem.mesh import build_hierarchy, hat_overlap_offsets
+from mlfem.mesh import ConfigurationError, build_hierarchy, hat_overlap_offsets
 
 from oracles import hat_value, multilevel_eval, pl_eval, random_field, random_mask
 
@@ -100,6 +102,52 @@ def test_translate_index_loop_oracle():
                     want = img[s1, s2] if 0 <= s1 < 9 and 0 <= s2 < 9 else 0.0
                     want *= mask.active[i1, i2]
                     assert stack[t, i1, i2] == want
+
+
+def frame_nodes(n):
+    """The middle of each side of the frame, then its four corners."""
+    m = n // 2
+    return [(0, m), (n - 1, m), (m, 0), (m, n - 1), (0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)]
+
+
+def test_mask_rejects_an_active_frame_node():
+    """The stacked system acts on interior hats only (the boundary is
+    homogeneous Dirichlet), so a mask is refused where it is made if it
+    activates a node on any side or corner of the frame, whatever its
+    interior holds; the same images without that node are accepted."""
+    hier = build_hierarchy(5, 2)
+    for k in range(hier.levels):
+        n = hier.n(k)
+        for interior in (hier.interior_mask(k), np.zeros((n, n), dtype=np.uint8)):
+            for node in frame_nodes(n):
+                active = interior.copy()
+                active[node] = 1
+                with pytest.raises(ConfigurationError, match="boundary frame"):
+                    LevelMask(active)
+            assert np.array_equal(LevelMask(interior).active, interior)
+
+
+@pytest.mark.parametrize("entry", [2, 0.5, 256.0, np.nan], ids=["2", "0.5", "256.0", "nan"])
+def test_mask_rejects_entries_other_than_0_and_1(entry):
+    """Any raw entry other than 0 or 1 is refused, before a uint8 cast
+    could turn 0.5 or 256.0 into 0 or 2 into an active node."""
+    active = np.zeros((5, 5))
+    active[2, 2] = entry
+    with pytest.raises(ConfigurationError, match="0 or 1"):
+        LevelMask(active)
+
+
+def test_mask_keeps_bool_and_float_images_as_uint8():
+    """Bool and float 0/1 images, C- or F-ordered, are kept as C-contiguous
+    uint8 with the same entries."""
+    hier = build_hierarchy(5, 1)
+    want = random_mask(hier, 0, np.random.default_rng(7)).active
+    for image in (want.astype(bool), want.astype(float), np.asfortranarray(want.astype(float))):
+        got = LevelMask(image).active
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+    with pytest.raises(ConfigurationError, match="2-D"):
+        LevelMask(want.ravel())
 
 
 def test_mask_closure_is_dilation():

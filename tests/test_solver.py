@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlfem import assembly, convnet, field, solver
 from mlfem.assembly import (
@@ -24,9 +25,9 @@ from mlfem.assembly import (
     occupied_depth,
 )
 from mlfem.field import (
+    LevelMask,
     empty_mask,
     full_mask,
-    make_mask,
     offset_views,
     uniform_masks,
     zero_field,
@@ -54,6 +55,7 @@ from oracles import (
     power_lambda_max,
     random_field,
     random_mask,
+    random_masks,
     random_refined_masks,
     refined_inputs,
     solve_energy_history,
@@ -72,7 +74,7 @@ def random_sparse_masks(hier, rng, density=0.3):
         n = hier.n(k)
         act = np.zeros((n, n), dtype=np.uint8)
         act[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < density
-        masks.append(make_mask(act))
+        masks.append(LevelMask(act))
     return masks
 
 
@@ -499,24 +501,6 @@ def test_staging_rejects_a_non_finite_load():
             llmg_solve(zero_field(hier, masks), rhs, diff, sm)
 
 
-def test_staging_rejects_a_load_at_an_active_frame_node():
-    """Loads are zero on the frame (`RhsField`): an active frame node is no
-    row of the staged sweep or residual, so a load there could never be
-    met.  It is refused before any sweep, naming the level; a zero load
-    there passes."""
-    hier = build_hierarchy(5, 2)
-    diff = compute_upsilon(hier, np.ones((9, 9)))
-    rhs = assemble_rhs(hier, np.ones((9, 9)))
-    masks = uniform_masks(hier)
-    masks[1].active[0, 4] = 1
-    sm = choose_omega(diff, masks)
-    _, report = llmg_solve(zero_field(hier, masks), rhs, diff, sm)
-    assert report.converged
-    rhs.images[1][0, 4] = 0.5
-    with pytest.raises(ValueError, match="load image of level 1 is nonzero at an active frame node"):
-        llmg_solve(zero_field(hier, masks), rhs, diff, sm)
-
-
 def test_taps_add_in_tap_order():
     """A gather adds its terms in tap order, for one column and for several:
     (1e16, 1, -1e16) loses the 1, (1e16, -1e16, 1) keeps it."""
@@ -795,8 +779,8 @@ def test_solve_forms_the_stacked_residual_only_near_the_stop():
 
 def staged_residual_cases(rng):
     """(label, hier, diff, rhs, u) on random refined masks, on
-    `two_of_four_levels`, with no active node, with f = 0, and with an
-    active frame node (load zero there, as `RhsField` requires)."""
+    `two_of_four_levels`, with no active node, with f = 0, and with active
+    rows next to the frame."""
     hier = build_hierarchy(5, 3)
     nf = hier.n(2)
 
@@ -811,8 +795,11 @@ def staged_residual_cases(rng):
     yield ("no-dof", *data([empty_mask(hier, k) for k in range(3)]))
     yield ("zero-load", *data(random_sparse_masks(hier, rng), f_scale=0.0))
     masks = random_sparse_masks(hier, rng)
-    masks[1].active[0, 3] = masks[2].active[8, 16] = 1
-    yield ("frame-node", *data(masks))
+    for k, node in ((1, (1, 3)), (2, (8, 15))):
+        active = masks[k].active.copy()
+        active[node] = 1
+        masks[k] = LevelMask(active)
+    yield ("frame-rows", *data(masks))
 
 
 def test_staged_residual_equals_apply_stacked_bit_for_bit():
@@ -965,6 +952,37 @@ def test_solve_converges_on_random_sparse_masks():
         delta = u.copy()
         delta.values = [a - b for a, b in zip(u.values, star.values)]
         assert energy_seminorm(delta, diff) <= 1e-8 * energy_seminorm(star, diff)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_reference_and_llmg_solve_agree_on_rows_next_to_the_frame(levels, seed):
+    """One stacked system: on random masks with rows next to the frame on
+    every level, a converged `llmg_solve` and `reference_solve` (the
+    assembled matrix) give the same function, to 1e-8 in the energy
+    seminorm.  No frame node can be active (`LevelMask`), so the two have
+    the same rows."""
+    hier = build_hierarchy(5, levels)
+    rng = np.random.default_rng(seed)
+    nf = hier.n(levels - 1)
+    diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
+    rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+    masks = []
+    for k, mask in enumerate(random_masks(hier, rng, density=0.3)):
+        n = hier.n(k)
+        ring = hier.interior_mask(k)
+        ring[2:-2, 2:-2] = 0
+        active = mask.active | (ring & (rng.random((n, n)) < 0.5))
+        active[1, rng.integers(1, n - 1)] = 1
+        masks.append(LevelMask(active))
+    u, report = llmg_solve(
+        zero_field(hier, masks), rhs, diff, choose_omega(diff, masks), max_sweeps=5000
+    )
+    assert report.converged
+    star = reference_solve(masks, diff, rhs)
+    delta = u.copy()
+    delta.values = [a - b for a, b in zip(u.values, star.values)]
+    assert energy_seminorm(delta, diff) <= 1e-8 * energy_seminorm(star, diff)
 
 
 def test_iteration_count_obeys_contraction_bound():
