@@ -5,10 +5,11 @@ node carries the integrals of the diffusion coefficient over its six incident
 triangles (`compute_upsilon`); pairing those channels with constant
 reference-element gradient couplings gives the seven-point stencil row by
 row.  `DiffusionField.stencil` stages those weight images once per level,
-and `apply_stencil` and its transpose apply them.  The stacked (all-levels)
-operator is defined once, by three level steps: `carry_down` and `carry_up`
-pass the carried-down and carried-up contents one level on, and
-`level_section` is one level's row A_k(u_k + utilde_k) + ubar_k.
+and `apply_stencil` applies them.  The level matrix A_k is symmetric, so
+that one action serves every route: the stacked (all-levels) operator is
+defined once, by three level steps: `carry_down` and `carry_up` pass the
+carried-down and carried-up contents one level on, and `level_section` is
+one level's row A_k(u_k + utilde_k) + ubar_k.
 `compute_utilde`, `compute_ubar` and `apply_stacked` loop over them, each
 only over the occupied levels 0..D-1 (`occupied_depth`); `assemble_global`
 is the brute-force sparse counterpart used for verification.
@@ -50,7 +51,6 @@ __all__ = [
     "RhsField",
     "compute_upsilon",
     "apply_stencil",
-    "apply_stencil_transpose",
     "apply_A_level",
     "apply_A_level_transpose",
     "carry_down",
@@ -100,7 +100,6 @@ def _stencil_couplings() -> np.ndarray:
 STENCIL_COUPLINGS = _stencil_couplings()
 
 _OFFSETS = hat_overlap_offsets()
-_MIRRORED = [(-d1, -d2) for d1, d2 in _OFFSETS]
 
 
 def _stencil_weights(upsilon: np.ndarray) -> np.ndarray:
@@ -208,24 +207,6 @@ def apply_stencil(image: np.ndarray, weights: np.ndarray, h: float) -> np.ndarra
     return zero_frame(out * (2.0 / (h * h)))
 
 
-def apply_stencil_transpose(image: np.ndarray, weights: np.ndarray, h: float) -> np.ndarray:
-    """Transposed stiffness action: the weight images read at the source node.
-
-    out[j] = (2/h^2) * sum_t weights[t, j - p_t] * image[j - p_t].  The level
-    matrix is symmetric, so this agrees with `apply_stencil` up to
-    round-off; it is kept separate because the convolutional realization of
-    the two actions differs, and the carried-up recursion is defined through
-    the transpose.
-    """
-    if weights.shape != (7,) + image.shape:
-        raise ValueError(f"stencil weights {weights.shape} do not match image {image.shape}")
-    v = zero_frame(np.asarray(image, dtype=float))
-    out = np.zeros_like(v)
-    for t, view in enumerate(offset_views(weights * v, _MIRRORED)):
-        out += view[t]
-    return zero_frame(out * (2.0 / (h * h)))
-
-
 def apply_A_level(image: np.ndarray, upsilon: np.ndarray, h: float) -> np.ndarray:
     """Stiffness action of one uniform level on a nodal image, from its Upsilon channels.
 
@@ -238,11 +219,10 @@ def apply_A_level(image: np.ndarray, upsilon: np.ndarray, h: float) -> np.ndarra
 
 
 def apply_A_level_transpose(image: np.ndarray, upsilon: np.ndarray, h: float) -> np.ndarray:
-    """Transposed stiffness action from the Upsilon channels: `apply_stencil_transpose`
-    of the contracted weights, formed on every call."""
-    if upsilon.shape != (6,) + image.shape:
-        raise ValueError(f"upsilon {upsilon.shape} does not match image {image.shape}")
-    return apply_stencil_transpose(image, _stencil_weights(upsilon), h)
+    """`apply_A_level`'s value: the level matrix is symmetric, so it is its own
+    transpose.  No route calls this; the name stays because
+    `benchmarks/layers.py` times it."""
+    return apply_A_level(image, upsilon, h)
 
 
 def carry_down(tld_k: np.ndarray, values_k: np.ndarray) -> np.ndarray:
@@ -253,9 +233,13 @@ def carry_down(tld_k: np.ndarray, values_k: np.ndarray) -> np.ndarray:
 def carry_up(
     bar_k: np.ndarray, values_k: np.ndarray, diffusion: DiffusionField, k: int
 ) -> np.ndarray:
-    """ubar_{k-1} = restrict(ubar_k + A_k^T u_k), boundary rows forced to zero."""
+    """ubar_{k-1} = restrict(ubar_k + A_k u_k), boundary rows forced to zero.
+
+    This is the Galerkin coupling P^T A_k u_k of the stacked matrix, whose
+    level blocks are symmetric, so no transposed action is needed.
+    """
     h = diffusion.hierarchy.h(k)
-    lifted = bar_k + apply_stencil_transpose(values_k, diffusion.stencil(k), h)
+    lifted = bar_k + apply_stencil(values_k, diffusion.stencil(k), h)
     return zero_frame(restrict_uniform(lifted))
 
 
@@ -275,7 +259,7 @@ def occupied_depth(masks) -> int:
     """D = 1 + the deepest level with an active node (0 when no node is active).
 
     The stacked operator needs only levels 0..D-1.  A level at or beyond D
-    holds +0.0 values: its smoothing step adds `x * 0`, its transposed action
+    holds +0.0 values: its smoothing step adds `x * 0`, its stiffness action
     and the content restricted from it are exactly zero, and no level below
     D reads the carried-down content of a level at or beyond D.  So every
     level loop of both routes stops at D, with bit-identical results.
@@ -299,7 +283,7 @@ def compute_utilde(u: MultilevelField) -> list[np.ndarray]:
 
 
 def compute_ubar(u: MultilevelField, diffusion: DiffusionField) -> list[np.ndarray]:
-    """Carried-up content: restriction of the transposed actions of all finer levels.
+    """Carried-up content: restriction of the stiffness actions of all finer levels.
 
     ubar[D-1] = 0, then `carry_up` of the active values down to level 0,
     for the occupied levels k < D = `occupied_depth(u.masks)` only.

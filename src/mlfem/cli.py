@@ -26,11 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import MARKING_STRATEGIES, afem, initial_masks, mark_threshold, refine
-from .assembly import apply_stencil, apply_stencil_transpose, assemble_rhs, compute_upsilon
+from .assembly import apply_stencil, assemble_rhs, compute_upsilon
 from .convnet import (
     build_stencil_bank,
+    conv_apply,
     conv_apply_A,
-    conv_apply_A_transpose,
     conv_estimator,
     conv_mark_refine,
     conv_prolongate,
@@ -517,10 +517,10 @@ def _verify_masks(hier, level: int, rng) -> list:
 def verify_rows(cfg: RunConfig) -> list[tuple[str, float]]:
     """Max deviation of each kernel family against its assembly-route twin.
 
-    Three rows: the stiffness action and its transpose on random masks, the
-    full-lattice transfer pair on random images, and the estimator plus
-    marking/refinement cascade (the last contributes 1.0 when the refined
-    masks differ anywhere).
+    Three rows: the stiffness action on random masks, with the stack gated
+    by the mask and ungated, the full-lattice transfer pair on random
+    images, and the estimator plus marking/refinement cascade (the last
+    contributes 1.0 when the refined masks differ anywhere).
     """
     _, diffusion, f_values, steps = _adaptive_sample(
         replace(cfg, iterations=2, marking="doerfler", theta=0.3), 0
@@ -547,8 +547,8 @@ def verify_rows(cfg: RunConfig) -> list[tuple[str, float]]:
                 worst_op,
                 _rel_dev(conv_apply_A(bank, stack, ups, h), act * apply_stencil(v, weights, h)),
                 _rel_dev(
-                    conv_apply_A_transpose(bank, v, ups, h),
-                    apply_stencil_transpose(v, weights, h),
+                    conv_apply_A(bank, conv_apply(bank.translate, v[None]), ups, h),
+                    apply_stencil(v, weights, h),
                 ),
             )
 

@@ -1,7 +1,7 @@
 """Convolutional realizations of the lattice operators.
 
-Every operator the engine uses (stiffness action, its transpose, the
-full-lattice transfer pair, one multigrid sweep, the error estimator, and
+Every operator the engine uses (stiffness action, the full-lattice
+transfer pair, one multigrid sweep, the error estimator, and
 threshold marking with refinement) is also expressible as a small stack of
 convolutions with fixed rational kernels and exact elementwise products.
 This module builds those kernels (`build_stencil_bank`) and provides the
@@ -57,7 +57,6 @@ __all__ = [
     "conv_apply",
     "build_stencil_bank",
     "conv_apply_A",
-    "conv_apply_A_transpose",
     "conv_prolongate",
     "conv_restrict",
     "conv_translate",
@@ -296,9 +295,9 @@ class StencilBank:
     applied where a kernel is used, so every hierarchy builds the same bank.
 
     operator maps the 7-channel translation stack to the six node-triangle
-    channels, and operator_transpose is its mirrored adjoint;
-    upsilon integrates nodal kappa over the six incident triangles (times
-    h^2 at use); prolong/restrict share the 3x3 interpolation weights as a
+    channels (the level matrix is symmetric, so it also gives the carried-up
+    content); upsilon integrates nodal kappa over the six incident
+    triangles (times h^2 at use); prolong/restrict share the 3x3 interpolation weights as a
     transpose/strided pair; corner and jump kernels feed the estimator;
     aggregate_* sum child triangles with the h-rescaling factors 4 and 2;
     refine maps marked-triangle channels to next-level node activations;
@@ -306,7 +305,6 @@ class StencilBank:
     """
 
     operator: ConvKernel
-    operator_transpose: ConvKernel
     upsilon: ConvKernel
     prolong: ConvKernel
     restrict: ConvKernel
@@ -334,12 +332,6 @@ def build_stencil_bank(hierarchy: GridHierarchy) -> StencilBank:
             raise ConfigurationError("reference integration lost the Courant stencil")
 
     operator = ConvKernel(couplings.reshape(6, 7, 1, 1))
-
-    wt = np.zeros((1, 6, 3, 3))
-    for chan in range(6):
-        for t, (d1, d2) in enumerate(hat_overlap_offsets()):
-            wt[0, chan, 1 - d1, 1 - d2] += couplings[chan, t]
-    operator_transpose = ConvKernel(wt)
 
     wu = np.zeros((6, 1, 3, 3))
     for chan, (q, owner) in enumerate(NODE_TRIANGLES):
@@ -386,7 +378,6 @@ def build_stencil_bank(hierarchy: GridHierarchy) -> StencilBank:
 
     return StencilBank(
         operator=operator,
-        operator_transpose=operator_transpose,
         upsilon=upsilon,
         prolong=prolong,
         restrict=restrict,
@@ -439,19 +430,6 @@ def conv_apply_A(
     # the channel sum from +0.0, in channel order
     acc = np.add.reduce(upsilon * conv_apply(bank.operator, stack), axis=0)
     return zero_frame(acc * (2.0 / (h * h)))
-
-
-def conv_apply_A_transpose(
-    bank: StencilBank, image: np.ndarray, upsilon: np.ndarray, h: float
-) -> np.ndarray:
-    """Transposed stiffness action: mirrored taps on the Upsilon-weighted image."""
-    if upsilon.shape != (6,) + image.shape:
-        raise ConfigurationError(
-            f"upsilon {upsilon.shape} does not match image {image.shape}"
-        )
-    v = zero_frame(np.asarray(image, dtype=float))
-    out = conv_apply(bank.operator_transpose, upsilon * v[None, :, :])[0]
-    return zero_frame(out * (2.0 / (h * h)))
 
 
 def conv_prolongate(bank: StencilBank, coarse: np.ndarray) -> np.ndarray:
@@ -544,6 +522,39 @@ def init_llmg_state(
     return state
 
 
+class _Stiffness:
+    """The stiffness action (2/h^2) A_k of a level at some of its interior
+    nodes (`nodes`, flat), from a flat source of the level's image with the
+    zero appended.
+
+    One gather (`gather`) runs the translate and 1x1 stiffness layers: each
+    stiffness term reads the translate layer's kept gather of its stack
+    channel (one term of weight 1) at the nodes, which gives the two
+    layers' bytes, since their tap sums start from +0.0; the padding terms
+    (channel -1) read the zero.  Then the six stiffness channels times the
+    Upsilon channels at the nodes, summed from +0.0 in channel order (as
+    `conv_apply_A` sums), and the 2/h^2 scale: node for node, `conv_apply_A`
+    of the stack gated by any 0/1 mask that holds the nodes.
+    """
+
+    def __init__(self, bank, upsilon, h, nodes):
+        n = upsilon.shape[-1]
+        stack = bank.translate.gather((1, n, n)).index.reshape(-1, n * n)
+        chan = bank.operator.pattern[..., :1]
+        self.gather = Taps(np.where(chan >= 0, stack[chan, nodes], n * n), bank.operator.coef)
+        self.weights = upsilon.reshape(6, -1).take(nodes, axis=1)
+        self.scale = 2.0 / (h * h)
+        self.terms, self.out = np.empty((6, nodes.size)), np.empty(nodes.size)
+
+    def __call__(self, source: np.ndarray) -> np.ndarray:
+        """The action at the nodes, into a buffer the next call overwrites."""
+        terms = self.gather(source, out=self.terms)
+        terms *= self.weights
+        out = np.add.reduce(terms, axis=0, out=self.out)
+        out *= self.scale
+        return out
+
+
 class _ConvLevel:
     """The conv route's ops of occupied level k for `solver.llmg_schedule`,
     staged once per state (`init_llmg_state`) on the state's images, which
@@ -554,33 +565,29 @@ class _ConvLevel:
     `conv_apply`.
 
     `smooth` works on the active nodes only (`rows`, the rows of
-    `solver._LevelStage`), as a submanifold convolution.  One gather
-    (`smoothing`) runs the translate and 1x1 stiffness layers from u_k +
-    utilde_k: each stiffness term reads the translate layer's kept gather
-    of its stack channel (one term of weight 1) at the rows, which gives
-    the two layers' bytes, since their tap sums start from +0.0.  Then the
-    six stiffness channels times the Upsilon channels at the rows, summed
-    from +0.0 in channel order (as `conv_apply_A` sums), the 2/h^2 scale,
-    ubar, the load and the damped update at the rows.  Node for node that
-    is the full-lattice step (the stack gated by the active mask,
+    `solver._LevelStage`), as a submanifold convolution: the stiffness
+    action at the rows (`section`, a `_Stiffness`) from u_k + utilde_k,
+    then ubar, the load and the damped update at the rows.  Node for node
+    that is the full-lattice step (the stack gated by the active mask,
     `conv_apply_A`, the update times the 0/1 mask), whose update adds x * 0
     off the rows; so for finite loads and carried images every entry keeps
     its bits.
 
-    `carry_up` (levels > 0) is culled too.  The transposed stiffness layer
-    runs only at the interior nodes (`reach`) whose mirrored taps read an
-    active interior row, from a compact source: Upsilon times u_k at the
-    rows, 6 m entries, and the zero.  Its 2/h^2 multiple is added to a copy
-    of ubar_k, and the restriction, cut to the coarse interior, writes
-    ubar_{k-1} there.  The full-lattice carry (`conv_apply_A_transpose` and
-    `conv_restrict`) reads u_k framed and +0.0 off the rows, so off `reach`
-    its transposed action only sums w * (+0.0) terms from +0.0, and adds
-    +0.0 to ubar_k, which is never -0.0; its fine frame reaches only the
-    coarse frame, which it zeroes and the cull never writes, so that keeps
-    the +0.0 it was staged with.  The carried image is the wrappers'
-    bytes, for finite Upsilon channels.  `carry_down` (all but the deepest
-    occupied level) runs on the full lattice: the prolongation of utilde_k
-    + u_k into utilde_{k+1} (`conv_prolongate`).
+    `carry_up` (levels > 0) is culled too.  The level matrix is symmetric,
+    so the carried-up content restricts ubar_k + A_k u_k.  The stiffness
+    action (`action`, a `_Stiffness`) runs from u_k only at the interior
+    nodes (`reach`) whose nonzero stiffness terms read a row; it is added
+    to a copy of ubar_k, and the restriction, cut to the coarse interior,
+    writes ubar_{k-1} there.  The full-lattice carry (`conv_apply_A` of u_k's
+    stack gated by the interior, and `conv_restrict`) reads u_k +0.0 off
+    the rows, so off `reach` each stiffness channel sums its coincident
+    term's +0.0 with w * (+0.0) terms, the action is +0.0 and adds +0.0 to
+    ubar_k, which is never -0.0; its fine frame reaches only the coarse
+    frame, which it zeroes and the cull never writes, so that keeps the
+    +0.0 it was staged with.  The carried image is the wrappers' bytes, for
+    finite Upsilon channels.  `carry_down` (all but the deepest occupied
+    level) runs on the full lattice: the prolongation of utilde_k + u_k
+    into utilde_{k+1} (`conv_prolongate`).
     """
 
     def __init__(self, bank, u, f, diffusion, omega, k, utld, ubar):
@@ -588,43 +595,27 @@ class _ConvLevel:
         self.values, self.tld, self.bar = u.values[k], utld[k], ubar[k]
         self.values_flat, self.bar_flat = self.values.reshape(-1), ubar[k].reshape(-1)
         self.rows = np.flatnonzero(u.masks[k].active)
-        m = self.rows.size
         self.loads = f.images[k].take(self.rows)
         for name, image in (("iterate", self.values_flat.take(self.rows)), ("load", self.loads)):
             if not np.isfinite(image).all():
                 raise ConfigurationError(f"{name} image of level {k} is not finite on its active set")
-        self.omega, self.scale = omega, 2.0 / (h * h)
-        # the Upsilon channels at the rows, (6, m)
-        self.weights = diffusion.upsilon[k].reshape(6, -1).take(self.rows, axis=1)
+        self.omega = omega
         # the input of the level's next gather, with the zero its reads off
         # the lattice take; each op writes it before its gather reads it
         self.source = np.zeros(n * n + 1)
         self.source_image = self.source[:-1].reshape(n, n)
-
-        # each stiffness term reads its stack channel's translate read at the
-        # rows; the padding terms (channel -1) read the zero
-        stack = bank.translate.gather((1, n, n)).index.reshape(-1, n * n)
-        chan = bank.operator.pattern[..., :1]
-        self.smoothing = Taps(np.where(chan >= 0, stack[chan, self.rows], n * n), bank.operator.coef)
-        self.terms, self.section = np.empty((6, m)), np.empty(m)
+        self.section = _Stiffness(bank, diffusion.upsilon[k], h, self.rows)
 
         if k > 0:
-            layer = bank.operator_transpose
-            # the interior nodes whose mirrored taps read a row
-            taps = layer.pattern[..., 0, :][layer.pattern[..., 0, 0] >= 0]
+            # the interior nodes j whose nonzero terms read a row j + p
+            chan = bank.operator.pattern[..., 0]
+            offsets = bank.translate.pattern[chan[chan >= 0], 0, 0, 1:]
             r1, r2 = np.divmod(self.rows, n)
             reach = np.zeros((n, n), dtype=bool)
-            reach[r1 - taps[:, 1, None], r2 - taps[:, 2, None]] = True
+            reach[r1 - offsets[:, :1], r2 - offsets[:, 1:]] = True
             reach[[0, -1]] = reach[:, [0, -1]] = False
             self.reach = np.flatnonzero(reach)
-            # source entry c * n * n + rows[i] -> compact entry c * m + i
-            compact = np.full(6 * n * n + 1, 6 * m)
-            compact[np.add.outer(np.arange(6) * n * n, self.rows)] = np.arange(6 * m).reshape(6, m)
-            index = layer.gather((6, n, n)).index.take(self.reach, axis=-1)
-            self.transposed = Taps(compact.take(index), layer.coef)
-            self.weighted = np.zeros(6 * m + 1)
-            self.weighted_rows = self.weighted[:-1].reshape(6, m)
-            self.lifted = np.empty((1, self.reach.size))
+            self.action = _Stiffness(bank, diffusion.upsilon[k], h, self.reach)
             nc = u.hierarchy.n(k - 1)
             layer = bank.restrict
             index = layer.gather((1, n, n)).index.reshape(layer.pattern.shape[:3] + (nc, nc))
@@ -636,20 +627,16 @@ class _ConvLevel:
 
     def smooth(self) -> None:
         np.add(self.values, self.tld, out=self.source_image)
-        terms = self.smoothing(self.source, out=self.terms)
-        terms *= self.weights
-        section = np.add.reduce(terms, axis=0, out=self.section)
-        section *= self.scale
+        section = self.section(self.source)
         section += self.bar_flat[self.rows]
         np.subtract(self.loads, section, out=section)
         section *= self.omega
         self.values_flat[self.rows] += section
 
     def carry_up(self) -> None:
+        np.copyto(self.source_image, self.values)
+        lifted = self.action(self.source)
         np.copyto(self.source_image, self.bar)
-        np.multiply(self.weights, self.values_flat[self.rows], out=self.weighted_rows)
-        lifted = self.transposed(self.weighted, out=self.lifted)[0]
-        lifted *= self.scale
         self.source[self.reach] += lifted
         self.restriction(self.source, out=self.coarse)
 
@@ -788,8 +775,10 @@ def parameter_count(levels: int, sweeps: int) -> dict:
     do not change with the cull.
 
     Counts use the stored tensor sizes (the 6x7x1x1 operator kernel is 42
-    weights per level).  Layers are counted once per application, so the
-    solver part scales with sweeps x levels while the setup, estimator and
+    weights per level).  Layers are counted once per application: a
+    smoothing step applies the translate and stiffness layers, a carry-up
+    link those two and the restriction, a carry-down link the
+    prolongation.  So the solver part scales with sweeps x levels while the setup, estimator and
     refinement parts are affine in the level count:
 
         total = fixed(levels) + sweeps * per_sweep(levels)
@@ -799,7 +788,6 @@ def parameter_count(levels: int, sweeps: int) -> dict:
     if levels < 1 or sweeps < 0:
         raise ConfigurationError("need levels >= 1 and sweeps >= 0")
     op = 6 * 7          # one 6x7x1x1 kernel
-    op_t = 6 * 9        # mirrored 1x6x3x3 kernel
     trans = 7 * 9       # translation stack, 7 one-hot 3x3 taps
     transfer = 9        # one 3x3 interpolation kernel each way
     ups = 6 * 9         # kappa integration kernel, finest level
@@ -810,7 +798,7 @@ def parameter_count(levels: int, sweeps: int) -> dict:
     marking = 2 * 2 + 2  # per-level 1x1 pair with threshold biases
 
     smoothing = trans + op + 1  # stack, stiffness kernel, damping factor
-    down_link = op_t + transfer  # transposed stiffness, restriction
+    down_link = trans + op + transfer  # stack and stiffness of u_k, restriction
     up_link = transfer  # prolongation
     per_sweep = levels * 2 * smoothing + (levels - 1) * (down_link + up_link)
     chain_setup = (levels - 1) * transfer  # carried-down chain, built once

@@ -57,11 +57,11 @@ class Taps:
     """A fixed-weight gather: out[j] = sum_t coef[t, j] * src[index[t, j]].
 
     `index` holds flat source indices, shape (T, m), and `coef` broadcasts
-    to it.  The sum over the tap axis is one `np.add.reduce`: it starts from
-    +0.0 and adds the taps in order, as an `out = zeros; out += w * view`
-    loop does (numpy sums a single column pairwise from 8 terms on, so an
-    m = 1 gather keeps that order only for T <= 7, and a block for T and R
-    <= 7).
+    to it; both are kept C-contiguous.  The sum over the tap axis is one
+    `np.add.reduce`: it starts from +0.0 and adds the taps in order, as an
+    `out = zeros; out += w * view` loop does (numpy sums a single column
+    pairwise from 8 terms on, so an m = 1 gather keeps that order only for
+    T <= 7, and a block for T and R <= 7).
 
     An index of four or more axes is a block, (E, T, R, nodes...): output
     e's tap t contracts R terms, summed in order from +0.0 before the taps
@@ -78,9 +78,13 @@ class Taps:
     """
 
     def __init__(self, index: np.ndarray, coef: np.ndarray):
+        block = index.ndim >= 4
+        if not block:
+            # a coef gathered as weights[:, i1, i2] comes F-ordered, and a
+            # product with it runs strided on every call
+            index, coef = np.ascontiguousarray(index), np.ascontiguousarray(coef)
         self.index, self.coef = self.gathered, self.weights = index, coef
         self.ranks, self.axis = None, 0
-        block = index.ndim >= 4
         if block:
             nodes = tuple(range(3, index.ndim))
             self.gathered = np.ascontiguousarray(index.transpose((2, 0, 1) + nodes))

@@ -3,7 +3,7 @@
 One sweep visits the levels fine-to-coarse and back, applying damped
 Richardson smoothing on each level's active set.  The cross-level coupling is
 never assembled: the sweep keeps the carried-down content (coarser
-components interpolated up) and the carried-up content (finer residual
+components interpolated up) and the carried-up content (finer stiffness
 actions restricted down) up to date, with the arithmetic of the level steps
 that define `apply_stacked` (`assembly.carry_down`, `carry_up` and
 `level_section`).  It is therefore the successive-subspace-correction
@@ -22,7 +22,7 @@ only where the active rows reach.
 A solve stages its sweep once (`_StagedSweep`): the masks, loads, stencil
 images and damping are fixed while it runs.  Each occupied level stages its
 four ops as fixed-weight gathers (`field.Taps`): the section on its active
-rows, so a smoothing step's work follows the active set, and the transposed
+rows, so a smoothing step's work follows the active set, and the stiffness
 action, restriction and interpolation on full level interiors.  The
 carried-down chain is built once and kept current by the sweeps.  The
 iterates are those of the full-lattice loop over the level steps, bit for
@@ -136,7 +136,7 @@ def llmg_schedule(levels) -> None:
     """One LLMG sweep over the ops of the occupied levels 0..D-1.
 
     `levels[k]` holds level k's ops: `smooth()` takes one smoothing step,
-    `carry_up()` restricts its carried-up content plus its transposed action
+    `carry_up()` restricts its carried-up content plus its stiffness action
     onto level k-1, and `carry_down()` interpolates its carried-down content
     plus its iterate onto level k+1.  The downward half visits D-1..0,
     smoothing and carrying up (but level 0); the upward half visits 0..D-1,
@@ -171,22 +171,31 @@ def _square(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return i1.ravel(), i2.ravel()
 
 
+def _stencil_gather(weights: np.ndarray, nodes: np.ndarray) -> Taps:
+    """The stencil rows of the flat lattice `nodes` of a level with (7, n, n)
+    weight images: the seven neighbours j + p_t of each node j, with the
+    weights at j."""
+    n = weights.shape[-1]
+    i1, i2 = np.divmod(nodes, n)
+    return Taps((i1 + _D1) * n + i2 + _D2, weights[:, i1, i2])
+
+
 class _LevelStage:
     """The direct route's ops of occupied level k for `llmg_schedule`: what
     the level fixes for the sweeps of one solve, staged once.  Each op is
     one `field.Taps` over flat lattice indices of level k or its neighbour:
-    - `section`: the seven stencil neighbours of the active rows in u_k +
-      utilde_k (`source`), with the gathered weights;
-    - `transposed` (levels > 0): the mirrored neighbours of the interior in
-      u_k, with the weight images there;
-    - `restriction` (levels > 0): the coarse interior from ubar_k + A_k^T
+    - `section`: the stencil rows of the active nodes (`_stencil_gather`)
+      in u_k + utilde_k (`source`);
+    - `action` (levels > 0): the stencil rows of the level interior in u_k,
+      the stiffness action A_k u_k there, unscaled;
+    - `restriction` (levels > 0): the coarse interior from ubar_k + A_k
       u_k, in `restrict_uniform`'s order, with coefficients [1, 1/2 x 6];
     - `interpolation` (all but the deepest level): the next interior from
       utilde_k + u_k (`source`) at its coarse neighbours lo and hi (one
       node twice where they coincide), with coefficients 1/2.
-    It also keeps the loads at its rows, the residual of its last smoothing
-    step (`r`), and a full-size residual image, zero off the rows, for the
-    lagged norm.  The iterate and carried images are updated in place.
+    It also keeps the loads at its rows and the residual of its last
+    smoothing step (`r`).  The iterate and carried images are updated in
+    place.
 
     Each entry has the bits of `assembly.level_section`, `carry_up` and
     `carry_down`: the same terms in the same order (`restrict_uniform`
@@ -221,17 +230,13 @@ class _LevelStage:
         self.source_flat = self.source.reshape(-1)
 
         self.rows = np.flatnonzero(active)
-        r1, r2 = np.divmod(self.rows, n)
-        self.loads = f.images[k][r1, r2]
-        self.section = Taps((r1 + _D1) * n + r2 + _D2, weights[:, r1, r2])
-        self.residual = np.zeros(n * n)
+        self.loads = f.images[k].reshape(-1)[self.rows]
+        self.section = _stencil_gather(weights, self.rows)
 
         if k > 0:
             a1, a2 = _square(1, n - 1)
             self.interior = a1 * n + a2
-            mirrored = (a1 - _D1) * n + a2 - _D2
-            inner = weights.reshape(7, -1)
-            self.transposed = Taps(mirrored, np.take_along_axis(inner, mirrored, axis=1))
+            self.action = _stencil_gather(weights, self.interior)
             nc = hier.n(k - 1)
             c1, c2 = _square(1, nc - 1)
             neighbours = (2 * c1 + _D1 - 1) * (n - 2) + 2 * c2 + _D2 - 1
@@ -260,8 +265,8 @@ class _LevelStage:
         self.values_flat[self.rows] += self.omega * self.r
 
     def carry_up(self) -> None:
-        """ubar_{k-1} = restrict(ubar_k + A_k^T u_k), on the coarse interior."""
-        lifted = self.transposed(self.values_flat)
+        """ubar_{k-1} = restrict(ubar_k + A_k u_k), on the coarse interior."""
+        lifted = self.action(self.values_flat)
         lifted *= self.scale
         lifted += self.bar_flat[self.interior]
         self.coarse_flat[self.coarse_interior] = self.restriction(lifted)
@@ -321,8 +326,7 @@ class _StagedSweep:
         for k, stage in enumerate(self.stages):
             if not np.isfinite(stage.values).all():
                 raise ArithmeticError(f"llmg diverged: non-finite iterate on level {k}")
-            stage.residual[stage.rows] = stage.r
-            lagged2 += float(np.vdot(stage.residual, stage.residual))
+            lagged2 += float(np.dot(stage.r, stage.r))
         return float(np.sqrt(lagged2))
 
 

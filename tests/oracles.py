@@ -54,7 +54,6 @@ from mlfem.assembly import (
 )
 from mlfem.convnet import (
     conv_apply_A,
-    conv_apply_A_transpose,
     conv_prolongate,
     conv_restrict,
     conv_translate,
@@ -518,12 +517,13 @@ class _FullLatticeConvLevel:
         v[...] = v + state.smoother.omegas[k] * (state.f.images[k] - section) * act
 
     def carry_up(self):
-        """ubar_{k-1} = restrict(ubar_k + A_k^T u_k): `conv_apply_A_transpose`
-        and `conv_restrict`."""
+        """ubar_{k-1} = restrict(ubar_k + A_k u_k): `conv_apply_A` of u_k's
+        stack gated by the level interior (`conv_translate`), and
+        `conv_restrict`."""
         state, k = self.state, self.k
-        lifted = state.ubar[k] + conv_apply_A_transpose(
-            state.bank, state.u.values[k], self.upsilon, self.h
-        )
+        interior = state.u.hierarchy.interior_mask(k)
+        stack = conv_translate(state.bank, state.u.values[k], interior)
+        lifted = state.ubar[k] + conv_apply_A(state.bank, stack, self.upsilon, self.h)
         state.ubar[k - 1][...] = conv_restrict(state.bank, lifted)
 
     def carry_down(self):

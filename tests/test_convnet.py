@@ -13,7 +13,6 @@ from mlfem import convnet
 from mlfem.adapt import mark_threshold, refine
 from mlfem.assembly import (
     apply_A_level,
-    apply_A_level_transpose,
     assemble_rhs,
     compute_upsilon,
 )
@@ -22,7 +21,6 @@ from mlfem.convnet import (
     build_stencil_bank,
     conv_apply,
     conv_apply_A,
-    conv_apply_A_transpose,
     conv_estimator,
     conv_llmg_sweep,
     conv_mark_refine,
@@ -262,8 +260,7 @@ def einsum_conv(kernel, image):
 def bank_kernels(bank):
     kernels = {
         name: getattr(bank, name)
-        for name in ("operator", "operator_transpose", "upsilon", "prolong", "restrict",
-                     "corner", "aggregate_r2", "aggregate_j2", "refine", "translate")
+        for name in ("operator", "upsilon", "prolong", "restrict", "corner", "aggregate_r2", "aggregate_j2", "refine", "translate")
     }
     kernels.update((f"jump_{name}", k) for name, k in bank.jumps.items())
     return kernels
@@ -349,7 +346,6 @@ def staged_terms(kernel):
 # that padding adds terms; every other kernel's block has no padding term
 PADDED = {
     "operator": (14, 18),
-    "operator_transpose": (14, 30),
     "aggregate_r2": (8, 12),
     "aggregate_j2": (8, 12),
     "refine": (12, 18),
@@ -612,7 +608,10 @@ def test_apply_A_equivalence():
         conv_apply_A(bank, np.zeros((7, 9, 9)), diff.upsilon[0], hier.h(0))
 
 
-def test_apply_A_transpose_equivalence():
+def test_ungated_apply_A_equivalence():
+    """The stiffness action of an ungated stack, the translate layer's
+    output on an interior image, is `apply_A_level`'s: the carry-up's
+    action on u_k."""
     hier = build_hierarchy(5, 3)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(37)
@@ -620,13 +619,44 @@ def test_apply_A_transpose_equivalence():
     for case in range(12):
         k = case % hier.levels
         n, h = hier.n(k), hier.h(k)
-        v = rng.normal(size=(n, n))
-        got = conv_apply_A_transpose(bank, v, diff.upsilon[k], h)
-        want = apply_A_level_transpose(v, diff.upsilon[k], h)
+        v = zero_frame(rng.normal(size=(n, n)))
+        got = conv_apply_A(bank, conv_apply(bank.translate, v[None]), diff.upsilon[k], h)
+        want = apply_A_level(v, diff.upsilon[k], h)
         scale = max(1.0, float(np.abs(want).max()))
         assert np.abs(got - want).max() <= 1e-12 * scale
     with pytest.raises(ConfigurationError):
-        conv_apply_A_transpose(bank, np.zeros((5, 5)), diff.upsilon[1], hier.h(1))
+        conv_apply_A(bank, np.zeros((7, 5, 5)), diff.upsilon[1], hier.h(1))
+
+
+@pytest.mark.parametrize("levels", [2, 3, 4, 5, 6])
+def test_stiffness_is_symmetric_bit_for_bit(levels):
+    """Both routes carry up with A_k itself, which rests on its symmetry:
+    on random kappa, every level's staged weight images give w[t, j] ==
+    w[t', j + p_t] bit for bit at every pair of interior nodes, t' the tap
+    of -p_t; and the operator layer's two diagonal stack channels hold only
+    zero weights, so no stiffness term reads a diagonal neighbour."""
+    rng = np.random.default_rng(83 + levels)
+    offsets, pairs = hat_overlap_offsets(), 0
+    for coarse in (3, 5):
+        hier = build_hierarchy(coarse, levels)
+        nf = hier.n(levels - 1)
+        diff = compute_upsilon(hier, rng.uniform(0.1, 10.0, size=(nf, nf)))
+        for k in range(levels):
+            w, n = diff.stencil(k), hier.n(k)
+            for t, (d1, d2) in enumerate(offsets):
+                mirror = offsets.index((-d1, -d2))
+                # interior nodes j with j + p_t interior
+                rows = slice(max(1, 1 - d1), min(n - 1, n - 1 - d1))
+                cols = slice(max(1, 1 - d2), min(n - 1, n - 1 - d2))
+                here = w[t, rows, cols]
+                there = w[mirror, rows.start + d1 : rows.stop + d1, cols.start + d2 : cols.stop + d2]
+                assert here.tobytes() == there.tobytes(), (k, t)
+                pairs += here.size
+    assert pairs > 0
+    operator = build_stencil_bank(build_hierarchy(3, 2)).operator
+    diagonal = [offsets.index((1, 1)), offsets.index((-1, -1))]
+    assert not operator.weights[:, diagonal].any()
+    assert np.count_nonzero(operator.weights) == 14
 
 
 def test_transfer_equivalence_and_adjointness():
@@ -842,12 +872,12 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     """The layers one sweep and the state setup apply are the ones
     parameter_count books for the occupied depth, counted on the gathers
     they run: a level's smoothing gather counts as the translate and
-    stiffness layers it fuses, its carry-up gathers as the transposed
-    stiffness and restriction layers, and its carry-down gather is the
-    prolongation's kept one.  No stack or chain is built and left unread,
-    and no level without dofs is visited.  Each smoothing gather emits
-    exactly its level's active interior rows, each transposed gather the
-    interior nodes a positive-weight copy of the layer lights from those
+    stiffness layers it fuses, its carry-up gathers as those two layers
+    and the restriction, and its carry-down gather is the prolongation's
+    kept one.  No stack or chain is built and left unread, and no level
+    without dofs is visited.  Each smoothing gather emits exactly its
+    level's active interior rows, each carry-up action gather the interior
+    nodes that positive-weight copies of the two layers light from those
     rows, and each restriction the coarse interior."""
     hier = build_hierarchy(5, levels)
     bank = build_stencil_bank(hier)
@@ -880,9 +910,9 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     kernels = [k for e in entries for k in (e.values() if isinstance(e, dict) else [e])]
     layers = {id(t): (k,) for k in kernels for t in k._gathers.values()}
     for level in state.levels:
-        layers[id(level.smoothing)] = (bank.translate, bank.operator)
-        if hasattr(level, "transposed"):
-            layers[id(level.transposed)] = (bank.operator_transpose,)
+        layers[id(level.section.gather)] = (bank.translate, bank.operator)
+        if hasattr(level, "action"):
+            layers[id(level.action.gather)] = (bank.translate, bank.operator)
             layers[id(level.restriction)] = (bank.restrict,)
 
     def applied(calls):
@@ -893,27 +923,28 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     # kernel applies: one weight per step, two steps per level
     weights = sum(k.weights.size for k in applied(called))
     assert weights == parameter_count(depth, 1)["per_sweep"] - 2 * depth
-    # one smoothing step is one stack and one stiffness layer
+    # one smoothing step, and one carry-up action, is one stack and one
+    # stiffness layer
     counted = (bank.translate, bank.operator, bank.prolong, bank.restrict)
     uses = [sum(k is layer for k in applied(called)) for layer in counted]
-    assert uses == [2 * depth, 2 * depth, depth - 1, depth - 1]
+    assert uses == [3 * depth - 1, 3 * depth - 1, depth - 1, depth - 1]
     assert len(state.levels) == depth
-    reach_layer = ConvKernel(np.abs(bank.operator_transpose.weights))
+    reach_layers = [ConvKernel(np.abs(bank.translate.weights)), ConvKernel(np.abs(bank.operator.weights))]
     for k, level in enumerate(state.levels):
         interior = zero_frame(masks[k].active)
         rows = np.flatnonzero(interior)
         assert np.array_equal(level.rows, rows)
-        shapes = [out for taps, out in called if taps is level.smoothing]
+        shapes = [out for taps, out in called if taps is level.section.gather]
         assert shapes == [(6, rows.size)] * 2
         if k == 0:
             continue
-        lit = conv_apply(reach_layer, np.repeat(interior[None].astype(float), 6, axis=0))[0]
-        reach = np.flatnonzero(zero_frame(lit) > 0.0)
+        lit = conv_apply(reach_layers[1], conv_apply(reach_layers[0], interior[None].astype(float)))
+        reach = np.flatnonzero(zero_frame(lit.sum(axis=0)) > 0.0)
         assert np.array_equal(level.reach, reach)
         nc = hier.n(k - 1)
-        for gather, shape in ((level.transposed, (1, reach.size)), (level.restriction, (1, nc - 2, nc - 2))):
+        for gather, shape in ((level.action.gather, (6, reach.size)), (level.restriction, (1, nc - 2, nc - 2))):
             assert [out for taps, out in called if taps is gather] == [shape]
-    # the carry-up is culled: some level's transposed gather skips interior nodes
+    # the carry-up is culled: some level's action gather skips interior nodes
     assert any(level.reach.size < (hier.n(k) - 2) ** 2 for k, level in enumerate(state.levels) if k)
 
 
@@ -958,16 +989,17 @@ def test_warm_bank_stages_a_state_with_no_index_build(monkeypatch):
     cut = []
     for k, level in enumerate(state.levels):
         n = hier.n(k)
-        cut.append(level.smoothing)
-        assert level.smoothing.index.shape == bank.operator.pattern.shape[:3] + (level.rows.size,)
+        cut.append(level.section.gather)
+        block = bank.operator.pattern.shape[:3]
+        assert level.section.gather.index.shape == block + (level.rows.size,)
         if k > 0:
-            cut += [level.transposed, level.restriction]
-            layer, nc = bank.operator_transpose, hier.n(k - 1)
-            assert level.transposed.index.shape == layer.pattern.shape[:3] + (level.reach.size,)
+            cut += [level.action.gather, level.restriction]
+            nc = hier.n(k - 1)
+            assert level.action.gather.index.shape == block + (level.reach.size,)
             kept = bank.restrict.gather((1, n, n)).index.reshape(1, 7, 1, nc, nc)
             assert np.array_equal(level.restriction.index, kept[..., 1:-1, 1:-1])
         else:
-            assert not hasattr(level, "transposed") and not hasattr(level, "restriction")
+            assert not hasattr(level, "action") and not hasattr(level, "restriction")
         if k < 2:
             assert level.interpolation is bank.prolong.gather((1, n, n))
         else:
@@ -1017,8 +1049,8 @@ def test_culled_sweep_edge_cases():
 
     - -0.0 planted in the iterate off the active sets is staged as +0.0, and
       -0.0 planted at active nodes is smoothed like any value.
-    - The culled carry-up's transposed layer reaches the frame-adjacent
-      nodes from the rows next to the frame.
+    - The culled carry-up's action reaches the frame-adjacent nodes from
+      the rows next to the frame.
     - A mask holds interior nodes only (`field.LevelMask`), so every active
       node is a row, and every byte of the iterate and both carried images
       is the full-lattice step's and the per-call carries'.
@@ -1217,11 +1249,11 @@ def test_flatten_bank_layout():
     vec2, _ = flatten_bank(bank)
     assert np.array_equal(vec, vec2)
     assert names == [
-        "operator", "operator_transpose", "upsilon", "prolong", "restrict", "corner",
+        "operator", "upsilon", "prolong", "restrict", "corner",
         "jump_bottom", "jump_diag", "jump_left", "jump_right", "jump_top",
         "aggregate_r2", "aggregate_j2", "refine", "translate",
     ]
     # the dataset's kernel_bank blob holds these bytes
     assert hashlib.sha256(vec.tobytes()).hexdigest() == (
-        "79943ff8b1e08e6816c8635af2485d0c336709b6b4994284941c78bb433b78fd"
+        "8b19b22be8733075e38daef40663ee5acc8f911bd5693a1e45034edec07d9bed"
     )

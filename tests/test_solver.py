@@ -302,7 +302,6 @@ def test_staged_solve_applies_no_kernel_inside_its_sweeps(levels, depth):
 
     kernels = (
         (assembly, "apply_stencil"),
-        (assembly, "apply_stencil_transpose"),
         (assembly, "apply_A_level"),
         (assembly, "apply_A_level_transpose"),
         (assembly, "compute_utilde"),
@@ -333,7 +332,7 @@ def test_staged_solve_applies_no_kernel_inside_its_sweeps(levels, depth):
     assert not {"compute_utilde", "prolongate_uniform"} & set(staging)
     assert len(chains) == 1 and chains[0][0] == chains[0][1]
     assert staging.count("stencil") == depth
-    assert not {"apply_stencil", "apply_stencil_transpose", "restrict_uniform"} & set(staging)
+    assert not {"apply_stencil", "restrict_uniform"} & set(staging)
     # the certificate after the last sweep applies the kernels, outside the sweeps
     assert ("apply_stencil", "solve") in calls
 
@@ -530,6 +529,27 @@ def test_taps_sum_of_negative_zeros_is_positive_zero():
         assert into.tobytes() == out.tobytes()
 
 
+def test_taps_keep_a_c_contiguous_copy_of_an_f_ordered_coef():
+    """A stencil's weights gathered at some nodes, weights[:, i1, i2], come
+    F-ordered; the gather keeps a C-contiguous index and coef, so every
+    call's product runs over contiguous rows, and gives the same bytes."""
+    rng = np.random.default_rng(113)
+    weights = rng.normal(size=(7, 9, 9))
+    i1, i2 = np.divmod(rng.permutation(81)[:20], 9)
+    coef = weights[:, i1, i2]
+    index = rng.integers(0, 81, size=(20, 7)).T
+    assert coef.flags.f_contiguous and not coef.flags.c_contiguous
+    assert not index.flags.c_contiguous
+    taps = field.Taps(index, coef)
+    assert taps.coef.flags.c_contiguous and taps.index.flags.c_contiguous
+    assert taps.coef.tobytes() == np.ascontiguousarray(coef).tobytes()
+    src = rng.normal(size=81)
+    want = np.zeros(20)
+    for t in range(7):
+        want += coef[t] * src[index[t]]
+    assert taps(src).tobytes() == want.tobytes()
+
+
 def test_taps_sum_each_taps_channels_first():
     """A block sums each tap's terms in order before the taps: tap (0, 0)
     reads (1e16, 1, -1e16) and loses the 1, where adding tap (0, 1)'s 3
@@ -557,11 +577,11 @@ def test_taps_sum_each_taps_channels_first():
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_every_level_op_is_one_gather(depth):
     """Each stage's ops are `field.Taps`: the section on every occupied
-    level, the transposed action and restriction on levels > 0, the
+    level, the stiffness action and restriction on levels > 0, the
     interpolation below the deepest occupied level; and the gathers' sums
     are written in `field.Taps.__call__` alone, for the conv layers too (its
-    rank and tap sums), next to the mask closure's and the one sum of a
-    conv smoothing step that weighs by data, the Upsilon channel sum."""
+    rank and tap sums), next to the mask closure's and the one sum of the
+    conv stiffness action that weighs by data, the Upsilon channel sum."""
     hier = build_hierarchy(5, 4)
     nf = hier.n(3)
     rng = np.random.default_rng(107)
@@ -570,10 +590,10 @@ def test_every_level_op_is_one_gather(depth):
     masks = random_sparse_masks(hier, rng)[:depth] + [empty_mask(hier, k) for k in range(depth, 4)]
     staged = solver._StagedSweep(zero_field(hier, masks), rhs, diff, choose_omega(diff, masks))
     assert len(staged.stages) == depth
-    names = ("section", "transposed", "restriction", "interpolation")
+    names = ("section", "action", "restriction", "interpolation")
     for k, stage in enumerate(staged.stages):
         ops = {op for op in names if hasattr(stage, op)}
-        want = {"section"} | ({"transposed", "restriction"} if k > 0 else set())
+        want = {"section"} | ({"action", "restriction"} if k > 0 else set())
         assert ops == want | ({"interpolation"} if k < depth - 1 else set())
         assert all(type(getattr(stage, op)) is field.Taps for op in ops)
     owners = []
@@ -589,7 +609,7 @@ def test_every_level_op_is_one_gather(depth):
         "mlfem.field.Taps.__call__",
         "mlfem.field.Taps.__call__",
         "mlfem.field.LevelMask.closure",
-        "mlfem.convnet._ConvLevel.smooth",
+        "mlfem.convnet._Stiffness.__call__",
     ]
 
 
