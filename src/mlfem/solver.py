@@ -440,10 +440,13 @@ def reference_solve(
     """Direct/Krylov solve of the assembled stacked system (verification oracle).
 
     Sparse direct for a single level (SuperLU with the minimum-degree order
-    of A^T + A), dense minimum-norm for small stacked systems (they are
-    positive semidefinite but can be rank-deficient when coarse hats are
-    resolved exactly by finer active sets), conjugate gradients at relative
-    residual 1e-12 beyond 2000 unknowns.
+    of A^T + A; the matrix is symmetric positive definite), conjugate
+    gradients from zero at relative residual 1e-13 for every stacked system.
+    A stacked matrix A = S^T K S is positive semidefinite and rank-deficient
+    whenever finer active hats resolve a coarse hat exactly, but its load is
+    b = S^T f (`assemble_rhs` restricts the finest load), so b lies in
+    range(A).  CG from zero stays in the Krylov space K(A, b), which lies in
+    range(A), and the only solution there is the minimum-norm one, A^+ b.
     """
     import scipy.sparse.linalg as spla
 
@@ -454,12 +457,9 @@ def reference_solve(
     if b.size == 0:
         return u
     if hier.levels == 1:
-        # a symmetric fill-reducing order: the matrix is symmetric positive definite
         x = spla.spsolve(matrix.tocsc(), b, permc_spec="MMD_AT_PLUS_A")
-    elif b.size <= 2000:
-        x, *_ = np.linalg.lstsq(matrix.toarray(), b, rcond=None)
     else:
-        x, info = spla.cg(matrix, b, rtol=1e-12, atol=0.0, maxiter=20 * b.size)
+        x, info = spla.cg(matrix, b, rtol=1e-13, atol=0.0, maxiter=20 * b.size)
         if info != 0:
             raise RuntimeError(
                 f"conjugate gradients failed (info={info}, n={b.size}, "

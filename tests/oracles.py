@@ -25,9 +25,10 @@ level steps, which the staged sweep must reproduce bit for bit, and
 `full_lattice_conv_sweep` the conv sweep with the full-lattice smoothing
 step that `convnet._ConvLevel` culls to the active rows and the per-call
 carry layers that it stages.
-`power_lambda_max` estimates a level operator's largest eigenvalue, and
+`power_lambda_max` estimates a level operator's largest eigenvalue,
 `solve_energy_history` records the A-norm errors of `solver.llmg_solve`'s
-own iterates against a known solution.
+own iterates against a known solution, and `min_norm_solve` is the dense
+minimum-norm solve that `solver.reference_solve`'s CG path must reproduce.
 
 The random fixtures at the very end (`random_mask`, `random_masks`,
 `random_field`, `random_refined_masks`) draw the masks and fields the test
@@ -588,6 +589,16 @@ def solve_energy_history(u0, f, diffusion, smoother, exact, tol=1e-10, max_sweep
     finally:
         solver._StagedSweep.sweep = sweep
     return u, report, energies
+
+
+def min_norm_solve(matrix, b):
+    """A^+ b and the numerical rank of A, by a dense least-squares solve.
+
+    `np.linalg.lstsq` with `rcond=None` cuts singular values below
+    eps * max(A.shape) * s_max, the threshold of `np.linalg.matrix_rank`.
+    """
+    x, _, rank, _ = np.linalg.lstsq(matrix.toarray(), b, rcond=None)
+    return x, int(rank)
 
 
 def contraction_ratios(energies):

@@ -52,6 +52,7 @@ from oracles import (
     energy_seminorm,
     full_depth_sweep,
     lmg_sweep,
+    min_norm_solve,
     power_lambda_max,
     random_field,
     random_mask,
@@ -1003,6 +1004,60 @@ def test_reference_and_llmg_solve_agree_on_rows_next_to_the_frame(levels, seed):
     delta = u.copy()
     delta.values = [a - b for a, b in zip(u.values, star.values)]
     assert energy_seminorm(delta, diff) <= 1e-8 * energy_seminorm(star, diff)
+
+
+def test_reference_solve_gives_the_minimum_norm_coefficients():
+    """CG from zero returns A^+ b on stacked systems, singular ones included.
+
+    The load b = S^T f lies in range(A), and so does every CG iterate from
+    zero, so the stacked coefficients must match the dense minimum-norm
+    solve, not only the function they represent.  Bound 1e-11 relative in
+    the 2-norm, stated before running.  Some of the drawn systems must be
+    rank-deficient, or the test would not reach the property."""
+    rng = np.random.default_rng(71)
+    deficient = 0
+    for levels in (2, 3, 4):
+        hier = build_hierarchy(5, levels)
+        nf = hier.n(levels - 1)
+        draws = (random_refined_masks(hier, rng), random_masks(hier, rng), uniform_masks(hier))
+        for masks in draws:
+            diff = compute_upsilon(hier, rng.uniform(0.1, 3.0, size=(nf, nf)))
+            rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
+            matrix, _ = assemble_global(hier, masks, diff)
+            b = stack_vector(rhs.images, masks)
+            want, rank = min_norm_solve(matrix, b)
+            got = stack_vector(reference_solve(masks, diff, rhs).values, masks)
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+            deficient += rank < b.size
+    assert deficient >= 2
+
+
+def test_reference_solve_reports_cg_failure(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    hier = build_hierarchy(3, 2)
+    diff = compute_upsilon(hier, np.ones((5, 5)))
+    rhs = assemble_rhs(hier, np.ones((5, 5)))
+    masks = uniform_masks(hier)
+    monkeypatch.setattr(spla, "cg", lambda matrix, b, **kw: (np.zeros(b.size), 7))
+    with pytest.raises(RuntimeError, match=r"failed \(info=7, n=10, residual=\d\.\d{3}e[-+]\d+\)"):
+        reference_solve(masks, diff, rhs)
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_reference_solve_rejects_a_large_residual(monkeypatch, levels):
+    """Either path's solution must leave a residual within 1e-9 ||b||,
+    whatever the solver reports: here SuperLU and CG return zero."""
+    import scipy.sparse.linalg as spla
+
+    hier = build_hierarchy(3, levels)
+    nf = hier.n(levels - 1)
+    diff = compute_upsilon(hier, np.ones((nf, nf)))
+    rhs = assemble_rhs(hier, np.ones((nf, nf)))
+    monkeypatch.setattr(spla, "spsolve", lambda matrix, b, **kw: np.zeros(b.size))
+    monkeypatch.setattr(spla, "cg", lambda matrix, b, **kw: (np.zeros(b.size), 0))
+    with pytest.raises(RuntimeError, match=r"stacked solve residual .* too large \(\|\|b\|\| = "):
+        reference_solve(uniform_masks(hier), diff, rhs)
 
 
 def test_iteration_count_obeys_contraction_bound():
