@@ -400,22 +400,6 @@ def conv_translate(bank: StencilBank, image: np.ndarray, mask01: np.ndarray) -> 
     return conv_apply(bank.translate, image[None]) * mask01
 
 
-def conv_upsilon_channels(bank: StencilBank, kappa: np.ndarray, h: float) -> np.ndarray:
-    """Finest-level Upsilon channels from the nodal coefficient image.
-
-    The integration kernel sums the three vertex values times h^2/6; nodes
-    whose incident triangle falls outside the lattice get a hard 0 through
-    the per-channel gate: the owned-square image read at the channel's
-    owner offset, as in `compute_upsilon`.
-    """
-    n = kappa.shape[0]
-    owned = np.zeros((n, n), dtype=bool)
-    owned[: n - 1, : n - 1] = True
-    gates = offset_views(owned, [owner for _, owner in NODE_TRIANGLES])
-    ups = (h * h) * conv_apply(bank.upsilon, kappa[None, :, :])
-    return ups * np.stack(gates)
-
-
 def conv_apply_A(
     bank: StencilBank, stack: np.ndarray, upsilon: np.ndarray, h: float
 ) -> np.ndarray:

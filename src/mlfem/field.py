@@ -39,12 +39,11 @@ def offset_views(image: np.ndarray, offsets) -> list[np.ndarray]:
     All views read one zero-padded copy of `image`, so entries whose source
     index leaves the lattice are zero.  Leading axes are carried along; the
     offsets act on the last two.  The unstaged stencils read their
-    neighbours from such views: the direct route's stiffness action, its
-    transpose, load and Gershgorin sums, mask closure and Upsilon channels,
-    and the conv route's Upsilon gates and refinement read-out.  Staged ops
-    (a solve's level steps, every conv layer) gather through `Taps`
-    instead.  The padding radius, the largest |component| over the
-    offsets, is computed on every call.
+    neighbours from such views: the direct route's stiffness action, load
+    and Gershgorin sums, mask closure and Upsilon channels, and the conv
+    route's refinement read-out.  Staged ops (a solve's level steps, every
+    conv layer) gather through `Taps` instead.  The padding radius, the
+    largest |component| over the offsets, is computed on every call.
     """
     r = max((max(abs(d1), abs(d2)) for d1, d2 in offsets), default=0)
     n1, n2 = image.shape[-2], image.shape[-1]
@@ -54,55 +53,43 @@ def offset_views(image: np.ndarray, offsets) -> list[np.ndarray]:
 
 
 class Taps:
-    """A fixed-weight gather: out[j] = sum_t coef[t, j] * src[index[t, j]].
+    """A fixed-weight gather in one block layout: `index` holds flat source
+    indices, shape (E, T, R, nodes...), and `coef` broadcasts to it;
+    out[e, j] = sum_t sum_r coef[e, t, r, j] * src[index[e, t, r, j]].
 
-    `index` holds flat source indices, shape (T, m), and `coef` broadcasts
-    to it; both are kept C-contiguous.  The sum over the tap axis is one
-    `np.add.reduce`: it starts from +0.0 and adds the taps in order, as an
-    `out = zeros; out += w * view` loop does (numpy sums a single column
-    pairwise from 8 terms on, so an m = 1 gather keeps that order only for
-    T <= 7, and a block for T and R <= 7).
-
-    An index of four or more axes is a block, (E, T, R, nodes...): output
-    e's tap t contracts R terms, summed in order from +0.0 before the taps
-    are, one `np.add.reduce` per axis; the output is (E, nodes...).  A tap
-    with fewer terms is padded with +0.0-weighted reads of a zero, which
-    leave its sum as it is (x + +0.0 is x, and a sum from +0.0 is never
-    -0.0).  A block of one rank has no rank sum, and one of one tap no tap
-    sum: a single term or tap adds to +0.0 as itself, but for a -0.0, which
-    the other sum from +0.0 erases.  A block is kept with its ranks leading
-    in memory and its weights spread over the nodes (`index` and `coef` are
-    views of that copy), so each product and sum runs over contiguous slabs:
-    on the few nodes of a culled level, a broadcast product or a sum over a
-    middle axis costs up to twice as much.
+    Output e's tap t contracts R terms, summed in order from +0.0 before the
+    taps are, each sum one `np.add.reduce` that adds in order from +0.0, as
+    an `out = zeros; out += w * view` loop does (numpy sums a single column
+    pairwise from 8 terms on, so a one-node block keeps that order only for
+    T and R <= 7); the output is (E, nodes...).  A tap with fewer terms is
+    padded with +0.0-weighted reads of a zero, which leave its sum as it is
+    (x + +0.0 is x, and a sum from +0.0 is never -0.0).  A block of one rank
+    has no rank sum, and one of one tap no tap sum: a single term or tap
+    adds to +0.0 as itself, but for a -0.0, which the other sum from +0.0
+    erases.  A block is kept with its ranks leading in memory and its
+    weights spread over the nodes (`index` and `coef` are views of that
+    copy), so each product and sum runs over contiguous slabs: on the few
+    nodes of a culled level, a broadcast product or a sum over a middle
+    axis costs up to twice as much.
     """
 
     def __init__(self, index: np.ndarray, coef: np.ndarray):
-        block = index.ndim >= 4
-        if not block:
-            # a coef gathered as weights[:, i1, i2] comes F-ordered, and a
-            # product with it runs strided on every call
-            index, coef = np.ascontiguousarray(index), np.ascontiguousarray(coef)
-        self.index, self.coef = self.gathered, self.weights = index, coef
-        self.ranks, self.axis = None, 0
-        if block:
-            nodes = tuple(range(3, index.ndim))
-            self.gathered = np.ascontiguousarray(index.transpose((2, 0, 1) + nodes))
-            self.weights = np.empty(self.gathered.shape)
-            self.weights[...] = coef.transpose((2, 0, 1) + nodes)
-            self.index, self.coef = (a.transpose((1, 2, 0) + nodes) for a in (self.gathered, self.weights))
-        # the gathered terms, overwritten by every call: a fresh (T, m) array
-        # per call made the allocator return and refault its pages
+        nodes = tuple(range(3, index.ndim))
+        self.gathered = np.ascontiguousarray(index.transpose((2, 0, 1) + nodes))
+        self.weights = np.empty(self.gathered.shape)
+        self.weights[...] = coef.transpose((2, 0, 1) + nodes)
+        self.index, self.coef = (a.transpose((1, 2, 0) + nodes) for a in (self.gathered, self.weights))
+        # the gathered terms, overwritten by every call: a fresh array per
+        # call made the allocator return and refault its pages
         self.terms = self.summed = np.empty(self.gathered.shape)
-        if block:
-            ranks, _, taps = self.gathered.shape[:3]
-            if taps == 1:  # the rank sums are the output
-                self.summed = self.terms[:, :, 0]
-            elif ranks == 1:  # the terms are the tap sums
-                self.summed, self.axis = self.terms[0], 1
-            else:
-                self.ranks = self.summed = np.empty(self.gathered.shape[1:])
-                self.axis = 1
+        self.ranks, self.axis = None, 1
+        ranks, _, taps = self.gathered.shape[:3]
+        if taps == 1:  # the rank sums are the output
+            self.summed, self.axis = self.terms[:, :, 0], 0
+        elif ranks == 1:  # the terms are the tap sums
+            self.summed = self.terms[0]
+        else:
+            self.ranks = self.summed = np.empty(self.gathered.shape[1:])
 
     def __call__(self, src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The gather of a float64 `src`, into `out` if given; the indices

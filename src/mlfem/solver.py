@@ -21,10 +21,11 @@ only where the active rows reach.
 
 A solve stages its sweep once (`_StagedSweep`): the masks, loads, stencil
 images and damping are fixed while it runs.  Each occupied level stages its
-four ops as fixed-weight gathers (`field.Taps`): the section on its active
-rows, so a smoothing step's work follows the active set, and the stiffness
-action, restriction and interpolation on full level interiors.  The
-carried-down chain is built once and kept current by the sweeps.  The
+four ops as fixed-weight gathers (`field.Taps`), in the block layout every
+conv layer uses, with one emitted channel and one rank: the section on its
+active rows, so a smoothing step's work follows the active set, and the
+stiffness action, restriction and interpolation on full level interiors.
+The carried-down chain is built once and kept current by the sweeps.  The
 iterates are those of the full-lattice loop over the level steps, bit for
 bit, under the one condition on the interpolation that `_LevelStage` states.
 The stopping test's stacked residual is formed from the same stages
@@ -160,9 +161,10 @@ def carry_down_chain(levels) -> None:
         level.carry_down()
 
 
-# the stencil's tap offsets (d1, d2) as two (7, 1) columns: the coincident node,
-# then +-x, +-y and +-diagonal, which is also `restrict_uniform`'s order
-_D1, _D2 = np.array(hat_overlap_offsets()).T[:, :, None]
+# the stencil's tap offsets (d1, d2) as the taps of two one-channel blocks,
+# shape (1, 7, 1, 1): the coincident node, then +-x, +-y and +-diagonal,
+# which is also `restrict_uniform`'s order
+_D1, _D2 = np.array(hat_overlap_offsets()).T[:, None, :, None, None]
 
 
 def _square(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -177,13 +179,15 @@ def _stencil_gather(weights: np.ndarray, nodes: np.ndarray) -> Taps:
     weights at j."""
     n = weights.shape[-1]
     i1, i2 = np.divmod(nodes, n)
-    return Taps((i1 + _D1) * n + i2 + _D2, weights[:, i1, i2])
+    return Taps((i1 + _D1) * n + i2 + _D2, weights[None, :, None, i1, i2])
 
 
 class _LevelStage:
     """The direct route's ops of occupied level k for `llmg_schedule`: what
     the level fixes for the sweeps of one solve, staged once.  Each op is
-    one `field.Taps` over flat lattice indices of level k or its neighbour:
+    one `field.Taps` block of one emitted channel and one rank, (1, T, 1,
+    m), over flat lattice indices of level k or its neighbour; its output
+    row 0 is the op's value on the m nodes:
     - `section`: the stencil rows of the active nodes (`_stencil_gather`)
       in u_k + utilde_k (`source`);
     - `action` (levels > 0): the stencil rows of the level interior in u_k,
@@ -240,7 +244,7 @@ class _LevelStage:
             nc = hier.n(k - 1)
             c1, c2 = _square(1, nc - 1)
             neighbours = (2 * c1 + _D1 - 1) * (n - 2) + 2 * c2 + _D2 - 1
-            self.restriction = Taps(neighbours, np.array([[1.0]] + [[0.5]] * 6))
+            self.restriction = Taps(neighbours, np.array([1.0] + [0.5] * 6).reshape(_D1.shape))
             self.coarse_flat, self.coarse_interior = bar[k - 1].reshape(-1), c1 * nc + c2
 
         if k + 1 < len(tld):
@@ -248,13 +252,13 @@ class _LevelStage:
             f1, f2 = _square(1, nf - 1)
             self.next_flat, self.fine = tld[k + 1].reshape(-1), f1 * nf + f2
             lo, hi = (f1 // 2) * n + f2 // 2, ((f1 + 1) // 2) * n + (f2 + 1) // 2
-            self.interpolation = Taps(np.array([lo, hi]), np.full((2, 1), 0.5))
+            self.interpolation = Taps(np.array([lo, hi])[None, :, None], np.full((1, 2, 1, 1), 0.5))
 
     def row_residual(self) -> np.ndarray:
         """loads - (scale * section + ubar_k) on the active rows, from the
         current iterate and carried images."""
         np.add(self.values, self.tld, out=self.source)
-        section = self.section(self.source_flat)
+        section = self.section(self.source_flat)[0]
         section *= self.scale
         section += self.bar_flat[self.rows]
         return self.loads - section
@@ -266,15 +270,15 @@ class _LevelStage:
 
     def carry_up(self) -> None:
         """ubar_{k-1} = restrict(ubar_k + A_k u_k), on the coarse interior."""
-        lifted = self.action(self.values_flat)
+        lifted = self.action(self.values_flat)[0]
         lifted *= self.scale
         lifted += self.bar_flat[self.interior]
-        self.coarse_flat[self.coarse_interior] = self.restriction(lifted)
+        self.coarse_flat[self.coarse_interior] = self.restriction(lifted)[0]
 
     def carry_down(self) -> None:
         """utilde_{k+1} = interp(utilde_k + u_k), on the next level's interior."""
         np.add(self.values, self.tld, out=self.source)
-        self.next_flat[self.fine] = self.interpolation(self.source_flat)
+        self.next_flat[self.fine] = self.interpolation(self.source_flat)[0]
 
 
 class _StagedSweep:

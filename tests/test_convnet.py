@@ -27,7 +27,6 @@ from mlfem.convnet import (
     conv_prolongate,
     conv_restrict,
     conv_translate,
-    conv_upsilon_channels,
     flatten_bank,
     init_llmg_state,
     parameter_count,
@@ -571,15 +570,23 @@ def test_translate_equivalence():
 
 
 def test_upsilon_channels_equivalence():
+    """The bank's `upsilon` kernel gives the finest Upsilon channels: it sums
+    a channel's three vertex values times h^2/6, and a node whose incident
+    triangle leaves the lattice gets a hard 0 through the channel's gate,
+    the owned-square image read at the channel's owner offset, as in
+    `compute_upsilon`."""
     hier = build_hierarchy(5, 3)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(29)
     last = hier.levels - 1
-    n = hier.n(last)
+    n, h = hier.n(last), hier.h(last)
+    owned = np.zeros((n, n), dtype=bool)
+    owned[: n - 1, : n - 1] = True
+    gates = np.stack(offset_views(owned, [owner for _, owner in NODE_TRIANGLES]))
     cookie = discretize_kappa(CookieProblem(), (0.7, 0.2), hier)
     for kappa in (rng.uniform(0.5, 3.0, size=(n, n)), cookie):
         want = compute_upsilon(hier, kappa).upsilon[last]
-        got = conv_upsilon_channels(bank, kappa, hier.h(last))
+        got = (h * h) * conv_apply(bank.upsilon, kappa[None]) * gates
         assert np.allclose(got, want, rtol=1e-13, atol=1e-18)
 
 

@@ -501,14 +501,20 @@ def test_staging_rejects_a_non_finite_load():
             llmg_solve(zero_field(hier, masks), rhs, diff, sm)
 
 
+def one_channel(a):
+    """A (T, m) array of taps as a block of one emitted channel and one rank,
+    (1, T, 1, m): the layout of the direct route's level ops."""
+    return np.asarray(a)[None, :, None]
+
+
 def test_taps_add_in_tap_order():
-    """A gather adds its terms in tap order, for one column and for several:
+    """A gather adds its terms in tap order, for one node and for several:
     (1e16, 1, -1e16) loses the 1, (1e16, -1e16, 1) keeps it."""
-    src, ones = np.array([1e16, 1.0, -1e16]), np.ones((3, 1))
-    assert field.Taps(np.array([[0], [1], [2]]), ones)(src).tolist() == [0.0]
-    assert field.Taps(np.array([[0], [2], [1]]), ones)(src).tolist() == [1.0]
-    # two columns, one in each order
-    assert field.Taps(np.array([[0, 0], [1, 2], [2, 1]]), ones)(src).tolist() == [0.0, 1.0]
+    src, ones = np.array([1e16, 1.0, -1e16]), np.ones((1, 3, 1, 1))
+    assert field.Taps(one_channel([[0], [1], [2]]), ones)(src).tolist() == [[0.0]]
+    assert field.Taps(one_channel([[0], [2], [1]]), ones)(src).tolist() == [[1.0]]
+    # two nodes, one in each order
+    assert field.Taps(one_channel([[0, 0], [1, 2], [2, 1]]), ones)(src).tolist() == [[0.0, 1.0]]
 
 
 def test_taps_sum_of_negative_zeros_is_positive_zero():
@@ -523,32 +529,63 @@ def test_taps_sum_of_negative_zeros_is_positive_zero():
         out = np.zeros(1)
         for term in terms:
             out += term
-        got = field.Taps(index, coef)(src)
+        got = field.Taps(one_channel(index), one_channel(coef))(src)
+        assert got.shape == (1, 1)
         assert got.tobytes() == out.tobytes() == np.zeros(1).tobytes()
-        into = np.full(1, -0.0)
-        assert field.Taps(index, coef)(src, out=into) is into
+        into = np.full((1, 1), -0.0)
+        assert field.Taps(one_channel(index), one_channel(coef))(src, out=into) is into
         assert into.tobytes() == out.tobytes()
 
 
 def test_taps_keep_a_c_contiguous_copy_of_an_f_ordered_coef():
-    """A stencil's weights gathered at some nodes, weights[:, i1, i2], come
-    F-ordered; the gather keeps a C-contiguous index and coef, so every
-    call's product runs over contiguous rows, and gives the same bytes."""
+    """A stencil's weights gathered at some nodes as a one-channel block,
+    weights[None, :, None, i1, i2], do not come C-ordered; the gather keeps a
+    C-contiguous copy of its index and coef, ranks first, so every call's
+    product runs over contiguous rows, and gives the loop's bytes."""
     rng = np.random.default_rng(113)
     weights = rng.normal(size=(7, 9, 9))
     i1, i2 = np.divmod(rng.permutation(81)[:20], 9)
-    coef = weights[:, i1, i2]
+    coef = weights[None, :, None, i1, i2]
     index = rng.integers(0, 81, size=(20, 7)).T
-    assert coef.flags.f_contiguous and not coef.flags.c_contiguous
-    assert not index.flags.c_contiguous
-    taps = field.Taps(index, coef)
-    assert taps.coef.flags.c_contiguous and taps.index.flags.c_contiguous
-    assert taps.coef.tobytes() == np.ascontiguousarray(coef).tobytes()
+    assert coef.shape == (1, 7, 1, 20) and not coef.flags.c_contiguous
+    assert not one_channel(index).flags.c_contiguous
+    taps = field.Taps(one_channel(index), coef)
+    assert taps.weights.flags.c_contiguous and taps.gathered.flags.c_contiguous
+    assert np.ascontiguousarray(taps.coef).tobytes() == np.ascontiguousarray(coef).tobytes()
+    assert np.array_equal(taps.index, one_channel(index))
     src = rng.normal(size=81)
     want = np.zeros(20)
     for t in range(7):
-        want += coef[t] * src[index[t]]
-    assert taps(src).tobytes() == want.tobytes()
+        want += coef[0, t, 0] * src[index[t]]
+    assert taps(src)[0].tobytes() == want.tobytes()
+
+
+def plant(rng, a, share=0.2):
+    """a with about `share` of its entries set to +0.0, -0.0, inf or -inf."""
+    a = a.copy()
+    hit = rng.random(a.shape) < share
+    a[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf], size=a.shape)[hit]
+    return a
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 7), st.integers(1, 12), st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_one_channel_taps_give_the_loop_bytes_property(taps, nodes, size, seed):
+    """A block of one emitted channel and one rank, (1, T, 1, m) with T <= 7,
+    gives the bytes of the `out = zeros; out += coef[t] * src[index[t]]`
+    loop over its taps, on any m from 1, with +-0.0 and +-inf planted in
+    the source and the weights (so NaN terms and sums occur too)."""
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, size, size=(taps, nodes))
+    coef = plant(rng, rng.normal(size=(taps, nodes)))
+    src = plant(rng, rng.normal(size=size))
+    want = np.zeros(nodes)
+    with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf are NaN
+        for t in range(taps):
+            want += coef[t] * src[index[t]]
+        got = field.Taps(one_channel(index), one_channel(coef))(src)
+    assert got.shape == (1, nodes)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_taps_sum_each_taps_channels_first():
@@ -597,6 +634,15 @@ def test_every_level_op_is_one_gather(depth):
         want = {"section"} | ({"action", "restriction"} if k > 0 else set())
         assert ops == want | ({"interpolation"} if k < depth - 1 else set())
         assert all(type(getattr(stage, op)) is field.Taps for op in ops)
+        # each op a block of one emitted channel and one rank, (1, T, 1, m),
+        # whose every term reads its source: no padding term
+        n = hier.n(k)
+        sources = {"section": n * n, "action": n * n, "restriction": (n - 2) ** 2, "interpolation": n * n}
+        for op in ops:
+            index = getattr(stage, op).index
+            assert index.ndim == 4 and index.shape[::2] == (1, 1), op
+            assert index.shape[1] == (2 if op == "interpolation" else 7), op
+            assert 0 <= index.min() and index.max() < sources[op], op
     owners = []
     for module in (field, solver, convnet):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
