@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -668,7 +667,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--workers",
                 type=int,
-                help="parallel sample workers, at least 1 (default: AFEM_WORKERS or 1)",
+                default=1,
+                help="parallel sample workers, at least 1 (default: 1)",
             )
         sp.add_argument("--seed", type=int, help="override sampling.seed")
         if name != "verify":
@@ -686,8 +686,6 @@ def main(argv=None) -> int:
         if getattr(args, "out", None) is not None:
             cfg = replace(cfg, out_dir=args.out)
         workers = getattr(args, "workers", 1)
-        if workers is None:
-            workers = int(os.environ.get("AFEM_WORKERS", "1"))
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
     except (ConfigurationError, OSError, ValueError) as exc:

@@ -18,14 +18,14 @@ and sums the products, with the layer's own weights, and derives no
 weight, so the kernels stay an independent derivation.
 
 The sweep is staged once per state (`init_llmg_state`): one `_ConvLevel`
-per occupied level, whose ops run blocks of the layers' kept gathers.  Its
-smoothing step is one gather that fuses the translate and stiffness
-layers, cut down to the level's active interior nodes, the rows the direct
-route smooths (a submanifold convolution), with the iterates of the
-full-lattice step, bit for bit.  Its carry-up is culled to the nodes those
-rows reach, and its carry-down runs the prolongation's kept gather on the
-full lattice; both carried images have the bytes of the per-call
-wrappers.
+per occupied level, which runs the level step the direct route runs
+(`solver._Level`) on blocks of the layers' kept gathers.  Its smoothing
+gather fuses the translate and stiffness layers, cut down to the level's
+active interior nodes, the rows the direct route smooths (a submanifold
+convolution), with the iterates of the full-lattice step, bit for bit.
+Its carry-up action is culled to the nodes those rows reach, and both
+transfers run on the full interior of their output; both carried images
+have the bytes of the per-call wrappers.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .mesh import (
     GridHierarchy,
     hat_overlap_offsets,
 )
-from .solver import SmootherConfig, carry_down_chain, llmg_schedule
+from .solver import SmootherConfig, _Level, carry_down_chain, llmg_schedule
 
 __all__ = [
     "ConvKernel",
@@ -432,7 +432,8 @@ class ConvLlmgState:
     staged level ops.
 
     u holds the iterate, one (n, n) image per level, +0.0 off the active
-    sets, on the caller's masks; utld and ubar hold the carried-down and
+    sets, on the caller's masks, each image a view of a flat buffer that
+    ends in one zero (`init_llmg_state`); utld and ubar hold the carried-down and
     carried-up contents on the full lattice, and utld[0] and ubar[-1] stay
     zero.  f, diffusion, smoother and bank are the objects passed to
     `init_llmg_state`.  `levels` holds one `_ConvLevel` per occupied level
@@ -474,13 +475,12 @@ def init_llmg_state(
 ) -> ConvLlmgState:
     """Stage the sweep: its images and one `_ConvLevel` per occupied level.
 
-    The iterate is u on the active sets and +0.0 elsewhere.  Staging checks
-    the iterate, masks and loads against the hierarchy, and rejects an
-    iterate or load that is not finite on an active set with the direct
-    route's wording (a `ConfigurationError`).  The carried-down chain utld
-    is built here once, on the full lattice of the occupied levels, by
-    `solver.carry_down_chain` over the staged levels, and each sweep's
-    upward half keeps it current afterwards.
+    The iterate is u on the active sets and +0.0 elsewhere, each level's
+    image a view of a flat buffer ending in one zero, which the carry-up's
+    action reads, so no carry-up copies u_k.  Staging checks the images
+    against the hierarchy, the levels check the iterate and loads
+    (`solver._Level`), and `solver.carry_down_chain` builds the
+    carried-down chain utld, which each sweep's upward half keeps current.
     """
     hier = u.hierarchy
     if len(smoother.omegas) != hier.levels:
@@ -492,13 +492,16 @@ def init_llmg_state(
         ):
             raise ConfigurationError(f"state group {name} does not match the hierarchy")
     levels = range(hier.levels)
-    values = [np.where(u.masks[k].active, u.values[k], 0.0) for k in levels]
+    flats = [np.zeros(hier.n(k) ** 2 + 1) for k in levels]
+    values = [flat[:-1].reshape(hier.n(k), hier.n(k)) for k, flat in enumerate(flats)]
+    for k in levels:
+        np.copyto(values[k], u.values[k], where=u.masks[k].active != 0)
     utld = [np.zeros((hier.n(k), hier.n(k))) for k in levels]
     ubar = [np.zeros((hier.n(k), hier.n(k))) for k in levels]
     iterate = MultilevelField(hier, values, u.masks)
     depth = occupied_depth(u.masks)
     ops = [
-        _ConvLevel(bank, iterate, f, diffusion, smoother.omegas[k], k, utld[:depth], ubar)
+        _ConvLevel(bank, iterate, f, diffusion, smoother.omegas[k], k, utld[:depth], ubar, flats[k])
         for k in range(depth)
     ]
     state = ConvLlmgState(iterate, f, diffusion, smoother, utld, ubar, bank, ops)
@@ -507,89 +510,64 @@ def init_llmg_state(
 
 
 class _Stiffness:
-    """The stiffness action (2/h^2) A_k of a level at some of its interior
-    nodes (`nodes`, flat), from a flat source of the level's image with the
-    zero appended.
+    """The stiffness action A_k of a level, unscaled, at some of its
+    interior nodes (`nodes`, flat), from a flat source of the level's image
+    with the zero appended.
 
     One gather (`gather`) runs the translate and 1x1 stiffness layers: each
     stiffness term reads the translate layer's kept gather of its stack
     channel (one term of weight 1) at the nodes, which gives the two
     layers' bytes, since their tap sums start from +0.0; the padding terms
     (channel -1) read the zero.  Then the six stiffness channels times the
-    Upsilon channels at the nodes, summed from +0.0 in channel order (as
-    `conv_apply_A` sums), and the 2/h^2 scale: node for node, `conv_apply_A`
-    of the stack gated by any 0/1 mask that holds the nodes.
+    Upsilon channels at the nodes, summed from +0.0 in channel order: node
+    for node, `conv_apply_A` of the stack gated by any 0/1 mask that holds
+    the nodes, before its 2/h^2 scale.
     """
 
-    def __init__(self, bank, upsilon, h, nodes):
+    def __init__(self, bank, upsilon, nodes):
         n = upsilon.shape[-1]
         stack = bank.translate.gather((1, n, n)).index.reshape(-1, n * n)
         chan = bank.operator.pattern[..., :1]
         self.gather = Taps(np.where(chan >= 0, stack[chan, nodes], n * n), bank.operator.coef)
         self.weights = upsilon.reshape(6, -1).take(nodes, axis=1)
-        self.scale = 2.0 / (h * h)
-        self.terms, self.out = np.empty((6, nodes.size)), np.empty(nodes.size)
+        self.terms, self.out = np.empty((6, nodes.size)), np.empty((1, nodes.size))
+        self.row = self.out[0]
 
     def __call__(self, source: np.ndarray) -> np.ndarray:
-        """The action at the nodes, into a buffer the next call overwrites."""
+        """The action at the nodes as row 0 of a (1, nodes) buffer, which
+        the next call overwrites."""
         terms = self.gather(source, out=self.terms)
         terms *= self.weights
-        out = np.add.reduce(terms, axis=0, out=self.out)
-        out *= self.scale
-        return out
+        np.add.reduce(terms, axis=0, out=self.row)
+        return self.out
 
 
-class _ConvLevel:
-    """The conv route's ops of occupied level k for `solver.llmg_schedule`,
-    staged once per state (`init_llmg_state`) on the state's images, which
-    they update in place.  Every op applies bank layers through blocks cut
-    from the gathers the layers keep (`ConvKernel.gather`), reading a
-    level-owned source with the zero appended: staging builds no gather
-    index once the bank has met the level's lattice, and a sweep calls no
-    `conv_apply`.
-
-    `smooth` works on the active nodes only (`rows`, the rows of
-    `solver._LevelStage`), as a submanifold convolution: the stiffness
-    action at the rows (`section`, a `_Stiffness`) from u_k + utilde_k,
-    then ubar, the load and the damped update at the rows.  Node for node
-    that is the full-lattice step (the stack gated by the active mask,
-    `conv_apply_A`, the update times the 0/1 mask), whose update adds x * 0
-    off the rows; so for finite loads and carried images every entry keeps
-    its bits.
-
-    `carry_up` (levels > 0) is culled too.  The level matrix is symmetric,
-    so the carried-up content restricts ubar_k + A_k u_k.  The stiffness
-    action (`action`, a `_Stiffness`) runs from u_k only at the interior
-    nodes (`reach`) whose nonzero stiffness terms read a row; it is added
-    to a copy of ubar_k, and the restriction, cut to the coarse interior,
-    writes ubar_{k-1} there.  The full-lattice carry (`conv_apply_A` of u_k's
-    stack gated by the interior, and `conv_restrict`) reads u_k +0.0 off
-    the rows, so off `reach` each stiffness channel sums its coincident
-    term's +0.0 with w * (+0.0) terms, the action is +0.0 and adds +0.0 to
-    ubar_k, which is never -0.0; its fine frame reaches only the coarse
-    frame, which it zeroes and the cull never writes, so that keeps the
-    +0.0 it was staged with.  The carried image is the wrappers' bytes, for
-    finite Upsilon channels.  `carry_down` (all but the deepest occupied
-    level) runs on the full lattice: the prolongation of utilde_k + u_k
-    into utilde_{k+1} (`conv_prolongate`).
+class _ConvLevel(_Level):
+    """The conv route's gathers of occupied level k for the level step
+    (`solver._Level`), staged once per state (`init_llmg_state`), each a
+    block cut from the gathers the bank layers keep (`ConvKernel.gather`):
+    staging builds no gather index once the bank has met the level's
+    lattice, and a sweep calls no `conv_apply`.
+    - `section`: the translate and stiffness layers (a `_Stiffness`) at
+      the active interior nodes, a submanifold convolution.  Node for node
+      that is the full-lattice step (the stack gated by the active mask,
+      `conv_apply_A`, the update times the 0/1 mask), whose update adds
+      x * 0 off the rows, so for finite data every entry keeps its bits;
+    - `action` (levels > 0): the same layers at `reach`, the interior
+      nodes whose nonzero stiffness terms read a row.  Off `reach` the
+      full-lattice carry (`conv_apply_A` of u_k's stack gated by the
+      interior; the level matrix is symmetric) is +0.0;
+    - `restriction` and `interpolation`: the strided and transpose-strided
+      transfer layers cut to their output's interior, whose frame keeps
+      the +0.0 that `conv_restrict` and `conv_prolongate` write there.
+    The carried images are the per-call wrappers' bytes, for finite
+    Upsilon channels.
     """
 
-    def __init__(self, bank, u, f, diffusion, omega, k, utld, ubar):
-        n, h = u.hierarchy.n(k), u.hierarchy.h(k)
-        self.values, self.tld, self.bar = u.values[k], utld[k], ubar[k]
-        self.values_flat, self.bar_flat = self.values.reshape(-1), ubar[k].reshape(-1)
-        self.rows = np.flatnonzero(u.masks[k].active)
-        self.loads = f.images[k].take(self.rows)
-        for name, image in (("iterate", self.values_flat.take(self.rows)), ("load", self.loads)):
-            if not np.isfinite(image).all():
-                raise ConfigurationError(f"{name} image of level {k} is not finite on its active set")
-        self.omega = omega
-        # the input of the level's next gather, with the zero its reads off
-        # the lattice take; each op writes it before its gather reads it
-        self.source = np.zeros(n * n + 1)
-        self.source_image = self.source[:-1].reshape(n, n)
-        self.section = _Stiffness(bank, diffusion.upsilon[k], h, self.rows)
-
+    def __init__(self, bank, u, f, diffusion, omega, k, utld, ubar, iterate):
+        super().__init__(u, f, omega, k, utld, ubar, iterate)
+        n = u.hierarchy.n(k)
+        self.section = _Stiffness(bank, diffusion.upsilon[k], self.rows)
         if k > 0:
             # the interior nodes j whose nonzero terms read a row j + p
             chan = bank.operator.pattern[..., 0]
@@ -599,34 +577,17 @@ class _ConvLevel:
             reach[r1 - offsets[:, :1], r2 - offsets[:, 1:]] = True
             reach[[0, -1]] = reach[:, [0, -1]] = False
             self.reach = np.flatnonzero(reach)
-            self.action = _Stiffness(bank, diffusion.upsilon[k], h, self.reach)
-            nc = u.hierarchy.n(k - 1)
-            layer = bank.restrict
-            index = layer.gather((1, n, n)).index.reshape(layer.pattern.shape[:3] + (nc, nc))
-            self.restriction = Taps(index[..., 1:-1, 1:-1], layer.coef[..., None])
-            self.coarse = ubar[k - 1][None, 1:-1, 1:-1]
+            self.action = _Stiffness(bank, diffusion.upsilon[k], self.reach)
+            self.restriction = _interior_cut(bank.restrict, n, u.hierarchy.n(k - 1))
         if k + 1 < len(utld):
-            self.interpolation = bank.prolong.gather((1, n, n))
-            self.fine_row = utld[k + 1].reshape(1, -1)
+            self.interpolation = _interior_cut(bank.prolong, n, u.hierarchy.n(k + 1))
 
-    def smooth(self) -> None:
-        np.add(self.values, self.tld, out=self.source_image)
-        section = self.section(self.source)
-        section += self.bar_flat[self.rows]
-        np.subtract(self.loads, section, out=section)
-        section *= self.omega
-        self.values_flat[self.rows] += section
 
-    def carry_up(self) -> None:
-        np.copyto(self.source_image, self.values)
-        lifted = self.action(self.source)
-        np.copyto(self.source_image, self.bar)
-        self.source[self.reach] += lifted
-        self.restriction(self.source, out=self.coarse)
-
-    def carry_down(self) -> None:
-        np.add(self.tld, self.values, out=self.source_image)
-        self.interpolation(self.source, out=self.fine_row)
+def _interior_cut(layer: ConvKernel, n: int, out: int) -> Taps:
+    """The layer's kept gather on an (n, n) input, cut to the interior of
+    its (out, out) output lattice."""
+    index = layer.gather((1, n, n)).index.reshape(layer.pattern.shape[:3] + (out, out))
+    return Taps(index[..., 1:-1, 1:-1], layer.coef[..., None])
 
 
 def conv_llmg_sweep(state: ConvLlmgState, bank: StencilBank) -> ConvLlmgState:

@@ -11,23 +11,23 @@ iteration for that stacked operator, `assemble_global`'s matrix, on any
 masks (of interior nodes, `field.LevelMask`).  Like `apply_stacked`, a
 sweep visits only the occupied levels 0..D-1 (`assembly.occupied_depth`).
 
-The level order is written once, in `llmg_schedule`, and the chain build
-once, in `carry_down_chain`.  Both routes run them over per-level ops
-staged once: `_LevelStage` here, once per solve, and `convnet._ConvLevel`
-on the conv route, once per sweep state, from the gathers its separately
-derived kernels keep.  Both smooth only a level's active rows; the
-direct route carries on full level interiors, the conv route's carry-up
-only where the active rows reach.
+The level order is written once, in `llmg_schedule`, the chain build once,
+in `carry_down_chain`, and the level step once, in `_Level`: the row
+residual, the smoothing step and both carries.  Both routes run them over
+per-level ops staged once: `_LevelStage` here, once per solve, and
+`convnet._ConvLevel` on the conv route, once per sweep state.  Each only
+derives its gathers, the conv route from the gathers its separately
+derived kernels keep.  Both smooth only a level's active rows, and both
+cull the carry-up's stiffness action to the interior nodes one stencil hop
+from a row; the restriction and interpolation run on full level interiors.
 
 A solve stages its sweep once (`_StagedSweep`): the masks, loads, stencil
 images and damping are fixed while it runs.  Each occupied level stages its
 four ops as fixed-weight gathers (`field.Taps`), in the block layout every
-conv layer uses, with one emitted channel and one rank: the section on its
-active rows, so a smoothing step's work follows the active set, and the
-stiffness action, restriction and interpolation on full level interiors.
-The carried-down chain is built once and kept current by the sweeps.  The
-iterates are those of the full-lattice loop over the level steps, bit for
-bit, under the one condition on the interpolation that `_LevelStage` states.
+conv layer uses, with one emitted channel and one rank.  The carried-down
+chain is built once and kept current by the sweeps.  The iterates are those
+of the full-lattice loop over the level steps, bit for bit, under the one
+condition on the interpolation that `_LevelStage` states.
 The stopping test's stacked residual is formed from the same stages
 (`_StagedSweep.residual_norm`); `apply_stacked` runs once per solve, after
 the last sweep, and must give the final residual bit for bit.
@@ -167,12 +167,6 @@ def carry_down_chain(levels) -> None:
 _D1, _D2 = np.array(hat_overlap_offsets()).T[:, None, :, None, None]
 
 
-def _square(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major lattice indices (i1, i2) of the nodes lo..hi-1 on both axes."""
-    i1, i2 = np.meshgrid(np.arange(lo, hi), np.arange(lo, hi), indexing="ij")
-    return i1.ravel(), i2.ravel()
-
-
 def _stencil_gather(weights: np.ndarray, nodes: np.ndarray) -> Taps:
     """The stencil rows of the flat lattice `nodes` of a level with (7, n, n)
     weight images: the seven neighbours j + p_t of each node j, with the
@@ -182,103 +176,120 @@ def _stencil_gather(weights: np.ndarray, nodes: np.ndarray) -> Taps:
     return Taps((i1 + _D1) * n + i2 + _D2, weights[None, :, None, i1, i2])
 
 
-class _LevelStage:
-    """The direct route's ops of occupied level k for `llmg_schedule`: what
-    the level fixes for the sweeps of one solve, staged once.  Each op is
-    one `field.Taps` block of one emitted channel and one rank, (1, T, 1,
-    m), over flat lattice indices of level k or its neighbour; its output
-    row 0 is the op's value on the m nodes:
-    - `section`: the stencil rows of the active nodes (`_stencil_gather`)
-      in u_k + utilde_k (`source`);
-    - `action` (levels > 0): the stencil rows of the level interior in u_k,
-      the stiffness action A_k u_k there, unscaled;
-    - `restriction` (levels > 0): the coarse interior from ubar_k + A_k
-      u_k, in `restrict_uniform`'s order, with coefficients [1, 1/2 x 6];
-    - `interpolation` (all but the deepest level): the next interior from
-      utilde_k + u_k (`source`) at its coarse neighbours lo and hi (one
-      node twice where they coincide), with coefficients 1/2.
-    It also keeps the loads at its rows and the residual of its last
-    smoothing step (`r`).  The iterate and carried images are updated in
-    place.
+class _Level:
+    """The ops of occupied level k for `llmg_schedule`, written once for
+    both routes, whose subclasses only derive the gathers (`_LevelStage`,
+    `convnet._ConvLevel`).  A gather reads a flat source of the level, and
+    row 0 of its output is the op's value:
+    - `section`: the stiffness action at the active nodes (`rows`);
+    - `action` (levels > 0): the stiffness action of `iterate` (u_k flat)
+      at `reach`, the interior nodes whose stencil reads a row;
+    - `restriction` (levels > 0): the coarse interior, into `coarse`;
+    - `interpolation` (all but the deepest occupied level): the next
+      interior, into `fine`.
+    Both actions are scaled by 2/h^2 after their sums.  Staging rejects
+    with `ConfigurationError` an iterate image that is not C-contiguous or
+    is nonzero off its active set (-0.0 passes), and an iterate or load
+    that is not finite on the rows.
 
-    Each entry has the bits of `assembly.level_section`, `carry_up` and
-    `carry_down`: the same terms in the same order (`restrict_uniform`
-    starts from its coincident term, never -0.0, instead of +0.0).  1/2 a +
-    1/2 b is `prolongate_uniform`'s 1/2 (a + b), and 1/2 a + 1/2 a its copy
-    a, unless a value is subnormal, near overflow or -0.0.  No carried value
-    is -0.0: the chain starts at +0.0, utilde_k + u_k is -0.0 only if both
-    terms are, and a sum from +0.0 never is.  Frames need no zeroing: the
-    rows are interior (`field.LevelMask`), u_k is +-0.0 on the frame and
-    utilde_k the +0.0 of the zero chain, so a frame term of any gather is
+    The carried values are the full-lattice loop's: off `reach` the full
+    action sums only w * (+-0.0) terms, u_k being zero off the rows, and
+    adds that +0.0 to ubar_k, which is never -0.0 (a sum from +0.0 never
+    is); nor is utilde_k + u_k, unless both terms are.  As the rows are
+    interior (`field.LevelMask`), a frame term of any gather is
     w * (+-0.0), which changes no sum from +0.0.
     """
 
-    def __init__(self, u, f, diffusion, omega, k, tld, bar):
-        hier = u.hierarchy
-        n, h = hier.n(k), hier.h(k)
+    def __init__(self, u, f, omega, k, tld, bar, iterate):
+        n, h = u.hierarchy.n(k), u.hierarchy.h(k)
         values = u.values[k]
         if not values.flags.c_contiguous:
-            raise ValueError(f"iterate image of level {k} is not C-contiguous")
+            raise ConfigurationError(f"iterate image of level {k} is not C-contiguous")
         active = u.masks[k].active != 0
         if values[~active].any():
-            raise ValueError(f"iterate image of level {k} is nonzero off its active set")
-        for name, image in (("iterate", values), ("load", f.images[k])):
-            if not np.isfinite(image[active]).all():
-                raise ValueError(f"{name} image of level {k} is not finite on its active set")
-        self.values, self.values_flat = values, values.reshape(-1)
-        self.tld, self.bar_flat = tld[k], bar[k].reshape(-1)
-        self.omega, self.scale = omega, 2.0 / (h * h)
-        weights = diffusion.stencil(k)
-        # u_k + utilde_k, written by each op before its gather reads it
-        self.source = np.empty((n, n))
-        self.source_flat = self.source.reshape(-1)
-
+            raise ConfigurationError(f"iterate image of level {k} is nonzero off its active set")
         self.rows = np.flatnonzero(active)
-        self.loads = f.images[k].reshape(-1)[self.rows]
-        self.section = _stencil_gather(weights, self.rows)
-
+        self.loads = f.images[k].take(self.rows)
+        for name, image in (("iterate", values.take(self.rows)), ("load", self.loads)):
+            if not np.isfinite(image).all():
+                raise ConfigurationError(f"{name} image of level {k} is not finite on its active set")
+        self.values, self.iterate, self.tld, self.bar = values, iterate, tld[k], bar[k]
+        self.bar_flat = bar[k].reshape(-1)
+        self.omega, self.scale = omega, 2.0 / (h * h)
+        # each op writes the source before its gather reads it
+        self.source = np.zeros(n * n + 1)
+        self.source_image = self.source[:-1].reshape(n, n)
         if k > 0:
-            a1, a2 = _square(1, n - 1)
-            self.interior = a1 * n + a2
-            self.action = _stencil_gather(weights, self.interior)
-            nc = hier.n(k - 1)
-            c1, c2 = _square(1, nc - 1)
-            neighbours = (2 * c1 + _D1 - 1) * (n - 2) + 2 * c2 + _D2 - 1
-            self.restriction = Taps(neighbours, np.array([1.0] + [0.5] * 6).reshape(_D1.shape))
-            self.coarse_flat, self.coarse_interior = bar[k - 1].reshape(-1), c1 * nc + c2
-
+            # the scaled action at `reach`, +0.0 elsewhere
+            self.lifted = np.zeros((n, n))
+            self.lifted_flat = self.lifted.reshape(-1)
+            self.coarse = bar[k - 1][None, 1:-1, 1:-1]
         if k + 1 < len(tld):
-            nf = hier.n(k + 1)
-            f1, f2 = _square(1, nf - 1)
-            self.next_flat, self.fine = tld[k + 1].reshape(-1), f1 * nf + f2
-            lo, hi = (f1 // 2) * n + f2 // 2, ((f1 + 1) // 2) * n + (f2 + 1) // 2
-            self.interpolation = Taps(np.array([lo, hi])[None, :, None], np.full((1, 2, 1, 1), 0.5))
+            self.fine = tld[k + 1][None, 1:-1, 1:-1]
 
     def row_residual(self) -> np.ndarray:
-        """loads - (scale * section + ubar_k) on the active rows, from the
-        current iterate and carried images."""
-        np.add(self.values, self.tld, out=self.source)
-        section = self.section(self.source_flat)[0]
+        """loads - (scale * section + ubar_k) on the rows, from the current
+        iterate and carried images."""
+        np.add(self.values, self.tld, out=self.source_image)
+        section = self.section(self.source)[0]
         section *= self.scale
         section += self.bar_flat[self.rows]
         return self.loads - section
 
     def smooth(self) -> None:
-        """One damped Richardson step on the active rows; keeps their residual in `r`."""
+        """One damped Richardson step on the rows; keeps their residual in `r`."""
         self.r = self.row_residual()
-        self.values_flat[self.rows] += self.omega * self.r
+        self.iterate[self.rows] += self.omega * self.r
 
     def carry_up(self) -> None:
         """ubar_{k-1} = restrict(ubar_k + A_k u_k), on the coarse interior."""
-        lifted = self.action(self.values_flat)[0]
+        lifted = self.action(self.iterate)
         lifted *= self.scale
-        lifted += self.bar_flat[self.interior]
-        self.coarse_flat[self.coarse_interior] = self.restriction(lifted)[0]
+        self.lifted_flat[self.reach] = lifted
+        np.add(self.bar, self.lifted, out=self.source_image)
+        self.restriction(self.source, out=self.coarse)
 
     def carry_down(self) -> None:
         """utilde_{k+1} = interp(utilde_k + u_k), on the next level's interior."""
-        np.add(self.values, self.tld, out=self.source)
-        self.next_flat[self.fine] = self.interpolation(self.source_flat)[0]
+        np.add(self.values, self.tld, out=self.source_image)
+        self.interpolation(self.source, out=self.fine)
+
+
+class _LevelStage(_Level):
+    """The direct route's gathers of occupied level k: `field.Taps` blocks
+    of one emitted channel and one rank over the level's lattice, the
+    section and action the stencil rows (`_stencil_gather`) of the rows
+    and of `reach`, the restriction in `restrict_uniform`'s order with
+    coefficients [1, 1/2 x 6], the interpolation from each node's coarse
+    neighbours lo and hi (one node twice where they coincide), 1/2 each.
+
+    Each entry has the bits of `assembly.level_section`, `carry_up` and
+    `carry_down`: the same terms in the same order (`restrict_uniform`
+    starts from its coincident term, never -0.0, instead of +0.0).  1/2 a +
+    1/2 b is `prolongate_uniform`'s 1/2 (a + b), and 1/2 a + 1/2 a its copy
+    a, unless a value is subnormal, near overflow or -0.0.
+    """
+
+    def __init__(self, u, f, diffusion, omega, k, tld, bar):
+        super().__init__(u, f, omega, k, tld, bar, u.values[k].reshape(-1))
+        n = u.hierarchy.n(k)
+        weights = diffusion.stencil(k)
+        self.section = _stencil_gather(weights, self.rows)
+        if k > 0:
+            r1, r2 = np.divmod(self.rows, n)
+            reach = np.zeros((n, n), dtype=bool)
+            reach[r1 - _D1.reshape(-1, 1), r2 - _D2.reshape(-1, 1)] = True
+            reach[[0, -1]] = reach[:, [0, -1]] = False
+            self.reach = np.flatnonzero(reach)
+            self.action = _stencil_gather(weights, self.reach)
+            c = np.arange(1, u.hierarchy.n(k - 1) - 1)
+            neighbours = (2 * c[:, None] + _D1[..., None]) * n + 2 * c + _D2[..., None]
+            self.restriction = Taps(neighbours, np.array([1.0] + [0.5] * 6).reshape(1, 7, 1, 1, 1))
+        if k + 1 < len(tld):
+            f1 = np.arange(1, u.hierarchy.n(k + 1) - 1)[:, None]
+            f2 = f1.T
+            lo, hi = (f1 // 2) * n + f2 // 2, ((f1 + 1) // 2) * n + (f2 + 1) // 2
+            self.interpolation = Taps(np.array([lo, hi])[None, :, None], np.full((1, 2, 1, 1, 1), 0.5))
 
 
 class _StagedSweep:
@@ -288,13 +299,8 @@ class _StagedSweep:
     carried-down chain (`carry_down_chain`); each sweep is `llmg_schedule`
     over the stages, whose upward half keeps the chain current, and
     `residual_norm` forms the stacked residual from the same stages.  The
-    stages read the iterate unmasked where `apply_stacked` masks it, so
-    staging rejects an iterate that is nonzero off its active sets (-0.0
-    passes: u * 0 keeps the sign of u's zero).  The kept chain then equals
-    `compute_utilde`'s, bit for bit.  Staging also rejects, before any work,
-    an iterate or load that is not finite on an active set.  The masks
-    need no check here: each holds interior nodes only (`field.LevelMask`),
-    so every active node is a row of the sweep and of the residual.
+    stages read the iterate unmasked where `apply_stacked` masks it (u * 0
+    keeps the sign of u's zero), so the kept chain is `compute_utilde`'s.
     """
 
     def __init__(self, u, f, diffusion, smoother):
@@ -315,23 +321,21 @@ class _StagedSweep:
         level's `row_residual()`, concatenated: the rows are the active
         nodes in row-major order, so this is the vector `stack_vector`
         gathers for `_stacked_residual_norm`, and the same norm bit for bit.
-        It overwrites only the carried-up images and the stages' sources,
-        which the next sweep rewrites before reading them.
+        It overwrites only the carried-up images and the stages' sources
+        and residuals, which the next sweep rewrites before reading them.
         """
         for stage in reversed(self.stages[1:]):
             stage.carry_up()
         rows = [stage.row_residual() for stage in self.stages]
-        return float(np.linalg.norm(np.concatenate(rows))) if rows else 0.0
+        return _norm([np.concatenate(rows)]) if rows else 0.0
 
     def sweep(self) -> float:
         """One sweep of the iterate in place; returns `llmg_sweep`'s lagged norm."""
         llmg_schedule(self.stages)
-        lagged2 = 0.0
         for k, stage in enumerate(self.stages):
             if not np.isfinite(stage.values).all():
                 raise ArithmeticError(f"llmg diverged: non-finite iterate on level {k}")
-            lagged2 += float(np.dot(stage.r, stage.r))
-        return float(np.sqrt(lagged2))
+        return _norm([stage.r for stage in self.stages])
 
 
 def llmg_sweep(
@@ -362,6 +366,27 @@ def llmg_sweep(
     return _StagedSweep(u, f, diffusion, smoother).sweep()
 
 
+def _norm(parts: list[np.ndarray]) -> float:
+    """sqrt(sum_i p_i . p_i) over float64 vectors, summed in order from
+    +0.0 (`np.vdot`: `ndarray.dot`'s bits, and no overflow warning).  A sum
+    that is inf or below 2^-900 (where squares over- or underflowed) is
+    redone with the entries scaled by 2^-e, e the exponent of the peak
+    |entry| (`math.frexp`), and its root scaled by 2^e.  The scalings are
+    exact (`np.ldexp`; 2.0 ** -e overflows for e < -1023), and no scaled
+    square overflows or, unless below an ulp of the sum, underflows."""
+    total = 0.0
+    for p in parts:
+        total += float(np.vdot(p, p))
+    if 2.0**-900 <= total < math.inf:
+        return math.sqrt(total)
+    e = math.frexp(max((float(np.abs(p).max()) for p in parts if p.size), default=0.0))[1]
+    total = 0.0
+    for p in parts:
+        p = np.ldexp(p, -e)
+        total += float(np.vdot(p, p))
+    return float(np.ldexp(math.sqrt(total), e))
+
+
 def _stacked_residual_norm(
     u: MultilevelField, f: RhsField, diffusion: DiffusionField
 ) -> float:
@@ -369,7 +394,7 @@ def _stacked_residual_norm(
     res = stack_vector(
         [f.images[k] - blocks[k] for k in range(u.levels)], u.masks
     )
-    return float(np.linalg.norm(res)) if res.size else 0.0
+    return _norm([res])
 
 
 # The stacked residual is formed once the lagged norm is within this factor of
@@ -406,7 +431,7 @@ def llmg_solve(
     route's level steps; it must equal the final entry bit for bit, or the
     solve raises `ArithmeticError` naming both.  Needs tol > 0 and
     max_sweeps >= 0; staging rejects non-finite or contract-breaking data
-    (`_StagedSweep`) with `ValueError`.
+    (`_Level`) with `ConfigurationError`.
     """
     if not tol > 0.0:
         raise ConfigurationError("tol must be positive")
@@ -414,7 +439,7 @@ def llmg_solve(
         raise ConfigurationError(f"max_sweeps must be >= 0, got {max_sweeps}")
     u = u0.copy()
     staged = _StagedSweep(u, f, diffusion, smoother)
-    fnorm = float(np.linalg.norm(stack_vector(f.images, u.masks))) if u.masks else 0.0
+    fnorm = _norm([stack_vector(f.images, u.masks)])
     threshold = tol * fnorm if fnorm > 0.0 else tol
 
     report = SolveReport(iterations=0, status="max_sweeps")

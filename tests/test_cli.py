@@ -343,7 +343,7 @@ def test_seed_override_lands_in_manifest(tmp_path):
 # ---------------------------------------------------------------- convstudy
 
 
-def test_convstudy_uniform_errors_decrease(tmp_path, monkeypatch):
+def test_convstudy_uniform_errors_decrease(tmp_path):
     cfg_path = write_config(
         tmp_path / "cfg.json",
         afem={"iterations": 2},
@@ -363,14 +363,10 @@ def test_convstudy_uniform_errors_decrease(tmp_path, monkeypatch):
     assert header[-1] == "capped"
     assert [int(r[capped]) for r in rows] == [0, 0, 0, 0]
 
-    # the worker pool and the env-var default must not change a single byte
+    # the worker pool must not change a single byte
     out2 = tmp_path / "pool"
     assert main(["convstudy", "--config", cfg_path, "--workers", "2", "--out", str(out2)]) == 0
     assert (out1 / "convstudy.csv").read_bytes() == (out2 / "convstudy.csv").read_bytes()
-    out3 = tmp_path / "env"
-    monkeypatch.setenv("AFEM_WORKERS", "2")
-    assert main(["convstudy", "--config", cfg_path, "--out", str(out3)]) == 0
-    assert (out1 / "convstudy.csv").read_bytes() == (out3 / "convstudy.csv").read_bytes()
 
     # one sweep cannot reach tol, so every adaptive and uniform solve of both
     # samples stops at the cap; the study still completes with exit status 0
@@ -511,7 +507,7 @@ def test_gen_dataset_layout_and_reload(tmp_path):
 # ---------------------------------------------------------------- main errors
 
 
-def test_main_config_errors_exit_2(tmp_path, monkeypatch, capsys):
+def test_main_config_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--config", str(missing)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -563,25 +559,18 @@ def test_main_config_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert "unknown key 'omega_rule'" in capsys.readouterr().err
     assert not (tmp_path / "rule").exists()
 
-    # a worker count below 1, from the flag or the variable, fails before any work
-    for command, argv, env in (
-        ("gen-dataset", ["--workers", "0"], "1"),
-        ("gen-dataset", ["--workers", "-4"], "1"),
-        ("gen-dataset", [], "-2"),
-        ("convstudy", [], "0"),
-    ):
-        monkeypatch.setenv("AFEM_WORKERS", env)
+    # a worker count below 1 fails before any work
+    for command, workers in (("gen-dataset", "0"), ("convstudy", "-4")):
         out = tmp_path / command
-        assert main([command, "--config", cfg_path, "--out", str(out), *argv]) == 2
+        assert main([command, "--config", cfg_path, "--out", str(out), "--workers", workers]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
 
-def test_workers_only_for_sample_commands(tmp_path, monkeypatch, capsys):
+def test_workers_only_for_sample_commands(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "cfg.json")
-    monkeypatch.setenv("AFEM_WORKERS", "x")
-    # verify maps over no samples and writes nothing: it neither reads
-    # AFEM_WORKERS nor accepts --workers or --out
+    # verify maps over no samples and writes nothing: it accepts neither
+    # --workers nor --out
     assert main(["verify", "--config", cfg_path]) == 0
     with pytest.raises(SystemExit):
         main(["verify", "--config", cfg_path, "--workers", "7"])
@@ -589,10 +578,6 @@ def test_workers_only_for_sample_commands(tmp_path, monkeypatch, capsys):
         main(["verify", "--config", cfg_path, "--out", str(tmp_path / "d")])
     assert not (tmp_path / "d").exists()
     capsys.readouterr()
-    # the sample commands still read it
-    out = str(tmp_path / "data")
-    assert main(["gen-dataset", "--config", cfg_path, "--out", out]) == 2
-    assert "config error" in capsys.readouterr().err
 
 
 def test_readme_config_block_is_the_default_config():

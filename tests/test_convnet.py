@@ -910,9 +910,10 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
     called.clear()
     conv_llmg_sweep(state, bank)
 
-    # each gather's layers: a bank kernel's kept full-lattice gathers (the
-    # carries), and the smoothing gather each staged level owns, which runs
-    # the translate and stiffness layers as one
+    # each gather's layers: a bank kernel's kept full-lattice gathers, and
+    # the gathers each staged level cuts from them: the smoothing and
+    # carry-up actions, which run the translate and stiffness layers as
+    # one, and the two transfers
     entries = [getattr(bank, f.name) for f in dataclasses.fields(bank)]
     kernels = [k for e in entries for k in (e.values() if isinstance(e, dict) else [e])]
     layers = {id(t): (k,) for k in kernels for t in k._gathers.values()}
@@ -921,6 +922,8 @@ def test_sweep_applies_exactly_the_counted_layers(monkeypatch, levels, depth):
         if hasattr(level, "action"):
             layers[id(level.action.gather)] = (bank.translate, bank.operator)
             layers[id(level.restriction)] = (bank.restrict,)
+        if hasattr(level, "interpolation"):
+            layers[id(level.interpolation)] = (bank.prolong,)
 
     def applied(calls):
         return [k for taps, _ in calls for k in layers[id(taps)]]
@@ -959,8 +962,8 @@ def test_warm_bank_stages_a_state_with_no_index_build(monkeypatch):
     """Once the bank has met a level's lattice, staging a state builds no
     gather index and no channel layout: every gather it builds is a level's
     block cut from its layers' kept gathers, in the layer's (emitted, taps,
-    ranks) block layout, and the carry-down runs the prolongation's kept
-    gather itself."""
+    ranks) block layout; both transfers are cut to their output's
+    interior."""
     hier = build_hierarchy(5, 4)
     bank = build_stencil_bank(hier)
     rng = np.random.default_rng(71)
@@ -1008,7 +1011,10 @@ def test_warm_bank_stages_a_state_with_no_index_build(monkeypatch):
         else:
             assert not hasattr(level, "action") and not hasattr(level, "restriction")
         if k < 2:
-            assert level.interpolation is bank.prolong.gather((1, n, n))
+            cut.append(level.interpolation)
+            nf = hier.n(k + 1)
+            kept = bank.prolong.gather((1, n, n)).index.reshape(1, 7, 1, nf, nf)
+            assert np.array_equal(level.interpolation.index, kept[..., 1:-1, 1:-1])
         else:
             assert not hasattr(level, "interpolation")
     assert gathers == cut

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mlfem import assembly, convnet, field, solver
 from mlfem.assembly import (
     STENCIL_COUPLINGS,
+    RhsField,
     apply_A_level,
     apply_stacked,
     assemble_global,
@@ -616,33 +617,57 @@ def test_taps_sum_each_taps_channels_first():
 def test_every_level_op_is_one_gather(depth):
     """Each stage's ops are `field.Taps`: the section on every occupied
     level, the stiffness action and restriction on levels > 0, the
-    interpolation below the deepest occupied level; and the gathers' sums
-    are written in `field.Taps.__call__` alone, for the conv layers too (its
-    rank and tap sums), next to the mask closure's and the one sum of the
-    conv stiffness action that weighs by data, the Upsilon channel sum."""
+    interpolation below the deepest occupied level.  The level step is
+    written once, on `solver._Level`, and both routes' levels are one; the
+    gathers' sums are written in `field.Taps.__call__` alone, for the conv
+    layers too (its rank and tap sums), next to the mask closure's and the
+    one sum of the conv stiffness action that weighs by data, the Upsilon
+    channel sum."""
     hier = build_hierarchy(5, 4)
     nf = hier.n(3)
     rng = np.random.default_rng(107)
     diff = compute_upsilon(hier, rng.uniform(0.5, 2.0, size=(nf, nf)))
     rhs = assemble_rhs(hier, rng.normal(size=(nf, nf)))
     masks = random_sparse_masks(hier, rng)[:depth] + [empty_mask(hier, k) for k in range(depth, 4)]
-    staged = solver._StagedSweep(zero_field(hier, masks), rhs, diff, choose_omega(diff, masks))
-    assert len(staged.stages) == depth
+    u, sm = zero_field(hier, masks), choose_omega(diff, masks)
+    staged = solver._StagedSweep(u, rhs, diff, sm)
+    state = convnet.init_llmg_state(convnet.build_stencil_bank(hier), u, rhs, diff, sm)
+    assert len(staged.stages) == len(state.levels) == depth
+    assert all(isinstance(level, solver._Level) for level in staged.stages + state.levels)
     names = ("section", "action", "restriction", "interpolation")
     for k, stage in enumerate(staged.stages):
         ops = {op for op in names if hasattr(stage, op)}
         want = {"section"} | ({"action", "restriction"} if k > 0 else set())
         assert ops == want | ({"interpolation"} if k < depth - 1 else set())
         assert all(type(getattr(stage, op)) is field.Taps for op in ops)
-        # each op a block of one emitted channel and one rank, (1, T, 1, m),
-        # whose every term reads its source: no padding term
+        # each op a block of one emitted channel and one rank, over the
+        # rows, `reach`, the coarse interior or the next interior, whose
+        # every term reads the level's lattice: no padding term
         n = hier.n(k)
-        sources = {"section": n * n, "action": n * n, "restriction": (n - 2) ** 2, "interpolation": n * n}
         for op in ops:
+            if op in ("section", "action"):
+                nodes = (stage.rows.size if op == "section" else stage.reach.size,)
+            else:
+                nodes = (hier.n(k - 1 if op == "restriction" else k + 1) - 2,) * 2
             index = getattr(stage, op).index
-            assert index.ndim == 4 and index.shape[::2] == (1, 1), op
-            assert index.shape[1] == (2 if op == "interpolation" else 7), op
-            assert 0 <= index.min() and index.max() < sources[op], op
+            assert index.shape == (1, 2 if op == "interpolation" else 7, 1) + nodes, op
+            assert 0 <= index.min() and index.max() < n * n, op
+        if k > 0:
+            # the carry-up's action runs at the interior nodes one stencil
+            # hop from a row
+            near = np.bitwise_or.reduce(offset_views(masks[k].active, hat_overlap_offsets()))
+            assert np.array_equal(stage.reach, np.flatnonzero(field.zero_frame(near)))
+            assert stage.reach.size < (n - 2) ** 2
+    step = {"row_residual", "smooth", "carry_up", "carry_down"}
+    defined = [
+        f"{path.stem}.{cls.name}"
+        for path in sorted(Path(solver.__file__).parent.glob("*.py"))
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef)
+        for func in cls.body
+        if isinstance(func, ast.FunctionDef) and func.name in step
+    ]
+    assert defined == ["solver._Level"] * 4
     owners = []
     for module in (field, solver, convnet):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
@@ -998,6 +1023,29 @@ def test_solve_matches_direct_three_levels():
         delta.values[k] = u.values[k] - star.values[k]
     rel = energy_seminorm(delta, diff) / energy_seminorm(star, diff)
     assert rel <= 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_solve_is_invariant_to_the_load_scale(scale):
+    """The stopping test is relative, so a load scaled by s gives the
+    status and sweep count of s = 1, and iterates within 1e-14 relative of
+    s times its iterates, for s from 1e-300 to 1e300: the norms rescale
+    the entries by a power of two where their squares overflow or
+    underflow, beyond about 1e+-154."""
+    problem = CookieProblem()
+    hier = build_hierarchy(5, 4)
+    diff = compute_upsilon(hier, discretize_kappa(problem, (0.5, 0.5), hier))
+    rhs = problem_rhs(problem, hier)
+    masks = uniform_masks(hier)[:2] + [empty_mask(hier, k) for k in (2, 3)]
+    sm = choose_omega(diff, masks)
+    u1, report1 = llmg_solve(zero_field(hier, masks), rhs, diff, sm)
+    scaled = RhsField(hier, [scale * image for image in rhs.images])
+    u, report = llmg_solve(zero_field(hier, masks), scaled, diff, sm)
+    assert (report.status, report.iterations) == (report1.status, report1.iterations)
+    assert report.iterations > 0
+    want = scale * stack_vector(u1.values, masks)
+    got = stack_vector(u.values, masks)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_solve_converges_on_random_sparse_masks():

@@ -6,6 +6,9 @@ Families:
 
   afem         iterates, eta2, masks and solve reports of the adaptive loop
                on seed-0 samples 0-5 of the default config
+  afem-deep    the same for seed-0 sample 0 on a deep config (5 levels, 5
+               passes, theta 0.5, max_sweeps 400), whose last masks occupy
+               4 levels with active sets far smaller than the interiors
   cnn-forward  `CnnForward.op_digests` of the benchmark's unrolled network
                for seeds 0-2 (benchmarks/run.py, loaded read-only)
   verify       the three deviations `afem verify` prints
@@ -42,6 +45,7 @@ from mlfem.mesh import build_hierarchy  # noqa: E402
 from mlfem.problems import SampleRng, discretize_kappa, load_image  # noqa: E402
 
 AFEM_SAMPLES = range(6)
+DEEP = RunConfig(levels=5, iterations=5, theta=0.5, max_sweeps=400)
 CNN_SEEDS = range(3)
 
 
@@ -50,12 +54,11 @@ def update(h, *arrays) -> None:
         h.update(np.ascontiguousarray(a).tobytes())
 
 
-def afem_digest() -> str:
-    cfg = RunConfig()
+def afem_digest(cfg: RunConfig = RunConfig(), samples=AFEM_SAMPLES) -> str:
     hier = build_hierarchy(cfg.coarse_nodes_per_side, cfg.levels)
     f_values = load_image(cfg.problem, hier)
     h = hashlib.sha256()
-    for index in AFEM_SAMPLES:
+    for index in samples:
         y = SampleRng(cfg.seed).sample_generator(index).random(len(cfg.problem.centers))
         diffusion = compute_upsilon(hier, discretize_kappa(cfg.problem, y, hier))
         with warnings.catch_warnings():
@@ -103,7 +106,13 @@ def verify_digest() -> str:
 
 
 def main() -> int:
-    for name, fn in (("afem", afem_digest), ("cnn-forward", cnn_forward_digest), ("verify", verify_digest)):
+    families = (
+        ("afem", afem_digest),
+        ("afem-deep", lambda: afem_digest(DEEP, range(1))),
+        ("cnn-forward", cnn_forward_digest),
+        ("verify", verify_digest),
+    )
+    for name, fn in families:
         print(f"{name:<12} {fn()}", flush=True)
     return 0
 
